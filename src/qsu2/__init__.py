@@ -35,8 +35,6 @@ from .equivalence import (
     unitary_u,
     verify_q0_equivalence,
 )
-from .kernels import default_backend as kernel_backend
-from .kernels import have_extension
 from .lattice import (
     FullIndex,
     GammaIndex,
@@ -52,17 +50,14 @@ from .lattice import (
 )
 from .operator_core import (
     SparseOperator,
-    TailProjector,
     add,
     adjoint,
+    block_norm,
     build_from_rule,
     compose,
     diagonal,
     identity,
     max_abs_entry_per_shell,
-    operator_norm,
-    power_norm,
-    restrict_tail,
 )
 from .representations import (
     Generator,

@@ -76,9 +76,9 @@ def cmd_estimates(args) -> VerificationReport:
     items = []
     for row in rep.rows:
         items.append(ReportItem(f"k={row.k}:|1-g|", row.lhs1, row.bound1,
-                                row.lhs1 < row.bound1, None, row.k))
+                                row.pass1, None, row.k))
         items.append(ReportItem(f"k={row.k}:|1-1/g|", row.lhs2, row.bound2,
-                                row.lhs2 < row.bound2, None, row.k))
+                                row.pass2, None, row.k))
     params = {"q": args.q, "kmax": args.kmax, "c": rep.c}
     return VerificationReport("estimates", params, items)
 
@@ -204,8 +204,12 @@ def main(argv=None) -> int:
         return _usage_error("cap must be non-negative")
     if args.command == "verify-q0" and args.cap < 1:
         return _usage_error("no interior: verify-q0 needs cap >= 1")
-    if getattr(args, "tol", 1.0) <= 0.0:
-        return _usage_error("tol must be positive")
+    tol = getattr(args, "tol", 1.0)
+    if not (math.isfinite(tol) and tol > 0.0):
+        return _usage_error("tol must be positive and finite")
+    for flag in ("z_re", "z_im"):
+        if not math.isfinite(getattr(args, flag, 0.0)):
+            return _usage_error(f"--{flag.replace('_', '-')} must be finite")
     if getattr(args, "kmax", 1) < 1:
         return _usage_error("kmax must be at least 1")
     if getattr(args, "dim", 1) < 1:

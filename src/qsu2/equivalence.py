@@ -25,15 +25,13 @@ from .coefficients import float_mode, g, t_parts
 from .lattice import FullIndex, GammaIndex, PiIndex, full_basis, full_shell, gamma_basis, pi_basis
 from .operator_core import (
     SparseOperator,
-    TailProjector,
     add,
+    block_norm,
     build_from_rule,
     columns_equal_exact,
     compose,
     diagonal,
     max_entry_difference,
-    power_norm,
-    restrict_tail,
 )
 from .representations import (
     Generator,
@@ -427,21 +425,22 @@ def decay_loglog_slope(q_grid, cap: int, target: str, noise_floor: float = 1e-13
     return sxy / sxx
 
 
-def tail_norms(q: float, cap: int, gen, factor: str = "pi-factor",
-               tol_rel: float = 1e-10, max_iter: int = 10000) -> list[tuple[int, float]]:
+def tail_norms(q: float, cap: int, gen) -> list[tuple[int, float]]:
     """Operator norms of D_gen restricted to the (s, t) tails s + |t| >= m.
 
     Geometric decay in m certifies compactness in the (s, t) factor; the
-    Toeplitz direction r carries shifts and must not decay, so full-shell
-    tails are intentionally not supported here.
+    Toeplitz direction r carries shifts and does not decay.  D_alpha keeps
+    t and D_beta lowers it by one, so columns with distinct t hit disjoint
+    rows and every tail norm is an exact block norm over the column t.
     """
-    if factor != "pi-factor":
-        raise ValueError("tail norms for the differences support the pi-factor only")
     d = difference(q, cap, gen)
     out = []
     for m in range(cap + 1):
-        tail = restrict_tail(d, TailProjector("pi-factor", m), side="right")
-        out.append((m, power_norm(tail, tol_rel=tol_rel, max_iter=max_iter).value))
+        blocks: dict[int, list[int]] = {}
+        for j, p in enumerate(d.domain.points):
+            if p.s + abs(p.t) >= m:
+                blocks.setdefault(p.t, []).append(j)
+        out.append((m, block_norm(d, blocks.values())))
     return out
 
 

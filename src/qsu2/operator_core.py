@@ -11,15 +11,12 @@ both sides of every identity, so interior columns are exact.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .coefficients import Mode
-from .kernels import MatvecPlan
-from .lattice import Basis, FullIndex, full_shell
+from .lattice import Basis
 
 Entry = tuple[int, object]  # (row rank, scalar)
 
@@ -42,9 +39,6 @@ class SparseOperator:
     @property
     def nnz(self) -> int:
         return sum(len(c) for c in self.cols)
-
-    def column(self, j: int) -> tuple[Entry, ...]:
-        return self.cols[j]
 
     def entries(self) -> Iterator[tuple[int, int, object]]:
         """Yield (row_rank, col_rank, value) over all stored entries."""
@@ -181,52 +175,6 @@ def tensor(a: SparseOperator, b: SparseOperator, domain: Basis, codomain: Basis)
     return SparseOperator(domain, codomain, cols, a.mode)
 
 
-@dataclass(frozen=True)
-class TailProjector:
-    """Selects full-lattice points far out in a chosen grading.
-
-    which_factor "pi-factor" keeps s + |t| >= m (the compact direction);
-    "full-shell" keeps r + s + |t| >= m.
-    """
-
-    which_factor: str
-    m: int
-
-    def __post_init__(self):
-        if self.which_factor not in ("pi-factor", "full-shell"):
-            raise ValueError(f"unknown tail factor {self.which_factor!r}")
-        if self.m < 0:
-            raise ValueError("tail threshold must be non-negative")
-
-    def selects(self, p: FullIndex) -> bool:
-        if self.which_factor == "pi-factor":
-            return pi_shell_of_full(p) >= self.m
-        return full_shell(p) >= self.m
-
-
-def pi_shell_of_full(p: FullIndex) -> int:
-    return p.s + abs(p.t)
-
-
-def restrict_tail(a: SparseOperator, proj: TailProjector, side: str = "right") -> SparseOperator:
-    """Zero the columns (right), rows (left), or both outside the tail."""
-    if side not in ("left", "right", "both"):
-        raise ValueError(f"unknown restriction side {side!r}")
-    if not a.domain.points or not isinstance(a.domain.points[0], FullIndex):
-        raise ValueError("projector/lattice mismatch: tail restriction needs the full lattice")
-    keep_dom = [proj.selects(p) for p in a.domain.points]
-    keep_cod = [proj.selects(p) for p in a.codomain.points]
-    cols = []
-    for j, col in enumerate(a.cols):
-        if side in ("right", "both") and not keep_dom[j]:
-            cols.append([])
-            continue
-        if side in ("left", "both"):
-            col = [(i, v) for i, v in col if keep_cod[i]]
-        cols.append(list(col))
-    return SparseOperator(a.domain, a.codomain, cols, a.mode)
-
-
 def max_abs_entry_per_shell(a: SparseOperator) -> list[tuple[int, float]]:
     """Per domain shell m, the largest |entry| over columns at shell m."""
     out = [0.0] * (a.domain.cap + 1)
@@ -240,79 +188,35 @@ def max_abs_entry_per_shell(a: SparseOperator) -> list[tuple[int, float]]:
     return list(enumerate(out))
 
 
-@dataclass(frozen=True)
-class NormEstimate:
-    value: float
-    iterations: int
-    converged: bool
+def block_norm(a: SparseOperator, blocks: Iterable[Iterable[int]]) -> float:
+    """Spectral norm of ``a`` restricted to the columns listed in ``blocks``.
 
-
-def power_norm(a: SparseOperator, tol_rel: float = 1e-10, max_iter: int = 10000,
-               backend: str | None = None) -> NormEstimate:
-    """Largest singular value via power iteration on adjoint(a) @ a.
-
-    Deterministic all-ones start; stops when the Rayleigh estimate's
-    relative change drops below tol_rel.  If the first estimate is 0 for a
-    nonzero matrix, one fixed perturbation retry (add 1e-3 to rank 0) breaks
-    the orthogonal-start degeneracy.
+    The blocks are disjoint sets of column ranks.  When no row is touched by
+    two blocks the restriction is block-diagonal, and its norm is the
+    largest dense singular value over the blocks (LAPACK SVD, no iteration).
+    A shared row or column would make that answer wrong, so it raises.
     """
-    n = len(a.domain)
-    m = len(a.codomain)
-    if n == 0 or m == 0:
-        raise ValueError("zero-dimensional operator")
-    if a.nnz == 0:
-        return NormEstimate(0.0, 0, True)
-    plan = MatvecPlan(*_csc_arrays(a), m, backend=backend)
-    x = np.full(n, 1.0 / math.sqrt(n))
-    if plan.complex:
-        x = x.astype(np.complex128)
-    sigma_prev = None
-    sigma = 0.0
-    for it in range(1, max_iter + 1):
-        nu, z = plan.step(x)
-        sigma = math.sqrt(nu)
-        if it == 1 and sigma == 0.0:
-            x = np.full(n, 1.0)
-            x[0] += 1e-3
-            x /= np.linalg.norm(x)
-            if plan.complex:
-                x = x.astype(np.complex128)
-            nu, z = plan.step(x)
-            sigma = math.sqrt(nu)
-            if sigma == 0.0:
-                return NormEstimate(0.0, it, True)
-        zn = np.linalg.norm(z)
-        if zn == 0.0:
-            return NormEstimate(sigma, it, True)
-        x = z / zn
-        if sigma_prev is not None and abs(sigma - sigma_prev) <= tol_rel * sigma:
-            return NormEstimate(sigma, it, True)
-        sigma_prev = sigma
-    return NormEstimate(sigma, max_iter, False)
-
-
-def operator_norm(a: SparseOperator, tol_rel: float = 1e-10, max_iter: int = 10000) -> float:
-    return power_norm(a, tol_rel=tol_rel, max_iter=max_iter).value
-
-
-def _csc_arrays(a: SparseOperator):
-    indptr = np.zeros(len(a.domain) + 1, dtype=np.intp)
-    rows = []
-    cols = []
-    data = []
-    for j, col in enumerate(a.cols):
-        for i, v in col:
-            rows.append(i)
-            cols.append(j)
-            data.append(v)
-        indptr[j + 1] = len(rows)
-    has_complex = any(isinstance(v, complex) for v in data)
-    dtype = np.complex128 if has_complex else np.float64
-    return indptr, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(data, dtype=dtype)
-
-
-def frobenius_norm(a: SparseOperator) -> float:
-    return math.sqrt(sum(abs(v) ** 2 for _, _, v in a.entries()))
+    row_owner = np.full(len(a.codomain), -1)
+    col_seen = np.zeros(len(a.domain), dtype=bool)
+    best = 0.0
+    for b, block in enumerate(blocks):
+        block = list(block)
+        if col_seen[block].any():
+            raise ValueError("blocks share a column")
+        col_seen[block] = True
+        entries = [(i, k, v) for k, j in enumerate(block) for i, v in a.cols[j]]
+        if not entries:
+            continue
+        rows, cols, values = zip(*entries)
+        support, local = np.unique(rows, return_inverse=True)
+        if (row_owner[support] >= 0).any():
+            raise ValueError("blocks share a row: the restriction is not block-diagonal")
+        row_owner[support] = b
+        values = np.array(values)
+        dense = np.zeros((len(support), len(block)), dtype=values.dtype)
+        dense[local, cols] = values
+        best = max(best, float(np.linalg.norm(dense, 2)))
+    return best
 
 
 def max_entry_difference(a: SparseOperator, b: SparseOperator,

@@ -244,7 +244,11 @@ class RelationReport:
 
     @property
     def max_residual(self) -> float:
-        return max((r.residual for r in self.rows), default=0.0)
+        """Largest residual; a NaN residual propagates instead of hiding."""
+        residuals = [r.residual for r in self.rows]
+        if any(r != r for r in residuals):
+            return float("nan")
+        return max(residuals, default=0.0)
 
     def passes(self, tol: float) -> bool:
         return self.max_residual < tol
@@ -299,9 +303,11 @@ def check_relations(ops, margin: int = 2) -> RelationReport:
         witness = None
         for j in interior:
             norm2 = sum(abs(v) ** 2 for _, v in op.cols[j])
-            if norm2 > worst:
+            if norm2 > worst or norm2 != norm2:  # a NaN column is the residual
                 worst = norm2
                 witness = basis.point_of(j)
+                if norm2 != norm2:
+                    break
         rows.append(RelationResidual(name, worst**0.5, witness))
     return RelationReport(cap, margin, mode.exact, tuple(rows))
 

@@ -105,7 +105,29 @@ def test_tails_command(capsys):
     doc = json.loads(out)
     values = [it["value"] for it in doc["items"]]
     for a, b in zip(values, values[1:]):
-        assert b <= a + 1e-8  # nonincreasing up to power-iteration slack
+        assert b <= a + 1e-8  # nonincreasing up to the CLI's TAIL_SLACK
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tol_usage_error(capsys, value):
+    code, out, err = run(capsys, "verify-relations", "--q", "0.5", "--cap", "6", "--tol", value)
+    assert code == 2
+    assert out == ""
+    assert "tol" in err
+
+
+def test_non_finite_z_re_usage_error(capsys):
+    code, out, err = run(capsys, "irrep", "--q", "0.5", "--z-re", "nan", "--dim", "5")
+    assert code == 2
+    assert out == ""
+    assert "--z-re" in err
+
+
+def test_non_finite_z_im_usage_error(capsys):
+    code, out, err = run(capsys, "irrep", "--q", "0.5", "--z-im", "inf", "--dim", "5")
+    assert code == 2
+    assert out == ""
+    assert "--z-im" in err
 
 
 def test_irrep_command(capsys):

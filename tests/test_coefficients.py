@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,18 @@ def test_g_values():
     assert cf.g(1, 0.5) == pytest.approx(math.sqrt(0.75), abs=0)
     assert cf.g(1, 0.5) == pytest.approx(0.8660254037844386, abs=1e-15)
     assert cf.g(2, 0.5) == pytest.approx(math.sqrt(1 - 0.5**4), abs=0)
+
+
+@pytest.mark.parametrize("q", [0.9999, 0.999999, 0.99999999])
+def test_g_against_mpmath_near_one(q):
+    mpmath.mp.dps = 50
+    for k in range(201):
+        exact = mpmath.sqrt(1 - mpmath.mpf(q) ** (2 * k))
+        value = cf.g(k, q)
+        if k == 0:
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        else:
+            assert abs(value - exact) <= 1e-15 * exact, (k, value)
 
 
 def test_g_exact_zero_mode():
@@ -132,7 +145,8 @@ def test_g_estimates_frozen_rows():
 
 
 def test_g_estimates_pass_deep():
-    for q in (0.5, 0.9):
+    # at q = 0.4, q^(2k) underflows to 0 from k = 407 on
+    for q in (0.4, 0.5, 0.9):
         assert cf.verify_g_estimates(q, 500).passed
 
 

@@ -1,5 +1,6 @@
 """The unitary, conjugation, difference operators, and decay diagnostics."""
 
+import numpy as np
 import pytest
 
 from qsu2.coefficients import g
@@ -253,6 +254,13 @@ def test_tail_norms_monotone_small():
         assert b <= a + 1e-8
 
 
-def test_tail_norms_reject_full_shell():
-    with pytest.raises(ValueError, match="pi-factor"):
-        tail_norms(0.5, 4, "alpha", factor="full-shell")
+@pytest.mark.parametrize("gen", ["alpha", "beta"])
+@pytest.mark.parametrize("q", [0.5, -0.45])
+def test_tail_norms_against_dense_svd(q, gen):
+    cap = 8
+    d = difference(q, cap, gen)
+    dense = d.to_dense()
+    pi_shell = np.array([p.s + abs(p.t) for p in d.domain.points])
+    for m, value in tail_norms(q, cap, gen):
+        oracle = np.linalg.svd(dense[:, pi_shell >= m], compute_uv=False)[0]
+        assert value == pytest.approx(oracle, rel=1e-12)

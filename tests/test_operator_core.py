@@ -4,21 +4,18 @@ import numpy as np
 import pytest
 
 from qsu2.coefficients import EXACT_ZERO, float_mode
-from qsu2.lattice import FullIndex, PiIndex, full_basis, nat_basis, pi_basis
+from qsu2.lattice import PiIndex, full_basis, nat_basis, pi_basis
 from qsu2.operator_core import (
     SparseOperator,
-    TailProjector,
     add,
     adjoint,
+    block_norm,
     build_from_rule,
     compose,
     diagonal,
     identity,
     max_abs_entry_per_shell,
     max_entry_difference,
-    operator_norm,
-    power_norm,
-    restrict_tail,
 )
 from qsu2.representations import build_pi
 
@@ -136,97 +133,46 @@ def test_shift_relations_on_nat_sections():
     np.testing.assert_allclose(compose(sstar, s).to_dense()[:, :19], expected[:, :19], atol=0)
 
 
+def all_columns(a):
+    return [range(len(a.domain))]
+
+
 def test_operator_norm_trivial_cases():
-    assert operator_norm(identity(full_basis(2), MODE)) == pytest.approx(1.0, abs=1e-12)
+    eye = identity(full_basis(2), MODE)
+    assert block_norm(eye, all_columns(eye)) == pytest.approx(1.0, abs=1e-12)
     b = nat_basis(3)
     d = SparseOperator(b, b, [[(0, 3.0)], [(1, 1.0)], [(2, 0.5)]], MODE)
-    assert operator_norm(d) == pytest.approx(3.0, abs=1e-10)
+    assert block_norm(d, all_columns(d)) == pytest.approx(3.0, abs=1e-10)
+    zero = SparseOperator(b, b, [[] for _ in range(3)], MODE)
+    assert block_norm(zero, all_columns(zero)) == 0.0
 
 
 def test_operator_norm_against_dense_svd():
-    from qsu2.operator_core import frobenius_norm
-
     rng = np.random.default_rng(23)
     b1, b2 = nat_basis(12), nat_basis(15)
     for _ in range(5):
         a = random_sparse(rng, b1, b2, per_col=3)
         if a.nnz == 0:
             continue
-        oracle = np.linalg.svd(a.to_dense(), compute_uv=False)[0]
-        value = operator_norm(a)
-        assert value == pytest.approx(oracle, rel=1e-8)
-        assert value <= frobenius_norm(a) * (1 + 1e-12)
+        dense = a.to_dense()
+        oracle = np.linalg.svd(dense, compute_uv=False)[0]
+        value = block_norm(a, all_columns(a))
+        assert value == pytest.approx(oracle, rel=1e-12)
+        assert value <= np.linalg.norm(dense, "fro") * (1 + 1e-12)
 
 
 def test_operator_norm_pi_beta_section():
     op = build_pi(0.5, 12, "beta")
-    assert operator_norm(op) == pytest.approx(1.0, abs=1e-9)
+    assert block_norm(op, all_columns(op)) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_power_norm_zero_and_errors():
-    from qsu2.lattice import Basis
-
-    b = nat_basis(4)
-    zero = SparseOperator(b, b, [[] for _ in range(4)], MODE)
-    est = power_norm(zero)
-    assert est.value == 0.0 and est.converged
-    empty = Basis("empty", (), lambda k: 0, lambda k: True, 0)
-    with pytest.raises(ValueError, match="zero-dimensional"):
-        power_norm(SparseOperator(empty, b, [], MODE))
-
-
-def test_power_norm_converges_flag():
-    b = nat_basis(6)
-    d = diagonal(b, lambda k: 1.0 / (k + 1), MODE)
-    est = power_norm(d)
-    assert est.converged and est.value == pytest.approx(1.0, abs=1e-9)
-
-
-def test_restrict_tail_trivial_and_idempotent():
-    op = diagonal(full_basis(3), lambda p: 1.0, MODE)
-    same = restrict_tail(op, TailProjector("pi-factor", 0))
-    assert same.cols == op.cols
-    gone = restrict_tail(op, TailProjector("pi-factor", 10))
-    assert gone.nnz == 0
-    once = restrict_tail(op, TailProjector("pi-factor", 2))
-    twice = restrict_tail(once, TailProjector("pi-factor", 2))
-    assert once.cols == twice.cols
-
-
-def test_restrict_tail_pi_factor_selection():
-    basis = full_basis(3)
-    op = diagonal(basis, lambda p: 1.0, MODE)
-    kept = restrict_tail(op, TailProjector("pi-factor", 2))
-    for j, p in enumerate(basis.points):
-        expected = p.s + abs(p.t) >= 2  # enumeration oracle
-        assert bool(kept.cols[j]) == expected
-
-
-def test_restrict_tail_sides():
-    basis = full_basis(2)
-    up = build_from_rule(
-        basis, basis, lambda p: [(FullIndex(p.r + 1, p.s, p.t), 1.0)], MODE
-    )
-    proj = TailProjector("pi-factor", 1)
-    left = restrict_tail(up, proj, side="left")
-    for i, j, _ in left.entries():
-        assert proj.selects(basis.point_of(i))
-    both = restrict_tail(up, proj, side="both")
-    for i, j, _ in both.entries():
-        assert proj.selects(basis.point_of(i)) and proj.selects(basis.point_of(j))
-
-
-def test_restrict_tail_lattice_mismatch():
-    op = diagonal(pi_basis(2), lambda p: 1.0, MODE)
-    with pytest.raises(ValueError, match="projector/lattice mismatch"):
-        restrict_tail(op, TailProjector("pi-factor", 1))
-
-
-def test_tail_projector_validation():
-    with pytest.raises(ValueError, match="unknown tail factor"):
-        TailProjector("bogus", 1)
-    with pytest.raises(ValueError):
-        TailProjector("pi-factor", -1)
+def test_block_norm_rejects_shared_rows_and_columns():
+    b = nat_basis(3)
+    a = SparseOperator(b, b, [[(0, 1.0)], [(0, 1.0), (1, 1.0)], [(2, 1.0)]], MODE)
+    with pytest.raises(ValueError, match="share a row"):
+        block_norm(a, [[0], [1], [2]])
+    with pytest.raises(ValueError, match="share a column"):
+        block_norm(a, [[0, 1], [1, 2]])
 
 
 def test_max_abs_entry_per_shell():

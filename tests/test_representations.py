@@ -137,7 +137,8 @@ def test_crystal_partial_isometries():
 
 
 def test_relations_lambda_and_pi_float():
-    for q in Q_GRID:
+    # the near-1 values need the cancellation-free g(k)
+    for q in Q_GRID + (0.9999, 0.999999, 0.99999999):
         lam = {gv: build_lambda(q, 8, gv) for gv in Generator}
         rep = check_relations(lam)
         assert rep.max_residual < 1e-12, (q, rep.rows)
@@ -152,6 +153,20 @@ def test_relations_exact_zero():
         rep = check_relations(ops)
         assert rep.exact
         assert rep.max_residual == 0.0
+
+
+def test_relations_report_nan_residual():
+    ops = {gv: build_pi(0.5, 6, gv) for gv in (Generator.ALPHA, Generator.BETA)}
+    beta = ops[Generator.BETA]
+    j = beta.domain.index_of(PiIndex(1, 0))
+    cols = list(beta.cols)
+    cols[j] = tuple((i, math.nan) for i, _ in cols[j])
+    ops[Generator.BETA] = type(beta)(beta.domain, beta.codomain, cols, beta.mode)
+    rep = check_relations(ops)
+    assert math.isnan(rep.max_residual)
+    assert not rep.passes(1e-12)
+    bad = [row for row in rep.rows if math.isnan(row.residual)]
+    assert bad and all(row.witness is not None for row in bad)
 
 
 def test_relations_need_interior():

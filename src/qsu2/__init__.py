@@ -39,7 +39,6 @@ from .lattice import (
     FullIndex,
     GammaIndex,
     PiIndex,
-    Truncation,
     full_basis,
     full_points,
     gamma_basis,
@@ -62,12 +61,9 @@ from .operator_core import (
 from .representations import (
     Generator,
     build_ipi,
-    build_ipi0,
     build_irrep,
     build_lambda,
-    build_lambda0,
     build_pi,
-    build_pi0,
     check_relations,
     coproduct_images,
     crystal_limit_distance,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every checked item passes, 1 on a quantitative
 failure, 2 on usage errors (including q = 0 for the float commands,
-which have a dedicated exact counterpart in verify-q0).
+which have a dedicated exact counterpart in verify-q0, and sizes over
+MAX_POINTS).
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ DEFAULT_CAP = 12
 DEFAULT_TOL_RELATIONS = 1e-12
 DEFAULT_TOL_CROSSCHECK = 1e-13
 TAIL_SLACK = 1e-8
+# Largest number of basis points (k values for estimates) a command may
+# enumerate; verify-q0 --cap 40 needs 23,821.
+MAX_POINTS = 50_000
 
 
 def _point_str(p) -> str | None:
@@ -33,25 +37,19 @@ def cmd_verify_q0(args) -> VerificationReport:
         if rep.witness is not None and rep.witness[0] == gen:
             witness = _point_str(rep.witness[1])
         items.append(ReportItem(f"intertwine/{gen}", count, 0, count == 0, witness, f"intertwine/{gen}"))
-    if args.cap >= 2:
-        for label, build in (("lambda0", representations.build_lambda0),
-                             ("pi0", representations.build_pi0)):
-            ops = {g: build(args.cap, g) for g in representations.Generator}
-            rel = representations.check_relations(ops)
-            for row in rel.rows:
-                items.append(ReportItem(
-                    f"relations/{label}/{row.name}", row.residual, 0.0,
-                    row.residual == 0.0, _point_str(row.witness), row.name,
-                ))
+    for label, rel in rep.relations.items():
+        for row in rel.rows:
+            items.append(ReportItem(
+                f"relations/{label}/{row.name}", row.residual, 0.0,
+                row.residual == 0.0, _point_str(row.witness), row.name,
+            ))
     return VerificationReport("verify-q0", {"cap": args.cap}, items)
 
 
 def cmd_verify_relations(args) -> VerificationReport:
     items = []
-    lam = {g: representations.build_lambda(args.q, args.cap, g) for g in representations.Generator}
-    pi = {g: representations.build_pi(args.q, args.cap, g) for g in representations.Generator}
-    for label, ops in (("lambda", lam), ("pi", pi)):
-        rel = representations.check_relations(ops)
+    for label, build in (("lambda", representations.build_lambda), ("pi", representations.build_pi)):
+        rel = representations.check_relations({g: build(args.q, args.cap, g) for g in ("alpha", "beta")})
         for row in rel.rows:
             items.append(ReportItem(
                 f"{label}/{row.name}", row.residual, args.tol,
@@ -186,6 +184,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _size(args) -> tuple[str, int]:
+    """The flag that sizes a command and the points it makes it enumerate."""
+    if args.command == "estimates":
+        return "kmax", args.kmax
+    if args.command == "irrep":
+        return "dim", args.dim
+    # Shell m of the Gamma and full lattices holds (m + 1)^2 points.
+    return "cap", (args.cap + 1) * (args.cap + 2) * (2 * args.cap + 3) // 6
+
+
 def _usage_error(message: str) -> int:
     print(f"qsu2: error: {message}", file=sys.stderr)
     return 2
@@ -214,6 +222,10 @@ def main(argv=None) -> int:
         return _usage_error("kmax must be at least 1")
     if getattr(args, "dim", 1) < 1:
         return _usage_error("dim must be at least 1")
+    flag, size = _size(args)
+    if size > MAX_POINTS:
+        return _usage_error(f"--{flag} {getattr(args, flag)} enumerates {size} points, "
+                            f"over the budget of {MAX_POINTS}")
 
     started = time.perf_counter()
     try:

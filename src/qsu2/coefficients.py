@@ -1,6 +1,7 @@
 """Scalar formulas: g(k), the Clebsch-Gordan column coefficients of the
-GNS action, their crystal (q -> 0) limits, and the analytic estimates on
-g used by the compactness diagnostics.
+GNS action, and the analytic estimates on g used by the compactness
+diagnostics.  The formulas hold at q = 0 too, where they take the crystal
+values in {-1, 0, +1} (with 0**0 = 1).
 
 All coefficient functions take Gamma points in doubled coordinates and
 apply the validity-first rule: when the target basis vector of a term
@@ -21,20 +22,16 @@ def g(k: int, q: float) -> float:
     """sqrt(1 - q^(2k)); strictly increasing in k with g(0) = 0.
 
     Evaluated as sqrt(-expm1(2k log|q|)): the subtraction 1 - q^(2k)
-    cancels catastrophically as |q| -> 1, the expm1 form does not.
+    cancels catastrophically as |q| -> 1, the expm1 form does not.  At
+    q = 0 the definition gives g(k) = 1 for every k >= 1.
     """
     if k < 0:
         raise ValueError("negative q-index")
     if k == 0:
         return 0.0
+    if q == 0.0:
+        return 1.0
     return math.sqrt(-math.expm1(2 * k * math.log(abs(q))))
-
-
-def g_exact0(k: int) -> int:
-    """Crystal limit of g: 0 at k = 0, else 1."""
-    if k < 0:
-        raise ValueError("negative q-index")
-    return 0 if k == 0 else 1
 
 
 def t_parts(t: int) -> tuple[int, int]:
@@ -107,31 +104,6 @@ def b_minus(n2: int, i2: int, j2: int, q: float) -> float:
     exp = (n2 + i2) // 2  # = n + i
     num = g((n2 + j2) // 2, q) * g((n2 - i2) // 2, q)
     return q**exp * num / (g(n2, q) * g(n2 + 1, q))
-
-
-# Crystal limits of the four coefficients.  a_plus is O(q) and vanishes;
-# the others become indicators with values in {-1, 0, +1}.  The branch
-# priority at the corner i = j = -n goes to the j = -n case (the b_minus
-# numerator vanishes there).
-
-def a_plus0(n2: int, i2: int, j2: int) -> int:
-    _check_gamma(n2, i2, j2)
-    return 0
-
-
-def a_minus0(n2: int, i2: int, j2: int) -> int:
-    _check_gamma(n2, i2, j2)
-    return 1 if (i2 > -n2 and j2 > -n2) else 0
-
-
-def b_plus0(n2: int, i2: int, j2: int) -> int:
-    _check_gamma(n2, i2, j2)
-    return -1 if j2 == -n2 else 0
-
-
-def b_minus0(n2: int, i2: int, j2: int) -> int:
-    _check_gamma(n2, i2, j2)
-    return 1 if (i2 == -n2 and j2 > -n2) else 0
 
 
 @dataclass(frozen=True)

@@ -26,20 +26,23 @@ from .lattice import FullIndex, GammaIndex, PiIndex, full_basis, full_shell, gam
 from .operator_core import (
     SparseOperator,
     add,
+    adjoint,
     block_norm,
     build_from_rule,
     columns_equal_exact,
     compose,
     diagonal,
+    max_abs_entry_per_shell,
     max_entry_difference,
 )
 from .representations import (
     Generator,
+    RelationReport,
     _as_generator,
     build_ipi,
-    build_ipi0,
     build_lambda,
-    build_lambda0,
+    build_pi,
+    check_relations,
 )
 
 
@@ -349,19 +352,12 @@ def decay_report(q: float, cap: int, target: str) -> DecayReport:
         raise ValueError(f"unknown decay target {target!r}")
     pattern_name, pattern = _PATTERNS[target]
     mat = _decay_target_matrix(q, cap, target)
-    basis = mat.domain
-    shell_max = [0.0] * (cap + 1)
+    shell_max = [v for _, v in max_abs_entry_per_shell(mat)]
     constant = 0.0
-    for j, col in enumerate(mat.cols):
-        p = basis.point_of(j)
-        m = int(basis.shells[j])
-        for _, v in col:
-            av = abs(v)
-            if av > shell_max[m]:
-                shell_max[m] = av
-            normalized = av / abs(q) ** pattern(p)
-            if normalized > constant:
-                constant = normalized
+    for _, j, v in mat.entries():
+        normalized = abs(v) / abs(q) ** pattern(mat.domain.point_of(j))
+        if normalized > constant:
+            constant = normalized
     ratios = [
         shell_max[m + 1] / shell_max[m]
         for m in range(cap)
@@ -450,27 +446,45 @@ class Q0EquivalenceReport:
     passed: bool
     mismatches: dict
     witness: object
+    relations: dict  # "lambda0"/"pi0" -> RelationReport; empty below cap 2
 
 
 def verify_q0_equivalence(cap: int) -> Q0EquivalenceReport:
     """Exact check that conjugating lambda_0 by U gives I (x) pi_0.
 
     Integer comparison over all columns of shell <= cap - 1 for both
-    generators and their adjoints; passes only with zero mismatches
-    including signs.
+    generators and their adjoints.  From cap 2 on, the crystal relations of
+    lambda_0 and pi_0 are checked on the same sections; they run before U
+    is built and each section is dropped once conjugated, which bounds the
+    peak memory.  Passes only with zero mismatches, including signs, and
+    zero relation residuals.
     """
     if cap < 1:
         raise ValueError("no interior: verify_q0_equivalence needs cap >= 1")
+    base = (Generator.ALPHA, Generator.BETA)
+    lam = {gen: build_lambda(0.0, cap, gen) for gen in base}
+    relations: dict[str, RelationReport] = {}
+    if cap >= 2:
+        relations["lambda0"] = check_relations(lam)
+        relations["pi0"] = check_relations({gen: build_pi(0.0, cap, gen) for gen in base})
     u = unitary_u(cap)
     basis = full_basis(cap)
     interior = [j for j in range(len(basis)) if basis.shells[j] <= cap - 1]
+    checks = {}
+    for gen, star in ((Generator.ALPHA, Generator.ALPHA_STAR), (Generator.BETA, Generator.BETA_STAR)):
+        lhs = conjugate(lam.pop(gen), u)
+        rhs = build_ipi(0.0, cap, gen)
+        checks[gen] = columns_equal_exact(lhs, rhs, interior)
+        lhs = adjoint(lhs)
+        rhs = adjoint(rhs)
+        checks[star] = columns_equal_exact(lhs, rhs, interior)
     mismatches = {}
     witness = None
     for gen in Generator:
-        lhs = conjugate(build_lambda0(cap, gen), u)
-        rhs = build_ipi0(cap, gen)
-        count, w = columns_equal_exact(lhs, rhs, interior)
+        count, w = checks[gen]
         mismatches[gen.value] = count
         if witness is None and w is not None:
             witness = (gen.value, w)
-    return Q0EquivalenceReport(cap, all(v == 0 for v in mismatches.values()), mismatches, witness)
+    passed = all(v == 0 for v in mismatches.values()) and all(
+        rel.max_residual == 0.0 for rel in relations.values())
+    return Q0EquivalenceReport(cap, passed, mismatches, witness, relations)

@@ -16,7 +16,6 @@ on either lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
@@ -80,18 +79,6 @@ def sheet_of(p: GammaIndex) -> int:
     replica of the whole lattice, whose face is sheet 1, and so on.
     """
     return p.n2 - max(p.i2, p.j2)
-
-
-@dataclass(frozen=True)
-class Truncation:
-    """Shell cap: keeps Gamma points with n2 <= cap, product points with
-    r + s + |t| <= cap."""
-
-    cap: int
-
-    def __post_init__(self):
-        if self.cap < 0:
-            raise ValueError("truncation cap must be non-negative")
 
 
 def gamma_points(cap: int) -> list[GammaIndex]:

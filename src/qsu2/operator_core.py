@@ -46,22 +46,6 @@ class SparseOperator:
             for i, v in col:
                 yield i, j, v
 
-    def entry(self, i: int, j: int):
-        for ii, v in self.cols[j]:
-            if ii == i:
-                return v
-        return 0 if self.mode.exact else 0.0
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        dtype = complex if any(isinstance(v, complex) for _, _, v in self.entries()) else float
-        y = np.zeros(len(self.codomain), dtype=np.result_type(x.dtype, dtype))
-        for j, col in enumerate(self.cols):
-            xj = x[j]
-            if xj != 0:
-                for i, v in col:
-                    y[i] += v * xj
-        return y
-
     def to_dense(self) -> np.ndarray:
         dtype = complex if any(isinstance(v, complex) for _, _, v in self.entries()) else float
         out = np.zeros(self.shape, dtype=dtype)

@@ -4,11 +4,11 @@ relation checker.
 Two faithful representations are constructed on finite shell
 truncations: the GNS action lambda_q on l2(Gamma), given by the
 Clebsch-Gordan coefficients, and the direct-integral action pi_q on
-l2(N x Z) (lifted to the full lattice as I (x) pi_q).  At q = 0 both
-have exact integer versions lambda_0 and pi_0 whose matrix entries lie
-in {-1, 0, +1}.  Starred generators are always the exact matrix
-adjoints of the unstarred ones, so *-compatibility holds by
-construction.
+l2(N x Z) (lifted to the full lattice as I (x) pi_q).  The same
+builders give the crystal limits lambda_0 and pi_0 at q = 0, held in
+exact integers: their matrix entries lie in {-1, 0, +1}.  Starred
+generators are always the exact matrix adjoints of the unstarred ones,
+so *-compatibility holds by construction.
 """
 
 from __future__ import annotations
@@ -59,13 +59,27 @@ def _as_generator(gen) -> Generator:
     return gen if isinstance(gen, Generator) else Generator(gen)
 
 
+def _section(basis, rule, q: float) -> SparseOperator:
+    """Generator section from a coefficient rule, in the mode that q selects.
+
+    At q = 0 the coefficient formulas take crystal values in {-1, 0, +1}
+    and the section is held in exact integers; otherwise in floats.
+    """
+    if q != 0.0:
+        return build_from_rule(basis, basis, rule, float_mode(q))
+    return build_from_rule(basis, basis, lambda p: [(t, _integer(v)) for t, v in rule(p)], EXACT_ZERO)
+
+
+def _integer(v: float) -> int:
+    n = int(v)
+    if n != v:
+        raise ValueError(f"non-integer crystal coefficient {v!r}")
+    return n
+
+
 def build_lambda(q: float, cap: int, gen) -> SparseOperator:
-    """GNS generator section on the shell-capped l2(Gamma)."""
+    """GNS generator section on the shell-capped l2(Gamma); exact at q = 0."""
     gen = _as_generator(gen)
-    if q == 0.0:
-        raise ValueError("q=0 is exact: use build_lambda0")
-    mode = float_mode(q)
-    basis = gamma_basis(cap)
     if gen.starred:
         return adjoint(build_lambda(q, cap, gen.base))
 
@@ -92,95 +106,37 @@ def build_lambda(q: float, cap: int, gen) -> SparseOperator:
                 out.append((GammaIndex(n2 - 1, i2 + 1, j2 - 1), v))
             return out
 
-    return build_from_rule(basis, basis, rule, mode)
+    return _section(gamma_basis(cap), rule, q)
+
+
+def _pi_rule(q: float, gen: Generator):
+    """Action of pi_q(gen) on a basis vector of l2(N x Z)."""
+    if gen is Generator.ALPHA:
+        return lambda p: [(PiIndex(p.s - 1, p.t), g(p.s, q))] if p.s >= 1 else []
+    return lambda p: [(PiIndex(p.s, p.t - 1), q**p.s)]
 
 
 def build_pi(q: float, cap: int, gen) -> SparseOperator:
-    """Direct-integral generator section on the shell-capped l2(N x Z)."""
+    """Direct-integral generator section on the shell-capped l2(N x Z);
+    exact at q = 0."""
     gen = _as_generator(gen)
-    if q == 0.0:
-        raise ValueError("q=0 is exact: use build_pi0")
-    mode = float_mode(q)
-    basis = pi_basis(cap)
     if gen.starred:
         return adjoint(build_pi(q, cap, gen.base))
-    if gen is Generator.ALPHA:
-        rule = lambda p: [(PiIndex(p.s - 1, p.t), g(p.s, q))] if p.s >= 1 else []
-    else:
-        rule = lambda p: [(PiIndex(p.s, p.t - 1), q**p.s)]
-    return build_from_rule(basis, basis, rule, mode)
+    return _section(pi_basis(cap), _pi_rule(q, gen), q)
 
 
 def build_ipi(q: float, cap: int, gen) -> SparseOperator:
-    """I (x) pi_q on the shell-capped full lattice: same (s, t) action per r."""
+    """I (x) pi_q on the shell-capped full lattice: the pi_q rule on (s, t)
+    for every r; exact at q = 0."""
     gen = _as_generator(gen)
-    if q == 0.0:
-        raise ValueError("q=0 is exact: use build_ipi0")
-    mode = float_mode(q)
-    basis = full_basis(cap)
     if gen.starred:
         return adjoint(build_ipi(q, cap, gen.base))
-    if gen is Generator.ALPHA:
-        rule = lambda p: [(FullIndex(p.r, p.s - 1, p.t), g(p.s, q))] if p.s >= 1 else []
-    else:
-        rule = lambda p: [(FullIndex(p.r, p.s, p.t - 1), q**p.s)]
-    return build_from_rule(basis, basis, rule, mode)
+    pi_rule = _pi_rule(q, gen)
 
+    def rule(p: FullIndex):
+        return [(FullIndex(p.r, *target), v) for target, v in pi_rule(PiIndex(p.s, p.t))]
 
-def build_lambda0(cap: int, gen) -> SparseOperator:
-    """Crystal-limit GNS generator, exact integer entries.
-
-    The beta action is the q -> 0 limit of the Clebsch-Gordan formulas:
-    a sign -1 jump up the pyramid on the face j = -n, a sign +1 drop on
-    the face i = -n (with the j = -n branch taking priority at the
-    common corner, where the drop coefficient vanishes).
-    """
-    gen = _as_generator(gen)
-    basis = gamma_basis(cap)
-    if gen.starred:
-        return adjoint(build_lambda0(cap, gen.base))
-    if gen is Generator.ALPHA:
-        def rule(p: GammaIndex):
-            n2, i2, j2 = p
-            if i2 > -n2 and j2 > -n2:
-                return [(GammaIndex(n2 - 1, i2 - 1, j2 - 1), 1)]
-            return []
-    else:
-        def rule(p: GammaIndex):
-            n2, i2, j2 = p
-            if j2 == -n2:
-                return [(GammaIndex(n2 + 1, i2 + 1, j2 - 1), -1)]
-            if i2 == -n2:
-                return [(GammaIndex(n2 - 1, i2 + 1, j2 - 1), 1)]
-            return []
-    return build_from_rule(basis, basis, rule, EXACT_ZERO)
-
-
-def build_pi0(cap: int, gen) -> SparseOperator:
-    """Crystal-limit direct-integral generator: alpha the s-shift, beta the
-    bottom-fiber t-shift."""
-    gen = _as_generator(gen)
-    basis = pi_basis(cap)
-    if gen.starred:
-        return adjoint(build_pi0(cap, gen.base))
-    if gen is Generator.ALPHA:
-        rule = lambda p: [(PiIndex(p.s - 1, p.t), 1)] if p.s >= 1 else []
-    else:
-        rule = lambda p: [(PiIndex(0, p.t - 1), 1)] if p.s == 0 else []
-    return build_from_rule(basis, basis, rule, EXACT_ZERO)
-
-
-def build_ipi0(cap: int, gen) -> SparseOperator:
-    """I (x) pi_0 on the full lattice, exact integers."""
-    gen = _as_generator(gen)
-    basis = full_basis(cap)
-    if gen.starred:
-        return adjoint(build_ipi0(cap, gen.base))
-    if gen is Generator.ALPHA:
-        rule = lambda p: [(FullIndex(p.r, p.s - 1, p.t), 1)] if p.s >= 1 else []
-    else:
-        rule = lambda p: [(FullIndex(p.r, 0, p.t - 1), 1)] if p.s == 0 else []
-    return build_from_rule(basis, basis, rule, EXACT_ZERO)
+    return _section(full_basis(cap), rule, q)
 
 
 def build_irrep(q: float, z: complex, dim: int) -> tuple[SparseOperator, SparseOperator]:
@@ -267,8 +223,8 @@ def check_relations(ops, margin: int = 2) -> RelationReport:
     ops = {_as_generator(k): v for k, v in ops.items()}
     a = ops[Generator.ALPHA]
     b = ops[Generator.BETA]
-    astar = ops.get(Generator.ALPHA_STAR, adjoint(a))
-    bstar = ops.get(Generator.BETA_STAR, adjoint(b))
+    astar = ops[Generator.ALPHA_STAR] if Generator.ALPHA_STAR in ops else adjoint(a)
+    bstar = ops[Generator.BETA_STAR] if Generator.BETA_STAR in ops else adjoint(b)
     basis = a.domain
     cap = basis.cap
     if margin < 2:
@@ -314,15 +270,5 @@ def check_relations(ops, margin: int = 2) -> RelationReport:
 
 def crystal_limit_distance(q: float, cap: int, gen) -> float:
     """Max-entry distance between the lambda_q and lambda_0 generator sections."""
-    gen = _as_generator(gen)
-    lam_q = build_lambda(q, cap, gen)
-    lam_0 = build_lambda0(cap, gen)
-    # Compare float against exact integers: promote the exact entries.
-    lam_0f = SparseOperator(
-        lam_0.domain,
-        lam_0.codomain,
-        [[(i, float(v)) for i, v in col] for col in lam_0.cols],
-        lam_q.mode,
-    )
-    worst, _ = max_entry_difference(lam_q, lam_0f)
+    worst, _ = max_entry_difference(build_lambda(q, cap, gen), build_lambda(0.0, cap, gen))
     return worst

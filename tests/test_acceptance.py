@@ -26,7 +26,7 @@ from qsu2.representations import (
     crystal_limit_distance,
 )
 
-NORM_SLACK = 1e-8  # sanctioned slack on top of the power-iteration tolerance
+NORM_SLACK = 1e-8  # rounding slack of the exact block norms, equal to the CLI TAIL_SLACK
 
 
 class _Timer:

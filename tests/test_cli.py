@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from qsu2 import cli
 from qsu2.cli import main
+from qsu2.lattice import full_basis, gamma_basis
 
 
 def run(capsys, *argv):
@@ -153,3 +155,35 @@ def test_stdout_determinism(capsys):
         _, out, _ = run(capsys, "decay", "--q", "0.5", "--cap", "5", "--target", "T2mT4")
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_size_budget_closed_form():
+    parser = cli.build_parser()
+    for cap in range(8):
+        args = parser.parse_args(["verify-q0", "--cap", str(cap)])
+        assert cli._size(args) == ("cap", len(gamma_basis(cap))) == ("cap", len(full_basis(cap)))
+    # the largest documented invocation fits, the next cap past the budget does not
+    assert cli._size(parser.parse_args(["verify-q0", "--cap", "40"])) == ("cap", 23821)
+    assert cli._size(parser.parse_args(["verify-q0", "--cap", "51"]))[1] <= cli.MAX_POINTS
+    assert cli._size(parser.parse_args(["verify-q0", "--cap", "52"]))[1] > cli.MAX_POINTS
+
+
+@pytest.mark.parametrize(
+    "argv, handler",
+    [
+        (["verify-q0", "--cap", "52"], "cmd_verify_q0"),
+        (["tails", "--q", "0.5", "--gen", "beta", "--cap", "1000000000"], "cmd_tails"),
+        (["irrep", "--q", "0.5", "--dim", str(cli.MAX_POINTS + 1)], "cmd_irrep"),
+        (["estimates", "--q", "0.5", "--kmax", str(cli.MAX_POINTS + 1)], "cmd_estimates"),
+    ],
+    ids=["cap", "cap-huge", "dim", "kmax"],
+)
+def test_size_budget_usage_error(monkeypatch, capsys, argv, handler):
+    def refuse(args):
+        raise AssertionError("the command ran past the size budget")
+
+    monkeypatch.setattr(cli, handler, refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{argv[-2]} {argv[-1]} enumerates" in err and "budget" in err

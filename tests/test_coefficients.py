@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crystal_oracle as oracle
 from qsu2 import coefficients as cf
 from qsu2.lattice import gamma_points
+from qsu2.representations import build_pi
 
 Q_GRID = (0.1, -0.1, 0.5, -0.5, 0.9)
 
@@ -34,10 +36,11 @@ def test_g_against_mpmath_near_one(q):
 
 
 def test_g_exact_zero_mode():
-    assert cf.g_exact0(0) == 0
-    assert cf.g_exact0(3) == 1
+    # the definition sqrt(1 - 0^(2k)) with 0^0 = 1
+    assert cf.g(0, 0.0) == 0.0
+    assert all(cf.g(k, 0.0) == 1.0 for k in range(1, 50))
     with pytest.raises(ValueError, match="negative q-index"):
-        cf.g_exact0(-1)
+        cf.g(-1, 0.0)
 
 
 def test_g_negative_index_errors():
@@ -100,35 +103,49 @@ def test_invalid_input_point_rejected():
         cf.b_minus(2, 1, 0, 0.5)  # parity mismatch
 
 
+CRYSTAL_PAIRS = (
+    (cf.a_plus, oracle.a_plus0),
+    (cf.a_minus, oracle.a_minus0),
+    (cf.b_plus, oracle.b_plus0),
+    (cf.b_minus, oracle.b_minus0),
+)
+
+
 def test_crystal_limits_match_small_q():
-    # float coefficients at q = 1e-4 against the exact limit indicators
+    # float coefficients at q = 1e-4 against the hand-encoded crystal indicators
     q = 1e-4
-    for p in gamma_points(6):
-        n2, i2, j2 = p
-        assert abs(cf.a_plus(n2, i2, j2, q) - cf.a_plus0(n2, i2, j2)) < 1e-3
-        assert abs(cf.a_minus(n2, i2, j2, q) - cf.a_minus0(n2, i2, j2)) < 1e-3
-        assert abs(cf.b_plus(n2, i2, j2, q) - cf.b_plus0(n2, i2, j2)) < 1e-3
-        assert abs(cf.b_minus(n2, i2, j2, q) - cf.b_minus0(n2, i2, j2)) < 1e-3
+    for n2, i2, j2 in gamma_points(6):
+        for coefficient, indicator in CRYSTAL_PAIRS:
+            assert abs(coefficient(n2, i2, j2, q) - indicator(n2, i2, j2)) < 1e-3
 
 
 def test_crystal_limit_indicator_values():
-    # b_plus0 fires exactly on the face j = -n, b_minus0 on i = -n away from it
-    assert cf.b_plus0(0, 0, 0) == -1
-    assert cf.b_minus0(0, 0, 0) == 0
-    assert cf.b_minus0(2, -2, 0) == 1
-    assert cf.a_minus0(2, 0, 0) == 1
-    assert cf.a_minus0(2, -2, 0) == 0
-    assert cf.a_plus0(4, 2, -2) == 0
+    # the formulas at q = 0 are the indicators exactly: b_plus fires on the
+    # face j = -n, b_minus on i = -n away from it
+    assert cf.b_plus(0, 0, 0, 0.0) == oracle.b_plus0(0, 0, 0) == -1
+    assert cf.b_minus(0, 0, 0, 0.0) == oracle.b_minus0(0, 0, 0) == 0
+    assert cf.b_minus(2, -2, 0, 0.0) == oracle.b_minus0(2, -2, 0) == 1
+    assert cf.a_minus(2, 0, 0, 0.0) == oracle.a_minus0(2, 0, 0) == 1
+    assert cf.a_minus(2, -2, 0, 0.0) == oracle.a_minus0(2, -2, 0) == 0
+    assert cf.a_plus(4, 2, -2, 0.0) == oracle.a_plus0(4, 2, -2) == 0
+    for n2, i2, j2 in gamma_points(12):
+        for coefficient, indicator in CRYSTAL_PAIRS:
+            assert coefficient(n2, i2, j2, 0.0) == indicator(n2, i2, j2), (coefficient, n2, i2, j2)
 
 
 def test_mode_constructors():
     assert cf.EXACT_ZERO.exact
     m = cf.float_mode(0.5)
     assert not m.exact and m.q == 0.5
+    # float_mode stays float-only; the builders pick EXACT_ZERO at q = 0
     with pytest.raises(ValueError):
         cf.float_mode(0.0)
     with pytest.raises(ValueError):
         cf.float_mode(1.0)
+    assert build_pi(0.0, 2, "alpha").mode == cf.EXACT_ZERO
+    assert build_pi(0.5, 2, "alpha").mode == m
+    with pytest.raises(ValueError):
+        build_pi(1.0, 2, "alpha")
 
 
 def test_g_estimates_frozen_rows():

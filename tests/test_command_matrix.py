@@ -1,0 +1,90 @@
+"""Command matrix pinned against recorded reports.
+
+A refactor must leave the verdicts and witnesses of these commands
+unchanged.  verify-q0 is exact, so its whole report is pinned byte for
+byte; the float commands pin item names (CSV: the index column), pass
+flags and witnesses, never values, which may move in the last digits
+with the platform's LAPACK.
+"""
+
+import json
+
+import pytest
+
+from qsu2.cli import main
+
+VERIFY_Q0_CAP12 = (
+    '{"command":"verify-q0","params":{"cap":12},"items":['
+    + ",".join(
+        f'{{"name":"{name}","value":0,"bound":0,"pass":true,"witness":null}}'
+        for name in [f"intertwine/{gen}" for gen in ("alpha", "beta", "alpha_star", "beta_star")]
+        + [f"relations/{label}/{rel}" for label in ("lambda0", "pi0")
+           for rel in ("a*a+b*b-I", "aa*-I", "ab", "ab*", "b*b-bb*")]
+    )
+    + '],"pass":true,"max_residual":0,"elapsed_ms":0}\n'
+)
+
+_TAILS = [(f"m={m}", True, None) for m in range(7)]
+
+MATRIX = {
+    "verify-relations": (
+        ["verify-relations", "--q", "0.47", "--cap", "6"],
+        [
+            ("lambda/a*a+b*b-I", True, "GammaIndex(n2=3, i2=-1, j2=1)"),
+            ("lambda/aa*+q^2bb*-I", True, "GammaIndex(n2=3, i2=-1, j2=-1)"),
+            ("lambda/ab-qba", True, "GammaIndex(n2=2, i2=0, j2=0)"),
+            ("lambda/ab*-qb*a", True, "GammaIndex(n2=2, i2=0, j2=0)"),
+            ("lambda/b*b-bb*", True, "GammaIndex(n2=3, i2=-3, j2=1)"),
+            ("pi/a*a+b*b-I", True, "PiIndex(s=3, t=0)"),
+            ("pi/aa*+q^2bb*-I", True, "PiIndex(s=2, t=0)"),
+            ("pi/ab-qba", True, None),
+            ("pi/ab*-qb*a", True, None),
+            ("pi/b*b-bb*", True, None),
+        ],
+    ),
+    "verify-equivalence": (
+        ["verify-equivalence", "--q", "0.5", "--cap", "6"],
+        [("alpha", True, None), ("beta", True, None)],
+    ),
+    "decay-csv": (
+        ["decay", "--q", "0.5", "--cap", "6", "--target", "R1mR3", "--format", "csv"],
+        [(str(m), "true") for m in range(7)] + [("C", "true"), ("ratio", "true")],
+    ),
+    "tails-alpha": (["tails", "--q", "0.5", "--cap", "6", "--gen", "alpha"], _TAILS),
+    "tails-beta": (["tails", "--q", "0.5", "--cap", "6", "--gen", "beta"], _TAILS),
+    "estimates": (
+        ["estimates", "--q", "0.5", "--kmax", "4"],
+        [(f"k={k}:{lhs}", True, None) for k in range(1, 5) for lhs in ("|1-g|", "|1-1/g|")],
+    ),
+    "irrep": (
+        ["irrep", "--q", "0.5", "--z-re", "0.6", "--z-im", "0.8", "--dim", "8"],
+        [
+            ("a*a+b*b-I", True, "1"),
+            ("aa*+q^2bb*-I", True, "0"),
+            ("ab-qba", True, None),
+            ("ab*-qb*a", True, None),
+            ("b*b-bb*", True, None),
+        ],
+    ),
+}
+
+
+def run(capsys, argv):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+def test_verify_q0_report_bytes(capsys):
+    assert run(capsys, ["verify-q0", "--cap", "12"]) == (0, VERIFY_Q0_CAP12)
+
+
+@pytest.mark.parametrize("command", list(MATRIX))
+def test_names_verdicts_witnesses(capsys, command):
+    argv, expected = MATRIX[command]
+    code, out = run(capsys, argv)
+    assert code == 0
+    if "csv" in argv:
+        rows = [tuple(line.split(",")[k] for k in (0, 3)) for line in out.splitlines()[1:]]
+    else:
+        rows = [(it["name"], it["pass"], it["witness"]) for it in json.loads(out)["items"]]
+    assert rows == expected

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qsu2.coefficients import g
+from qsu2.coefficients import float_mode, g, verify_g_estimates
 from qsu2.equivalence import (
     CrosscheckResult,
     build_R,
@@ -37,7 +37,7 @@ from qsu2.operator_core import (
     identity,
     max_entry_difference,
 )
-from qsu2.representations import build_ipi0, build_lambda0
+from qsu2.representations import build_ipi, build_irrep, build_lambda, coproduct_images
 
 
 def column_as_dict(op, point):
@@ -80,7 +80,7 @@ def test_conjugate_identity():
 
 def test_conjugate_cap_mismatch():
     u = unitary_u(6)
-    op = build_lambda0(5, "alpha")
+    op = build_lambda(0.0, 5, "alpha")
     with pytest.raises(ValueError, match="cap mismatch"):
         conjugate(op, u)
 
@@ -90,12 +90,15 @@ def test_q0_intertwining_exact():
     assert rep.passed
     assert all(v == 0 for v in rep.mismatches.values())
     assert set(rep.mismatches) == {"alpha", "beta", "alpha_star", "beta_star"}
-    assert verify_q0_equivalence(1).passed  # apex column alone
+    assert list(rep.relations) == ["lambda0", "pi0"]
+    assert all(rel.exact and rel.max_residual == 0.0 for rel in rep.relations.values())
+    apex = verify_q0_equivalence(1)  # apex column alone, no relation interior
+    assert apex.passed and apex.relations == {}
 
 
 def test_q0_apex_column():
     u = unitary_u(2)
-    conj = conjugate(build_lambda0(2, "beta"), u)
+    conj = conjugate(build_lambda(0.0, 2, "beta"), u)
     assert column_as_dict(conj, FullIndex(0, 0, 0)) == {FullIndex(0, 0, -1): 1}
 
 
@@ -123,7 +126,7 @@ def test_q0_regression_guard_displayed_beta_form():
 
     wrong_beta = build_from_rule(basis, basis, displayed_rule, EXACT_ZERO)
     lhs = conjugate(wrong_beta, unitary_u(cap))
-    rhs = build_ipi0(cap, "beta")
+    rhs = build_ipi(0.0, cap, "beta")
     fb = full_basis(cap)
     interior = [j for j in range(len(fb)) if fb.shells[j] <= cap - 1]
     count, witness = columns_equal_exact(lhs, rhs, interior)
@@ -153,6 +156,32 @@ def test_difference_rejects_bad_inputs():
         difference(0.5, 4, "alpha_star")
     with pytest.raises(ValueError, match="q=0"):
         difference(0.0, 4, "alpha")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: difference(0.0, 4, "alpha"),
+        lambda: closed_form(0.0, 4, "alpha"),
+        lambda: build_R(0.0, 4, 1),
+        lambda: build_T(0.0, 4, 1),
+        lambda: decay_report(0.0, 4, "R1mR3"),
+        lambda: tail_norms(0.0, 4, "alpha"),
+        lambda: crosscheck_decomposition(0.0, 4, "alpha"),
+        lambda: build_irrep(0.0, 1.0, 4),
+        lambda: coproduct_images(0.0, 4),
+        lambda: verify_g_estimates(0.0, 4),
+        lambda: float_mode(0.0),
+    ],
+    ids=["difference", "closed_form", "build_R", "build_T", "decay_report", "tail_norms",
+         "crosscheck_decomposition", "build_irrep", "coproduct_images", "verify_g_estimates",
+         "float_mode"],
+)
+def test_float_only_api_rejects_q_zero(call):
+    # q = 0 is the exact mode of the representation builders only; the
+    # float-only API refuses it on purpose, not by a failing log(0)
+    with pytest.raises(ValueError, match=r"q=0|0 < \|q\|"):
+        call()
 
 
 def test_diagonal_coefficient_values():

@@ -8,7 +8,6 @@ from qsu2.lattice import (
     FullIndex,
     GammaIndex,
     PiIndex,
-    Truncation,
     full_basis,
     full_points,
     full_shell,
@@ -143,11 +142,10 @@ def test_sheets_partition_gamma():
 
 
 def test_truncation_validation():
-    Truncation(0)
-    with pytest.raises(ValueError):
-        Truncation(-1)
-    with pytest.raises(ValueError):
-        gamma_points(-1)
+    assert gamma_points(0) == [GammaIndex(0, 0, 0)]
+    for points in (gamma_points, full_points, pi_points):
+        with pytest.raises(ValueError, match="non-negative"):
+            points(-1)
 
 
 @st.composite

@@ -64,7 +64,7 @@ def test_out_of_cap_targets_dropped():
     basis = nat_basis(4)
     up = build_from_rule(basis, basis, lambda k: [(k + 1, 1.0)], MODE)
     assert up.cols[3] == ()  # boundary-truncation convention
-    assert up.entry(3, 2) == 1.0
+    assert up.to_dense()[3, 2] == 1.0
 
 
 def test_compose_add_adjoint_against_dense():

@@ -2,20 +2,18 @@
 
 import math
 
-import numpy as np
 import pytest
 
+import crystal_oracle as oracle
+from qsu2.coefficients import EXACT_ZERO
 from qsu2.lattice import FullIndex, GammaIndex, PiIndex, gamma_basis
 from qsu2.operator_core import adjoint, compose, max_entry_difference, tensor
 from qsu2.representations import (
     Generator,
     build_ipi,
-    build_ipi0,
     build_irrep,
     build_lambda,
-    build_lambda0,
     build_pi,
-    build_pi0,
     check_relations,
     coproduct_images,
     crystal_limit_distance,
@@ -52,9 +50,11 @@ def test_lambda_boundary_column_only_lowering_term():
             assert set(col) == {GammaIndex(p.n2 - 1, p.i2 - 1, p.j2 - 1)}
 
 
-def test_lambda_rejects_q_zero():
-    with pytest.raises(ValueError, match="build_lambda0"):
-        build_lambda(0.0, 4, "alpha")
+def test_lambda_q_zero_selects_exact_mode():
+    for gen in Generator:
+        assert build_lambda(0.0, 4, gen).mode == EXACT_ZERO
+    with pytest.raises(ValueError, match=r"\|q\| < 1"):
+        build_lambda(1.0, 4, "alpha")
 
 
 def test_lambda_shell_grading():
@@ -98,29 +98,44 @@ def test_star_compatibility():
         assert pi_star.cols == adjoint(build_pi(q, 4, "beta")).cols
 
 
+@pytest.mark.parametrize("gen", [g.value for g in Generator])
+@pytest.mark.parametrize(
+    "build, action",
+    [(build_lambda, oracle.lambda0_action), (build_pi, oracle.pi0_action), (build_ipi, oracle.ipi0_action)],
+    ids=["lambda", "pi", "ipi"],
+)
+def test_crystal_builders_match_hand_encoding(build, action, gen):
+    op = build(0.0, 10, gen)
+    expected = oracle.columns(action, gen, op.domain.points)
+    for j, p in enumerate(op.domain.points):
+        col = {op.codomain.point_of(i): v for i, v in op.cols[j]}
+        assert col == expected[p], p
+        assert all(type(v) is int for v in col.values()), p
+
+
 def test_crystal_generators_apex():
-    lam_b0 = build_lambda0(4, "beta")
+    lam_b0 = build_lambda(0.0, 4, "beta")
     col = column_as_dict(lam_b0, GammaIndex(0, 0, 0))
     assert col == {GammaIndex(1, 1, -1): -1}
 
-    lam_a0 = build_lambda0(4, "alpha")
+    lam_a0 = build_lambda(0.0, 4, "alpha")
     assert column_as_dict(lam_a0, GammaIndex(0, 0, 0)) == {}
 
-    pi_b0 = build_pi0(4, "beta")
+    pi_b0 = build_pi(0.0, 4, "beta")
     assert column_as_dict(pi_b0, PiIndex(1, 0)) == {}
     assert column_as_dict(pi_b0, PiIndex(0, 2)) == {PiIndex(0, 1): 1}
 
 
 def test_crystal_beta_branch_priority():
     # at the corner i = j = -n the face branch j = -n applies
-    op = build_lambda0(4, "beta")
+    op = build_lambda(0.0, 4, "beta")
     col = column_as_dict(op, GammaIndex(2, -2, -2))
     assert col == {GammaIndex(3, -1, -3): -1}
 
 
 def test_crystal_entries_are_signs():
     for gen in Generator:
-        for op in (build_lambda0(5, gen), build_pi0(5, gen), build_ipi0(5, gen)):
+        for op in (build_lambda(0.0, 5, gen), build_pi(0.0, 5, gen), build_ipi(0.0, 5, gen)):
             assert op.mode.exact
             for _, _, v in op.entries():
                 assert v in (-1, 1)
@@ -131,8 +146,8 @@ def test_crystal_entries_are_signs():
 def test_crystal_partial_isometries():
     # exact composition: A adjoint(A) A = A entrywise
     for gen in ("alpha", "beta"):
-        for build in (build_lambda0, build_pi0):
-            a = build(5, gen)
+        for build in (build_lambda, build_pi):
+            a = build(0.0, 5, gen)
             assert compose(compose(a, adjoint(a)), a).cols == a.cols
 
 
@@ -148,8 +163,8 @@ def test_relations_lambda_and_pi_float():
 
 
 def test_relations_exact_zero():
-    for build in (build_lambda0, build_pi0):
-        ops = {gv: build(6, gv) for gv in Generator}
+    for build in (build_lambda, build_pi):
+        ops = {gv: build(0.0, 6, gv) for gv in Generator}
         rep = check_relations(ops)
         assert rep.exact
         assert rep.max_residual == 0.0
@@ -170,23 +185,20 @@ def test_relations_report_nan_residual():
 
 
 def test_relations_need_interior():
-    ops = {gv: build_lambda0(1, gv) for gv in Generator}
+    ops = {gv: build_lambda(0.0, 1, gv) for gv in Generator}
     with pytest.raises(ValueError, match="no interior"):
         check_relations(ops)
 
 
 def test_irrep_examples():
     alpha, beta = build_irrep(0.5, 1.0, 8)
-    x = np.zeros(8)
-    x[0] = 1.0
-    assert np.allclose(beta.apply(x), x)  # beta e0 = e0 at z=1
-    assert np.allclose(alpha.apply(x), 0.0)  # alpha e0 = 0
+    assert beta.to_dense()[:, 0].tolist() == [1.0] + [0.0] * 7  # beta e0 = e0 at z=1
+    assert not alpha.to_dense()[:, 0].any()  # alpha e0 = 0
 
     alpha, beta = build_irrep(0.5, 1j, 8)
-    e2 = np.zeros(8, dtype=complex)
-    e2[2] = 1.0
-    out = beta.apply(e2)
+    out = beta.to_dense()[:, 2]
     assert out[2] == pytest.approx(0.25j, abs=1e-15)
+    assert not out[[0, 1, 3, 4, 5, 6, 7]].any()
 
 
 def test_irrep_relations_over_circle():
@@ -223,15 +235,9 @@ def test_coproduct_relations():
 def test_coproduct_crystal_limit():
     q = 1e-4
     d_alpha, _ = coproduct_images(q, 4)
-    a0 = build_pi0(4, "alpha")
+    a0 = build_pi(0.0, 4, "alpha")
     basis = d_alpha.domain
-    a0f = tensor(
-        type(a0)(a0.domain, a0.codomain, [[(i, float(v)) for i, v in c] for c in a0.cols], d_alpha.mode),
-        type(a0)(a0.domain, a0.codomain, [[(i, float(v)) for i, v in c] for c in a0.cols], d_alpha.mode),
-        basis,
-        basis,
-    )
-    worst, _ = max_entry_difference(d_alpha, a0f)
+    worst, _ = max_entry_difference(d_alpha, tensor(a0, a0, basis, basis))
     assert worst < 1e-3
 
 

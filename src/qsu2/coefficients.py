@@ -3,11 +3,14 @@ GNS action, and the analytic estimates on g used by the compactness
 diagnostics.  The formulas hold at q = 0 too, where they take the crystal
 values in {-1, 0, +1} (with 0**0 = 1).
 
-All coefficient functions take Gamma points in doubled coordinates and
-apply the validity-first rule: when the target basis vector of a term
-does not exist (it would violate the Gamma invariants), the coefficient
-is 0 by definition and no division is attempted.  This is exactly the
-set of sites where the raw formulas degenerate to 0/0.
+The coefficient functions take Gamma points in doubled coordinates,
+integers or integer arrays, and evaluate elementwise from tables of
+g(k, q) and q**e built in each call with the scalar expressions, so an
+array entry carries the same bits as the scalar evaluation.  They apply
+the validity-first rule: when the target basis vector of a term does not
+exist (it would violate the Gamma invariants), the coefficient is 0 by
+definition and no division is attempted.  This is exactly the set of
+sites where the raw formulas degenerate to 0/0.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lattice import GammaIndex, is_valid_gamma
+import numpy as np
+
+from .lattice import is_valid_gamma
 
 
 def g(k: int, q: float) -> float:
@@ -34,9 +39,19 @@ def g(k: int, q: float) -> float:
     return math.sqrt(-math.expm1(2 * k * math.log(abs(q))))
 
 
-def t_parts(t: int) -> tuple[int, int]:
-    """Positive and negative parts (t_plus, t_minus) of an integer."""
-    return (max(t, 0), max(-t, 0))
+def g_table(q: float, kmax: int) -> np.ndarray:
+    """g(k, q) for k = 0..kmax."""
+    return np.array([g(k, q) for k in range(kmax + 1)])
+
+
+def power_table(x: float, emax: int) -> np.ndarray:
+    """x**e for e = 0..emax, each by the scalar power (0**0 = 1)."""
+    return np.array([x**e for e in range(emax + 1)])
+
+
+def t_parts(t):
+    """Positive and negative parts (t_plus, t_minus) of integers, elementwise."""
+    return np.maximum(t, 0), np.maximum(-t, 0)
 
 
 @dataclass(frozen=True)
@@ -62,48 +77,52 @@ def float_mode(q: float) -> Mode:
     return Mode("float", q)
 
 
-def _check_gamma(n2: int, i2: int, j2: int) -> None:
-    if not is_valid_gamma(GammaIndex(n2, i2, j2)):
-        raise ValueError(f"invalid Gamma point ({n2}, {i2}, {j2})")
+def _coefficient(n2, i2, j2, q: float, step: tuple[int, int, int], formula):
+    """Evaluate ``formula(gt, qp, n2, i2, j2)`` where the target point
+    (n2, i2, j2) + step exists, 0.0 elsewhere; a float for scalar input."""
+    scalar = np.ndim(n2) == 0
+    n2, i2, j2 = (np.atleast_1d(np.asarray(c, dtype=np.int64)) for c in (n2, i2, j2))
+    bad = ~is_valid_gamma(n2, i2, j2)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"invalid Gamma point ({n2[k]}, {i2[k]}, {j2[k]})")
+    ok = is_valid_gamma(n2 + step[0], i2 + step[1], j2 + step[2])
+    out = np.zeros(n2.shape)
+    if ok.any():
+        top = int(n2.max()) + 2
+        out[ok] = formula(g_table(q, top), power_table(q, 2 * top), n2[ok], i2[ok], j2[ok])
+    return float(out[0]) if scalar else out
 
 
-def a_plus(n2: int, i2: int, j2: int, q: float) -> float:
+def a_plus(n2, i2, j2, q: float):
     """Raising coefficient of the alpha action, target (n+1/2, i-1/2, j-1/2)."""
-    _check_gamma(n2, i2, j2)
-    if not is_valid_gamma(GammaIndex(n2 + 1, i2 - 1, j2 - 1)):
-        return 0.0
-    exp = n2 + (i2 + j2) // 2 + 1  # = 2n + i + j + 1
-    num = g((n2 - j2) // 2 + 1, q) * g((n2 - i2) // 2 + 1, q)
-    return q**exp * num / (g(n2 + 1, q) * g(n2 + 2, q))
+    return _coefficient(n2, i2, j2, q, (1, -1, -1), lambda gt, qp, n2, i2, j2: (
+        qp[n2 + (i2 + j2) // 2 + 1]  # q^(2n + i + j + 1)
+        * (gt[(n2 - j2) // 2 + 1] * gt[(n2 - i2) // 2 + 1])
+        / (gt[n2 + 1] * gt[n2 + 2])))
 
 
-def a_minus(n2: int, i2: int, j2: int, q: float) -> float:
+def a_minus(n2, i2, j2, q: float):
     """Lowering coefficient of the alpha action, target (n-1/2, i-1/2, j-1/2)."""
-    _check_gamma(n2, i2, j2)
-    if not is_valid_gamma(GammaIndex(n2 - 1, i2 - 1, j2 - 1)):
-        return 0.0
-    num = g((n2 + j2) // 2, q) * g((n2 + i2) // 2, q)
-    return num / (g(n2, q) * g(n2 + 1, q))
+    return _coefficient(n2, i2, j2, q, (-1, -1, -1), lambda gt, qp, n2, i2, j2: (
+        (gt[(n2 + j2) // 2] * gt[(n2 + i2) // 2])
+        / (gt[n2] * gt[n2 + 1])))
 
 
-def b_plus(n2: int, i2: int, j2: int, q: float) -> float:
+def b_plus(n2, i2, j2, q: float):
     """Raising coefficient of the beta action, target (n+1/2, i+1/2, j-1/2)."""
-    _check_gamma(n2, i2, j2)
-    if not is_valid_gamma(GammaIndex(n2 + 1, i2 + 1, j2 - 1)):
-        return 0.0
-    exp = (n2 + j2) // 2  # = n + j
-    num = g((n2 - j2) // 2 + 1, q) * g((n2 + i2) // 2 + 1, q)
-    return -(q**exp) * num / (g(n2 + 1, q) * g(n2 + 2, q))
+    return _coefficient(n2, i2, j2, q, (1, 1, -1), lambda gt, qp, n2, i2, j2: (
+        -(qp[(n2 + j2) // 2])  # q^(n + j)
+        * (gt[(n2 - j2) // 2 + 1] * gt[(n2 + i2) // 2 + 1])
+        / (gt[n2 + 1] * gt[n2 + 2])))
 
 
-def b_minus(n2: int, i2: int, j2: int, q: float) -> float:
+def b_minus(n2, i2, j2, q: float):
     """Lowering coefficient of the beta action, target (n-1/2, i+1/2, j-1/2)."""
-    _check_gamma(n2, i2, j2)
-    if not is_valid_gamma(GammaIndex(n2 - 1, i2 + 1, j2 - 1)):
-        return 0.0
-    exp = (n2 + i2) // 2  # = n + i
-    num = g((n2 + j2) // 2, q) * g((n2 - i2) // 2, q)
-    return q**exp * num / (g(n2, q) * g(n2 + 1, q))
+    return _coefficient(n2, i2, j2, q, (-1, 1, -1), lambda gt, qp, n2, i2, j2: (
+        qp[(n2 + i2) // 2]  # q^(n + i)
+        * (gt[(n2 + j2) // 2] * gt[(n2 - i2) // 2])
+        / (gt[n2] * gt[n2 + 1])))
 
 
 @dataclass(frozen=True)

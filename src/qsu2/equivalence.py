@@ -21,10 +21,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coefficients import float_mode, g, t_parts
-from .lattice import FullIndex, GammaIndex, PiIndex, full_basis, full_shell, gamma_basis, pi_basis
+import numpy as np
+
+from .coefficients import float_mode, g_table, power_table, t_parts
+from .lattice import (
+    Basis,
+    full_basis,
+    full_shell,
+    gamma_basis,
+    is_valid_full,
+    is_valid_gamma,
+    pi_basis,
+)
 from .operator_core import (
     SparseOperator,
+    abs_values,
     add,
     adjoint,
     block_norm,
@@ -50,70 +61,57 @@ from .representations import (
 class SignedIndexMap:
     """A signed bijection between truncated bases (houses U and U*).
 
-    forward maps a Gamma point to (sign, full point); backward inverts it,
-    and the round-trip sign product is +1 at every point.
+    U sends the Gamma basis vector of rank k to sign[k] times the full-lattice
+    basis vector of rank perm[k]; U* is the inverse permutation with the
+    same signs.
     """
 
-    domain: object  # gamma basis
-    codomain: object  # full basis
-    forward: dict
-    backward: dict
+    domain: Basis  # gamma basis
+    codomain: Basis  # full basis
+    perm: np.ndarray
+    sign: np.ndarray
 
 
-def u_forward(p: GammaIndex) -> tuple[int, FullIndex]:
-    """Image of a Gamma point: sign (-1)^((i v j) - j), point
-    (n - (i v j), n + (i ^ j), j - i)."""
-    n2, i2, j2 = p
-    hi = max(i2, j2)
-    lo = min(i2, j2)
-    sign = -1 if ((hi - j2) // 2) % 2 else 1
-    return sign, FullIndex((n2 - hi) // 2, (n2 + lo) // 2, (j2 - i2) // 2)
+def u_forward(n2, i2, j2):
+    """Image of Gamma points, elementwise: (sign, r, s, t) with sign
+    (-1)^((i v j) - j) and point (n - (i v j), n + (i ^ j), j - i)."""
+    hi = np.maximum(i2, j2)
+    lo = np.minimum(i2, j2)
+    sign = 1 - 2 * ((hi - j2) // 2 % 2)
+    return sign, (n2 - hi) // 2, (n2 + lo) // 2, (j2 - i2) // 2
 
 
-def u_backward(p: FullIndex) -> tuple[int, GammaIndex]:
-    """Image of a full-lattice point under U*: sign (-1)^(t_minus), point
-    with 2n = r + s + |t|, 2i = -r + s - t, 2j = -r + s + t."""
-    r, s, t = p
-    _, tm = t_parts(t)
-    sign = -1 if tm % 2 else 1
-    return sign, GammaIndex(r + s + abs(t), -r + s - t, -r + s + t)
+def u_backward(r, s, t):
+    """Image of full-lattice points under U*, elementwise: (sign, n2, i2, j2)
+    with sign (-1)^(t_minus), 2n = r + s + |t|, 2i = -r + s - t,
+    2j = -r + s + t."""
+    sign = 1 - 2 * (t_parts(t)[1] % 2)
+    return sign, r + s + abs(t), -r + s - t, -r + s + t
 
 
 def unitary_u(cap: int) -> SignedIndexMap:
     """The sheet-flattening unitary on the shell-capped lattices."""
     dom = gamma_basis(cap)
     cod = full_basis(cap)
-    forward = {}
-    backward = {}
-    for p in dom.points:
-        forward[p] = u_forward(p)
-    for f in cod.points:
-        backward[f] = u_backward(f)
-    for p, (s1, f) in forward.items():
-        s2, p2 = backward[f]
-        assert p2 == p and s1 * s2 == 1, f"unitary round trip failed at {p}"
-        assert full_shell(f) == p.n2, f"unitary broke the shell grading at {p}"
-    return SignedIndexMap(dom, cod, forward, backward)
+    sign, *image = u_forward(*dom.coords)
+    bad = ~is_valid_full(*image) | (full_shell(*image) != dom.shells)
+    assert not bad.any(), f"unitary broke the shell grading at {dom.point_of(int(np.argmax(bad)))}"
+    perm = cod.rank(*image)
+    back_sign, *back = u_backward(*cod.coords)
+    assert is_valid_gamma(*back).all(), "U* left the Gamma lattice"
+    back_rank = dom.rank(*back)
+    bad = (back_rank[perm] != np.arange(len(dom))) | (sign * back_sign[perm] != 1)
+    assert not bad.any(), f"unitary round trip failed at {dom.point_of(int(np.argmax(bad)))}"
+    return SignedIndexMap(dom, cod, perm, sign)
 
 
 def conjugate(op: SparseOperator, u: SignedIndexMap) -> SparseOperator:
     """Matrix of U op U* on the full-lattice basis (signed re-indexing only)."""
-    if len(op.domain) != len(u.domain) or op.domain.points != u.domain.points:
+    if not op.domain.same_points(u.domain):
         raise ValueError("cap mismatch between operator and unitary")
-    cod = u.codomain
-    gamma = u.domain
-    fwd_rank = {}
-    for p, (sgn, f) in u.forward.items():
-        fwd_rank[gamma.index_of(p)] = (sgn, cod.index_of(f))
-    cols = []
-    for f in cod.points:
-        sb, p = u.backward[f]
-        col = []
-        for i, v in op.cols[gamma.index_of(p)]:
-            sf, i_new = fwd_rank[i]
-            col.append((i_new, v * (sb * sf)))
-        cols.append(col)
-    return SparseOperator(cod, cod, cols, op.mode)
+    cols = op.entry_cols()
+    return SparseOperator(u.codomain, u.codomain, u.perm[cols], u.perm[op.rows],
+                          op.vals * (u.sign[cols] * u.sign[op.rows]), op.mode)
 
 
 def difference(q: float, cap: int, gen) -> SparseOperator:
@@ -128,112 +126,90 @@ def difference(q: float, cap: int, gen) -> SparseOperator:
 
 
 # Diagonal coefficient operators.  R1, R2, T1, T2 live on the full lattice,
-# R3, R4, T3, T4 on the (s, t) factor.
+# R3, R4, T3, T4 on the (s, t) factor.  Values are evaluated on the
+# coordinate arrays from per-call tables of g(k, q) and q**e.
 
-def _r1_value(q: float, p: FullIndex) -> float:
-    r, s, t = p
-    tp, tm = t_parts(t)
-    m = r + s + abs(t)
-    return (
-        q ** (2 * s + abs(t) + 1)
-        * g(r + tm + 1, q) * g(r + tp + 1, q)
-        / (g(m + 1, q) * g(m + 2, q))
-    )
+def _tables(q: float, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    return g_table(q, cap + 2), power_table(q, 2 * cap + 2)
 
 
-def _r2_value(q: float, p: FullIndex) -> float:
-    r, s, t = p
-    tp, tm = t_parts(t)
-    m = r + s + abs(t)
-    return g(s + tp + 1, q) * g(s + tm + 1, q) / (g(m + 1, q) * g(m + 2, q)) - g(s + 1, q)
-
-
-def _t1_value(q: float, p: FullIndex) -> float:
-    """Displayed three-case form: zero on the fiber (r, s) = (0, 0)."""
-    r, s, t = p
-    if r == 0 and s == 0:
-        return 0.0
-    return _t1_branch(q, p)
-
-
-def _t1_branch(q: float, p: FullIndex) -> float:
+def _t1_branch_values(q: float, cap: int) -> np.ndarray:
     """The two t-branches of T1 without the (0, 0) case.
 
     On t >= 0 the numerator g(r)g(s) vanishes whenever r = 0 or s = 0, which
-    also sidesteps the 0/0 site at (0, 0, 0); the t < 0 branch is regular
+    also sidesteps the 0/0 site at (0, 0, 0): those points are 0 and not
+    evaluated.  The t < 0 branch, which reads g one index higher, is regular
     everywhere and is genuinely nonzero on the (0, 0) fiber, where the exact
     closed-form decomposition needs it.
     """
-    r, s, t = p
+    gt, qp = _tables(q, cap)
+    r, s, t = full_basis(cap).coords
+    out = np.zeros(len(r))
+    live = (t < 0) | ((r > 0) & (s > 0))
+    r, s, t = r[live], s[live], t[live]
+    o = t < 0
     m = r + s + abs(t)
-    if t >= 0:
-        if r == 0 or s == 0:
-            return 0.0
-        return -(q ** (s + abs(t))) * g(r, q) * g(s, q) / (g(m, q) * g(m + 1, q))
-    return -(q ** (s + abs(t))) * g(r + 1, q) * g(s + 1, q) / (g(m + 1, q) * g(m + 2, q))
-
-
-def _t2_value(q: float, p: FullIndex) -> float:
-    r, s, t = p
-    m = r + s + abs(t)
-    if t >= 0:
-        return q**s * (g(r + abs(t) + 1, q) * g(s + abs(t) + 1, q) / (g(m + 1, q) * g(m + 2, q)) - 1.0)
-    return q**s * (g(r + abs(t), q) * g(s + abs(t), q) / (g(m, q) * g(m + 1, q)) - 1.0)
-
-
-def _t3_value(q: float, p: PiIndex) -> float:
-    s, t = p
-    if t >= 0:
-        return -(q ** (s + abs(t))) * g(s, q)
-    return -(q ** (s + abs(t))) * g(s + 1, q)
-
-
-def _t4_value(q: float, p: PiIndex) -> float:
-    s, t = p
-    if t >= 0:
-        return q**s * (g(s + abs(t) + 1, q) - 1.0)
-    return q**s * (g(s + abs(t), q) - 1.0)
+    out[live] = -(qp[s + abs(t)]) * gt[r + o] * gt[s + o] / (gt[m + o] * gt[m + 1 + o])
+    return out
 
 
 def build_R(q: float, cap: int, which: int) -> SparseOperator:
     """Diagonal R coefficients; R1, R2 on the full lattice, R3, R4 on (s, t)."""
     mode = float_mode(q)
-    if which == 1:
-        return diagonal(full_basis(cap), lambda p: _r1_value(q, p), mode)
-    if which == 2:
-        return diagonal(full_basis(cap), lambda p: _r2_value(q, p), mode)
+    gt, qp = _tables(q, cap)
+    if which in (1, 2):
+        basis = full_basis(cap)
+        r, s, t = basis.coords
+        tp, tm = t_parts(t)
+        m = r + s + abs(t)
+        if which == 1:
+            values = qp[2 * s + abs(t) + 1] * gt[r + tm + 1] * gt[r + tp + 1] / (gt[m + 1] * gt[m + 2])
+        else:
+            values = gt[s + tp + 1] * gt[s + tm + 1] / (gt[m + 1] * gt[m + 2]) - gt[s + 1]
+        return diagonal(basis, values, mode)
+    s, t = pi_basis(cap).coords
     if which == 3:
-        return diagonal(pi_basis(cap), lambda p: q ** (2 * p.s + abs(p.t) + 1), mode)
+        return diagonal(pi_basis(cap), qp[2 * s + abs(t) + 1], mode)
     if which == 4:
-        return diagonal(pi_basis(cap), lambda p: g(p.s + 1, q) * (g(p.s + abs(p.t) + 1, q) - 1.0), mode)
+        return diagonal(pi_basis(cap), gt[s + 1] * (gt[s + abs(t) + 1] - 1.0), mode)
     raise ValueError(f"unknown R index {which}")
 
 
 def build_T(q: float, cap: int, which: int) -> SparseOperator:
-    """Diagonal T coefficients; T1, T2 on the full lattice, T3, T4 on (s, t)."""
+    """Diagonal T coefficients; T1, T2 on the full lattice, T3, T4 on (s, t).
+
+    T1 is the displayed three-case form: zero on the fiber (r, s) = (0, 0).
+    Each of T2, T3, T4 has a t >= 0 and a t < 0 branch that differ only in
+    the index of g read, so both are one expression with offset o = [t >= 0]
+    (T3: o = [t < 0]); on t < 0 no g(0) lands in a denominator.
+    """
     mode = float_mode(q)
+    gt, qp = _tables(q, cap)
     if which == 1:
-        return diagonal(full_basis(cap), lambda p: _t1_value(q, p), mode)
+        r, s, _ = full_basis(cap).coords
+        return diagonal(full_basis(cap), np.where((r == 0) & (s == 0), 0.0, _t1_branch_values(q, cap)), mode)
     if which == 2:
-        return diagonal(full_basis(cap), lambda p: _t2_value(q, p), mode)
+        r, s, t = full_basis(cap).coords
+        o = t >= 0
+        m = r + s + abs(t)
+        values = qp[s] * (gt[r + abs(t) + o] * gt[s + abs(t) + o] / (gt[m + o] * gt[m + 1 + o]) - 1.0)
+        return diagonal(full_basis(cap), values, mode)
+    s, t = pi_basis(cap).coords
     if which == 3:
-        return diagonal(pi_basis(cap), lambda p: _t3_value(q, p), mode)
+        return diagonal(pi_basis(cap), -(qp[s + abs(t)]) * gt[s + (t < 0)], mode)
     if which == 4:
-        return diagonal(pi_basis(cap), lambda p: _t4_value(q, p), mode)
+        return diagonal(pi_basis(cap), qp[s] * (gt[s + abs(t) + (t >= 0)] - 1.0), mode)
     raise ValueError(f"unknown T index {which}")
 
 
 def lift_pi_diagonal(op: SparseOperator, cap: int) -> SparseOperator:
     """I (x) diag: lift an (s, t)-factor diagonal to the full lattice."""
-    values = {}
-    for j, col in enumerate(op.cols):
-        if col:
-            values[op.domain.point_of(j)] = col[0][1]
-    return diagonal(
-        full_basis(cap),
-        lambda p: values.get(PiIndex(p.s, p.t), 0.0),
-        op.mode,
-    )
+    nonempty = np.diff(op.indptr) > 0
+    values = np.zeros(len(op.domain), dtype=op.vals.dtype)
+    values[nonempty] = op.vals[op.indptr[:-1][nonempty]]
+    _, s, t = full_basis(cap).coords
+    ranks = op.domain.rank(s, t)
+    return diagonal(full_basis(cap), np.where(ranks >= 0, values[ranks], 0), op.mode)
 
 
 # Coordinate shifts on the full lattice (boundary targets dropped).
@@ -242,11 +218,9 @@ def _shift_op(q: float, cap: int, delta_r: int, delta_s: int, delta_t: int) -> S
     basis = full_basis(cap)
     mode = float_mode(q)
 
-    def rule(p: FullIndex):
-        r, s, t = p.r + delta_r, p.s + delta_s, p.t + delta_t
-        if r < 0 or s < 0:
-            return []
-        return [(FullIndex(r, s, t), 1.0)]
+    def rule(r, s, t):
+        r, s = r + delta_r, s + delta_s
+        return [((r, s, t + delta_t), ((r >= 0) & (s >= 0)) * 1.0)]
 
     return build_from_rule(basis, basis, rule, mode)
 
@@ -269,8 +243,10 @@ def closed_form(q: float, cap: int, gen) -> SparseOperator:
         term2 = compose(build_R(q, cap, 2), _shift_op(q, cap, 0, -1, 0))
         return add(term1, term2)
     if gen is Generator.BETA:
-        t1_plus = diagonal(basis, lambda p: _t1_branch(q, p) if p.t >= 0 else 0.0, mode)
-        t1_minus = diagonal(basis, lambda p: _t1_branch(q, p) if p.t < 0 else 0.0, mode)
+        t = basis.coords[2]
+        branch = _t1_branch_values(q, cap)
+        t1_plus = diagonal(basis, np.where(t >= 0, branch, 0.0), mode)
+        t1_minus = diagonal(basis, np.where(t < 0, branch, 0.0), mode)
         term1 = compose(t1_plus, _shift_op(q, cap, +1, +1, -1))
         term2 = compose(t1_minus, _shift_op(q, cap, -1, -1, -1))
         term3 = compose(build_T(q, cap, 2), _shift_op(q, cap, 0, 0, -1))
@@ -297,22 +273,23 @@ def crosscheck_decomposition(q: float, cap: int, gen) -> CrosscheckResult:
     d = difference(q, cap, gen)
     cf = closed_form(q, cap, gen)
     basis = d.domain
-    interior = [j for j in range(len(basis)) if basis.shells[j] <= cap - 1]
-    if not interior:
+    interior = np.flatnonzero(basis.shells <= cap - 1)
+    if not interior.size:
         return CrosscheckResult(0.0, None, True)
     dev, witness = max_entry_difference(cf, d, columns=interior)
     return CrosscheckResult(dev, witness, False)
 
 
+# Claimed exponents as functions of the full-lattice coordinates (r, s, t).
 _PATTERNS = {
-    "R1mR3": ("2r+2s+|t|+1", lambda p: 2 * p.r + 2 * p.s + abs(p.t) + 1),
-    "R2mR4": ("2r+2s+2|t|", lambda p: 2 * p.r + 2 * p.s + 2 * abs(p.t)),
-    "T1mT3": ("r+s+|t|", lambda p: p.r + p.s + abs(p.t)),
-    "T2mT4": ("r+s+|t|", lambda p: p.r + p.s + abs(p.t)),
+    "R1mR3": ("2r+2s+|t|+1", lambda r, s, t: 2 * r + 2 * s + abs(t) + 1),
+    "R2mR4": ("2r+2s+2|t|", lambda r, s, t: 2 * r + 2 * s + 2 * abs(t)),
+    "T1mT3": ("r+s+|t|", lambda r, s, t: r + s + abs(t)),
+    "T2mT4": ("r+s+|t|", lambda r, s, t: r + s + abs(t)),
     # The differences do not decay along the Toeplitz direction r, so their
     # claimed exponents involve only the compact (s, t) coordinates.
-    "Dalpha": ("2s+|t|+1", lambda p: 2 * p.s + abs(p.t) + 1),
-    "Dbeta": ("s+|t|", lambda p: p.s + abs(p.t)),
+    "Dalpha": ("2s+|t|+1", lambda r, s, t: 2 * s + abs(t) + 1),
+    "Dbeta": ("s+|t|", lambda r, s, t: s + abs(t)),
 }
 
 DECAY_TARGETS = tuple(_PATTERNS)
@@ -353,11 +330,11 @@ def decay_report(q: float, cap: int, target: str) -> DecayReport:
     pattern_name, pattern = _PATTERNS[target]
     mat = _decay_target_matrix(q, cap, target)
     shell_max = [v for _, v in max_abs_entry_per_shell(mat)]
-    constant = 0.0
-    for _, j, v in mat.entries():
-        normalized = abs(v) / abs(q) ** pattern(mat.domain.point_of(j))
-        if normalized > constant:
-            constant = normalized
+    exponents = pattern(*mat.domain.coords)[mat.entry_cols()]
+    scale = power_table(abs(q), int(exponents.max(initial=0)))[exponents]
+    with np.errstate(divide="ignore"):  # |q|^e underflowing to 0 gives inf
+        normalized = abs_values(mat.vals) / scale
+    constant = float(np.fmax.reduce(normalized, initial=0.0))  # NaN never wins
     ratios = [
         shell_max[m + 1] / shell_max[m]
         for m in range(cap)
@@ -378,13 +355,11 @@ def decay_report(q: float, cap: int, target: str) -> DecayReport:
 def shell_min_pattern(cap: int, target: str) -> dict[int, int]:
     """Per shell, the smallest claimed exponent over the shell's points."""
     _, pattern = _PATTERNS[target]
-    out: dict[int, int] = {}
-    for p in full_basis(cap).points:
-        m = full_shell(p)
-        e = pattern(p)
-        if m not in out or e < out[m]:
-            out[m] = e
-    return out
+    basis = full_basis(cap)
+    exponents = pattern(*basis.coords)
+    out = np.full(cap + 1, exponents.max())
+    np.minimum.at(out, basis.shells, exponents)
+    return dict(enumerate(out.tolist()))
 
 
 def decay_loglog_slope(q_grid, cap: int, target: str, noise_floor: float = 1e-13) -> float:
@@ -430,13 +405,13 @@ def tail_norms(q: float, cap: int, gen) -> list[tuple[int, float]]:
     rows and every tail norm is an exact block norm over the column t.
     """
     d = difference(q, cap, gen)
+    _, s, t = d.domain.coords
     out = []
     for m in range(cap + 1):
-        blocks: dict[int, list[int]] = {}
-        for j, p in enumerate(d.domain.points):
-            if p.s + abs(p.t) >= m:
-                blocks.setdefault(p.t, []).append(j)
-        out.append((m, block_norm(d, blocks.values())))
+        cols = np.flatnonzero(s + abs(t) >= m)
+        values, first = np.unique(t[cols], return_index=True)
+        blocks = [cols[t[cols] == v] for v in values[np.argsort(first)]]  # t in order of first column
+        out.append((m, block_norm(d, blocks)))
     return out
 
 
@@ -469,7 +444,7 @@ def verify_q0_equivalence(cap: int) -> Q0EquivalenceReport:
         relations["pi0"] = check_relations({gen: build_pi(0.0, cap, gen) for gen in base})
     u = unitary_u(cap)
     basis = full_basis(cap)
-    interior = [j for j in range(len(basis)) if basis.shells[j] <= cap - 1]
+    interior = np.flatnonzero(basis.shells <= cap - 1)
     checks = {}
     for gen, star in ((Generator.ALPHA, Generator.ALPHA_STAR), (Generator.BETA, Generator.BETA_STAR)):
         lhs = conjugate(lam.pop(gen), u)

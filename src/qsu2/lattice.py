@@ -12,6 +12,12 @@ product lattices, s + |t| on the factor); truncation keeps shells up to
 a cap.  The crystal-limit unitary preserves shells exactly, so one cap
 value truncates both sides consistently: shell m holds (m + 1)^2 points
 on either lattice.
+
+A basis holds its points as coordinate arrays in rank order, and the
+rank of a point is a closed form in its coordinates, so operator
+builders map whole arrays of target points to ranks at once.  The
+coordinate functions below (validity, shells, ranks) act elementwise on
+integers and on integer arrays alike.
 """
 
 from __future__ import annotations
@@ -45,31 +51,26 @@ class PiIndex(NamedTuple):
     t: int
 
 
-def is_valid_gamma(p: GammaIndex) -> bool:
-    n2, i2, j2 = p
-    if n2 < 0 or abs(i2) > n2 or abs(j2) > n2:
-        return False
-    return (i2 - n2) % 2 == 0 and (j2 - n2) % 2 == 0
+def is_valid_gamma(n2, i2, j2):
+    """Whether (n2, i2, j2) satisfies the Gamma invariants."""
+    return ((n2 >= 0) & (abs(i2) <= n2) & (abs(j2) <= n2)
+            & ((i2 - n2) % 2 == 0) & ((j2 - n2) % 2 == 0))
 
 
-def is_valid_full(p: FullIndex) -> bool:
-    return p.r >= 0 and p.s >= 0
+def is_valid_full(r, s, t):
+    return (r >= 0) & (s >= 0)
 
 
-def is_valid_pi(p: PiIndex) -> bool:
-    return p.s >= 0
+def is_valid_pi(s, t):
+    return s >= 0
 
 
-def gamma_shell(p: GammaIndex) -> int:
-    return p.n2
+def full_shell(r, s, t):
+    return r + s + abs(t)
 
 
-def full_shell(p: FullIndex) -> int:
-    return p.r + p.s + abs(p.t)
-
-
-def pi_shell(p: PiIndex) -> int:
-    return p.s + abs(p.t)
+def pi_shell(s, t):
+    return s + abs(t)
 
 
 def sheet_of(p: GammaIndex) -> int:
@@ -81,110 +82,174 @@ def sheet_of(p: GammaIndex) -> int:
     return p.n2 - max(p.i2, p.j2)
 
 
-def gamma_points(cap: int) -> list[GammaIndex]:
-    """All Gamma points with n2 <= cap, ordered by (n2, i2, j2) ascending."""
+def _pyramid(m):
+    """Points below shell m on Gamma (equivalently on N x N x Z)."""
+    return m * (m + 1) * (2 * m + 1) // 6
+
+
+def _pi_offset(t):
+    """Rank of (s, t) within its shell of N x Z: s descends, t ascends."""
+    return 2 * abs(t) - (t < 0)
+
+
+def _inside(shell, cap, rank):
+    return np.where(shell <= cap, rank, -1)
+
+
+def _gamma_rank(cap: int, n2, i2, j2):
+    """Rank of valid Gamma points in gamma_basis(cap), -1 above the cap."""
+    return _inside(n2, cap, _pyramid(n2) + (i2 + n2) // 2 * (n2 + 1) + (j2 + n2) // 2)
+
+
+def _full_rank(cap: int, r, s, t):
+    """Rank of valid (r, s, t) in full_basis(cap), -1 above the cap."""
+    m = full_shell(r, s, t)
+    return _inside(m, cap, _pyramid(m) + (m - r) ** 2 + _pi_offset(t))
+
+
+def _pi_rank(cap: int, s, t):
+    """Rank of valid (s, t) in pi_basis(cap), -1 above the cap."""
+    m = pi_shell(s, t)
+    return _inside(m, cap, m * m + _pi_offset(t))
+
+
+def _check_cap(cap: int) -> None:
     if cap < 0:
         raise ValueError("truncation cap must be non-negative")
-    pts = []
+
+
+def _pi_shell_coords(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shell n of N x Z in rank order: (n, 0), (n-1, -1), (n-1, 1), ..."""
+    k = (np.arange(2 * n + 1) + 1) // 2
+    t = np.where(np.arange(2 * n + 1) % 2 == 1, -k, k)
+    return n - k, t
+
+
+def _gamma_coords(cap: int) -> tuple[np.ndarray, ...]:
+    """Coordinates (n2, i2, j2) of Gamma up to the cap, (n2, i2, j2) ascending."""
+    _check_cap(cap)
+    parts = []
     for n2 in range(cap + 1):
-        for i2 in range(-n2, n2 + 1, 2):
-            for j2 in range(-n2, n2 + 1, 2):
-                pts.append(GammaIndex(n2, i2, j2))
-    return pts
+        side = np.arange(-n2, n2 + 1, 2)
+        parts.append((np.full((n2 + 1) ** 2, n2), np.repeat(side, n2 + 1), np.tile(side, n2 + 1)))
+    return tuple(np.concatenate(c).astype(np.intp) for c in zip(*parts))
 
 
-def full_points(cap: int) -> list[FullIndex]:
-    """All (r, s, t) with r + s + |t| <= cap in canonical order.
+def _full_coords(cap: int) -> tuple[np.ndarray, ...]:
+    """Coordinates (r, s, t) with r + s + |t| <= cap in canonical order.
 
     Shell-major; within a shell r descends, then s descends, then t
     ascends, e.g. shell 1 reads (1,0,0), (0,1,0), (0,0,-1), (0,0,1).
     """
-    if cap < 0:
-        raise ValueError("truncation cap must be non-negative")
-    pts = []
+    _check_cap(cap)
+    shells = [_pi_shell_coords(n) for n in range(cap + 1)]
+    parts = []
     for m in range(cap + 1):
         for r in range(m, -1, -1):
-            for s in range(m - r, -1, -1):
-                k = m - r - s
-                if k == 0:
-                    pts.append(FullIndex(r, s, 0))
-                else:
-                    pts.append(FullIndex(r, s, -k))
-                    pts.append(FullIndex(r, s, k))
-    return pts
+            s, t = shells[m - r]
+            parts.append((np.full(len(s), r), s, t))
+    return tuple(np.concatenate(c).astype(np.intp) for c in zip(*parts))
 
 
-def pi_points(cap: int) -> list[PiIndex]:
-    """All (s, t) with s + |t| <= cap; shell-major, s descending, t ascending."""
-    if cap < 0:
-        raise ValueError("truncation cap must be non-negative")
-    pts = []
-    for m in range(cap + 1):
-        for s in range(m, -1, -1):
-            k = m - s
-            if k == 0:
-                pts.append(PiIndex(s, 0))
-            else:
-                pts.append(PiIndex(s, -k))
-                pts.append(PiIndex(s, k))
-    return pts
+def _pi_coords(cap: int) -> tuple[np.ndarray, ...]:
+    """Coordinates (s, t) with s + |t| <= cap; shell-major, s descending, t ascending."""
+    _check_cap(cap)
+    return tuple(np.concatenate(c).astype(np.intp)
+                 for c in zip(*(_pi_shell_coords(n) for n in range(cap + 1))))
 
 
 class Basis:
     """Ordered finite basis of a truncated lattice.
 
-    Provides the rank bijection (index_of / point_of), per-point shells,
-    and the point validator used when operator rules emit targets.  The
-    ``cap`` attribute is the truncation parameter; interior-shell logic in
-    the checkers is phrased as shell <= cap - margin.
+    ``coords`` holds one intp array per coordinate, in rank order, and
+    ``shells`` the shell of every point.  ``valid(*coords)`` checks the
+    lattice invariants and ``rank(*coords)`` maps valid points to their
+    ranks, -1 outside the truncation; both act elementwise on arrays.
+    ``points``, ``index_of`` and ``point_of`` give the same bijection on
+    point objects.  The ``cap`` attribute is the truncation parameter;
+    interior-shell logic in the checkers is phrased as shell <= cap - margin.
     """
 
-    def __init__(self, label: str, points, shell_fn: Callable, validator: Callable, cap: int):
+    def __init__(self, label: str, cap: int, coords, shells, point: Callable,
+                 valid: Callable, rank: Callable):
         self.label = label
-        self.points = tuple(points)
-        self._rank = {p: k for k, p in enumerate(self.points)}
-        self.shells = np.array([shell_fn(p) for p in self.points], dtype=np.intp)
-        self.shell_fn = shell_fn
-        self.validator = validator
         self.cap = cap
+        self.coords = tuple(coords)
+        self.shells = shells
+        self.point = point  # coordinates -> point object
+        self.valid = valid
+        self.rank = rank
+        self._points = None
+        self._index = None
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.shells)
+
+    @property
+    def points(self) -> tuple:
+        if self._points is None:
+            self._points = tuple(map(self.point, *(c.tolist() for c in self.coords)))
+        return self._points
 
     def __iter__(self) -> Iterator:
         return iter(self.points)
 
     def index_of(self, p) -> int:
+        if self._index is None:
+            self._index = {q: k for k, q in enumerate(self.points)}
         try:
-            return self._rank[p]
+            return self._index[p]
         except KeyError:
             raise ValueError(f"index outside truncation: {p!r}") from None
 
     def point_of(self, k: int):
-        if not 0 <= k < len(self.points):
+        if not 0 <= k < len(self):
             raise ValueError(f"index outside truncation: rank {k}")
-        return self.points[k]
+        return self.point(*(int(c[k]) for c in self.coords))
 
-    def __contains__(self, p) -> bool:
-        return p in self._rank
+    def same_points(self, other: "Basis") -> bool:
+        return self is other or (
+            len(self.coords) == len(other.coords)
+            and all(np.array_equal(a, b) for a, b in zip(self.coords, other.coords)))
 
     def __repr__(self) -> str:
-        return f"Basis({self.label}, cap={self.cap}, dim={len(self.points)})"
+        return f"Basis({self.label}, cap={self.cap}, dim={len(self)})"
+
+
+def gamma_points(cap: int) -> list[GammaIndex]:
+    """All Gamma points with n2 <= cap, ordered by (n2, i2, j2) ascending."""
+    return list(gamma_basis(cap).points)
+
+
+def full_points(cap: int) -> list[FullIndex]:
+    """All (r, s, t) with r + s + |t| <= cap in canonical order (see _full_coords)."""
+    return list(full_basis(cap).points)
+
+
+def pi_points(cap: int) -> list[PiIndex]:
+    """All (s, t) with s + |t| <= cap; shell-major, s descending, t ascending."""
+    return list(pi_basis(cap).points)
 
 
 @lru_cache(maxsize=None)
 def gamma_basis(cap: int) -> Basis:
-    return Basis("gamma", gamma_points(cap), gamma_shell, is_valid_gamma, cap)
+    coords = _gamma_coords(cap)
+    return Basis("gamma", cap, coords, coords[0], GammaIndex, is_valid_gamma,
+                 lambda n2, i2, j2: _gamma_rank(cap, n2, i2, j2))
 
 
 @lru_cache(maxsize=None)
 def full_basis(cap: int) -> Basis:
-    return Basis("full", full_points(cap), full_shell, is_valid_full, cap)
+    coords = _full_coords(cap)
+    return Basis("full", cap, coords, full_shell(*coords), FullIndex, is_valid_full,
+                 lambda r, s, t: _full_rank(cap, r, s, t))
 
 
 @lru_cache(maxsize=None)
 def pi_basis(cap: int) -> Basis:
-    return Basis("pi", pi_points(cap), pi_shell, is_valid_pi, cap)
+    coords = _pi_coords(cap)
+    return Basis("pi", cap, coords, pi_shell(*coords), PiIndex, is_valid_pi,
+                 lambda s, t: _pi_rank(cap, s, t))
 
 
 @lru_cache(maxsize=None)
@@ -192,7 +257,9 @@ def nat_basis(dim: int) -> Basis:
     """Basis e_0 .. e_{dim-1} of a truncated l2(N); the shell of e_k is k."""
     if dim < 1:
         raise ValueError("nat_basis needs dim >= 1")
-    return Basis("nat", range(dim), lambda k: k, lambda k: isinstance(k, int) and k >= 0, dim - 1)
+    k = np.arange(dim, dtype=np.intp)
+    return Basis("nat", dim - 1, (k,), k, int, lambda k: k >= 0,
+                 lambda k: np.where(k < dim, k, -1))
 
 
 @lru_cache(maxsize=None)
@@ -205,12 +272,21 @@ def pi_tensor_basis(cap: int) -> Basis:
     sound: total shell <= cap - margin forces both factors into their own
     interiors.
     """
-    factor = pi_basis(cap)
-    points = [(p1, p2) for p1 in factor.points for p2 in factor.points]
+    s, t = _pi_coords(cap)
+    dim = len(s)
+    coords = (np.repeat(s, dim), np.repeat(t, dim), np.tile(s, dim), np.tile(t, dim))
+
+    def rank(s1, t1, s2, t2):
+        r1 = _pi_rank(cap, s1, t1)
+        r2 = _pi_rank(cap, s2, t2)
+        return np.where((r1 >= 0) & (r2 >= 0), r1 * dim + r2, -1)
+
     return Basis(
         "pi*pi",
-        points,
-        lambda pq: pi_shell(pq[0]) + pi_shell(pq[1]),
-        lambda pq: is_valid_pi(pq[0]) and is_valid_pi(pq[1]),
         cap,
+        coords,
+        pi_shell(*coords[:2]) + pi_shell(*coords[2:]),
+        lambda s1, t1, s2, t2: (PiIndex(s1, t1), PiIndex(s2, t2)),
+        lambda s1, t1, s2, t2: (s1 >= 0) & (s2 >= 0),
+        rank,
     )

@@ -1,12 +1,19 @@
 """Sparse operator algebra on truncated basis spaces.
 
-Operators are stored column-wise with a handful of entries per column
-(every generator action touches at most two basis vectors).  Two scalar
-modes exist: exact integer arithmetic for the crystal limit, where all
-entries live in {-1, 0, +1}, and float (or complex) arithmetic
-otherwise.  Targets that fall outside the truncation are dropped when a
-matrix is built; with shell truncation this happens consistently on
-both sides of every identity, so interior columns are exact.
+Operators are held in compressed sparse column (CSC) arrays with a
+handful of entries per column (every generator action touches at most
+two basis vectors).  Two scalar modes exist: exact integer arithmetic
+(int64) for the crystal limit, where all entries live in {-1, 0, +1},
+and float (or complex) arithmetic otherwise.  Targets that fall outside
+the truncation are dropped when a matrix is built; with shell truncation
+this happens consistently on both sides of every identity, so interior
+columns are exact.
+
+Every operation lists its entries in the order a column-by-column
+scalar loop would visit them and hands them to one canonicalising
+constructor, which sums repeated positions one term at a time in that
+order.  Entries therefore carry the same bits as the sequential scalar
+evaluation.
 """
 
 from __future__ import annotations
@@ -18,19 +25,92 @@ import numpy as np
 from .coefficients import Mode
 from .lattice import Basis
 
-Entry = tuple[int, object]  # (row rank, scalar)
+# Exact-mode results must stay below this magnitude, far from int64 wrap-around.
+EXACT_LIMIT = 2**62
+
+
+def _entry_values(vals, exact: bool) -> np.ndarray:
+    """Entries as int64 (exact mode), float64 or complex128."""
+    arr = np.asarray(vals)
+    if not exact:
+        return arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64, copy=False)
+    if arr.dtype.kind in "uO":  # Python ints numpy did not fit in int64
+        arr = np.array(arr.tolist(), dtype=np.int64)  # raises OverflowError
+    if arr.size and arr.dtype.kind != "i":
+        raise TypeError(f"exact-mode entries must be integers, got {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
+def _max_abs(vals: np.ndarray) -> int:
+    """Largest |entry| of an int64 array, as a Python int."""
+    return max(int(vals.max()), -int(vals.min())) if vals.size else 0
+
+
+def _check_exact_bound(bound: int, what: str) -> None:
+    if bound >= EXACT_LIMIT:
+        raise OverflowError(f"exact {what} could overflow int64: entry bound {bound} >= 2**62")
+
+
+def _canonical(n_cols: int, n_rows: int, cols, rows, vals):
+    """CSC arrays (indptr, rows, vals) of the entries (cols[k], rows[k], vals[k]).
+
+    Rows ascend within each column, entries sharing a position are summed
+    from 0 left to right in the order given (a sequential sum, never a
+    pairwise reduction), and zero sums are dropped.
+    """
+    cols = np.asarray(cols, dtype=np.intp)
+    rows = np.asarray(rows, dtype=np.intp)
+    if cols.shape != rows.shape or cols.shape != vals.shape:
+        raise ValueError("entry arrays differ in length")
+    if cols.size and not (0 <= cols.min() and cols.max() < n_cols
+                          and 0 <= rows.min() and rows.max() < n_rows):
+        raise ValueError("entry index outside the operator shape")
+    key = cols * n_rows + rows
+    if key.size > 1 and not (key[1:] > key[:-1]).all():
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], vals[order]
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        if not first.all():
+            starts = np.flatnonzero(first)
+            group = np.cumsum(first) - 1
+            depth = np.arange(key.size) - starts[group]
+            if vals.dtype.kind == "i":
+                _check_exact_bound(_max_abs(vals) * (int(depth.max()) + 1), "sum")
+            sums = np.zeros(starts.size, dtype=vals.dtype)
+            for d in range(int(depth.max()) + 1):
+                at = depth == d  # at most one entry per position in each round
+                sums[group[at]] += vals[at]
+            key, vals = key[starts], sums
+    vals = 0 + vals
+    keep = vals != 0
+    if not keep.all():
+        key, vals = key[keep], vals[keep]
+    cols = key // n_rows
+    indptr = np.zeros(n_cols + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cols, minlength=n_cols), out=indptr[1:])
+    return indptr, key - cols * n_rows, vals
 
 
 class SparseOperator:
-    """Finite matrix between truncated basis spaces, held column-wise."""
+    """Finite matrix between truncated basis spaces in canonical CSC form.
 
-    __slots__ = ("domain", "codomain", "cols", "mode")
+    Column j holds the rows ``rows[indptr[j]:indptr[j + 1]]`` (ascending)
+    with the values at the same positions of ``vals``; no stored value is
+    0.  ``vals`` is int64 in the exact mode, float64 or complex128
+    otherwise.  The constructor takes the entries (cols[k], rows[k],
+    vals[k]) in the order they occur and canonicalises them: repeated
+    positions are summed in that order and zero sums dropped.
+    """
 
-    def __init__(self, domain: Basis, codomain: Basis, cols, mode: Mode):
+    __slots__ = ("domain", "codomain", "mode", "indptr", "rows", "vals")
+
+    def __init__(self, domain: Basis, codomain: Basis, cols, rows, vals, mode: Mode):
         self.domain = domain
         self.codomain = codomain
-        self.cols = tuple(tuple(sorted(c)) for c in cols)
         self.mode = mode
+        self.indptr, self.rows, self.vals = _canonical(
+            len(domain), len(codomain), cols, rows, _entry_values(vals, mode.exact))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -38,19 +118,19 @@ class SparseOperator:
 
     @property
     def nnz(self) -> int:
-        return sum(len(c) for c in self.cols)
+        return len(self.rows)
+
+    def entry_cols(self) -> np.ndarray:
+        """Column rank of every stored entry."""
+        return np.repeat(np.arange(len(self.domain), dtype=np.intp), np.diff(self.indptr))
 
     def entries(self) -> Iterator[tuple[int, int, object]]:
         """Yield (row_rank, col_rank, value) over all stored entries."""
-        for j, col in enumerate(self.cols):
-            for i, v in col:
-                yield i, j, v
+        yield from zip(self.rows.tolist(), self.entry_cols().tolist(), self.vals.tolist())
 
     def to_dense(self) -> np.ndarray:
-        dtype = complex if any(isinstance(v, complex) for _, _, v in self.entries()) else float
-        out = np.zeros(self.shape, dtype=dtype)
-        for i, j, v in self.entries():
-            out[i, j] = v
+        out = np.zeros(self.shape, dtype=complex if self.vals.dtype.kind == "c" else float)
+        out[self.rows, self.entry_cols()] = self.vals
         return out
 
     def __repr__(self) -> str:
@@ -60,116 +140,143 @@ class SparseOperator:
         )
 
 
+def _concat(parts: list, dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+
 def build_from_rule(domain: Basis, codomain: Basis, rule: Callable, mode: Mode) -> SparseOperator:
     """Matrix whose column at p holds the rule's targets inside the truncation.
 
-    ``rule(point)`` returns finitely many (target_point, scalar) pairs.
-    Invalid target points (violating the codomain lattice invariants) raise;
-    valid targets outside the cap are silently dropped; zero scalars are not
-    stored.
+    ``rule(*domain.coords)`` returns terms ``(target, values)``: a tuple of
+    codomain coordinate arrays and the scalars, one of each per domain
+    point.  Zero scalars are not stored; every other target must satisfy
+    the codomain lattice invariants (else ValueError), and valid targets
+    outside the cap are silently dropped.  Terms are listed in order, so a
+    repeated target sums its terms in the order the rule gives them.
     """
-    cols = []
-    for p in domain.points:
-        col = {}
-        for target, value in rule(p):
-            if not codomain.validator(target):
-                raise ValueError(f"rule produced invalid index: {target!r} from {p!r}")
-            if value == 0:
-                continue
-            if target in codomain:
-                i = codomain.index_of(target)
-                col[i] = col.get(i, 0) + value
-        cols.append([(i, v) for i, v in col.items() if v != 0])
-    return SparseOperator(domain, codomain, cols, mode)
+    cols, rows, vals = [], [], []
+    for target, values in rule(*domain.coords):
+        values = np.broadcast_to(values, (len(domain),))
+        emit = np.flatnonzero(values != 0)
+        target = tuple(np.broadcast_to(c, (len(domain),))[emit] for c in target)
+        bad = ~codomain.valid(*target)
+        if bad.any():
+            k = int(np.argmax(bad))
+            point = codomain.point(*(int(c[k]) for c in target))
+            raise ValueError(f"rule produced invalid index: {point!r} "
+                             f"from {domain.point_of(int(emit[k]))!r}")
+        ranks = codomain.rank(*target)
+        inside = ranks >= 0
+        cols.append(emit[inside])
+        rows.append(ranks[inside])
+        vals.append(values[emit[inside]])
+    return SparseOperator(domain, codomain, _concat(cols, np.intp), _concat(rows, np.intp),
+                          _concat(vals, np.int64 if mode.exact else np.float64), mode)
 
 
 def identity(basis: Basis, mode: Mode) -> SparseOperator:
-    one = 1 if mode.exact else 1.0
-    return SparseOperator(basis, basis, [[(j, one)] for j in range(len(basis))], mode)
+    ranks = np.arange(len(basis), dtype=np.intp)
+    return SparseOperator(basis, basis, ranks, ranks, np.ones(len(basis), dtype=np.int64), mode)
 
 
-def diagonal(basis: Basis, fn: Callable, mode: Mode) -> SparseOperator:
-    """Diagonal operator with entry fn(point) at each basis point."""
-    cols = []
-    for j, p in enumerate(basis.points):
-        v = fn(p)
-        cols.append([(j, v)] if v != 0 else [])
-    return SparseOperator(basis, basis, cols, mode)
+def diagonal(basis: Basis, values, mode: Mode) -> SparseOperator:
+    """Diagonal operator with entry values[k] at the basis point of rank k."""
+    ranks = np.arange(len(basis), dtype=np.intp)
+    return SparseOperator(basis, basis, ranks, ranks, values, mode)
 
 
-def _same_space(a: Basis, b: Basis) -> bool:
-    return a is b or (len(a) == len(b) and a.points == b.points)
+def _gather(indptr: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the entries of the given columns, in order, and for each
+    the index into ``cols`` it came from."""
+    starts = indptr[cols]
+    counts = indptr[cols + 1] - starts
+    owner = np.repeat(np.arange(len(cols), dtype=np.intp), counts)
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum()), owner
+
+
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise x * y, with the complex product spelled out as Python
+    evaluates it (numpy's complex multiply may round differently)."""
+    if x.dtype.kind != "c" or y.dtype.kind != "c":
+        return x * y
+    out = np.empty(x.shape, dtype=np.complex128)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def abs_values(vals: np.ndarray) -> np.ndarray:
+    """|v| per entry; complex moduli by hypot, as Python's abs does."""
+    return np.hypot(vals.real, vals.imag) if vals.dtype.kind == "c" else np.abs(vals)
+
+
+def _check_modes(a: SparseOperator, b: SparseOperator, what: str) -> None:
+    if a.mode != b.mode:
+        raise ValueError(f"mode mismatch in {what}")
 
 
 def compose(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     """Matrix product a @ b (apply b first)."""
-    if not _same_space(a.domain, b.codomain):
+    if not a.domain.same_points(b.codomain):
         raise ValueError("dimension mismatch in compose")
-    if a.mode != b.mode:
-        raise ValueError("mode mismatch in compose")
-    cols = []
-    for col_b in b.cols:
-        acc = {}
-        for k, bv in col_b:
-            for i, av in a.cols[k]:
-                acc[i] = acc.get(i, 0) + av * bv
-        cols.append([(i, v) for i, v in acc.items() if v != 0])
-    return SparseOperator(b.domain, a.codomain, cols, a.mode)
+    _check_modes(a, b, "compose")
+    if a.mode.exact:
+        per_col = int(np.diff(b.indptr).max(initial=0))
+        _check_exact_bound(_max_abs(a.vals) * _max_abs(b.vals) * per_col, "compose")
+    # every entry b[k, j] meets column k of a, rows ascending
+    idx, owner = _gather(a.indptr, b.rows)
+    return SparseOperator(b.domain, a.codomain, b.entry_cols()[owner], a.rows[idx],
+                          _mul(a.vals[idx], b.vals[owner]), a.mode)
 
 
 def add(a: SparseOperator, b: SparseOperator, wa=1, wb=1) -> SparseOperator:
     """Weighted sum wa * a + wb * b."""
-    if not (_same_space(a.domain, b.domain) and _same_space(a.codomain, b.codomain)):
+    if not (a.domain.same_points(b.domain) and a.codomain.same_points(b.codomain)):
         raise ValueError("dimension mismatch in add")
-    if a.mode != b.mode:
-        raise ValueError("mode mismatch in add")
-    cols = []
-    for ca, cb in zip(a.cols, b.cols):
-        acc = {}
-        for i, v in ca:
-            acc[i] = acc.get(i, 0) + wa * v
-        for i, v in cb:
-            acc[i] = acc.get(i, 0) + wb * v
-        cols.append([(i, v) for i, v in acc.items() if v != 0])
-    return SparseOperator(a.domain, a.codomain, cols, a.mode)
+    _check_modes(a, b, "add")
+    if a.mode.exact:
+        _check_exact_bound(abs(wa) * _max_abs(a.vals) + abs(wb) * _max_abs(b.vals), "add")
+    return SparseOperator(
+        a.domain, a.codomain,
+        np.concatenate((a.entry_cols(), b.entry_cols())),
+        np.concatenate((a.rows, b.rows)),
+        np.concatenate((wa * a.vals, wb * b.vals)),
+        a.mode,
+    )
 
 
 def adjoint(a: SparseOperator) -> SparseOperator:
     """Conjugate transpose (plain transpose in the real and exact modes)."""
-    cols: list[list[Entry]] = [[] for _ in range(len(a.codomain))]
-    for i, j, v in a.entries():
-        cols[i].append((j, v.conjugate() if isinstance(v, complex) else v))
-    return SparseOperator(a.codomain, a.domain, cols, a.mode)
+    vals = a.vals.conj() if a.vals.dtype.kind == "c" else a.vals
+    return SparseOperator(a.codomain, a.domain, a.rows, a.entry_cols(), vals, a.mode)
 
 
 def tensor(a: SparseOperator, b: SparseOperator, domain: Basis, codomain: Basis) -> SparseOperator:
     """Kronecker product on factor-major tensor bases."""
-    if a.mode != b.mode:
-        raise ValueError("mode mismatch in tensor")
+    _check_modes(a, b, "tensor")
     nb_dom = len(b.domain)
     nb_cod = len(b.codomain)
     if len(domain) != len(a.domain) * nb_dom or len(codomain) != len(a.codomain) * nb_cod:
         raise ValueError("dimension mismatch in tensor")
-    cols = []
-    for ja in range(len(a.domain)):
-        col_a = a.cols[ja]
-        for jb in range(nb_dom):
-            col = [(ia * nb_cod + ib, va * vb) for ia, va in col_a for ib, vb in b.cols[jb]]
-            cols.append([e for e in col if e[1] != 0])
-    return SparseOperator(domain, codomain, cols, a.mode)
+    if a.mode.exact:
+        _check_exact_bound(_max_abs(a.vals) * _max_abs(b.vals), "tensor")
+    # every pair of an a entry and a b entry, a-major
+    ea = np.repeat(np.arange(a.nnz), b.nnz)
+    eb = np.tile(np.arange(b.nnz), a.nnz)
+    return SparseOperator(
+        domain, codomain,
+        a.entry_cols()[ea] * nb_dom + b.entry_cols()[eb],
+        a.rows[ea] * nb_cod + b.rows[eb],
+        _mul(a.vals[ea], b.vals[eb]),
+        a.mode,
+    )
 
 
 def max_abs_entry_per_shell(a: SparseOperator) -> list[tuple[int, float]]:
     """Per domain shell m, the largest |entry| over columns at shell m."""
-    out = [0.0] * (a.domain.cap + 1)
-    shells = a.domain.shells
-    for j, col in enumerate(a.cols):
-        m = int(shells[j])
-        for _, v in col:
-            av = abs(v)
-            if av > out[m]:
-                out[m] = av
-    return list(enumerate(out))
+    out = np.zeros(a.domain.cap + 1)
+    np.fmax.at(out, a.domain.shells[a.entry_cols()], abs_values(a.vals))  # NaN never wins
+    return list(enumerate(out.tolist()))
 
 
 def block_norm(a: SparseOperator, blocks: Iterable[Iterable[int]]) -> float:
@@ -184,55 +291,69 @@ def block_norm(a: SparseOperator, blocks: Iterable[Iterable[int]]) -> float:
     col_seen = np.zeros(len(a.domain), dtype=bool)
     best = 0.0
     for b, block in enumerate(blocks):
-        block = list(block)
+        block = np.asarray(list(block), dtype=np.intp)
         if col_seen[block].any():
             raise ValueError("blocks share a column")
         col_seen[block] = True
-        entries = [(i, k, v) for k, j in enumerate(block) for i, v in a.cols[j]]
-        if not entries:
+        idx, local_cols = _gather(a.indptr, block)
+        if not idx.size:
             continue
-        rows, cols, values = zip(*entries)
-        support, local = np.unique(rows, return_inverse=True)
+        support, local = np.unique(a.rows[idx], return_inverse=True)
         if (row_owner[support] >= 0).any():
             raise ValueError("blocks share a row: the restriction is not block-diagonal")
         row_owner[support] = b
-        values = np.array(values)
-        dense = np.zeros((len(support), len(block)), dtype=values.dtype)
-        dense[local, cols] = values
+        dense = np.zeros((len(support), len(block)), dtype=a.vals.dtype)
+        dense[local, local_cols] = a.vals[idx]
         best = max(best, float(np.linalg.norm(dense, 2)))
     return best
+
+
+def _difference(a: SparseOperator, b: SparseOperator):
+    """CSC arrays of a - b over the union support (either mode on each side)."""
+    if not (a.domain.same_points(b.domain) and a.codomain.same_points(b.codomain)):
+        raise ValueError("dimension mismatch in comparison")
+    return _canonical(len(a.domain), len(a.codomain),
+                      np.concatenate((a.entry_cols(), b.entry_cols())),
+                      np.concatenate((a.rows, b.rows)),
+                      np.concatenate((a.vals, -b.vals)))
+
+
+def _column_rows(op: SparseOperator, j: int) -> list[int]:
+    return op.rows[op.indptr[j]:op.indptr[j + 1]].tolist()
 
 
 def max_entry_difference(a: SparseOperator, b: SparseOperator,
                          columns: Iterable[int] | None = None) -> tuple[float, object]:
     """Largest |a - b| entry over the union support, with a witness point.
 
-    ``columns`` restricts the comparison to the given domain ranks.
+    ``columns`` restricts the comparison to the given domain ranks.  The
+    witness is the first maximal entry in the order of the scalar scan:
+    columns as given, and within a column the iteration order of the set
+    of row ranks stored in a or b.  NaN differences never win.
     """
-    if not (_same_space(a.domain, b.domain) and _same_space(a.codomain, b.codomain)):
-        raise ValueError("dimension mismatch in comparison")
-    worst = 0.0
-    witness = None
-    col_range = range(len(a.domain)) if columns is None else columns
-    for j in col_range:
-        da = dict(a.cols[j])
-        db = dict(b.cols[j])
-        for i in da.keys() | db.keys():
-            d = abs(da.get(i, 0) - db.get(i, 0))
-            if d > worst:
-                worst = d
-                witness = (a.codomain.point_of(i), a.domain.point_of(j))
-    return worst, witness
+    indptr, rows, diff = _difference(a, b)
+    cols = np.arange(len(a.domain)) if columns is None else np.asarray(list(columns), dtype=np.intp)
+    dev = abs_values(diff)
+    col_max = np.zeros(len(a.domain), dtype=dev.dtype)
+    np.fmax.at(col_max, np.repeat(np.arange(len(a.domain)), np.diff(indptr)), dev)
+    wanted = col_max[cols]
+    if not wanted.size or not wanted.max() > 0:
+        return 0.0, None
+    worst = wanted.max()
+    j = int(cols[np.argmax(wanted == worst)])
+    found = dict(zip(rows[indptr[j]:indptr[j + 1]].tolist(), dev[indptr[j]:indptr[j + 1]]))
+    for i in dict.fromkeys(_column_rows(a, j)).keys() | dict.fromkeys(_column_rows(b, j)).keys():
+        if found.get(i) == worst:
+            return worst.item(), (a.codomain.point_of(i), a.domain.point_of(j))
+    raise AssertionError("maximal entry not found in its column")
 
 
 def columns_equal_exact(a: SparseOperator, b: SparseOperator,
                         columns: Iterable[int]) -> tuple[int, object]:
     """Count exactly mismatching columns (integer mode); returns first witness."""
-    mismatches = 0
-    witness = None
-    for j in columns:
-        if dict(a.cols[j]) != dict(b.cols[j]):
-            mismatches += 1
-            if witness is None:
-                witness = a.domain.point_of(j)
-    return mismatches, witness
+    indptr, _, _ = _difference(a, b)
+    cols = np.asarray(list(columns), dtype=np.intp)
+    mismatch = (np.diff(indptr) > 0)[cols]
+    count = int(mismatch.sum())
+    witness = a.domain.point_of(int(cols[np.argmax(mismatch)])) if count else None
+    return count, witness

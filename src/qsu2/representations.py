@@ -16,20 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from . import coefficients as cf
-from .coefficients import EXACT_ZERO, float_mode, g
-from .lattice import (
-    FullIndex,
-    GammaIndex,
-    PiIndex,
-    full_basis,
-    gamma_basis,
-    nat_basis,
-    pi_basis,
-    pi_tensor_basis,
-)
+from .coefficients import EXACT_ZERO, float_mode, g_table, power_table
+from .lattice import full_basis, gamma_basis, nat_basis, pi_basis, pi_tensor_basis
 from .operator_core import (
+    EXACT_LIMIT,
     SparseOperator,
+    abs_values,
     add,
     adjoint,
     build_from_rule,
@@ -67,14 +62,15 @@ def _section(basis, rule, q: float) -> SparseOperator:
     """
     if q != 0.0:
         return build_from_rule(basis, basis, rule, float_mode(q))
-    return build_from_rule(basis, basis, lambda p: [(t, _integer(v)) for t, v in rule(p)], EXACT_ZERO)
+    return build_from_rule(basis, basis, lambda *c: [(t, _integer(v)) for t, v in rule(*c)],
+                           EXACT_ZERO)
 
 
-def _integer(v: float) -> int:
-    n = int(v)
-    if n != v:
-        raise ValueError(f"non-integer crystal coefficient {v!r}")
-    return n
+def _integer(values: np.ndarray) -> np.ndarray:
+    bad = ~np.isfinite(values) | (values != np.trunc(values))
+    if bad.any():
+        raise ValueError(f"non-integer crystal coefficient {values[np.argmax(bad)].item()!r}")
+    return values.astype(np.int64)
 
 
 def build_lambda(q: float, cap: int, gen) -> SparseOperator:
@@ -84,36 +80,22 @@ def build_lambda(q: float, cap: int, gen) -> SparseOperator:
         return adjoint(build_lambda(q, cap, gen.base))
 
     if gen is Generator.ALPHA:
-        def rule(p: GammaIndex):
-            n2, i2, j2 = p
-            out = []
-            v = cf.a_plus(n2, i2, j2, q)
-            if v:
-                out.append((GammaIndex(n2 + 1, i2 - 1, j2 - 1), v))
-            v = cf.a_minus(n2, i2, j2, q)
-            if v:
-                out.append((GammaIndex(n2 - 1, i2 - 1, j2 - 1), v))
-            return out
+        def rule(n2, i2, j2):
+            return [((n2 + 1, i2 - 1, j2 - 1), cf.a_plus(n2, i2, j2, q)),
+                    ((n2 - 1, i2 - 1, j2 - 1), cf.a_minus(n2, i2, j2, q))]
     else:
-        def rule(p: GammaIndex):
-            n2, i2, j2 = p
-            out = []
-            v = cf.b_plus(n2, i2, j2, q)
-            if v:
-                out.append((GammaIndex(n2 + 1, i2 + 1, j2 - 1), v))
-            v = cf.b_minus(n2, i2, j2, q)
-            if v:
-                out.append((GammaIndex(n2 - 1, i2 + 1, j2 - 1), v))
-            return out
+        def rule(n2, i2, j2):
+            return [((n2 + 1, i2 + 1, j2 - 1), cf.b_plus(n2, i2, j2, q)),
+                    ((n2 - 1, i2 + 1, j2 - 1), cf.b_minus(n2, i2, j2, q))]
 
     return _section(gamma_basis(cap), rule, q)
 
 
 def _pi_rule(q: float, gen: Generator):
-    """Action of pi_q(gen) on a basis vector of l2(N x Z)."""
+    """Action of pi_q(gen) on the basis vectors (s, t) of l2(N x Z)."""
     if gen is Generator.ALPHA:
-        return lambda p: [(PiIndex(p.s - 1, p.t), g(p.s, q))] if p.s >= 1 else []
-    return lambda p: [(PiIndex(p.s, p.t - 1), q**p.s)]
+        return lambda s, t: [((s - 1, t), g_table(q, int(s.max()))[s])]  # g(0) = 0
+    return lambda s, t: [((s, t - 1), power_table(q, int(s.max()))[s])]
 
 
 def build_pi(q: float, cap: int, gen) -> SparseOperator:
@@ -133,8 +115,8 @@ def build_ipi(q: float, cap: int, gen) -> SparseOperator:
         return adjoint(build_ipi(q, cap, gen.base))
     pi_rule = _pi_rule(q, gen)
 
-    def rule(p: FullIndex):
-        return [(FullIndex(p.r, *target), v) for target, v in pi_rule(PiIndex(p.s, p.t))]
+    def rule(r, s, t):
+        return [((r, *target), v) for target, v in pi_rule(s, t)]
 
     return _section(full_basis(cap), rule, q)
 
@@ -153,9 +135,9 @@ def build_irrep(q: float, z: complex, dim: int) -> tuple[SparseOperator, SparseO
         raise ValueError("irreducible section needs dim >= 1")
     mode = float_mode(q)
     basis = nat_basis(dim)
-    alpha = build_from_rule(basis, basis, lambda k: [(k - 1, g(k, q))] if k >= 1 else [], mode)
+    alpha = build_from_rule(basis, basis, lambda k: [((k - 1,), g_table(q, dim)[k])], mode)
     z = complex(z)
-    beta = build_from_rule(basis, basis, lambda k: [(k, z * q**k)], mode)
+    beta = build_from_rule(basis, basis, lambda k: [((k,), z * power_table(q, dim)[k])], mode)
     return alpha, beta
 
 
@@ -234,38 +216,68 @@ def check_relations(ops, margin: int = 2) -> RelationReport:
     mode = a.mode
     eye = identity(basis, mode)
 
+    # Each relation is built, reduced to its worst interior column and
+    # dropped before the next is built, so one relation operator is alive
+    # at a time.
     if mode.exact:
         relations = [
-            ("a*a+b*b-I", add(add(compose(astar, a), compose(bstar, b)), eye, 1, -1)),
-            ("aa*-I", add(compose(a, astar), eye, 1, -1)),
-            ("ab", compose(a, b)),
-            ("ab*", compose(a, bstar)),
-            ("b*b-bb*", add(compose(bstar, b), compose(b, bstar), 1, -1)),
+            ("a*a+b*b-I", lambda: add(add(compose(astar, a), compose(bstar, b)), eye, 1, -1)),
+            ("aa*-I", lambda: add(compose(a, astar), eye, 1, -1)),
+            ("ab", lambda: compose(a, b)),
+            ("ab*", lambda: compose(a, bstar)),
+            ("b*b-bb*", lambda: add(compose(bstar, b), compose(b, bstar), 1, -1)),
         ]
     else:
         q = mode.q
         relations = [
-            ("a*a+b*b-I", add(add(compose(astar, a), compose(bstar, b)), eye, 1.0, -1.0)),
-            ("aa*+q^2bb*-I", add(add(compose(a, astar), compose(b, bstar), 1.0, q * q), eye, 1.0, -1.0)),
-            ("ab-qba", add(compose(a, b), compose(b, a), 1.0, -q)),
-            ("ab*-qb*a", add(compose(a, bstar), compose(bstar, a), 1.0, -q)),
-            ("b*b-bb*", add(compose(bstar, b), compose(b, bstar), 1.0, -1.0)),
+            ("a*a+b*b-I", lambda: add(add(compose(astar, a), compose(bstar, b)), eye, 1.0, -1.0)),
+            ("aa*+q^2bb*-I",
+             lambda: add(add(compose(a, astar), compose(b, bstar), 1.0, q * q), eye, 1.0, -1.0)),
+            ("ab-qba", lambda: add(compose(a, b), compose(b, a), 1.0, -q)),
+            ("ab*-qb*a", lambda: add(compose(a, bstar), compose(bstar, a), 1.0, -q)),
+            ("b*b-bb*", lambda: add(compose(bstar, b), compose(b, bstar), 1.0, -1.0)),
         ]
 
-    interior = [j for j in range(len(basis)) if basis.shells[j] <= cap - margin]
+    interior = np.flatnonzero(basis.shells <= cap - margin)
     rows = []
-    for name, op in relations:
-        worst = 0.0
-        witness = None
-        for j in interior:
-            norm2 = sum(abs(v) ** 2 for _, v in op.cols[j])
-            if norm2 > worst or norm2 != norm2:  # a NaN column is the residual
-                worst = norm2
-                witness = basis.point_of(j)
-                if norm2 != norm2:
-                    break
-        rows.append(RelationResidual(name, worst**0.5, witness))
+    for name, build in relations:
+        worst, j = _worst_column(build(), interior)
+        rows.append(RelationResidual(name, worst**0.5, None if j is None else basis.point_of(j)))
     return RelationReport(cap, margin, mode.exact, tuple(rows))
+
+
+def _worst_column(op: SparseOperator, columns: np.ndarray) -> tuple[object, int | None]:
+    """Largest squared column norm sum(abs(v) ** 2) over ``columns`` and the
+    first column attaining it; a NaN column wins at once.  (0.0, None) when
+    every column is zero."""
+    counts = np.diff(op.indptr)
+    absv = abs_values(op.vals)
+    if op.mode.exact:
+        if int(absv.max(initial=0)) ** 2 * int(counts.max(initial=0)) >= EXACT_LIMIT:
+            raise OverflowError("exact column norm could overflow int64")
+    square = absv * absv
+    norms = np.zeros(len(counts), dtype=square.dtype)
+    for d in range(int(counts.max(initial=0))):
+        has = np.flatnonzero(counts > d)
+        norms[has] += square[op.indptr[has] + d]
+    norms = norms[columns]
+    top = norms.max(initial=0)
+    if op.mode.exact:
+        return (int(top), int(columns[np.argmax(norms == top)])) if top > 0 else (0.0, None)
+    nan = np.isnan(norms)
+    if nan.any():
+        return float("nan"), int(columns[np.argmax(nan)])
+    # v * v can differ from the scalar abs(v) ** 2 (libm pow) in the last
+    # bit, so the near-maximal columns are scanned again with the scalar
+    # expression; below 1e-290 squares may underflow, so every nonzero
+    # column is scanned.
+    near = columns[norms >= top * (1 - 1e-9)] if top > 1e-290 else columns[counts[columns] > 0]
+    worst, witness = 0.0, None
+    for j in near.tolist():
+        norm2 = sum(abs(v) ** 2 for v in op.vals[op.indptr[j]:op.indptr[j + 1]].tolist())
+        if norm2 > worst:
+            worst, witness = norm2, j
+    return worst, witness
 
 
 def crystal_limit_distance(q: float, cap: int, gen) -> float:

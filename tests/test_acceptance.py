@@ -7,6 +7,8 @@ lines and timings.  Every tolerance is pinned here, not configurable.
 import json
 import time
 
+import numpy as np
+
 from qsu2.cli import main
 from qsu2.coefficients import verify_g_estimates
 from qsu2.equivalence import (
@@ -14,6 +16,8 @@ from qsu2.equivalence import (
     decay_loglog_slope,
     decay_report,
     tail_norms,
+    u_backward,
+    u_forward,
     unitary_u,
     verify_q0_equivalence,
 )
@@ -58,14 +62,13 @@ def test_criterion_1_exact_q0_intertwining(capsys):
 def test_criterion_2_unitary_signed_permutation(capsys):
     with _Timer() as t:
         u = unitary_u(40)  # construction asserts the signed round trip
-        ok = True
-        seen = set()
-        for p, (sgn, f) in u.forward.items():
-            s2, p2 = u.backward[f]
-            ok = ok and sgn in (-1, 1) and sgn * s2 == 1 and p2 == p
-            ok = ok and full_shell(f) == p.n2
-            seen.add(f)
-        ok = ok and seen == set(u.codomain.points)
+        sign, *image = u_forward(*u.domain.coords)
+        back_sign, *back = u_backward(*image)
+        ok = set(sign.tolist()) <= {-1, 1} and bool(np.all(sign * back_sign == 1))
+        ok = ok and all(np.array_equal(p2, p) for p2, p in zip(back, u.domain.coords))
+        ok = ok and bool(np.all(full_shell(*image) == u.domain.shells))
+        ok = ok and all(np.array_equal(c[u.perm], f) for c, f in zip(u.codomain.coords, image))
+        ok = ok and np.array_equal(np.sort(u.perm), np.arange(len(u.codomain)))
     with capsys.disabled():
         _report(2, ok, "U is a shell-preserving signed permutation to cap 40", t.seconds)
 

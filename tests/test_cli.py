@@ -1,9 +1,14 @@
 """CLI behaviour: exit codes, report schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qsu2
 from qsu2 import cli
 from qsu2.cli import main
 from qsu2.lattice import full_basis, gamma_basis
@@ -187,3 +192,13 @@ def test_size_budget_usage_error(monkeypatch, capsys, argv, handler):
     assert code == 2
     assert out == ""
     assert f"{argv[-2]} {argv[-1]} enumerates" in err and "budget" in err
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy.sparse costs 0.17-0.26 s of set-up and 20-22 MB of RSS,
+    # more than the benchmark's bounds allow; storage stays on numpy
+    src = str(Path(qsu2.__file__).resolve().parents[1])
+    code = "import sys, qsu2.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

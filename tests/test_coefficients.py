@@ -3,6 +3,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,45 @@ def test_g_against_mpmath_near_one(q):
             assert value == 0.0 and math.copysign(1.0, value) == 1.0
         else:
             assert abs(value - exact) <= 1e-15 * exact, (k, value)
+
+
+@pytest.mark.parametrize("q", [0.5, -0.45, 0.9999, 0.999999])
+def test_cg_arrays_against_mpmath(q):
+    # the array evaluation on every Gamma point to cap 12 against the
+    # formulas in 50-digit arithmetic; 0 exactly where the target is missing
+    mpmath.mp.dps = 50
+    qm = mpmath.mpf(q)
+
+    def gm(k):
+        return mpmath.sqrt(1 - qm ** (2 * k))
+
+    steps = {"a_plus": (1, -1, -1), "a_minus": (-1, -1, -1), "b_plus": (1, 1, -1), "b_minus": (-1, 1, -1)}
+
+    def exact(name, n2, i2, j2):
+        dn, di, dj = steps[name]
+        n, i, j = n2 + dn, i2 + di, j2 + dj
+        if not (n >= 0 and abs(i) <= n and abs(j) <= n):
+            return mpmath.mpf(0)  # the target point does not exist
+        if name == "a_plus":
+            return qm ** (n2 + (i2 + j2) // 2 + 1) * gm((n2 - j2) // 2 + 1) * gm((n2 - i2) // 2 + 1) / (
+                gm(n2 + 1) * gm(n2 + 2))
+        if name == "a_minus":
+            return gm((n2 + j2) // 2) * gm((n2 + i2) // 2) / (gm(n2) * gm(n2 + 1))
+        if name == "b_plus":
+            return -qm ** ((n2 + j2) // 2) * gm((n2 - j2) // 2 + 1) * gm((n2 + i2) // 2 + 1) / (
+                gm(n2 + 1) * gm(n2 + 2))
+        return qm ** ((n2 + i2) // 2) * gm((n2 + j2) // 2) * gm((n2 - i2) // 2) / (gm(n2) * gm(n2 + 1))
+
+    points = gamma_points(12)
+    n2, i2, j2 = (np.array(c) for c in zip(*points))
+    for name in ("a_plus", "a_minus", "b_plus", "b_minus"):
+        values = getattr(cf, name)(n2, i2, j2, q)
+        for value, p in zip(values.tolist(), points):
+            ref = exact(name, *p)
+            if ref == 0:
+                assert value == 0.0, (name, p)
+            else:
+                assert abs(value - ref) <= 1e-14 * abs(ref), (name, p, value)
 
 
 def test_g_exact_zero_mode():

@@ -13,20 +13,40 @@ import pytest
 
 from qsu2.cli import main
 
-VERIFY_Q0_CAP12 = (
-    '{"command":"verify-q0","params":{"cap":12},"items":['
-    + ",".join(
-        f'{{"name":"{name}","value":0,"bound":0,"pass":true,"witness":null}}'
-        for name in [f"intertwine/{gen}" for gen in ("alpha", "beta", "alpha_star", "beta_star")]
-        + [f"relations/{label}/{rel}" for label in ("lambda0", "pi0")
-           for rel in ("a*a+b*b-I", "aa*-I", "ab", "ab*", "b*b-bb*")]
+def verify_q0_report(cap):
+    """The report of verify-q0 at a passing cap: every value exactly 0."""
+    return (
+        f'{{"command":"verify-q0","params":{{"cap":{cap}}},"items":['
+        + ",".join(
+            f'{{"name":"{name}","value":0,"bound":0,"pass":true,"witness":null}}'
+            for name in [f"intertwine/{gen}" for gen in ("alpha", "beta", "alpha_star", "beta_star")]
+            + [f"relations/{label}/{rel}" for label in ("lambda0", "pi0")
+               for rel in ("a*a+b*b-I", "aa*-I", "ab", "ab*", "b*b-bb*")]
+        )
+        + '],"pass":true,"max_residual":0,"elapsed_ms":0}\n'
     )
-    + '],"pass":true,"max_residual":0,"elapsed_ms":0}\n'
-)
+
 
 _TAILS = [(f"m={m}", True, None) for m in range(7)]
 
 MATRIX = {
+    # witnesses at noise level: argmaxes of residuals near 1e-16, so any
+    # change to the order of floating-point operations moves them
+    "verify-relations-cap30": (
+        ["verify-relations", "--q", "-0.4268728488224803", "--cap", "30"],
+        [
+            ("lambda/a*a+b*b-I", True, "GammaIndex(n2=16, i2=-12, j2=-14)"),
+            ("lambda/aa*+q^2bb*-I", True, "GammaIndex(n2=18, i2=-6, j2=6)"),
+            ("lambda/ab-qba", True, "GammaIndex(n2=5, i2=-1, j2=-3)"),
+            ("lambda/ab*-qb*a", True, "GammaIndex(n2=5, i2=-3, j2=-1)"),
+            ("lambda/b*b-bb*", True, "GammaIndex(n2=9, i2=-9, j2=-1)"),
+            ("pi/a*a+b*b-I", True, "PiIndex(s=3, t=0)"),
+            ("pi/aa*+q^2bb*-I", True, "PiIndex(s=2, t=0)"),
+            ("pi/ab-qba", True, "PiIndex(s=6, t=0)"),
+            ("pi/ab*-qb*a", True, "PiIndex(s=6, t=0)"),
+            ("pi/b*b-bb*", True, None),
+        ],
+    ),
     "verify-relations": (
         ["verify-relations", "--q", "0.47", "--cap", "6"],
         [
@@ -75,7 +95,11 @@ def run(capsys, argv):
 
 
 def test_verify_q0_report_bytes(capsys):
-    assert run(capsys, ["verify-q0", "--cap", "12"]) == (0, VERIFY_Q0_CAP12)
+    assert run(capsys, ["verify-q0", "--cap", "12"]) == (0, verify_q0_report(12))
+
+
+def test_verify_q0_report_bytes_cap40(capsys):
+    assert run(capsys, ["verify-q0", "--cap", "40"]) == (0, verify_q0_report(40))
 
 
 @pytest.mark.parametrize("command", list(MATRIX))

@@ -40,33 +40,52 @@ from qsu2.operator_core import (
 from qsu2.representations import build_ipi, build_irrep, build_lambda, coproduct_images
 
 
+def column_by_rank(op, j):
+    lo, hi = op.indptr[j], op.indptr[j + 1]
+    return dict(zip(op.rows[lo:hi].tolist(), op.vals[lo:hi].tolist()))
+
+
 def column_as_dict(op, point):
-    j = op.domain.index_of(point)
-    return {op.codomain.point_of(i): v for i, v in op.cols[j]}
+    col = column_by_rank(op, op.domain.index_of(point))
+    return {op.codomain.point_of(i): v for i, v in col.items()}
+
+
+def forward(p):
+    sign, *f = u_forward(*p)
+    return int(sign), FullIndex(*map(int, f))
+
+
+def backward(f):
+    sign, *p = u_backward(*f)
+    return int(sign), GammaIndex(*map(int, p))
 
 
 def test_unitary_pointwise_examples():
-    assert u_forward(GammaIndex(0, 0, 0)) == (1, FullIndex(0, 0, 0))
+    assert forward(GammaIndex(0, 0, 0)) == (1, FullIndex(0, 0, 0))
     # e^{1/2}_{1/2,-1/2}: the i >= j branch picks up (-1)^{i-j}
-    assert u_forward(GammaIndex(1, 1, -1)) == (-1, FullIndex(0, 0, -1))
+    assert forward(GammaIndex(1, 1, -1)) == (-1, FullIndex(0, 0, -1))
     # e^1_{0,1}: i < j branch, positive sign
-    assert u_forward(GammaIndex(2, 0, 2)) == (1, FullIndex(0, 1, 1))
-    assert u_backward(FullIndex(0, 0, -1)) == (-1, GammaIndex(1, 1, -1))
+    assert forward(GammaIndex(2, 0, 2)) == (1, FullIndex(0, 1, 1))
+    assert backward(FullIndex(0, 0, -1)) == (-1, GammaIndex(1, 1, -1))
 
 
 def test_unitary_roundtrip_and_shells_cap40():
     u = unitary_u(40)  # construction itself asserts round trip and shells
-    images = {f for _, f in u.forward.values()}
-    assert images == set(u.codomain.points)  # bijection onto the capped lattice
-    for p, (sgn, f) in u.forward.items():
-        assert sgn in (-1, 1)
-        assert full_shell(f) == p.n2
+    # bijection onto the capped lattice
+    assert np.array_equal(np.sort(u.perm), np.arange(len(u.codomain)))
+    assert set(u.sign.tolist()) <= {-1, 1}
+    assert np.array_equal(full_shell(*(c[u.perm] for c in u.codomain.coords)), u.domain.shells)
+    # the arrays are the pointwise map
+    sign, *image = u_forward(*u.domain.coords)
+    assert np.array_equal(u.sign, sign)
+    assert all(np.array_equal(c[u.perm], f) for c, f in zip(u.codomain.coords, image))
 
 
 def test_sheet_to_fiber():
     u = unitary_u(10)
-    for p, (_, f) in u.forward.items():
-        assert f.r == sheet_of(p) // 2
+    r = u.codomain.coords[0]
+    for k, p in enumerate(u.domain.points):
+        assert r[u.perm[k]] == sheet_of(p) // 2
 
 
 def test_conjugate_identity():
@@ -75,7 +94,10 @@ def test_conjugate_identity():
 
     eye = identity(gamma_basis(6), EXACT_ZERO)
     conj = conjugate(eye, u)
-    assert conj.cols == identity(full_basis(6), EXACT_ZERO).cols
+    expected = identity(full_basis(6), EXACT_ZERO)
+    assert np.array_equal(conj.indptr, expected.indptr)
+    assert np.array_equal(conj.rows, expected.rows)
+    assert np.array_equal(conj.vals, expected.vals)
 
 
 def test_conjugate_cap_mismatch():
@@ -114,13 +136,9 @@ def test_q0_regression_guard_displayed_beta_form():
     cap = 4
     basis = gamma_basis(cap)
 
-    def displayed_rule(p):
-        n2, i2, j2 = p
-        if i2 == -n2:
-            return [(GammaIndex(n2 + 1, i2 - 1, j2 + 1), 1)]
-        if j2 == -n2:
-            return [(GammaIndex(n2 - 1, i2 - 1, j2 + 1), -1)]
-        return []
+    def displayed_rule(n2, i2, j2):
+        return [((n2 + 1, i2 - 1, j2 + 1), (i2 == -n2) * 1),
+                ((n2 - 1, i2 - 1, j2 + 1), ((j2 == -n2) & (i2 != -n2)) * -1)]
 
     from qsu2.coefficients import EXACT_ZERO
 
@@ -144,9 +162,10 @@ def test_difference_apex_column():
 def test_difference_column_structure():
     d = difference(0.5, 6, "alpha")
     basis = d.domain
-    for j, col in enumerate(d.cols):
+    for j in range(len(basis)):
+        col = column_by_rank(d, j)
         p = basis.point_of(j)
-        targets = {basis.point_of(i) for i, _ in col}
+        targets = {basis.point_of(i) for i in col}
         assert len(col) <= 2
         assert targets <= {FullIndex(p.r + 1, p.s, p.t), FullIndex(p.r, p.s - 1, p.t)}
 
@@ -188,16 +207,16 @@ def test_diagonal_coefficient_values():
     q = 0.5
     r1 = build_R(q, 4, 1)
     apex = r1.domain.index_of(FullIndex(0, 0, 0))
-    assert dict(r1.cols[apex])[apex] == pytest.approx(0.4472135954999579, abs=1e-12)
+    assert column_by_rank(r1, apex)[apex] == pytest.approx(0.4472135954999579, abs=1e-12)
 
     r3 = build_R(q, 4, 3)
     j = r3.domain.index_of(PiIndex(1, 2))
-    assert dict(r3.cols[j])[j] == pytest.approx(q**5, abs=1e-15)
+    assert column_by_rank(r3, j)[j] == pytest.approx(q**5, abs=1e-15)
 
     t1 = build_T(q, 5, 1)
     for t in range(-3, 4):
         j = t1.domain.index_of(FullIndex(0, 0, t))
-        assert t1.cols[j] == ()  # bottom case (r,s) = (0,0)
+        assert column_by_rank(t1, j) == {}  # bottom case (r,s) = (0,0)
 
     with pytest.raises(ValueError, match="unknown R index"):
         build_R(q, 4, 5)
@@ -238,7 +257,7 @@ def test_t1_minus_t3_bottom_fiber_values():
     basis = m.domain
     for t in range(-cap, 0):
         j = basis.index_of(FullIndex(0, 0, t))
-        assert dict(m.cols[j])[j] == pytest.approx(q ** abs(t) * g(1, q), abs=1e-15)
+        assert column_by_rank(m, j)[j] == pytest.approx(q ** abs(t) * g(1, q), abs=1e-15)
 
 
 def test_r1_minus_lifted_r3_shell_ratios():
@@ -262,6 +281,13 @@ def test_decay_report_constants():
 
     with pytest.raises(ValueError, match="unknown decay target"):
         decay_report(0.5, 4, "bogus")
+
+
+def test_decay_constant_infinite_when_scale_underflows():
+    # 1e-5 ** 80 underflows to 0.0: the constant is reported as inf (and
+    # fails its finiteness check) instead of raising ZeroDivisionError
+    rep = decay_report(1e-5, 40, "R2mR4")
+    assert rep.normalized_constant == float("inf")
 
 
 def test_decay_slopes_near_one():

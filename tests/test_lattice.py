@@ -1,5 +1,6 @@
 """Lattice enumeration, ordering, bijections, and shell combinatorics."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +15,10 @@ from qsu2.lattice import (
     gamma_basis,
     gamma_points,
     is_valid_gamma,
+    nat_basis,
     pi_basis,
     pi_points,
+    pi_tensor_basis,
     sheet_of,
 )
 
@@ -27,7 +30,7 @@ def brute_gamma(cap):
         for i2 in range(-cap, cap + 1):
             for j2 in range(-cap, cap + 1):
                 p = GammaIndex(n2, i2, j2)
-                if is_valid_gamma(p):
+                if is_valid_gamma(*p):
                     out.add(p)
     return out
 
@@ -69,7 +72,7 @@ def test_full_points_small_caps():
     ]
     pts2 = full_points(2)
     assert len(pts2) == 14
-    assert sum(1 for p in pts2 if full_shell(p) == 2) == 9
+    assert sum(1 for p in pts2 if full_shell(*p) == 2) == 9
 
 
 def test_full_points_match_brute_force():
@@ -87,7 +90,7 @@ def test_shell_count_identity():
         gshells[p.n2] = gshells.get(p.n2, 0) + 1
     fshells = {}
     for p in full_points(cap):
-        m = full_shell(p)
+        m = full_shell(*p)
         fshells[m] = fshells.get(m, 0) + 1
     for m in range(cap + 1):
         assert gshells[m] == fshells[m] == (m + 1) ** 2
@@ -148,6 +151,19 @@ def test_truncation_validation():
             points(-1)
 
 
+def test_closed_form_ranks_match_enumeration():
+    for cap in (0, 1, 4, 9):
+        for basis in (gamma_basis(cap), full_basis(cap), pi_basis(cap), nat_basis(cap + 1),
+                      pi_tensor_basis(cap)):
+            assert basis.rank(*basis.coords).tolist() == list(range(len(basis)))
+            assert np.all(basis.valid(*basis.coords))
+            assert [basis.point_of(k) for k in range(len(basis))] == list(basis.points)
+    # valid points one shell above the cap have no rank
+    assert gamma_basis(3).rank(np.array([4]), np.array([0]), np.array([2])).tolist() == [-1]
+    assert full_basis(3).rank(np.array([1]), np.array([2]), np.array([-1])).tolist() == [-1]
+    assert pi_tensor_basis(2).rank(*(np.array([v]) for v in (0, 3, 0, 0))).tolist() == [-1]
+
+
 @st.composite
 def gamma_indices(draw, max_n2=40):
     n2 = draw(st.integers(min_value=0, max_value=max_n2))
@@ -159,7 +175,7 @@ def gamma_indices(draw, max_n2=40):
 @settings(max_examples=200, deadline=None)
 @given(gamma_indices())
 def test_generated_gamma_points_valid(p):
-    assert is_valid_gamma(p)
+    assert is_valid_gamma(*p)
     assert 0 <= p.n2 - max(p.i2, p.j2) <= 2 * p.n2
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsu2.coefficients import EXACT_ZERO, float_mode
 from qsu2.lattice import PiIndex, full_basis, nat_basis, pi_basis
@@ -16,10 +18,28 @@ from qsu2.operator_core import (
     identity,
     max_abs_entry_per_shell,
     max_entry_difference,
+    tensor,
 )
 from qsu2.representations import build_pi
 
 MODE = float_mode(0.5)
+
+
+def from_columns(basis_dom, basis_cod, cols, mode=MODE):
+    """Operator from a list of columns, each a list of (row, value)."""
+    triplets = [(j, i, v) for j, col in enumerate(cols) for i, v in col]
+    c, r, v = zip(*triplets) if triplets else ((), (), ())
+    return SparseOperator(basis_dom, basis_cod, list(c), list(r), list(v), mode)
+
+
+def column(op, j):
+    lo, hi = op.indptr[j], op.indptr[j + 1]
+    return list(zip(op.rows[lo:hi].tolist(), op.vals[lo:hi].tolist()))
+
+
+def same_entries(x, y):
+    return (np.array_equal(x.indptr, y.indptr) and np.array_equal(x.rows, y.rows)
+            and np.array_equal(x.vals, y.vals))
 
 
 def random_sparse(rng, basis_dom, basis_cod, per_col=2):
@@ -29,42 +49,46 @@ def random_sparse(rng, basis_dom, basis_cod, per_col=2):
         k = rng.integers(0, per_col + 1)
         rows = rng.choice(n_cod, size=min(k, n_cod), replace=False)
         cols.append([(int(i), float(rng.normal())) for i in rows])
-    return SparseOperator(basis_dom, basis_cod, cols, MODE)
+    return from_columns(basis_dom, basis_cod, cols)
 
 
 def shift_down(basis):
     """S on l2(N): e_k -> e_{k-1}."""
-    return build_from_rule(basis, basis, lambda k: [(k - 1, 1.0)] if k >= 1 else [], MODE)
+    return build_from_rule(basis, basis, lambda k: [((k - 1,), (k >= 1) * 1.0)], MODE)
 
 
 def test_build_identity_from_rule():
     basis = full_basis(2)
-    eye = build_from_rule(basis, basis, lambda p: [(p, 1.0)], MODE)
+    eye = build_from_rule(basis, basis, lambda r, s, t: [((r, s, t), 1.0)], MODE)
     assert eye.shape == (14, 14)
     assert np.array_equal(eye.to_dense(), np.eye(14))
 
 
 def test_shift_rule_edge_column_empty():
     basis = pi_basis(3)
-    op = build_from_rule(
-        basis, basis, lambda p: [(PiIndex(p.s - 1, p.t), 1.0)] if p.s >= 1 else [], MODE
-    )
+    op = build_from_rule(basis, basis, lambda s, t: [((s - 1, t), (s >= 1) * 1.0)], MODE)
     for j, p in enumerate(basis.points):
         if p.s == 0:
-            assert op.cols[j] == ()
+            assert column(op, j) == []
 
 
 def test_rule_invalid_target_errors():
     basis = pi_basis(2)
-    with pytest.raises(ValueError, match="rule produced invalid index"):
-        build_from_rule(basis, basis, lambda p: [(PiIndex(-1, p.t), 1.0)], MODE)
+    with pytest.raises(ValueError, match=r"rule produced invalid index: PiIndex\(s=-1, t=0\)"):
+        build_from_rule(basis, basis, lambda s, t: [((s * 0 - 1, t), 1.0)], MODE)
 
 
 def test_out_of_cap_targets_dropped():
     basis = nat_basis(4)
-    up = build_from_rule(basis, basis, lambda k: [(k + 1, 1.0)], MODE)
-    assert up.cols[3] == ()  # boundary-truncation convention
+    up = build_from_rule(basis, basis, lambda k: [((k + 1,), 1.0)], MODE)
+    assert column(up, 3) == []  # boundary-truncation convention
     assert up.to_dense()[3, 2] == 1.0
+
+
+def test_rule_terms_sum_in_order_and_drop_zeros():
+    basis = nat_basis(3)
+    op = build_from_rule(basis, basis, lambda k: [((k,), 1.0), ((k,), -1.0), ((0 * k,), 0.5 * k)], MODE)
+    assert [column(op, j) for j in range(3)] == [[], [(0, 0.5)], [(0, 1.0)]]
 
 
 def test_compose_add_adjoint_against_dense():
@@ -85,7 +109,7 @@ def test_adjoint_involution_and_product_rule():
     b1, b2, b3 = nat_basis(5), nat_basis(8), nat_basis(6)
     a = random_sparse(rng, b2, b3)
     b = random_sparse(rng, b1, b2)
-    assert adjoint(adjoint(a)).cols == a.cols
+    assert same_entries(adjoint(adjoint(a)), a)
     lhs = adjoint(compose(a, b)).to_dense()
     rhs = compose(adjoint(b), adjoint(a)).to_dense()
     np.testing.assert_allclose(lhs, rhs, atol=1e-15)
@@ -104,8 +128,8 @@ def test_identity_neutral():
     rng = np.random.default_rng(17)
     b = nat_basis(10)
     a = random_sparse(rng, b, b)
-    assert compose(identity(b, MODE), a).cols == a.cols
-    assert compose(a, identity(b, MODE)).cols == a.cols
+    assert same_entries(compose(identity(b, MODE), a), a)
+    assert same_entries(compose(a, identity(b, MODE)), a)
 
 
 def test_dimension_and_mode_mismatch_errors():
@@ -141,9 +165,9 @@ def test_operator_norm_trivial_cases():
     eye = identity(full_basis(2), MODE)
     assert block_norm(eye, all_columns(eye)) == pytest.approx(1.0, abs=1e-12)
     b = nat_basis(3)
-    d = SparseOperator(b, b, [[(0, 3.0)], [(1, 1.0)], [(2, 0.5)]], MODE)
+    d = from_columns(b, b, [[(0, 3.0)], [(1, 1.0)], [(2, 0.5)]])
     assert block_norm(d, all_columns(d)) == pytest.approx(3.0, abs=1e-10)
-    zero = SparseOperator(b, b, [[] for _ in range(3)], MODE)
+    zero = from_columns(b, b, [[] for _ in range(3)])
     assert block_norm(zero, all_columns(zero)) == 0.0
 
 
@@ -168,7 +192,7 @@ def test_operator_norm_pi_beta_section():
 
 def test_block_norm_rejects_shared_rows_and_columns():
     b = nat_basis(3)
-    a = SparseOperator(b, b, [[(0, 1.0)], [(0, 1.0), (1, 1.0)], [(2, 1.0)]], MODE)
+    a = from_columns(b, b, [[(0, 1.0)], [(0, 1.0), (1, 1.0)], [(2, 1.0)]])
     with pytest.raises(ValueError, match="share a row"):
         block_norm(a, [[0], [1], [2]])
     with pytest.raises(ValueError, match="share a column"):
@@ -177,7 +201,7 @@ def test_block_norm_rejects_shared_rows_and_columns():
 
 def test_max_abs_entry_per_shell():
     basis = full_basis(3)
-    zero = SparseOperator(basis, basis, [[] for _ in basis.points], MODE)
+    zero = from_columns(basis, basis, [[] for _ in basis.points])
     assert max_abs_entry_per_shell(zero) == [(m, 0.0) for m in range(4)]
     eye = identity(basis, MODE)
     assert max_abs_entry_per_shell(eye) == [(m, 1.0) for m in range(4)]
@@ -185,8 +209,100 @@ def test_max_abs_entry_per_shell():
 
 def test_max_entry_difference_witness():
     basis = nat_basis(3)
-    a = diagonal(basis, lambda k: float(k), MODE)
-    b = diagonal(basis, lambda k: float(k) + (0.5 if k == 2 else 0.0), MODE)
+    a = diagonal(basis, np.arange(3.0), MODE)
+    b = diagonal(basis, np.arange(3.0) + [0.0, 0.0, 0.5], MODE)
     worst, witness = max_entry_difference(a, b)
     assert worst == 0.5
     assert witness == (2, 2)
+
+
+def test_max_entry_difference_tie_follows_set_order():
+    # equal deviations at rows 2 and 9 of one column: the scalar scan visits
+    # the set {2, 9} in hash-slot order, where 9 (slot 1 of 8) comes first
+    basis = nat_basis(10)
+    a = from_columns(basis, basis, [[(2, 1.0), (9, 1.0)]] + [[]] * 9)
+    zero = from_columns(basis, basis, [[]] * 10)
+    assert list({2, 9}) == [9, 2]
+    assert max_entry_difference(a, zero) == (1.0, (9, 0))
+
+
+def test_constructor_canonicalises_entries():
+    basis = nat_basis(3)
+    op = SparseOperator(basis, basis, [2, 0, 2, 0, 1], [1, 2, 1, 0, 1], [1.0, 2.0, -1.0, 3.0, 0.0], MODE)
+    assert op.indptr.tolist() == [0, 2, 2, 2]
+    assert op.rows.tolist() == [0, 2]
+    assert op.vals.tolist() == [3.0, 2.0]
+    with pytest.raises(ValueError, match="outside the operator shape"):
+        SparseOperator(basis, basis, [3], [0], [1.0], MODE)
+
+
+def test_exact_mode_refuses_int64_overflow():
+    basis = nat_basis(2)
+    with pytest.raises(OverflowError):
+        SparseOperator(basis, basis, [0], [0], [2**63], EXACT_ZERO)
+    with pytest.raises(OverflowError):
+        SparseOperator(basis, basis, [0], [0], [2**70], EXACT_ZERO)
+    with pytest.raises(TypeError):
+        SparseOperator(basis, basis, [0], [0], [1.5], EXACT_ZERO)
+    big = SparseOperator(basis, basis, [0, 1], [0, 0], [2**31, 2**31], EXACT_ZERO)
+    with pytest.raises(OverflowError, match="compose"):
+        compose(big, big)
+    half = diagonal(basis, [2**61, 1], EXACT_ZERO)
+    with pytest.raises(OverflowError, match="add"):
+        add(half, half)
+    with pytest.raises(OverflowError, match="tensor"):
+        tensor(big, big, nat_basis(4), nat_basis(4))
+    with pytest.raises(OverflowError, match="sum"):
+        SparseOperator(basis, basis, [0, 0], [0, 0], [2**61, 2**61], EXACT_ZERO)
+    ok = compose(diagonal(basis, [2**30, 1], EXACT_ZERO), diagonal(basis, [2**30, 1], EXACT_ZERO))
+    assert column(ok, 0) == [(0, 2**60)]
+
+
+# Dyadic entries keep every product and sum exact, so the dense oracle is
+# compared for equality in all three modes.
+_DYADIC = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5])
+_SCALARS = {
+    "float": _DYADIC,
+    "complex": st.builds(complex, _DYADIC, _DYADIC),
+    "exact": st.integers(min_value=-3, max_value=3),
+}
+
+
+@st.composite
+def operators(draw, kind, n_dom, n_cod):
+    """A random operator and its dense oracle, with repeated positions and zeros."""
+    triplets = draw(st.lists(
+        st.tuples(st.integers(0, n_dom - 1), st.integers(0, n_cod - 1), _SCALARS[kind]),
+        max_size=3 * max(n_dom, n_cod)))
+    mode = EXACT_ZERO if kind == "exact" else MODE
+    cols, rows, vals = zip(*triplets) if triplets else ((), (), ())
+    op = SparseOperator(nat_basis(n_dom), nat_basis(n_cod), list(cols), list(rows), list(vals), mode)
+    dense = np.zeros((n_cod, n_dom), dtype=complex if kind == "complex" else float)
+    for j, i, v in triplets:
+        dense[i, j] += v
+    return op, dense
+
+
+def check_canonical(op):
+    for j in range(len(op.domain)):
+        rows = op.rows[op.indptr[j]:op.indptr[j + 1]]
+        assert np.all(np.diff(rows) > 0)
+    assert np.all(op.vals != 0)
+    if op.mode.exact:
+        assert op.vals.dtype == np.int64
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(sorted(_SCALARS)), st.integers(1, 5), st.integers(1, 5),
+       st.integers(1, 5))
+def test_algebra_against_dense_property(data, kind, n1, n2, n3):
+    a, da = data.draw(operators(kind, n2, n3))
+    b, db = data.draw(operators(kind, n1, n2))
+    c, dc = data.draw(operators(kind, n2, n3))
+    w = 2 if kind == "exact" else -1.5
+    for op, dense in ((a, da), (compose(a, b), da @ db), (add(a, c, w, 1), w * da + dc),
+                      (adjoint(a), da.conj().T),
+                      (tensor(a, b, nat_basis(n2 * n1), nat_basis(n3 * n2)), np.kron(da, db))):
+        check_canonical(op)
+        assert np.array_equal(op.to_dense(), dense)
+        assert all(dense[i, j] == v for i, j, v in op.entries())

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import crystal_oracle as oracle
@@ -10,6 +11,7 @@ from qsu2.lattice import FullIndex, GammaIndex, PiIndex, gamma_basis
 from qsu2.operator_core import adjoint, compose, max_entry_difference, tensor
 from qsu2.representations import (
     Generator,
+    _section,
     build_ipi,
     build_irrep,
     build_lambda,
@@ -22,9 +24,18 @@ from qsu2.representations import (
 Q_GRID = (0.1, -0.1, 0.5, -0.5, 0.9)
 
 
+def column_by_rank(op, j):
+    lo, hi = op.indptr[j], op.indptr[j + 1]
+    return {op.codomain.point_of(i): v for i, v in zip(op.rows[lo:hi].tolist(), op.vals[lo:hi].tolist())}
+
+
 def column_as_dict(op, point):
-    j = op.domain.index_of(point)
-    return {op.codomain.point_of(i): v for i, v in op.cols[j]}
+    return column_by_rank(op, op.domain.index_of(point))
+
+
+def same_entries(x, y):
+    return (np.array_equal(x.indptr, y.indptr) and np.array_equal(x.rows, y.rows)
+            and np.array_equal(x.vals, y.vals))
 
 
 def test_lambda_alpha_apex_column():
@@ -55,6 +66,14 @@ def test_lambda_q_zero_selects_exact_mode():
         assert build_lambda(0.0, 4, gen).mode == EXACT_ZERO
     with pytest.raises(ValueError, match=r"\|q\| < 1"):
         build_lambda(1.0, 4, "alpha")
+
+
+def test_crystal_section_refuses_non_integer_values():
+    basis = gamma_basis(2)
+    with pytest.raises(ValueError, match="non-integer crystal coefficient 0.5"):
+        _section(basis, lambda n2, i2, j2: [((n2, i2, j2), 0.5 * (n2 == 1))], 0.0)
+    op = _section(basis, lambda n2, i2, j2: [((n2, i2, j2), -1.0 * (n2 == 1))], 0.0)
+    assert op.mode == EXACT_ZERO and op.vals.dtype == np.int64 and op.vals.tolist() == [-1] * 4
 
 
 def test_lambda_shell_grading():
@@ -93,9 +112,9 @@ def test_pi_shell_grading():
 def test_star_compatibility():
     for q in (0.5, -0.5):
         lam_star = build_lambda(q, 4, "alpha_star")
-        assert lam_star.cols == adjoint(build_lambda(q, 4, "alpha")).cols
+        assert same_entries(lam_star, adjoint(build_lambda(q, 4, "alpha")))
         pi_star = build_pi(q, 4, "beta_star")
-        assert pi_star.cols == adjoint(build_pi(q, 4, "beta")).cols
+        assert same_entries(pi_star, adjoint(build_pi(q, 4, "beta")))
 
 
 @pytest.mark.parametrize("gen", [g.value for g in Generator])
@@ -108,7 +127,7 @@ def test_crystal_builders_match_hand_encoding(build, action, gen):
     op = build(0.0, 10, gen)
     expected = oracle.columns(action, gen, op.domain.points)
     for j, p in enumerate(op.domain.points):
-        col = {op.codomain.point_of(i): v for i, v in op.cols[j]}
+        col = column_by_rank(op, j)
         assert col == expected[p], p
         assert all(type(v) is int for v in col.values()), p
 
@@ -139,8 +158,7 @@ def test_crystal_entries_are_signs():
             assert op.mode.exact
             for _, _, v in op.entries():
                 assert v in (-1, 1)
-            for col in op.cols:
-                assert len(col) <= 1
+            assert np.diff(op.indptr).max() <= 1
 
 
 def test_crystal_partial_isometries():
@@ -148,7 +166,7 @@ def test_crystal_partial_isometries():
     for gen in ("alpha", "beta"):
         for build in (build_lambda, build_pi):
             a = build(0.0, 5, gen)
-            assert compose(compose(a, adjoint(a)), a).cols == a.cols
+            assert same_entries(compose(compose(a, adjoint(a)), a), a)
 
 
 def test_relations_lambda_and_pi_float():
@@ -174,9 +192,10 @@ def test_relations_report_nan_residual():
     ops = {gv: build_pi(0.5, 6, gv) for gv in (Generator.ALPHA, Generator.BETA)}
     beta = ops[Generator.BETA]
     j = beta.domain.index_of(PiIndex(1, 0))
-    cols = list(beta.cols)
-    cols[j] = tuple((i, math.nan) for i, _ in cols[j])
-    ops[Generator.BETA] = type(beta)(beta.domain, beta.codomain, cols, beta.mode)
+    vals = beta.vals.copy()
+    vals[beta.indptr[j]:beta.indptr[j + 1]] = math.nan
+    ops[Generator.BETA] = type(beta)(beta.domain, beta.codomain, beta.entry_cols(), beta.rows, vals,
+                                     beta.mode)
     rep = check_relations(ops)
     assert math.isnan(rep.max_residual)
     assert not rep.passes(1e-12)
@@ -221,7 +240,7 @@ def test_coproduct_bottom_column():
     d_alpha, _ = coproduct_images(q, 4)
     basis = d_alpha.domain
     bottom = basis.index_of((PiIndex(0, 0), PiIndex(0, 0)))
-    col = {basis.point_of(i): v for i, v in d_alpha.cols[bottom]}
+    col = column_by_rank(d_alpha, bottom)
     # only -q beta* (x) beta survives at the bottom
     assert col == {(PiIndex(0, 1), PiIndex(0, -1)): pytest.approx(-q, abs=1e-15)}
 

@@ -23,13 +23,12 @@ from .coefficients import (
 from .equivalence import (
     DECAY_TARGETS,
     SignedIndexMap,
-    build_R,
-    build_T,
     closed_form,
     conjugate,
     crosscheck_decomposition,
     decay_loglog_slope,
     decay_report,
+    diagonal_values,
     difference,
     tail_norms,
     unitary_u,

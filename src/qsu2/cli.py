@@ -238,8 +238,11 @@ def main(argv=None) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _usage_error(f"cannot write --out {args.out}: {exc.strerror or exc}")
     print(f"qsu2 {report.command}: {'pass' if report.passed else 'FAIL'} "
           f"({elapsed_ms:.1f} ms)", file=sys.stderr)
     return 0 if report.passed else 1

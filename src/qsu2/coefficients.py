@@ -58,15 +58,14 @@ def t_parts(t):
 class Mode:
     """Scalar mode of an operator: exact integers at q = 0, floats otherwise."""
 
-    kind: str  # "exact0" or "float"
-    q: float = 0.0
+    q: float
 
     @property
     def exact(self) -> bool:
-        return self.kind == "exact0"
+        return self.q == 0.0
 
 
-EXACT_ZERO = Mode("exact0")
+EXACT_ZERO = Mode(0.0)
 
 
 def float_mode(q: float) -> Mode:
@@ -74,7 +73,7 @@ def float_mode(q: float) -> Mode:
         raise ValueError("deformation parameter must satisfy |q| < 1")
     if q == 0.0:
         raise ValueError("q=0 has a dedicated exact mode (EXACT_ZERO)")
-    return Mode("float", q)
+    return Mode(q)
 
 
 def _coefficient(n2, i2, j2, q: float, step: tuple[int, int, int], formula):

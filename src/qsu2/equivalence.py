@@ -31,7 +31,6 @@ from .lattice import (
     gamma_basis,
     is_valid_full,
     is_valid_gamma,
-    pi_basis,
 )
 from .operator_core import (
     SparseOperator,
@@ -125,9 +124,11 @@ def difference(q: float, cap: int, gen) -> SparseOperator:
     return add(conj, build_ipi(q, cap, gen), 1.0, -1.0)
 
 
-# Diagonal coefficient operators.  R1, R2, T1, T2 live on the full lattice,
-# R3, R4, T3, T4 on the (s, t) factor.  Values are evaluated on the
-# coordinate arrays from per-call tables of g(k, q) and q**e.
+# Diagonal coefficients.  R1, R2 (alpha) and T1, T2 (beta) are the
+# coefficients of the closed forms; R3, R4, T3, T4 are their (s, t)-factor
+# counterparts.  All eight are value arrays on the full lattice, evaluated
+# on its coordinate arrays from per-call tables of g(k, q) and q**e; the
+# factor ones read only (s, t), so they are I (x) R3, ..., I (x) T4.
 
 def _tables(q: float, cap: int) -> tuple[np.ndarray, np.ndarray]:
     return g_table(q, cap + 2), power_table(q, 2 * cap + 2)
@@ -153,63 +154,35 @@ def _t1_branch_values(q: float, cap: int) -> np.ndarray:
     return out
 
 
-def build_R(q: float, cap: int, which: int) -> SparseOperator:
-    """Diagonal R coefficients; R1, R2 on the full lattice, R3, R4 on (s, t)."""
-    mode = float_mode(q)
-    gt, qp = _tables(q, cap)
-    if which in (1, 2):
-        basis = full_basis(cap)
-        r, s, t = basis.coords
-        tp, tm = t_parts(t)
-        m = r + s + abs(t)
-        if which == 1:
-            values = qp[2 * s + abs(t) + 1] * gt[r + tm + 1] * gt[r + tp + 1] / (gt[m + 1] * gt[m + 2])
-        else:
-            values = gt[s + tp + 1] * gt[s + tm + 1] / (gt[m + 1] * gt[m + 2]) - gt[s + 1]
-        return diagonal(basis, values, mode)
-    s, t = pi_basis(cap).coords
-    if which == 3:
-        return diagonal(pi_basis(cap), qp[2 * s + abs(t) + 1], mode)
-    if which == 4:
-        return diagonal(pi_basis(cap), gt[s + 1] * (gt[s + abs(t) + 1] - 1.0), mode)
-    raise ValueError(f"unknown R index {which}")
-
-
-def build_T(q: float, cap: int, which: int) -> SparseOperator:
-    """Diagonal T coefficients; T1, T2 on the full lattice, T3, T4 on (s, t).
+def diagonal_values(q: float, cap: int, name: str) -> np.ndarray:
+    """Values of the diagonal coefficient ``name`` (R1..R4, T1..T4) at the
+    points of full_basis(cap), in rank order.
 
     T1 is the displayed three-case form: zero on the fiber (r, s) = (0, 0).
     Each of T2, T3, T4 has a t >= 0 and a t < 0 branch that differ only in
     the index of g read, so both are one expression with offset o = [t >= 0]
     (T3: o = [t < 0]); on t < 0 no g(0) lands in a denominator.
     """
-    mode = float_mode(q)
+    float_mode(q)  # refuses q = 0, which has no float diagonals, and |q| >= 1
     gt, qp = _tables(q, cap)
-    if which == 1:
-        r, s, _ = full_basis(cap).coords
-        return diagonal(full_basis(cap), np.where((r == 0) & (s == 0), 0.0, _t1_branch_values(q, cap)), mode)
-    if which == 2:
-        r, s, t = full_basis(cap).coords
-        o = t >= 0
-        m = r + s + abs(t)
-        values = qp[s] * (gt[r + abs(t) + o] * gt[s + abs(t) + o] / (gt[m + o] * gt[m + 1 + o]) - 1.0)
-        return diagonal(full_basis(cap), values, mode)
-    s, t = pi_basis(cap).coords
-    if which == 3:
-        return diagonal(pi_basis(cap), -(qp[s + abs(t)]) * gt[s + (t < 0)], mode)
-    if which == 4:
-        return diagonal(pi_basis(cap), qp[s] * (gt[s + abs(t) + (t >= 0)] - 1.0), mode)
-    raise ValueError(f"unknown T index {which}")
-
-
-def lift_pi_diagonal(op: SparseOperator, cap: int) -> SparseOperator:
-    """I (x) diag: lift an (s, t)-factor diagonal to the full lattice."""
-    nonempty = np.diff(op.indptr) > 0
-    values = np.zeros(len(op.domain), dtype=op.vals.dtype)
-    values[nonempty] = op.vals[op.indptr[:-1][nonempty]]
-    _, s, t = full_basis(cap).coords
-    ranks = op.domain.rank(s, t)
-    return diagonal(full_basis(cap), np.where(ranks >= 0, values[ranks], 0), op.mode)
+    r, s, t = full_basis(cap).coords
+    tp, tm = t_parts(t)
+    a = abs(t)
+    m = r + s + a
+    o = t >= 0
+    formulas = {
+        "R1": lambda: qp[2 * s + a + 1] * gt[r + tm + 1] * gt[r + tp + 1] / (gt[m + 1] * gt[m + 2]),
+        "R2": lambda: gt[s + tp + 1] * gt[s + tm + 1] / (gt[m + 1] * gt[m + 2]) - gt[s + 1],
+        "R3": lambda: qp[2 * s + a + 1],
+        "R4": lambda: gt[s + 1] * (gt[s + a + 1] - 1.0),
+        "T1": lambda: np.where((r == 0) & (s == 0), 0.0, _t1_branch_values(q, cap)),
+        "T2": lambda: qp[s] * (gt[r + a + o] * gt[s + a + o] / (gt[m + o] * gt[m + 1 + o]) - 1.0),
+        "T3": lambda: -(qp[s + a]) * gt[s + (t < 0)],
+        "T4": lambda: qp[s] * (gt[s + a + o] - 1.0),
+    }
+    if name not in formulas:
+        raise ValueError(f"unknown diagonal {name!r}")
+    return formulas[name]()
 
 
 # Coordinate shifts on the full lattice (boundary targets dropped).
@@ -238,18 +211,20 @@ def closed_form(q: float, cap: int, gen) -> SparseOperator:
     gen = _as_generator(gen)
     mode = float_mode(q)
     basis = full_basis(cap)
+
+    def diag(values):
+        return diagonal(basis, values, mode)
+
     if gen is Generator.ALPHA:
-        term1 = compose(_shift_op(q, cap, +1, 0, 0), build_R(q, cap, 1))
-        term2 = compose(build_R(q, cap, 2), _shift_op(q, cap, 0, -1, 0))
+        term1 = compose(_shift_op(q, cap, +1, 0, 0), diag(diagonal_values(q, cap, "R1")))
+        term2 = compose(diag(diagonal_values(q, cap, "R2")), _shift_op(q, cap, 0, -1, 0))
         return add(term1, term2)
     if gen is Generator.BETA:
         t = basis.coords[2]
         branch = _t1_branch_values(q, cap)
-        t1_plus = diagonal(basis, np.where(t >= 0, branch, 0.0), mode)
-        t1_minus = diagonal(basis, np.where(t < 0, branch, 0.0), mode)
-        term1 = compose(t1_plus, _shift_op(q, cap, +1, +1, -1))
-        term2 = compose(t1_minus, _shift_op(q, cap, -1, -1, -1))
-        term3 = compose(build_T(q, cap, 2), _shift_op(q, cap, 0, 0, -1))
+        term1 = compose(diag(np.where(t >= 0, branch, 0.0)), _shift_op(q, cap, +1, +1, -1))
+        term2 = compose(diag(np.where(t < 0, branch, 0.0)), _shift_op(q, cap, -1, -1, -1))
+        term3 = compose(diag(diagonal_values(q, cap, "T2")), _shift_op(q, cap, 0, 0, -1))
         return add(add(term1, term2), term3)
     raise ValueError("closed forms exist for the unstarred generators")
 
@@ -280,35 +255,21 @@ def crosscheck_decomposition(q: float, cap: int, gen) -> CrosscheckResult:
     return CrosscheckResult(dev, witness, False)
 
 
-# Claimed exponents as functions of the full-lattice coordinates (r, s, t).
+# Decay targets: the parts whose difference is measured (two diagonals,
+# or the generator of a difference operator) and the claimed exponent as a
+# function of the full-lattice coordinates (r, s, t).
 _PATTERNS = {
-    "R1mR3": ("2r+2s+|t|+1", lambda r, s, t: 2 * r + 2 * s + abs(t) + 1),
-    "R2mR4": ("2r+2s+2|t|", lambda r, s, t: 2 * r + 2 * s + 2 * abs(t)),
-    "T1mT3": ("r+s+|t|", lambda r, s, t: r + s + abs(t)),
-    "T2mT4": ("r+s+|t|", lambda r, s, t: r + s + abs(t)),
+    "R1mR3": (("R1", "R3"), "2r+2s+|t|+1", lambda r, s, t: 2 * r + 2 * s + abs(t) + 1),
+    "R2mR4": (("R2", "R4"), "2r+2s+2|t|", lambda r, s, t: 2 * r + 2 * s + 2 * abs(t)),
+    "T1mT3": (("T1", "T3"), "r+s+|t|", lambda r, s, t: r + s + abs(t)),
+    "T2mT4": (("T2", "T4"), "r+s+|t|", lambda r, s, t: r + s + abs(t)),
     # The differences do not decay along the Toeplitz direction r, so their
     # claimed exponents involve only the compact (s, t) coordinates.
-    "Dalpha": ("2s+|t|+1", lambda r, s, t: 2 * s + abs(t) + 1),
-    "Dbeta": ("s+|t|", lambda r, s, t: s + abs(t)),
+    "Dalpha": (Generator.ALPHA, "2s+|t|+1", lambda r, s, t: 2 * s + abs(t) + 1),
+    "Dbeta": (Generator.BETA, "s+|t|", lambda r, s, t: s + abs(t)),
 }
 
 DECAY_TARGETS = tuple(_PATTERNS)
-
-
-def _decay_target_matrix(q: float, cap: int, target: str) -> SparseOperator:
-    if target == "R1mR3":
-        return add(build_R(q, cap, 1), lift_pi_diagonal(build_R(q, cap, 3), cap), 1.0, -1.0)
-    if target == "R2mR4":
-        return add(build_R(q, cap, 2), lift_pi_diagonal(build_R(q, cap, 4), cap), 1.0, -1.0)
-    if target == "T1mT3":
-        return add(build_T(q, cap, 1), lift_pi_diagonal(build_T(q, cap, 3), cap), 1.0, -1.0)
-    if target == "T2mT4":
-        return add(build_T(q, cap, 2), lift_pi_diagonal(build_T(q, cap, 4), cap), 1.0, -1.0)
-    if target == "Dalpha":
-        return difference(q, cap, Generator.ALPHA)
-    if target == "Dbeta":
-        return difference(q, cap, Generator.BETA)
-    raise ValueError(f"unknown decay target {target!r}")
 
 
 @dataclass(frozen=True)
@@ -327,8 +288,12 @@ def decay_report(q: float, cap: int, target: str) -> DecayReport:
     C = max |entry| / |q|^pattern, and a fitted geometric tail ratio."""
     if target not in _PATTERNS:
         raise ValueError(f"unknown decay target {target!r}")
-    pattern_name, pattern = _PATTERNS[target]
-    mat = _decay_target_matrix(q, cap, target)
+    parts, pattern_name, pattern = _PATTERNS[target]
+    if isinstance(parts, Generator):
+        mat = difference(q, cap, parts)
+    else:
+        values = diagonal_values(q, cap, parts[0]) - diagonal_values(q, cap, parts[1])
+        mat = diagonal(full_basis(cap), values, float_mode(q))
     shell_max = [v for _, v in max_abs_entry_per_shell(mat)]
     exponents = pattern(*mat.domain.coords)[mat.entry_cols()]
     scale = power_table(abs(q), int(exponents.max(initial=0)))[exponents]
@@ -354,7 +319,7 @@ def decay_report(q: float, cap: int, target: str) -> DecayReport:
 
 def shell_min_pattern(cap: int, target: str) -> dict[int, int]:
     """Per shell, the smallest claimed exponent over the shell's points."""
-    _, pattern = _PATTERNS[target]
+    *_, pattern = _PATTERNS[target]
     basis = full_basis(cap)
     exponents = pattern(*basis.coords)
     out = np.full(cap + 1, exponents.max())

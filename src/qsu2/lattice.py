@@ -23,7 +23,7 @@ integers and on integer arrays alike.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -190,9 +190,6 @@ class Basis:
         if self._points is None:
             self._points = tuple(map(self.point, *(c.tolist() for c in self.coords)))
         return self._points
-
-    def __iter__(self) -> Iterator:
-        return iter(self.points)
 
     def index_of(self, p) -> int:
         if self._index is None:

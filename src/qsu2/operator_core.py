@@ -73,14 +73,12 @@ def _canonical(n_cols: int, n_rows: int, cols, rows, vals):
         first[1:] = key[1:] != key[:-1]
         if not first.all():
             starts = np.flatnonzero(first)
-            group = np.cumsum(first) - 1
-            depth = np.arange(key.size) - starts[group]
             if vals.dtype.kind == "i":
-                _check_exact_bound(_max_abs(vals) * (int(depth.max()) + 1), "sum")
+                largest_group = int(np.diff(starts, append=key.size).max())
+                _check_exact_bound(_max_abs(vals) * largest_group, "sum")
             sums = np.zeros(starts.size, dtype=vals.dtype)
-            for d in range(int(depth.max()) + 1):
-                at = depth == d  # at most one entry per position in each round
-                sums[group[at]] += vals[at]
+            # ufunc.at is unbuffered: one term at a time, in index order
+            np.add.at(sums, np.cumsum(first) - 1, vals)
             key, vals = key[starts], sums
     vals = 0 + vals
     keep = vals != 0
@@ -136,7 +134,7 @@ class SparseOperator:
     def __repr__(self) -> str:
         return (
             f"SparseOperator({self.codomain.label}<-{self.domain.label}, "
-            f"shape={self.shape}, nnz={self.nnz}, mode={self.mode.kind})"
+            f"shape={self.shape}, nnz={self.nnz}, mode={'exact0' if self.mode.exact else 'float'})"
         )
 
 

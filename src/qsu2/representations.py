@@ -257,9 +257,7 @@ def _worst_column(op: SparseOperator, columns: np.ndarray) -> tuple[object, int 
             raise OverflowError("exact column norm could overflow int64")
     square = absv * absv
     norms = np.zeros(len(counts), dtype=square.dtype)
-    for d in range(int(counts.max(initial=0))):
-        has = np.flatnonzero(counts > d)
-        norms[has] += square[op.indptr[has] + d]
+    np.add.at(norms, op.entry_cols(), square)  # each column summed in entry order
     norms = norms[columns]
     top = norms.max(initial=0)
     if op.mode.exact:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,9 @@ import qsu2
 from qsu2 import cli
 from qsu2.cli import main
 from qsu2.lattice import full_basis, gamma_basis
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -154,6 +158,15 @@ def test_out_file_and_determinism(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, where):
+    out = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    code, stdout, err = run(capsys, "verify-q0", "--cap", "2", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert f"qsu2: error: cannot write --out {out}" in err
+
+
 def test_stdout_determinism(capsys):
     outs = []
     for _ in range(2):
@@ -202,3 +215,20 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_cli_examples_parse_within_budget():
+    # every example of the README's "Command-line usage" block must parse
+    # with the current flags and fit the size budget; none is run here
+    section = README.read_text(encoding="utf-8").split("## Command-line usage", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    examples = [line for line in block.splitlines() if line.startswith("qsu2 ")]
+    assert len(examples) >= 7
+    parser = cli.build_parser()
+    for line in examples:
+        try:
+            args = parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+        flag, size = cli._size(args)
+        assert size <= cli.MAX_POINTS, (line, flag, size)

@@ -1,20 +1,19 @@
 """The unitary, conjugation, difference operators, and decay diagnostics."""
 
+import mpmath
 import numpy as np
 import pytest
 
 from qsu2.coefficients import float_mode, g, verify_g_estimates
 from qsu2.equivalence import (
     CrosscheckResult,
-    build_R,
-    build_T,
     closed_form,
     conjugate,
     crosscheck_decomposition,
     decay_loglog_slope,
     decay_report,
+    diagonal_values,
     difference,
-    lift_pi_diagonal,
     tail_norms,
     u_backward,
     u_forward,
@@ -24,17 +23,17 @@ from qsu2.equivalence import (
 from qsu2.lattice import (
     FullIndex,
     GammaIndex,
-    PiIndex,
     full_basis,
     full_shell,
     gamma_basis,
     sheet_of,
 )
 from qsu2.operator_core import (
-    add,
     build_from_rule,
     columns_equal_exact,
+    diagonal,
     identity,
+    max_abs_entry_per_shell,
     max_entry_difference,
 )
 from qsu2.representations import build_ipi, build_irrep, build_lambda, coproduct_images
@@ -182,8 +181,8 @@ def test_difference_rejects_bad_inputs():
     [
         lambda: difference(0.0, 4, "alpha"),
         lambda: closed_form(0.0, 4, "alpha"),
-        lambda: build_R(0.0, 4, 1),
-        lambda: build_T(0.0, 4, 1),
+        lambda: diagonal_values(0.0, 4, "R1"),
+        lambda: diagonal_values(0.0, 4, "T1"),
         lambda: decay_report(0.0, 4, "R1mR3"),
         lambda: tail_norms(0.0, 4, "alpha"),
         lambda: crosscheck_decomposition(0.0, 4, "alpha"),
@@ -192,9 +191,9 @@ def test_difference_rejects_bad_inputs():
         lambda: verify_g_estimates(0.0, 4),
         lambda: float_mode(0.0),
     ],
-    ids=["difference", "closed_form", "build_R", "build_T", "decay_report", "tail_norms",
-         "crosscheck_decomposition", "build_irrep", "coproduct_images", "verify_g_estimates",
-         "float_mode"],
+    ids=["difference", "closed_form", "diagonal_values_R", "diagonal_values_T", "decay_report",
+         "tail_norms", "crosscheck_decomposition", "build_irrep", "coproduct_images",
+         "verify_g_estimates", "float_mode"],
 )
 def test_float_only_api_rejects_q_zero(call):
     # q = 0 is the exact mode of the representation builders only; the
@@ -205,23 +204,74 @@ def test_float_only_api_rejects_q_zero(call):
 
 def test_diagonal_coefficient_values():
     q = 0.5
-    r1 = build_R(q, 4, 1)
-    apex = r1.domain.index_of(FullIndex(0, 0, 0))
-    assert column_by_rank(r1, apex)[apex] == pytest.approx(0.4472135954999579, abs=1e-12)
+    basis = full_basis(4)
+    r1 = diagonal_values(q, 4, "R1")
+    assert r1[basis.index_of(FullIndex(0, 0, 0))] == pytest.approx(0.4472135954999579, abs=1e-12)
 
-    r3 = build_R(q, 4, 3)
-    j = r3.domain.index_of(PiIndex(1, 2))
-    assert column_by_rank(r3, j)[j] == pytest.approx(q**5, abs=1e-15)
+    # R3 reads only (s, t): at (s, t) = (1, 2) it is q^5 on every fiber r
+    r3 = diagonal_values(q, 4, "R3")
+    for r in range(2):
+        assert r3[basis.index_of(FullIndex(r, 1, 2))] == pytest.approx(q**5, abs=1e-15)
 
-    t1 = build_T(q, 5, 1)
+    t1 = diagonal_values(q, 5, "T1")
     for t in range(-3, 4):
-        j = t1.domain.index_of(FullIndex(0, 0, t))
-        assert column_by_rank(t1, j) == {}  # bottom case (r,s) = (0,0)
+        assert t1[full_basis(5).index_of(FullIndex(0, 0, t))] == 0.0  # bottom case (r,s) = (0,0)
 
-    with pytest.raises(ValueError, match="unknown R index"):
-        build_R(q, 4, 5)
-    with pytest.raises(ValueError, match="unknown T index"):
-        build_T(q, 4, 0)
+    for name in ("R5", "T0", "R1mR3"):
+        with pytest.raises(ValueError, match="unknown diagonal"):
+            diagonal_values(q, 4, name)
+
+
+def _mp_diagonals(q: float, r: int, s: int, t: int) -> dict:
+    """The eight displayed diagonal coefficients at (r, s, t), in mpmath."""
+    q = mpmath.mpf(q)
+
+    def g(k):
+        return mpmath.sqrt(1 - q ** (2 * k))
+
+    a, tp, tm = abs(t), max(t, 0), max(-t, 0)
+    m = r + s + a
+    if (r, s) == (0, 0):
+        t1 = mpmath.mpf(0)
+    elif t >= 0:
+        t1 = -q ** (s + a) * g(r) * g(s) / (g(m) * g(m + 1))
+    else:
+        t1 = -q ** (s + a) * g(r + 1) * g(s + 1) / (g(m + 1) * g(m + 2))
+    if t >= 0:
+        t2 = q**s * (g(r + a + 1) * g(s + a + 1) / (g(m + 1) * g(m + 2)) - 1)
+        t3 = -q ** (s + a) * g(s)
+        t4 = q**s * (g(s + a + 1) - 1)
+    else:
+        t2 = q**s * (g(r + a) * g(s + a) / (g(m) * g(m + 1)) - 1)
+        t3 = -q ** (s + a) * g(s + 1)
+        t4 = q**s * (g(s + a) - 1)
+    return {
+        "R1": q ** (2 * s + a + 1) * g(r + tm + 1) * g(r + tp + 1) / (g(m + 1) * g(m + 2)),
+        "R2": g(s + tp + 1) * g(s + tm + 1) / (g(m + 1) * g(m + 2)) - g(s + 1),
+        "R3": q ** (2 * s + a + 1),
+        "R4": g(s + 1) * (g(s + a + 1) - 1),
+        "T1": t1, "T2": t2, "T3": t3, "T4": t4,
+    }
+
+
+@pytest.mark.parametrize("q", [0.5, -0.45, 0.9, 0.999])
+def test_diagonal_values_against_mpmath(q):
+    # R2, R4, T2, T4 are differences of O(1) quantities and are held to an
+    # absolute bound: their relative error grows on deep shells (3e-9 at
+    # q = -0.45 on this cap), the open cancellation defect of those formulas
+    cap = 8
+    points = full_basis(cap).points
+    values = {name: diagonal_values(q, cap, name)
+              for name in ("R1", "R2", "R3", "R4", "T1", "T2", "T3", "T4")}
+    with mpmath.workdps(50):
+        oracle = [_mp_diagonals(q, *p) for p in points]
+    for name, got in values.items():
+        for k, p in enumerate(points):
+            want = float(oracle[k][name])
+            if name in ("R1", "R3", "T1", "T3"):
+                assert got[k] == pytest.approx(want, rel=1e-14, abs=0.0), (name, p)
+            else:
+                assert got[k] == pytest.approx(want, rel=0.0, abs=1e-15), (name, p)
 
 
 def test_crosscheck_small_grid():
@@ -249,24 +299,22 @@ def test_closed_form_matches_difference_everywhere_interior():
 
 
 def test_t1_minus_t3_bottom_fiber_values():
-    # T1 vanishes on the (0,0) fiber while the lifted T3 does not: the
+    # T1 vanishes on the (0,0) fiber while I (x) T3 does not: the
     # difference there is exactly q^{|t|} g(1) for t < 0.
     q = 0.5
     cap = 6
-    m = add(build_T(q, cap, 1), lift_pi_diagonal(build_T(q, cap, 3), cap), 1.0, -1.0)
-    basis = m.domain
+    m = diagonal_values(q, cap, "T1") - diagonal_values(q, cap, "T3")
+    basis = full_basis(cap)
     for t in range(-cap, 0):
-        j = basis.index_of(FullIndex(0, 0, t))
-        assert column_by_rank(m, j)[j] == pytest.approx(q ** abs(t) * g(1, q), abs=1e-15)
+        expected = q ** abs(t) * g(1, q)
+        assert m[basis.index_of(FullIndex(0, 0, t))] == pytest.approx(expected, abs=1e-15)
 
 
 def test_r1_minus_lifted_r3_shell_ratios():
     # per-shell maxima of R1 - I (x) R3 shrink at rate ~q past the first shells
-    from qsu2.operator_core import max_abs_entry_per_shell
-
     q, cap = 0.5, 8
-    m = add(build_R(q, cap, 1), lift_pi_diagonal(build_R(q, cap, 3), cap), 1.0, -1.0)
-    vals = dict(max_abs_entry_per_shell(m))
+    values = diagonal_values(q, cap, "R1") - diagonal_values(q, cap, "R3")
+    vals = dict(max_abs_entry_per_shell(diagonal(full_basis(cap), values, float_mode(q))))
     for k in range(2, cap):
         assert vals[k + 1] / vals[k] <= q + 0.05
 

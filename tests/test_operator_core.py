@@ -236,6 +236,17 @@ def test_constructor_canonicalises_entries():
         SparseOperator(basis, basis, [3], [0], [1.0], MODE)
 
 
+def test_repeated_positions_sum_in_occurrence_order():
+    # float addition is not associative: summed from 0 one term at a time,
+    # 1 + 1e16 rounds back to 1e16, so the first order cancels to nothing
+    # and the second keeps the trailing 1.0
+    basis = nat_basis(2)
+    lost = SparseOperator(basis, basis, [1, 1, 1], [0, 0, 0], [1.0, 1e16, -1e16], MODE)
+    assert lost.nnz == 0 and lost.indptr.tolist() == [0, 0, 0]
+    kept = SparseOperator(basis, basis, [1, 1, 1], [0, 0, 0], [1e16, -1e16, 1.0], MODE)
+    assert column(kept, 1) == [(0, 1.0)]
+
+
 def test_exact_mode_refuses_int64_overflow():
     basis = nat_basis(2)
     with pytest.raises(OverflowError):

@@ -39,11 +39,8 @@ from .lattice import (
     GammaIndex,
     PiIndex,
     full_basis,
-    full_points,
     gamma_basis,
-    gamma_points,
     pi_basis,
-    pi_points,
     sheet_of,
 )
 from .operator_core import (

@@ -9,6 +9,7 @@ MAX_POINTS).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 import time
@@ -227,22 +228,20 @@ def main(argv=None) -> int:
         return _usage_error(f"--{flag} {getattr(args, flag)} enumerates {size} points, "
                             f"over the budget of {MAX_POINTS}")
 
-    started = time.perf_counter()
+    # an unwritable --out is refused before any work is done
     try:
-        report = args.handler(args)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-
-    text = render(report, args.format)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
+        out = (contextlib.nullcontext(sys.stdout) if args.out is None
+               else open(args.out, "w", encoding="utf-8", newline="\n"))
+    except OSError as exc:
+        return _usage_error(f"cannot write --out {args.out}: {exc.strerror or exc}")
+    with out as fh:
+        started = time.perf_counter()
         try:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            return _usage_error(f"cannot write --out {args.out}: {exc.strerror or exc}")
+            report = args.handler(args)
+        except ValueError as exc:
+            return _usage_error(str(exc))
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        fh.write(render(report, args.format))
     print(f"qsu2 {report.command}: {'pass' if report.passed else 'FAIL'} "
           f"({elapsed_ms:.1f} ms)", file=sys.stderr)
     return 0 if report.passed else 1

@@ -34,7 +34,6 @@ from .lattice import (
 )
 from .operator_core import (
     SparseOperator,
-    abs_values,
     add,
     adjoint,
     block_norm,
@@ -298,7 +297,7 @@ def decay_report(q: float, cap: int, target: str) -> DecayReport:
     exponents = pattern(*mat.domain.coords)[mat.entry_cols()]
     scale = power_table(abs(q), int(exponents.max(initial=0)))[exponents]
     with np.errstate(divide="ignore"):  # |q|^e underflowing to 0 gives inf
-        normalized = abs_values(mat.vals) / scale
+        normalized = np.abs(mat.vals) / scale
     constant = float(np.fmax.reduce(normalized, initial=0.0))  # NaN never wins
     ratios = [
         shell_max[m + 1] / shell_max[m]

@@ -165,9 +165,9 @@ class Basis:
     ``shells`` the shell of every point.  ``valid(*coords)`` checks the
     lattice invariants and ``rank(*coords)`` maps valid points to their
     ranks, -1 outside the truncation; both act elementwise on arrays.
-    ``points``, ``index_of`` and ``point_of`` give the same bijection on
-    point objects.  The ``cap`` attribute is the truncation parameter;
-    interior-shell logic in the checkers is phrased as shell <= cap - margin.
+    ``points`` and ``point_of`` give the same bijection on point objects.
+    The ``cap`` attribute is the truncation parameter; interior-shell
+    logic in the checkers is phrased as shell <= cap - margin.
     """
 
     def __init__(self, label: str, cap: int, coords, shells, point: Callable,
@@ -180,7 +180,6 @@ class Basis:
         self.valid = valid
         self.rank = rank
         self._points = None
-        self._index = None
 
     def __len__(self) -> int:
         return len(self.shells)
@@ -190,14 +189,6 @@ class Basis:
         if self._points is None:
             self._points = tuple(map(self.point, *(c.tolist() for c in self.coords)))
         return self._points
-
-    def index_of(self, p) -> int:
-        if self._index is None:
-            self._index = {q: k for k, q in enumerate(self.points)}
-        try:
-            return self._index[p]
-        except KeyError:
-            raise ValueError(f"index outside truncation: {p!r}") from None
 
     def point_of(self, k: int):
         if not 0 <= k < len(self):
@@ -211,21 +202,6 @@ class Basis:
 
     def __repr__(self) -> str:
         return f"Basis({self.label}, cap={self.cap}, dim={len(self)})"
-
-
-def gamma_points(cap: int) -> list[GammaIndex]:
-    """All Gamma points with n2 <= cap, ordered by (n2, i2, j2) ascending."""
-    return list(gamma_basis(cap).points)
-
-
-def full_points(cap: int) -> list[FullIndex]:
-    """All (r, s, t) with r + s + |t| <= cap in canonical order (see _full_coords)."""
-    return list(full_basis(cap).points)
-
-
-def pi_points(cap: int) -> list[PiIndex]:
-    """All (s, t) with s + |t| <= cap; shell-major, s descending, t ascending."""
-    return list(pi_basis(cap).points)
 
 
 @lru_cache(maxsize=None)

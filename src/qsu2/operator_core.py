@@ -9,11 +9,9 @@ the truncation are dropped when a matrix is built; with shell truncation
 this happens consistently on both sides of every identity, so interior
 columns are exact.
 
-Every operation lists its entries in the order a column-by-column
-scalar loop would visit them and hands them to one canonicalising
-constructor, which sums repeated positions one term at a time in that
-order.  Entries therefore carry the same bits as the sequential scalar
-evaluation.
+Determinism: arithmetic is plain numpy, and repeated positions are
+summed one term at a time in the order they occur.  Ties between equal
+maxima go to the first in (column, row) rank order.
 """
 
 from __future__ import annotations
@@ -80,7 +78,6 @@ def _canonical(n_cols: int, n_rows: int, cols, rows, vals):
             # ufunc.at is unbuffered: one term at a time, in index order
             np.add.at(sums, np.cumsum(first) - 1, vals)
             key, vals = key[starts], sums
-    vals = 0 + vals
     keep = vals != 0
     if not keep.all():
         key, vals = key[keep], vals[keep]
@@ -192,22 +189,6 @@ def _gather(indptr: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum()), owner
 
 
-def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Elementwise x * y, with the complex product spelled out as Python
-    evaluates it (numpy's complex multiply may round differently)."""
-    if x.dtype.kind != "c" or y.dtype.kind != "c":
-        return x * y
-    out = np.empty(x.shape, dtype=np.complex128)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
-
-
-def abs_values(vals: np.ndarray) -> np.ndarray:
-    """|v| per entry; complex moduli by hypot, as Python's abs does."""
-    return np.hypot(vals.real, vals.imag) if vals.dtype.kind == "c" else np.abs(vals)
-
-
 def _check_modes(a: SparseOperator, b: SparseOperator, what: str) -> None:
     if a.mode != b.mode:
         raise ValueError(f"mode mismatch in {what}")
@@ -224,7 +205,7 @@ def compose(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     # every entry b[k, j] meets column k of a, rows ascending
     idx, owner = _gather(a.indptr, b.rows)
     return SparseOperator(b.domain, a.codomain, b.entry_cols()[owner], a.rows[idx],
-                          _mul(a.vals[idx], b.vals[owner]), a.mode)
+                          a.vals[idx] * b.vals[owner], a.mode)
 
 
 def add(a: SparseOperator, b: SparseOperator, wa=1, wb=1) -> SparseOperator:
@@ -265,7 +246,7 @@ def tensor(a: SparseOperator, b: SparseOperator, domain: Basis, codomain: Basis)
         domain, codomain,
         a.entry_cols()[ea] * nb_dom + b.entry_cols()[eb],
         a.rows[ea] * nb_cod + b.rows[eb],
-        _mul(a.vals[ea], b.vals[eb]),
+        a.vals[ea] * b.vals[eb],
         a.mode,
     )
 
@@ -273,7 +254,7 @@ def tensor(a: SparseOperator, b: SparseOperator, domain: Basis, codomain: Basis)
 def max_abs_entry_per_shell(a: SparseOperator) -> list[tuple[int, float]]:
     """Per domain shell m, the largest |entry| over columns at shell m."""
     out = np.zeros(a.domain.cap + 1)
-    np.fmax.at(out, a.domain.shells[a.entry_cols()], abs_values(a.vals))  # NaN never wins
+    np.fmax.at(out, a.domain.shells[a.entry_cols()], np.abs(a.vals))  # NaN never wins
     return list(enumerate(out.tolist()))
 
 
@@ -316,34 +297,25 @@ def _difference(a: SparseOperator, b: SparseOperator):
                       np.concatenate((a.vals, -b.vals)))
 
 
-def _column_rows(op: SparseOperator, j: int) -> list[int]:
-    return op.rows[op.indptr[j]:op.indptr[j + 1]].tolist()
-
-
 def max_entry_difference(a: SparseOperator, b: SparseOperator,
                          columns: Iterable[int] | None = None) -> tuple[float, object]:
     """Largest |a - b| entry over the union support, with a witness point.
 
     ``columns`` restricts the comparison to the given domain ranks.  The
-    witness is the first maximal entry in the order of the scalar scan:
-    columns as given, and within a column the iteration order of the set
-    of row ranks stored in a or b.  NaN differences never win.
+    witness is the first maximal entry in (column, row) rank order.  NaN
+    differences never win.
     """
     indptr, rows, diff = _difference(a, b)
-    cols = np.arange(len(a.domain)) if columns is None else np.asarray(list(columns), dtype=np.intp)
-    dev = abs_values(diff)
-    col_max = np.zeros(len(a.domain), dtype=dev.dtype)
-    np.fmax.at(col_max, np.repeat(np.arange(len(a.domain)), np.diff(indptr)), dev)
-    wanted = col_max[cols]
-    if not wanted.size or not wanted.max() > 0:
+    dev = np.abs(diff)
+    if columns is not None:
+        wanted = np.zeros(len(a.domain), dtype=bool)
+        wanted[np.asarray(list(columns), dtype=np.intp)] = True
+        dev = np.where(np.repeat(wanted, np.diff(indptr)), dev, 0)
+    if not dev.size or not np.fmax.reduce(dev) > 0:
         return 0.0, None
-    worst = wanted.max()
-    j = int(cols[np.argmax(wanted == worst)])
-    found = dict(zip(rows[indptr[j]:indptr[j + 1]].tolist(), dev[indptr[j]:indptr[j + 1]]))
-    for i in dict.fromkeys(_column_rows(a, j)).keys() | dict.fromkeys(_column_rows(b, j)).keys():
-        if found.get(i) == worst:
-            return worst.item(), (a.codomain.point_of(i), a.domain.point_of(j))
-    raise AssertionError("maximal entry not found in its column")
+    k = int(np.nanargmax(dev))
+    j = int(np.searchsorted(indptr, k, side="right")) - 1
+    return dev[k].item(), (a.codomain.point_of(int(rows[k])), a.domain.point_of(j))
 
 
 def columns_equal_exact(a: SparseOperator, b: SparseOperator,

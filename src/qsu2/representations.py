@@ -24,7 +24,6 @@ from .lattice import full_basis, gamma_basis, nat_basis, pi_basis, pi_tensor_bas
 from .operator_core import (
     EXACT_LIMIT,
     SparseOperator,
-    abs_values,
     add,
     adjoint,
     build_from_rule,
@@ -188,9 +187,6 @@ class RelationReport:
             return float("nan")
         return max(residuals, default=0.0)
 
-    def passes(self, tol: float) -> bool:
-        return self.max_residual < tol
-
 
 def check_relations(ops, margin: int = 2) -> RelationReport:
     """Residuals of the defining relations on interior shells.
@@ -247,35 +243,23 @@ def check_relations(ops, margin: int = 2) -> RelationReport:
 
 
 def _worst_column(op: SparseOperator, columns: np.ndarray) -> tuple[object, int | None]:
-    """Largest squared column norm sum(abs(v) ** 2) over ``columns`` and the
-    first column attaining it; a NaN column wins at once.  (0.0, None) when
-    every column is zero."""
-    counts = np.diff(op.indptr)
-    absv = abs_values(op.vals)
+    """Largest squared column norm, |v| * |v| summed in entry order, over
+    ``columns`` and the first column in rank order attaining it; a NaN
+    column wins at once.  (0.0, None) when every column is zero."""
+    absv = np.abs(op.vals)
     if op.mode.exact:
-        if int(absv.max(initial=0)) ** 2 * int(counts.max(initial=0)) >= EXACT_LIMIT:
+        if int(absv.max(initial=0)) ** 2 * int(np.diff(op.indptr).max(initial=0)) >= EXACT_LIMIT:
             raise OverflowError("exact column norm could overflow int64")
-    square = absv * absv
-    norms = np.zeros(len(counts), dtype=square.dtype)
-    np.add.at(norms, op.entry_cols(), square)  # each column summed in entry order
+    norms = np.zeros(len(op.domain), dtype=absv.dtype)
+    np.add.at(norms, op.entry_cols(), absv * absv)  # each column summed in entry order
     norms = norms[columns]
-    top = norms.max(initial=0)
-    if op.mode.exact:
-        return (int(top), int(columns[np.argmax(norms == top)])) if top > 0 else (0.0, None)
     nan = np.isnan(norms)
     if nan.any():
         return float("nan"), int(columns[np.argmax(nan)])
-    # v * v can differ from the scalar abs(v) ** 2 (libm pow) in the last
-    # bit, so the near-maximal columns are scanned again with the scalar
-    # expression; below 1e-290 squares may underflow, so every nonzero
-    # column is scanned.
-    near = columns[norms >= top * (1 - 1e-9)] if top > 1e-290 else columns[counts[columns] > 0]
-    worst, witness = 0.0, None
-    for j in near.tolist():
-        norm2 = sum(abs(v) ** 2 for v in op.vals[op.indptr[j]:op.indptr[j + 1]].tolist())
-        if norm2 > worst:
-            worst, witness = norm2, j
-    return worst, witness
+    top = norms.max(initial=0)
+    if not top > 0:
+        return 0.0, None
+    return top.item(), int(columns[np.argmax(norms == top)])
 
 
 def crystal_limit_distance(q: float, cap: int, gen) -> float:

@@ -159,7 +159,11 @@ def test_out_file_and_determinism(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "directory"])
-def test_unwritable_out_is_usage_error(tmp_path, capsys, where):
+def test_unwritable_out_is_usage_error(monkeypatch, tmp_path, capsys, where):
+    def refuse(args):
+        raise AssertionError("the command ran before --out was opened")
+
+    monkeypatch.setattr(cli, "cmd_verify_q0", refuse)
     out = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
     code, stdout, err = run(capsys, "verify-q0", "--cap", "2", "--out", str(out))
     assert code == 2

@@ -10,14 +10,11 @@ from qsu2.lattice import (
     GammaIndex,
     PiIndex,
     full_basis,
-    full_points,
     full_shell,
     gamma_basis,
-    gamma_points,
     is_valid_gamma,
     nat_basis,
     pi_basis,
-    pi_points,
     pi_tensor_basis,
     sheet_of,
 )
@@ -46,38 +43,38 @@ def brute_full(cap):
 
 
 def test_gamma_points_small_caps():
-    assert gamma_points(0) == [GammaIndex(0, 0, 0)]
-    pts1 = gamma_points(1)
+    assert list(gamma_basis(0).points) == [GammaIndex(0, 0, 0)]
+    pts1 = list(gamma_basis(1).points)
     assert len(pts1) == 5
     assert set(pts1[1:]) == {GammaIndex(1, i, j) for i in (-1, 1) for j in (-1, 1)}
-    assert len(gamma_points(2)) == 14
+    assert len(gamma_basis(2)) == 14
 
 
 def test_gamma_points_match_brute_force():
     for cap in (0, 1, 2, 3, 7):
-        pts = gamma_points(cap)
+        pts = list(gamma_basis(cap).points)
         assert set(pts) == brute_gamma(cap)
         assert len(pts) == len(set(pts))
         assert pts == sorted(pts)  # (n2, i2, j2) ascending
 
 
 def test_full_points_small_caps():
-    assert full_points(0) == [FullIndex(0, 0, 0)]
-    assert full_points(1) == [
+    assert list(full_basis(0).points) == [FullIndex(0, 0, 0)]
+    assert list(full_basis(1).points) == [
         FullIndex(0, 0, 0),
         FullIndex(1, 0, 0),
         FullIndex(0, 1, 0),
         FullIndex(0, 0, -1),
         FullIndex(0, 0, 1),
     ]
-    pts2 = full_points(2)
+    pts2 = list(full_basis(2).points)
     assert len(pts2) == 14
     assert sum(1 for p in pts2 if full_shell(*p) == 2) == 9
 
 
 def test_full_points_match_brute_force():
     for cap in (0, 1, 2, 3, 7):
-        pts = full_points(cap)
+        pts = list(full_basis(cap).points)
         assert set(pts) == brute_full(cap)
         assert len(pts) == len(set(pts))
 
@@ -86,10 +83,10 @@ def test_shell_count_identity():
     # Shell m holds (m+1)^2 points on either lattice.
     cap = 40
     gshells = {}
-    for p in gamma_points(cap):
+    for p in gamma_basis(cap).points:
         gshells[p.n2] = gshells.get(p.n2, 0) + 1
     fshells = {}
-    for p in full_points(cap):
+    for p in full_basis(cap).points:
         m = full_shell(*p)
         fshells[m] = fshells.get(m, 0) + 1
     for m in range(cap + 1):
@@ -98,7 +95,7 @@ def test_shell_count_identity():
 
 def test_pi_points_counts():
     for cap in (0, 1, 5):
-        pts = pi_points(cap)
+        pts = list(pi_basis(cap).points)
         assert len(pts) == (cap + 1) ** 2
         assert len(set(pts)) == len(pts)
         counts = {}
@@ -109,23 +106,22 @@ def test_pi_points_counts():
             assert counts[m] == 2 * m + 1
 
 
-def test_index_of_point_of_roundtrip():
+def test_rank_point_of_roundtrip():
     for basis in (gamma_basis(4), full_basis(4), pi_basis(4)):
         for k, p in enumerate(basis.points):
-            assert basis.index_of(p) == k
+            assert basis.rank(*p) == k
             assert basis.point_of(k) == p
 
 
 def test_rank_examples():
-    assert gamma_basis(3).index_of(GammaIndex(0, 0, 0)) == 0
-    assert full_basis(3).index_of(FullIndex(0, 0, 0)) == 0
-    assert pi_basis(3).index_of(PiIndex(0, 0)) == 0
+    assert gamma_basis(3).rank(*GammaIndex(0, 0, 0)) == 0
+    assert full_basis(3).rank(*FullIndex(0, 0, 0)) == 0
+    assert pi_basis(3).rank(*PiIndex(0, 0)) == 0
     assert full_basis(1).point_of(4) == FullIndex(0, 0, 1)
 
 
 def test_index_outside_truncation_errors():
-    with pytest.raises(ValueError, match="outside truncation"):
-        gamma_basis(2).index_of(GammaIndex(3, 1, 1))
+    assert gamma_basis(2).rank(*GammaIndex(3, 1, 1)) == -1
     with pytest.raises(ValueError, match="outside truncation"):
         full_basis(2).point_of(14)
 
@@ -138,17 +134,17 @@ def test_sheet_of_examples():
 
 def test_sheets_partition_gamma():
     cap = 12
-    for p in gamma_points(cap):
+    for p in gamma_basis(cap).points:
         k2 = sheet_of(p)
         assert 0 <= k2 <= 2 * p.n2
         assert k2 % 2 == 0  # n2 and max(i2, j2) share parity
 
 
 def test_truncation_validation():
-    assert gamma_points(0) == [GammaIndex(0, 0, 0)]
-    for points in (gamma_points, full_points, pi_points):
+    assert list(gamma_basis(0).points) == [GammaIndex(0, 0, 0)]
+    for basis in (gamma_basis, full_basis, pi_basis):
         with pytest.raises(ValueError, match="non-negative"):
-            points(-1)
+            basis(-1)
 
 
 def test_closed_form_ranks_match_enumeration():
@@ -184,5 +180,5 @@ def test_generated_gamma_points_valid(p):
 def test_basis_rank_bijection_property(cap):
     basis = full_basis(cap)
     assert len(basis) == sum((m + 1) ** 2 for m in range(cap + 1))
-    ranks = [basis.index_of(p) for p in basis.points]
+    ranks = [int(basis.rank(*p)) for p in basis.points]
     assert ranks == list(range(len(basis)))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsu2.coefficients import EXACT_ZERO, float_mode
-from qsu2.lattice import PiIndex, full_basis, nat_basis, pi_basis
+from qsu2.lattice import full_basis, nat_basis, pi_basis
 from qsu2.operator_core import (
     SparseOperator,
     add,
@@ -216,14 +216,16 @@ def test_max_entry_difference_witness():
     assert witness == (2, 2)
 
 
-def test_max_entry_difference_tie_follows_set_order():
-    # equal deviations at rows 2 and 9 of one column: the scalar scan visits
-    # the set {2, 9} in hash-slot order, where 9 (slot 1 of 8) comes first
+def test_max_entry_difference_tie_goes_to_first_in_rank_order():
+    # equal deviations: the witness is the first in (column, row) rank order
     basis = nat_basis(10)
-    a = from_columns(basis, basis, [[(2, 1.0), (9, 1.0)]] + [[]] * 9)
     zero = from_columns(basis, basis, [[]] * 10)
-    assert list({2, 9}) == [9, 2]
-    assert max_entry_difference(a, zero) == (1.0, (9, 0))
+    a = from_columns(basis, basis, [[(9, 1.0), (2, -1.0)]] + [[]] * 9)
+    assert max_entry_difference(a, zero) == (1.0, (2, 0))
+    b = from_columns(basis, basis, [[]] * 3 + [[(5, 2.0)]] + [[]] * 3 + [[(1, -2.0)]] + [[]] * 2)
+    assert max_entry_difference(b, zero) == (2.0, (5, 3))
+    assert max_entry_difference(b, zero, columns=[7, 3]) == (2.0, (5, 3))
+    assert max_entry_difference(b, zero, columns=[7]) == (2.0, (1, 7))
 
 
 def test_constructor_canonicalises_entries():

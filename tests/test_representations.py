@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import crystal_oracle as oracle
-from qsu2.coefficients import EXACT_ZERO
-from qsu2.lattice import FullIndex, GammaIndex, PiIndex, gamma_basis
-from qsu2.operator_core import adjoint, compose, max_entry_difference, tensor
+from qsu2.coefficients import EXACT_ZERO, float_mode
+from qsu2.lattice import FullIndex, GammaIndex, PiIndex, gamma_basis, nat_basis
+from qsu2.operator_core import adjoint, compose, diagonal, max_entry_difference, tensor
 from qsu2.representations import (
     Generator,
     _section,
@@ -30,7 +30,7 @@ def column_by_rank(op, j):
 
 
 def column_as_dict(op, point):
-    return column_by_rank(op, op.domain.index_of(point))
+    return column_by_rank(op, int(op.domain.rank(*point)))
 
 
 def same_entries(x, y):
@@ -191,16 +191,27 @@ def test_relations_exact_zero():
 def test_relations_report_nan_residual():
     ops = {gv: build_pi(0.5, 6, gv) for gv in (Generator.ALPHA, Generator.BETA)}
     beta = ops[Generator.BETA]
-    j = beta.domain.index_of(PiIndex(1, 0))
+    j = int(beta.domain.rank(*PiIndex(1, 0)))
     vals = beta.vals.copy()
     vals[beta.indptr[j]:beta.indptr[j + 1]] = math.nan
     ops[Generator.BETA] = type(beta)(beta.domain, beta.codomain, beta.entry_cols(), beta.rows, vals,
                                      beta.mode)
     rep = check_relations(ops)
     assert math.isnan(rep.max_residual)
-    assert not rep.passes(1e-12)
+    assert not rep.max_residual < 1e-12
     bad = [row for row in rep.rows if math.isnan(row.residual)]
     assert bad and all(row.witness is not None for row in bad)
+
+
+def test_relations_witness_tie_goes_to_lower_rank():
+    # alpha = 0 and beta diagonal: a*a+b*b-I has column norm |d_k^2 - 1|,
+    # equal (0.75) at the interior columns 2 and 4 and 0 elsewhere
+    basis, mode = nat_basis(8), float_mode(0.5)
+    d = np.ones(8)
+    d[[2, 4]] = [0.5, -0.5]
+    rep = check_relations({"alpha": diagonal(basis, np.zeros(8), mode),
+                           "beta": diagonal(basis, d, mode)})
+    assert (rep.rows[0].name, rep.rows[0].residual, rep.rows[0].witness) == ("a*a+b*b-I", 0.75, 2)
 
 
 def test_relations_need_interior():
@@ -239,7 +250,7 @@ def test_coproduct_bottom_column():
     q = 0.5
     d_alpha, _ = coproduct_images(q, 4)
     basis = d_alpha.domain
-    bottom = basis.index_of((PiIndex(0, 0), PiIndex(0, 0)))
+    bottom = int(basis.rank(*PiIndex(0, 0), *PiIndex(0, 0)))
     col = column_by_rank(d_alpha, bottom)
     # only -q beta* (x) beta survives at the bottom
     assert col == {(PiIndex(0, 1), PiIndex(0, -1)): pytest.approx(-q, abs=1e-15)}

@@ -47,7 +47,6 @@ from .operator_core import (
     SparseOperator,
     add,
     adjoint,
-    block_norm,
     build_from_rule,
     compose,
     diagonal,

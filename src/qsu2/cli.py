@@ -24,6 +24,9 @@ TAIL_SLACK = 1e-8
 # Largest number of basis points (k values for estimates) a command may
 # enumerate; verify-q0 --cap 40 needs 23,821.
 MAX_POINTS = 50_000
+# Least value of the flag that sizes a command: below it there is no
+# interior column to check (for estimates, no k).
+LEAST_SIZE = {"verify-q0": 1, "verify-relations": 2, "estimates": 1, "irrep": 3}
 
 
 def _point_str(p) -> str | None:
@@ -209,21 +212,19 @@ def main(argv=None) -> int:
             return _usage_error("q=0 is exact; use verify-q0")
         if not abs(args.q) < 1.0:
             return _usage_error("q must satisfy |q| < 1")
-    if getattr(args, "cap", 1) < 0:
-        return _usage_error("cap must be non-negative")
-    if args.command == "verify-q0" and args.cap < 1:
-        return _usage_error("no interior: verify-q0 needs cap >= 1")
     tol = getattr(args, "tol", 1.0)
     if not (math.isfinite(tol) and tol > 0.0):
         return _usage_error("tol must be positive and finite")
     for flag in ("z_re", "z_im"):
         if not math.isfinite(getattr(args, flag, 0.0)):
             return _usage_error(f"--{flag.replace('_', '-')} must be finite")
-    if getattr(args, "kmax", 1) < 1:
-        return _usage_error("kmax must be at least 1")
-    if getattr(args, "dim", 1) < 1:
-        return _usage_error("dim must be at least 1")
+    if (args.command == "irrep"
+            and abs(abs(complex(args.z_re, args.z_im)) - 1.0) > representations.UNIT_CIRCLE_TOL):
+        return _usage_error("--z-re and --z-im must put z on the unit circle")
     flag, size = _size(args)
+    least = LEAST_SIZE.get(args.command, 0)
+    if getattr(args, flag) < least:
+        return _usage_error(f"no interior: {args.command} needs --{flag} >= {least}")
     if size > MAX_POINTS:
         return _usage_error(f"--{flag} {getattr(args, flag)} enumerates {size} points, "
                             f"over the budget of {MAX_POINTS}")

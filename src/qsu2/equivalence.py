@@ -36,7 +36,6 @@ from .operator_core import (
     SparseOperator,
     add,
     adjoint,
-    block_norm,
     build_from_rule,
     columns_equal_exact,
     compose,
@@ -364,19 +363,45 @@ def tail_norms(q: float, cap: int, gen) -> list[tuple[int, float]]:
     """Operator norms of D_gen restricted to the (s, t) tails s + |t| >= m.
 
     Geometric decay in m certifies compactness in the (s, t) factor; the
-    Toeplitz direction r carries shifts and does not decay.  D_alpha keeps
-    t and D_beta lowers it by one, so columns with distinct t hit disjoint
-    rows and every tail norm is an exact block norm over the column t.
+    Toeplitz direction r carries shifts and does not decay.  D_alpha sends
+    column (r, s, t) to rows (r + 1, s, t) and (r, s - 1, t), D_beta to
+    (r +/- 1, s +/- 1, t - 1) and (r, s, t - 1): both keep r - s and shift
+    t by a constant, so D is block-diagonal over the chains of columns with
+    fixed (t, r - s), each indexed by s, and every tail is a suffix of every
+    chain.  The chains are padded into one stack (column s at s - s_min,
+    row s' at s' - s_min + 1), and each tail norm is the largest dense
+    spectral norm (LAPACK SVD, no iteration) of a chain suffix.  The stack
+    is exact only if no row is fed by two chains and no two rows of one
+    chain share a slot; a violation raises AssertionError.
     """
     d = difference(q, cap, gen)
-    _, s, t = d.domain.coords
-    out = []
-    for m in range(cap + 1):
-        cols = np.flatnonzero(s + abs(t) >= m)
-        values, first = np.unique(t[cols], return_index=True)
-        blocks = [cols[t[cols] == v] for v in values[np.argsort(first)]]  # t in order of first column
-        out.append((m, block_norm(d, blocks)))
-    return out
+    r, s, t = d.domain.coords
+    _, first, chain = np.unique((t + cap) * (2 * cap + 1) + r - s, return_index=True,
+                                return_inverse=True)
+    n = len(first)
+    s_min = np.full(n, cap)
+    np.minimum.at(s_min, chain, s)
+    width = int((s - s_min[chain]).max()) + 1
+    cols = d.entry_cols()
+    owner = chain[cols]
+    # a stray row lands on an edge slot: a norm only needs distinct rows in distinct slots
+    slot = np.clip(s[d.rows] - s_min[owner] + 1, 0, width + 1)
+    feeds = np.full(len(d.codomain), -1)
+    feeds[d.rows] = owner
+    holder = np.full((n, width + 2), -1)
+    holder[owner, slot] = d.rows
+    for bad, what in ((feeds[d.rows] != owner, "is fed by two chains"),
+                      (holder[owner, slot] != d.rows, "shares its chain slot with another row")):
+        if bad.any():
+            row = d.codomain.point_of(int(d.rows[np.argmax(bad)]))
+            raise AssertionError(f"D is not block-diagonal over (t, r - s): row {row!r} {what}")
+    stack = np.zeros((n, width + 2, width), dtype=d.vals.dtype)
+    stack[owner, slot, s[cols] - s_min[owner]] = d.vals
+    suffix = np.zeros((n, width + 1))  # suffix[c, k]: norm of chain c from column k on
+    for k in range(width):
+        suffix[:, k] = np.linalg.norm(stack[:, :, k:], 2, axis=(1, 2))
+    offset = np.clip(np.arange(cap + 1)[:, None] - abs(t[first]) - s_min, 0, width)
+    return list(enumerate(suffix[np.arange(n), offset].max(axis=1).tolist()))
 
 
 @dataclass(frozen=True)

@@ -258,35 +258,6 @@ def max_abs_entry_per_shell(a: SparseOperator) -> list[tuple[int, float]]:
     return list(enumerate(out.tolist()))
 
 
-def block_norm(a: SparseOperator, blocks: Iterable[Iterable[int]]) -> float:
-    """Spectral norm of ``a`` restricted to the columns listed in ``blocks``.
-
-    The blocks are disjoint sets of column ranks.  When no row is touched by
-    two blocks the restriction is block-diagonal, and its norm is the
-    largest dense singular value over the blocks (LAPACK SVD, no iteration).
-    A shared row or column would make that answer wrong, so it raises.
-    """
-    row_owner = np.full(len(a.codomain), -1)
-    col_seen = np.zeros(len(a.domain), dtype=bool)
-    best = 0.0
-    for b, block in enumerate(blocks):
-        block = np.asarray(list(block), dtype=np.intp)
-        if col_seen[block].any():
-            raise ValueError("blocks share a column")
-        col_seen[block] = True
-        idx, local_cols = _gather(a.indptr, block)
-        if not idx.size:
-            continue
-        support, local = np.unique(a.rows[idx], return_inverse=True)
-        if (row_owner[support] >= 0).any():
-            raise ValueError("blocks share a row: the restriction is not block-diagonal")
-        row_owner[support] = b
-        dense = np.zeros((len(support), len(block)), dtype=a.vals.dtype)
-        dense[local, local_cols] = a.vals[idx]
-        best = max(best, float(np.linalg.norm(dense, 2)))
-    return best
-
-
 def _difference(a: SparseOperator, b: SparseOperator):
     """CSC arrays of a - b over the union support (either mode on each side)."""
     if not (a.domain.same_points(b.domain) and a.codomain.same_points(b.codomain)):

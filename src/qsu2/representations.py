@@ -33,6 +33,8 @@ from .operator_core import (
     tensor,
 )
 
+UNIT_CIRCLE_TOL = 1e-12  # largest ||z| - 1| of an irreducible's parameter z
+
 
 class Generator(str, Enum):
     ALPHA = "alpha"
@@ -128,7 +130,7 @@ def build_irrep(q: float, z: complex, dim: int) -> tuple[SparseOperator, SparseO
     """
     if q == 0.0 or not abs(q) < 1.0:
         raise ValueError("irreducibles need 0 < |q| < 1")
-    if abs(abs(z) - 1.0) > 1e-12:
+    if abs(abs(z) - 1.0) > UNIT_CIRCLE_TOL:
         raise ValueError("irreducible parameter z must lie on the unit circle")
     if dim < 1:
         raise ValueError("irreducible section needs dim >= 1")
@@ -206,9 +208,9 @@ def check_relations(ops, margin: int = 2) -> RelationReport:
     basis = a.domain
     cap = basis.cap
     if margin < 2:
-        raise ValueError("word_margin must be at least 2")
+        raise ValueError("margin must be at least 2")
     if cap < margin:
-        raise ValueError("no interior: cap < word_margin")
+        raise ValueError("no interior: cap < margin")
     mode = a.mode
     eye = identity(basis, mode)
 

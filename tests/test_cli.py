@@ -171,6 +171,25 @@ def test_unwritable_out_is_usage_error(monkeypatch, tmp_path, capsys, where):
     assert f"qsu2: error: cannot write --out {out}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify-relations", "--q", "0.5", "--cap", "1"], "--cap"),
+        (["irrep", "--q", "0.5", "--z-re", "2"], "--z-re"),
+        (["irrep", "--q", "0.5", "--dim", "1"], "--dim"),
+    ],
+    ids=["relations-cap", "irrep-z", "irrep-dim"],
+)
+def test_usage_error_leaves_out_untouched(tmp_path, capsys, argv, flag):
+    out = tmp_path / "o.json"
+    out.write_bytes(b"sentinel\n")
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert out.read_bytes() == b"sentinel\n"
+    assert stdout == ""
+    assert flag in err
+
+
 def test_stdout_determinism(capsys):
     outs = []
     for _ in range(2):

@@ -28,6 +28,7 @@ def verify_q0_report(cap):
 
 
 _TAILS = [(f"m={m}", True, None) for m in range(7)]
+_TAILS_ODD = [(f"m={m}", True, None) for m in range(8)]
 
 MATRIX = {
     # witnesses at noise level: argmaxes of residuals near 1e-16, so any
@@ -72,6 +73,8 @@ MATRIX = {
     ),
     "tails-alpha": (["tails", "--q", "0.5", "--cap", "6", "--gen", "alpha"], _TAILS),
     "tails-beta": (["tails", "--q", "0.5", "--cap", "6", "--gen", "beta"], _TAILS),
+    "tails-alpha-odd": (["tails", "--q=-0.45", "--cap", "7", "--gen", "alpha"], _TAILS_ODD),
+    "tails-beta-odd": (["tails", "--q=-0.45", "--cap", "7", "--gen", "beta"], _TAILS_ODD),
     "estimates": (
         ["estimates", "--q", "0.5", "--kmax", "4"],
         [(f"k={k}:{lhs}", True, None) for k in range(1, 5) for lhs in ("|1-g|", "|1-1/g|")],

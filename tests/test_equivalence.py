@@ -1,9 +1,13 @@
 """The unitary, conjugation, difference operators, and decay diagnostics."""
 
+import re
+
 import mpmath
 import numpy as np
 import pytest
 
+from qsu2 import equivalence
+from qsu2.cli import main
 from qsu2.coefficients import float_mode, g, verify_g_estimates
 from qsu2.equivalence import (
     CrosscheckResult,
@@ -29,6 +33,8 @@ from qsu2.lattice import (
     sheet_of,
 )
 from qsu2.operator_core import (
+    SparseOperator,
+    add,
     build_from_rule,
     columns_equal_exact,
     diagonal,
@@ -358,12 +364,36 @@ def test_tail_norms_monotone_small():
 
 
 @pytest.mark.parametrize("gen", ["alpha", "beta"])
-@pytest.mark.parametrize("q", [0.5, -0.45])
+@pytest.mark.parametrize("q", [0.5, -0.45, 0.9, 0.999])
 def test_tail_norms_against_dense_svd(q, gen):
-    cap = 8
-    d = difference(q, cap, gen)
-    dense = d.to_dense()
-    pi_shell = np.array([p.s + abs(p.t) for p in d.domain.points])
-    for m, value in tail_norms(q, cap, gen):
-        oracle = np.linalg.svd(dense[:, pi_shell >= m], compute_uv=False)[0]
-        assert value == pytest.approx(oracle, rel=1e-12)
+    for cap in (0, 1, 2, 7, 8):
+        d = difference(q, cap, gen)
+        dense = d.to_dense()
+        pi_shell = np.array([p.s + abs(p.t) for p in d.domain.points])
+        norms = tail_norms(q, cap, gen)
+        assert [m for m, _ in norms] == list(range(cap + 1))
+        for m, value in norms:
+            oracle = max(np.linalg.svd(dense[:, pi_shell >= m], compute_uv=False), default=0.0)
+            assert value == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "row, what",
+    [(FullIndex(1, 0, 1), "is fed by two chains"),  # the row of column (0, 0, 1)
+     (FullIndex(0, 0, 4), "shares its chain slot")],  # no column feeds it; slot of (1, 0, 0)
+    ids=["two-chains", "shared-slot"],
+)
+def test_tail_norms_refuse_rows_outside_the_chains(monkeypatch, capsys, row, what):
+    def linked(q, cap, gen):
+        d = difference(q, cap, gen)
+        extra = SparseOperator(d.domain, d.codomain, [d.domain.rank(0, 0, 0)],
+                               [d.codomain.rank(*row)], [0.125], d.mode)
+        return add(d, extra)
+
+    monkeypatch.setattr(equivalence, "difference", linked)
+    message = re.escape(f"row {row!r} {what}")
+    with pytest.raises(AssertionError, match=message):
+        tail_norms(0.5, 4, "alpha")
+    # an internal fault, not a usage error: the CLI does not exit 2 on it
+    with pytest.raises(AssertionError, match=message):
+        main(["tails", "--q", "0.5", "--cap", "4", "--gen", "alpha"])

@@ -11,7 +11,6 @@ from qsu2.operator_core import (
     SparseOperator,
     add,
     adjoint,
-    block_norm,
     build_from_rule,
     compose,
     diagonal,
@@ -20,7 +19,6 @@ from qsu2.operator_core import (
     max_entry_difference,
     tensor,
 )
-from qsu2.representations import build_pi
 
 MODE = float_mode(0.5)
 
@@ -155,48 +153,6 @@ def test_shift_relations_on_nat_sections():
     expected = eye.copy()
     expected[0, 0] = 0.0
     np.testing.assert_allclose(compose(sstar, s).to_dense()[:, :19], expected[:, :19], atol=0)
-
-
-def all_columns(a):
-    return [range(len(a.domain))]
-
-
-def test_operator_norm_trivial_cases():
-    eye = identity(full_basis(2), MODE)
-    assert block_norm(eye, all_columns(eye)) == pytest.approx(1.0, abs=1e-12)
-    b = nat_basis(3)
-    d = from_columns(b, b, [[(0, 3.0)], [(1, 1.0)], [(2, 0.5)]])
-    assert block_norm(d, all_columns(d)) == pytest.approx(3.0, abs=1e-10)
-    zero = from_columns(b, b, [[] for _ in range(3)])
-    assert block_norm(zero, all_columns(zero)) == 0.0
-
-
-def test_operator_norm_against_dense_svd():
-    rng = np.random.default_rng(23)
-    b1, b2 = nat_basis(12), nat_basis(15)
-    for _ in range(5):
-        a = random_sparse(rng, b1, b2, per_col=3)
-        if a.nnz == 0:
-            continue
-        dense = a.to_dense()
-        oracle = np.linalg.svd(dense, compute_uv=False)[0]
-        value = block_norm(a, all_columns(a))
-        assert value == pytest.approx(oracle, rel=1e-12)
-        assert value <= np.linalg.norm(dense, "fro") * (1 + 1e-12)
-
-
-def test_operator_norm_pi_beta_section():
-    op = build_pi(0.5, 12, "beta")
-    assert block_norm(op, all_columns(op)) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_block_norm_rejects_shared_rows_and_columns():
-    b = nat_basis(3)
-    a = from_columns(b, b, [[(0, 1.0)], [(0, 1.0), (1, 1.0)], [(2, 1.0)]])
-    with pytest.raises(ValueError, match="share a row"):
-        block_norm(a, [[0], [1], [2]])
-    with pytest.raises(ValueError, match="share a column"):
-        block_norm(a, [[0, 1], [1, 2]])
 
 
 def test_max_abs_entry_per_shell():

@@ -109,6 +109,11 @@ def test_pi_shell_grading():
         assert abs((dst.s + abs(dst.t)) - (src.s + abs(src.t))) == 1
 
 
+def test_operator_norm_pi_beta_section():
+    op = build_pi(0.5, 12, "beta")
+    assert np.linalg.norm(op.to_dense(), 2) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_star_compatibility():
     for q in (0.5, -0.5):
         lam_star = build_lambda(q, 4, "alpha_star")

@@ -368,11 +368,13 @@ def tail_norms(q: float, cap: int, gen) -> list[tuple[int, float]]:
     (r +/- 1, s +/- 1, t - 1) and (r, s, t - 1): both keep r - s and shift
     t by a constant, so D is block-diagonal over the chains of columns with
     fixed (t, r - s), each indexed by s, and every tail is a suffix of every
-    chain.  The chains are padded into one stack (column s at s - s_min,
-    row s' at s' - s_min + 1), and each tail norm is the largest dense
-    spectral norm (LAPACK SVD, no iteration) of a chain suffix.  The stack
-    is exact only if no row is fed by two chains and no two rows of one
-    chain share a slot; a violation raises AssertionError.
+    chain.  Column s of a chain sits at i = s - s_min and feeds only row
+    slots i..i+2 (row s' at s' - s_min + 1), so the suffix of width w from
+    column k is exactly the (w + 2) x w block at slots k..k+w+1.  Each w
+    takes one batched dense spectral norm (LAPACK SVD, no iteration) of the
+    exact-size blocks of all chains at least w long.  The blocks are exact
+    only if every entry lies in its column's band, no row is fed by two
+    chains and no two rows of one chain share a slot, else AssertionError.
     """
     d = difference(q, cap, gen)
     r, s, t = d.domain.coords
@@ -381,25 +383,33 @@ def tail_norms(q: float, cap: int, gen) -> list[tuple[int, float]]:
     n = len(first)
     s_min = np.full(n, cap)
     np.minimum.at(s_min, chain, s)
-    width = int((s - s_min[chain]).max()) + 1
+    length = np.zeros(n, dtype=np.intp)
+    np.maximum.at(length, chain, s - s_min[chain] + 1)
+    width = int(length.max())
     cols = d.entry_cols()
     owner = chain[cols]
-    # a stray row lands on an edge slot: a norm only needs distinct rows in distinct slots
-    slot = np.clip(s[d.rows] - s_min[owner] + 1, 0, width + 1)
-    feeds = np.full(len(d.codomain), -1)
-    feeds[d.rows] = owner
-    holder = np.full((n, width + 2), -1)
-    holder[owner, slot] = d.rows
-    for bad, what in ((feeds[d.rows] != owner, "is fed by two chains"),
-                      (holder[owner, slot] != d.rows, "shares its chain slot with another row")):
+    slot = s[d.rows] - s_min[owner] + 1
+
+    def refuse(bad, what):
         if bad.any():
             row = d.codomain.point_of(int(d.rows[np.argmax(bad)]))
             raise AssertionError(f"D is not block-diagonal over (t, r - s): row {row!r} {what}")
+
+    refuse(abs(s[d.rows] - s[cols]) > 1, "lies outside its column's band of slots")
+    feeds = np.full(len(d.codomain), -1)
+    feeds[d.rows] = owner
+    refuse(feeds[d.rows] != owner, "is fed by two chains")
+    holder = np.full((n, width + 2), -1)
+    holder[owner, slot] = d.rows
+    refuse(holder[owner, slot] != d.rows, "shares its chain slot with another row")
     stack = np.zeros((n, width + 2, width), dtype=d.vals.dtype)
     stack[owner, slot, s[cols] - s_min[owner]] = d.vals
     suffix = np.zeros((n, width + 1))  # suffix[c, k]: norm of chain c from column k on
-    for k in range(width):
-        suffix[:, k] = np.linalg.norm(stack[:, :, k:], 2, axis=(1, 2))
+    for w in range(1, width + 1):
+        c = np.flatnonzero(length >= w)
+        k = length[c] - w
+        blocks = np.lib.stride_tricks.sliding_window_view(stack, (w + 2, w), axis=(1, 2))
+        suffix[c, k] = np.linalg.norm(blocks[c, k, k], 2, axis=(1, 2))
     offset = np.clip(np.arange(cap + 1)[:, None] - abs(t[first]) - s_min, 0, width)
     return list(enumerate(suffix[np.arange(n), offset].max(axis=1).tolist()))
 

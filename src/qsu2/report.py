@@ -38,11 +38,10 @@ class VerificationReport:
 
     @property
     def max_residual(self) -> float:
-        worst = 0.0
-        for item in self.items:
-            if item.bound is not None and isinstance(item.value, (int, float)):
-                worst = max(worst, abs(item.value))
-        return worst
+        """Largest bounded |value|; a NaN value propagates instead of hiding."""
+        values = [abs(item.value) for item in self.items
+                  if item.bound is not None and isinstance(item.value, (int, float))]
+        return float("nan") if any(v != v for v in values) else max(values, default=0.0)
 
 
 def _fmt_number(v) -> str:

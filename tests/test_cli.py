@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, report schemas, determinism."""
 
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -13,6 +14,7 @@ import qsu2
 from qsu2 import cli
 from qsu2.cli import main
 from qsu2.lattice import full_basis, gamma_basis
+from qsu2.report import ReportItem, VerificationReport, render
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -83,6 +85,15 @@ def test_float_serialization_17_digits(capsys):
     _, out, _ = run(capsys, "verify-relations", "--q", "0.5", "--cap", "6")
     # 1e-12 default tolerance printed with 17 significant digits
     assert '"tol":9.9999999999999998e-13' in out
+
+
+@pytest.mark.parametrize("values", [[float("nan"), 1e-17], [1e-17, float("nan")]],
+                         ids=["nan-first", "nan-last"])
+def test_report_max_residual_propagates_nan(values):
+    items = [ReportItem(f"item{i}", v, 1e-12, v < 1e-12) for i, v in enumerate(values)]
+    report = VerificationReport("verify-relations", {}, items)
+    assert math.isnan(report.max_residual)
+    assert json.loads(render(report, "json"))["max_residual"] is None
 
 
 def test_estimates_csv(capsys):

@@ -364,7 +364,7 @@ def test_tail_norms_monotone_small():
 
 
 @pytest.mark.parametrize("gen", ["alpha", "beta"])
-@pytest.mark.parametrize("q", [0.5, -0.45, 0.9, 0.999])
+@pytest.mark.parametrize("q", [0.5, -0.45, 0.9, 0.999, 0.1, -1e-3])
 def test_tail_norms_against_dense_svd(q, gen):
     for cap in (0, 1, 2, 7, 8):
         d = difference(q, cap, gen)
@@ -377,16 +377,36 @@ def test_tail_norms_against_dense_svd(q, gen):
             assert value == pytest.approx(oracle, rel=1e-12)
 
 
+@pytest.mark.parametrize("gen", ["alpha", "beta"])
+def test_tail_norms_solve_each_suffix_once_at_its_own_size(monkeypatch, gen):
+    shapes = []
+    norm = np.linalg.norm
+
+    def recording(x, *args, **kwargs):
+        shapes.append(x.shape)
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", recording)
+    tail_norms(0.5, 8, gen)
+    monkeypatch.undo()
+    assert shapes and all(h == w + 2 for _, h, w in shapes)
+    assert sorted(w for _, _, w in shapes) == list(range(1, len(shapes) + 1))
+    assert sum(count for count, _, _ in shapes) == len(difference(0.5, 8, gen).domain)
+
+
 @pytest.mark.parametrize(
-    "row, what",
-    [(FullIndex(1, 0, 1), "is fed by two chains"),  # the row of column (0, 0, 1)
-     (FullIndex(0, 0, 4), "shares its chain slot")],  # no column feeds it; slot of (1, 0, 0)
-    ids=["two-chains", "shared-slot"],
+    "column, row, what",
+    [((0, 0, 0), FullIndex(1, 0, 1), "is fed by two chains"),  # the row of column (0, 0, 1)
+     ((0, 0, 0), FullIndex(0, 0, 4), "shares its chain slot"),  # no column feeds it; slot of (1, 0, 0)
+     # column (1, 2, 0) is i = 1 of the chain (t, r - s) = (0, -1), which starts at s = 1: its
+     # band is slots 1..3, and (0, 0, 0) is that chain's row at slot 0
+     ((1, 2, 0), FullIndex(0, 0, 0), "lies outside its column's band")],
+    ids=["two-chains", "shared-slot", "below-band"],
 )
-def test_tail_norms_refuse_rows_outside_the_chains(monkeypatch, capsys, row, what):
+def test_tail_norms_refuse_rows_outside_the_chains(monkeypatch, capsys, column, row, what):
     def linked(q, cap, gen):
         d = difference(q, cap, gen)
-        extra = SparseOperator(d.domain, d.codomain, [d.domain.rank(0, 0, 0)],
+        extra = SparseOperator(d.domain, d.codomain, [d.domain.rank(*column)],
                                [d.codomain.rank(*row)], [0.125], d.mode)
         return add(d, extra)
 

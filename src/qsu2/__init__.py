@@ -61,7 +61,6 @@ from .representations import (
     build_pi,
     check_relations,
     coproduct_images,
-    crystal_limit_distance,
 )
 
 __version__ = "0.1.0"

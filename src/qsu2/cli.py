@@ -37,10 +37,8 @@ def cmd_verify_q0(args) -> VerificationReport:
     rep = equivalence.verify_q0_equivalence(args.cap)
     items = []
     for gen, count in rep.mismatches.items():
-        witness = None
-        if rep.witness is not None and rep.witness[0] == gen:
-            witness = _point_str(rep.witness[1])
-        items.append(ReportItem(f"intertwine/{gen}", count, 0, count == 0, witness, f"intertwine/{gen}"))
+        items.append(ReportItem(f"intertwine/{gen}", count, 0, count == 0,
+                                _point_str(rep.witness[gen]), f"intertwine/{gen}"))
     for label, rel in rep.relations.items():
         for row in rel.rows:
             items.append(ReportItem(

@@ -37,7 +37,6 @@ from .operator_core import (
     add,
     adjoint,
     build_from_rule,
-    columns_equal_exact,
     compose,
     diagonal,
     max_abs_entry_per_shell,
@@ -297,7 +296,7 @@ def decay_report(q: float, cap: int, target: str) -> DecayReport:
     scale = power_table(abs(q), int(exponents.max(initial=0)))[exponents]
     with np.errstate(divide="ignore"):  # |q|^e underflowing to 0 gives inf
         normalized = np.abs(mat.vals) / scale
-    constant = float(np.fmax.reduce(normalized, initial=0.0))  # NaN never wins
+    constant = float(np.max(normalized, initial=0.0))
     ratios = [
         shell_max[m + 1] / shell_max[m]
         for m in range(cap)
@@ -418,20 +417,22 @@ def tail_norms(q: float, cap: int, gen) -> list[tuple[int, float]]:
 class Q0EquivalenceReport:
     cap: int
     passed: bool
-    mismatches: dict
-    witness: object
+    mismatches: dict  # generator name -> mismatching interior columns
+    witness: dict  # generator name -> first mismatching column, or None
     relations: dict  # "lambda0"/"pi0" -> RelationReport; empty below cap 2
 
 
 def verify_q0_equivalence(cap: int) -> Q0EquivalenceReport:
-    """Exact check that conjugating lambda_0 by U gives I (x) pi_0.
+    """Exact check that D_0 = U lambda_0 U* - I (x) pi_0 vanishes.
 
-    Integer comparison over all columns of shell <= cap - 1 for both
-    generators and their adjoints.  From cap 2 on, the crystal relations of
-    lambda_0 and pi_0 are checked on the same sections; they run before U
-    is built and each section is dropped once conjugated, which bounds the
-    peak memory.  Passes only with zero mismatches, including signs, and
-    zero relation residuals.
+    D_0 is formed in the exact mode by the same subtraction as D_q, once per
+    unstarred generator; a starred generator's difference is its adjoint.
+    A generator's mismatch count is the number of columns of shell <= cap - 1
+    that hold an entry of its D_0, and its witness is the first such column.
+    From cap 2 on, the crystal relations of lambda_0 and pi_0 are checked on
+    the same sections; they run before U is built and each section is
+    dropped once conjugated, which bounds the peak memory.  Passes only with
+    zero mismatches, including signs, and zero relation residuals.
     """
     if cap < 1:
         raise ValueError("no interior: verify_q0_equivalence needs cap >= 1")
@@ -442,23 +443,17 @@ def verify_q0_equivalence(cap: int) -> Q0EquivalenceReport:
         relations["lambda0"] = check_relations(lam)
         relations["pi0"] = check_relations({gen: build_pi(0.0, cap, gen) for gen in base})
     u = unitary_u(cap)
-    basis = full_basis(cap)
-    interior = np.flatnonzero(basis.shells <= cap - 1)
-    checks = {}
+    interior = full_basis(cap).shells <= cap - 1
+    diffs = {}
     for gen, star in ((Generator.ALPHA, Generator.ALPHA_STAR), (Generator.BETA, Generator.BETA_STAR)):
-        lhs = conjugate(lam.pop(gen), u)
-        rhs = build_ipi(0.0, cap, gen)
-        checks[gen] = columns_equal_exact(lhs, rhs, interior)
-        lhs = adjoint(lhs)
-        rhs = adjoint(rhs)
-        checks[star] = columns_equal_exact(lhs, rhs, interior)
-    mismatches = {}
-    witness = None
+        diffs[gen] = add(conjugate(lam.pop(gen), u), build_ipi(0.0, cap, gen), 1, -1)
+        diffs[star] = adjoint(diffs[gen])
+    mismatches, witness = {}, {}
     for gen in Generator:
-        count, w = checks[gen]
-        mismatches[gen.value] = count
-        if witness is None and w is not None:
-            witness = (gen.value, w)
+        d = diffs[gen]
+        bad = interior & (np.diff(d.indptr) > 0)
+        mismatches[gen.value] = int(bad.sum())
+        witness[gen.value] = d.domain.point_of(int(np.argmax(bad))) if bad.any() else None
     passed = all(v == 0 for v in mismatches.values()) and all(
         rel.max_residual == 0.0 for rel in relations.values())
     return Q0EquivalenceReport(cap, passed, mismatches, witness, relations)

@@ -11,12 +11,14 @@ columns are exact.
 
 Determinism: arithmetic is plain numpy, and repeated positions are
 summed one term at a time in the order they occur.  Ties between equal
-maxima go to the first in (column, row) rank order.
+maxima go to the first in (column, row) rank order, and NaN wins every
+maximum, so a NaN entry fails whatever reads it.  Comparisons are one
+subtraction, ``add(a, b, 1, -1)``, followed by a reduction.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -254,47 +256,26 @@ def tensor(a: SparseOperator, b: SparseOperator, domain: Basis, codomain: Basis)
 def max_abs_entry_per_shell(a: SparseOperator) -> list[tuple[int, float]]:
     """Per domain shell m, the largest |entry| over columns at shell m."""
     out = np.zeros(a.domain.cap + 1)
-    np.fmax.at(out, a.domain.shells[a.entry_cols()], np.abs(a.vals))  # NaN never wins
+    with np.errstate(invalid="ignore"):  # a NaN entry wins its shell without a warning
+        np.maximum.at(out, a.domain.shells[a.entry_cols()], np.abs(a.vals))
     return list(enumerate(out.tolist()))
 
 
-def _difference(a: SparseOperator, b: SparseOperator):
-    """CSC arrays of a - b over the union support (either mode on each side)."""
-    if not (a.domain.same_points(b.domain) and a.codomain.same_points(b.codomain)):
-        raise ValueError("dimension mismatch in comparison")
-    return _canonical(len(a.domain), len(a.codomain),
-                      np.concatenate((a.entry_cols(), b.entry_cols())),
-                      np.concatenate((a.rows, b.rows)),
-                      np.concatenate((a.vals, -b.vals)))
-
-
 def max_entry_difference(a: SparseOperator, b: SparseOperator,
-                         columns: Iterable[int] | None = None) -> tuple[float, object]:
+                         columns: Sequence[int] | np.ndarray | None = None) -> tuple[float, object]:
     """Largest |a - b| entry over the union support, with a witness point.
 
     ``columns`` restricts the comparison to the given domain ranks.  The
-    witness is the first maximal entry in (column, row) rank order.  NaN
-    differences never win.
+    witness is the first maximal entry in (column, row) rank order.
     """
-    indptr, rows, diff = _difference(a, b)
-    dev = np.abs(diff)
+    d = add(a, b, 1, -1)
+    dev = np.abs(d.vals)
     if columns is not None:
         wanted = np.zeros(len(a.domain), dtype=bool)
-        wanted[np.asarray(list(columns), dtype=np.intp)] = True
-        dev = np.where(np.repeat(wanted, np.diff(indptr)), dev, 0)
-    if not dev.size or not np.fmax.reduce(dev) > 0:
+        wanted[np.asarray(columns, dtype=np.intp)] = True
+        dev = np.where(np.repeat(wanted, np.diff(d.indptr)), dev, 0)
+    if not dev.size or np.max(dev) == 0:
         return 0.0, None
-    k = int(np.nanargmax(dev))
-    j = int(np.searchsorted(indptr, k, side="right")) - 1
-    return dev[k].item(), (a.codomain.point_of(int(rows[k])), a.domain.point_of(j))
-
-
-def columns_equal_exact(a: SparseOperator, b: SparseOperator,
-                        columns: Iterable[int]) -> tuple[int, object]:
-    """Count exactly mismatching columns (integer mode); returns first witness."""
-    indptr, _, _ = _difference(a, b)
-    cols = np.asarray(list(columns), dtype=np.intp)
-    mismatch = (np.diff(indptr) > 0)[cols]
-    count = int(mismatch.sum())
-    witness = a.domain.point_of(int(cols[np.argmax(mismatch)])) if count else None
-    return count, witness
+    k = int(np.argmax(dev))
+    j = int(np.searchsorted(d.indptr, k, side="right")) - 1
+    return dev[k].item(), (a.codomain.point_of(int(d.rows[k])), a.domain.point_of(j))

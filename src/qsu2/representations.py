@@ -29,7 +29,6 @@ from .operator_core import (
     build_from_rule,
     compose,
     identity,
-    max_entry_difference,
     tensor,
 )
 
@@ -130,7 +129,7 @@ def build_irrep(q: float, z: complex, dim: int) -> tuple[SparseOperator, SparseO
     """
     if q == 0.0 or not abs(q) < 1.0:
         raise ValueError("irreducibles need 0 < |q| < 1")
-    if abs(abs(z) - 1.0) > UNIT_CIRCLE_TOL:
+    if not abs(abs(z) - 1.0) <= UNIT_CIRCLE_TOL:  # NaN z fails too
         raise ValueError("irreducible parameter z must lie on the unit circle")
     if dim < 1:
         raise ValueError("irreducible section needs dim >= 1")
@@ -263,8 +262,3 @@ def _worst_column(op: SparseOperator, columns: np.ndarray) -> tuple[object, int 
         return 0.0, None
     return top.item(), int(columns[np.argmax(norms == top)])
 
-
-def crystal_limit_distance(q: float, cap: int, gen) -> float:
-    """Max-entry distance between the lambda_q and lambda_0 generator sections."""
-    worst, _ = max_entry_difference(build_lambda(q, cap, gen), build_lambda(0.0, cap, gen))
-    return worst

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qsu2
-from qsu2 import cli
+from qsu2 import cli, equivalence
 from qsu2.cli import main
 from qsu2.lattice import full_basis, gamma_basis
 from qsu2.report import ReportItem, VerificationReport, render
@@ -94,6 +94,29 @@ def test_report_max_residual_propagates_nan(values):
     report = VerificationReport("verify-relations", {}, items)
     assert math.isnan(report.max_residual)
     assert json.loads(render(report, "json"))["max_residual"] is None
+
+
+def _nan_at_one_point(monkeypatch):
+    """Make equivalence.diagonal_values return NaN at the point (1, 1, 0)."""
+    clean = equivalence.diagonal_values
+
+    def poisoned(q, cap, name):
+        values = clean(q, cap, name).copy()
+        values[int(full_basis(cap).rank(1, 1, 0))] = math.nan
+        return values
+
+    monkeypatch.setattr(equivalence, "diagonal_values", poisoned)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-equivalence", "--q", "0.5", "--cap", "6"],
+    ["decay", "--q", "0.5", "--cap", "6", "--target", "R1mR3"],
+], ids=["verify-equivalence", "decay"])
+def test_nan_coefficient_fails_the_report(monkeypatch, capsys, argv):
+    _nan_at_one_point(monkeypatch)
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["max_residual"] is None
 
 
 def test_estimates_csv(capsys):

@@ -1,5 +1,6 @@
 """The unitary, conjugation, difference operators, and decay diagnostics."""
 
+import json
 import re
 
 import mpmath
@@ -36,7 +37,6 @@ from qsu2.operator_core import (
     SparseOperator,
     add,
     build_from_rule,
-    columns_equal_exact,
     diagonal,
     identity,
     max_abs_entry_per_shell,
@@ -134,7 +134,7 @@ def test_q0_needs_positive_cap():
         verify_q0_equivalence(0)
 
 
-def test_q0_regression_guard_displayed_beta_form():
+def test_q0_regression_guard_displayed_beta_form(monkeypatch):
     # The other displayed convention for the crystal beta action (index
     # shifts (i-1/2, j+1/2), opposite branch signs) must break the exact
     # intertwining, witnessed at the apex.
@@ -148,13 +148,35 @@ def test_q0_regression_guard_displayed_beta_form():
     from qsu2.coefficients import EXACT_ZERO
 
     wrong_beta = build_from_rule(basis, basis, displayed_rule, EXACT_ZERO)
-    lhs = conjugate(wrong_beta, unitary_u(cap))
-    rhs = build_ipi(0.0, cap, "beta")
-    fb = full_basis(cap)
-    interior = [j for j in range(len(fb)) if fb.shells[j] <= cap - 1]
-    count, witness = columns_equal_exact(lhs, rhs, interior)
-    assert count > 0
-    assert witness == FullIndex(0, 0, 0)
+    calls = []
+
+    def build(q, cap, gen):
+        calls.append(gen)
+        return wrong_beta if gen == "beta" else build_lambda(q, cap, gen)
+
+    monkeypatch.setattr(equivalence, "build_lambda", build)
+    rep = verify_q0_equivalence(cap)
+    assert calls == ["alpha", "beta"]  # lambda_0 is built once per base generator
+    assert not rep.passed
+    assert rep.mismatches["alpha"] == 0 and rep.witness["alpha"] is None
+    assert rep.mismatches["beta"] > 0
+    assert rep.witness["beta"] == FullIndex(0, 0, 0)
+
+
+def test_q0_reports_a_witness_per_generator(monkeypatch, capsys):
+    # With I (x) pi_0 negated every generator fails, and each item names
+    # its own first failing column.
+    def negated_ipi(q, cap, gen):
+        op = build_ipi(q, cap, gen)
+        return SparseOperator(op.domain, op.codomain, op.entry_cols(), op.rows, -op.vals, op.mode)
+
+    monkeypatch.setattr(equivalence, "build_ipi", negated_ipi)
+    assert main(["verify-q0", "--cap", "4"]) == 1
+    items = {it["name"]: it for it in json.loads(capsys.readouterr().out)["items"]}
+    counts = {gen: items[f"intertwine/{gen}"]["value"]
+              for gen in ("alpha", "beta", "alpha_star", "beta_star")}
+    assert counts == {"alpha": 14, "beta": 16, "alpha_star": 30, "beta_star": 16}
+    assert all(items[f"intertwine/{gen}"]["witness"] is not None for gen in counts)
 
 
 def test_difference_apex_column():

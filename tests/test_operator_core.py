@@ -184,6 +184,20 @@ def test_max_entry_difference_tie_goes_to_first_in_rank_order():
     assert max_entry_difference(b, zero, columns=[7]) == (2.0, (1, 7))
 
 
+def test_comparisons_let_nan_win():
+    basis = full_basis(2)
+    values = np.ones(len(basis))
+    values[[2, 5]] = [np.nan, 7.0]
+    op = diagonal(basis, values, MODE)
+    shells = dict(max_abs_entry_per_shell(op))
+    assert np.isnan(shells[basis.shells[2]]) and shells[basis.shells[5]] == 7.0
+    worst, witness = max_entry_difference(op, identity(basis, MODE))
+    assert np.isnan(worst)
+    assert witness == (basis.point_of(2), basis.point_of(2))
+    assert max_entry_difference(op, identity(basis, MODE), columns=[5]) == (
+        6.0, (basis.point_of(5), basis.point_of(5)))
+
+
 def test_constructor_canonicalises_entries():
     basis = nat_basis(3)
     op = SparseOperator(basis, basis, [2, 0, 2, 0, 1], [1, 2, 1, 0, 1], [1.0, 2.0, -1.0, 3.0, 0.0], MODE)

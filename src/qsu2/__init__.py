@@ -50,7 +50,6 @@ from .operator_core import (
     build_from_rule,
     compose,
     diagonal,
-    identity,
     max_abs_entry_per_shell,
 )
 from .representations import (

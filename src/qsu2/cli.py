@@ -26,7 +26,8 @@ TAIL_SLACK = 1e-8
 MAX_POINTS = 50_000
 # Least value of the flag that sizes a command: below it there is no
 # interior column to check (for estimates, no k).
-LEAST_SIZE = {"verify-q0": 1, "verify-relations": 2, "estimates": 1, "irrep": 3}
+LEAST_SIZE = {"verify-q0": 1, "verify-relations": 2, "verify-equivalence": 1, "estimates": 1,
+              "irrep": 3}
 
 
 def _point_str(p) -> str | None:
@@ -65,8 +66,8 @@ def cmd_verify_equivalence(args) -> VerificationReport:
     items = []
     for gen in ("alpha", "beta"):
         res = equivalence.crosscheck_decomposition(args.q, args.cap, gen)
-        witness = "no interior" if res.vacuous else _point_str(res.witness)
-        items.append(ReportItem(gen, res.deviation, args.tol, res.deviation < args.tol, witness, gen))
+        items.append(ReportItem(gen, res.deviation, args.tol, res.deviation < args.tol,
+                                _point_str(res.witness), gen))
     params = {"q": args.q, "cap": args.cap, "tol": args.tol}
     return VerificationReport("verify-equivalence", params, items)
 

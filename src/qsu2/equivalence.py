@@ -230,7 +230,6 @@ def closed_form(q: float, cap: int, gen) -> SparseOperator:
 class CrosscheckResult:
     deviation: float
     witness: object
-    vacuous: bool
 
 
 def crosscheck_decomposition(q: float, cap: int, gen) -> CrosscheckResult:
@@ -242,14 +241,12 @@ def crosscheck_decomposition(q: float, cap: int, gen) -> CrosscheckResult:
     form evaluates the displayed diagonal coefficients in (r, s, t)
     coordinates.
     """
+    if cap < 1:
+        raise ValueError("no interior: crosscheck_decomposition needs cap >= 1")
     d = difference(q, cap, gen)
     cf = closed_form(q, cap, gen)
-    basis = d.domain
-    interior = np.flatnonzero(basis.shells <= cap - 1)
-    if not interior.size:
-        return CrosscheckResult(0.0, None, True)
-    dev, witness = max_entry_difference(cf, d, columns=interior)
-    return CrosscheckResult(dev, witness, False)
+    interior = np.flatnonzero(d.domain.shells <= cap - 1)
+    return CrosscheckResult(*max_entry_difference(cf, d, columns=interior))
 
 
 # Decay targets: the parts whose difference is measured (two diagonals,

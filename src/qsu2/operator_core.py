@@ -171,11 +171,6 @@ def build_from_rule(domain: Basis, codomain: Basis, rule: Callable, mode: Mode) 
                           _concat(vals, np.int64 if mode.exact else np.float64), mode)
 
 
-def identity(basis: Basis, mode: Mode) -> SparseOperator:
-    ranks = np.arange(len(basis), dtype=np.intp)
-    return SparseOperator(basis, basis, ranks, ranks, np.ones(len(basis), dtype=np.int64), mode)
-
-
 def diagonal(basis: Basis, values, mode: Mode) -> SparseOperator:
     """Diagonal operator with entry values[k] at the basis point of rank k."""
     ranks = np.arange(len(basis), dtype=np.intp)
@@ -196,18 +191,34 @@ def _check_modes(a: SparseOperator, b: SparseOperator, what: str) -> None:
         raise ValueError(f"mode mismatch in {what}")
 
 
-def compose(a: SparseOperator, b: SparseOperator) -> SparseOperator:
-    """Matrix product a @ b (apply b first)."""
+def compose(a: SparseOperator, b: SparseOperator, columns=None) -> SparseOperator:
+    """Matrix product a @ b (apply b first).
+
+    With ``columns`` (strictly ascending domain ranks) only those columns
+    are formed and every other column is empty.  Column j of a @ b reads
+    only column j of b, in the same order, so a kept column holds the same
+    bits as in the full product.
+    """
     if not a.domain.same_points(b.codomain):
         raise ValueError("dimension mismatch in compose")
     _check_modes(a, b, "compose")
     if a.mode.exact:
         per_col = int(np.diff(b.indptr).max(initial=0))
         _check_exact_bound(_max_abs(a.vals) * _max_abs(b.vals) * per_col, "compose")
+    if columns is None:
+        b_cols, b_rows, b_vals = b.entry_cols(), b.rows, b.vals
+    else:
+        columns = np.asarray(columns, dtype=np.intp)
+        if columns.ndim != 1 or (columns.size and not (
+                0 <= columns[0] and columns[-1] < len(b.domain)
+                and (columns[1:] > columns[:-1]).all())):
+            raise ValueError("compose columns must be strictly ascending domain ranks")
+        pos, owner = _gather(b.indptr, columns)
+        b_cols, b_rows, b_vals = columns[owner], b.rows[pos], b.vals[pos]
     # every entry b[k, j] meets column k of a, rows ascending
-    idx, owner = _gather(a.indptr, b.rows)
-    return SparseOperator(b.domain, a.codomain, b.entry_cols()[owner], a.rows[idx],
-                          a.vals[idx] * b.vals[owner], a.mode)
+    idx, owner = _gather(a.indptr, b_rows)
+    return SparseOperator(b.domain, a.codomain, b_cols[owner], a.rows[idx],
+                          a.vals[idx] * b_vals[owner], a.mode)
 
 
 def add(a: SparseOperator, b: SparseOperator, wa=1, wb=1) -> SparseOperator:

@@ -10,9 +10,10 @@ stderr instead.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+# json.dumps of a str, without the encoder set-up around it
+from json.encoder import encode_basestring_ascii as _quote
 
 
 @dataclass
@@ -44,54 +45,37 @@ class VerificationReport:
         return float("nan") if any(v != v for v in values) else max(values, default=0.0)
 
 
-def _fmt_number(v) -> str:
+def _json_value(v) -> str:
+    """JSON text of a report value, dispatched once on its type; floats
+    (np.float64 too) keep 17 digits and non-finite ones become null."""
+    if isinstance(v, float):
+        return format(v, ".17g") if math.isfinite(v) else "null"
+    if v is None:
+        return "null"
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
-    if isinstance(v, float):
-        if math.isnan(v) or math.isinf(v):
-            return "null"
-        return format(v, ".17g")
-    return json.dumps(v)
-
-
-def _json_value(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, (bool, int, float)):
-        return _fmt_number(v)
     if isinstance(v, str):
-        return json.dumps(v)
+        return _quote(v)
     if isinstance(v, dict):
-        inner = ",".join(f"{json.dumps(str(k))}:{_json_value(x)}" for k, x in v.items())
-        return "{" + inner + "}"
+        return "{" + ",".join(f"{_quote(str(k))}:{_json_value(x)}" for k, x in v.items()) + "}"
     if isinstance(v, (list, tuple)):
         return "[" + ",".join(_json_value(x) for x in v) + "]"
-    return json.dumps(str(v))
+    return _quote(str(v))
 
 
 def to_json(report: VerificationReport) -> str:
-    items = []
-    for it in report.items:
-        items.append(
-            "{"
-            + f"\"name\":{json.dumps(it.name)},"
-            + f"\"value\":{_json_value(it.value)},"
-            + f"\"bound\":{_json_value(it.bound)},"
-            + f"\"pass\":{_json_value(it.passed)},"
-            + f"\"witness\":{_json_value(it.witness)}"
-            + "}"
-        )
+    items = ",".join(
+        f'{{"name":{_quote(it.name)},"value":{_json_value(it.value)},'
+        f'"bound":{_json_value(it.bound)},"pass":{_json_value(it.passed)},'
+        f'"witness":{_json_value(it.witness)}}}'
+        for it in report.items
+    )
     return (
-        "{"
-        + f"\"command\":{json.dumps(report.command)},"
-        + f"\"params\":{_json_value(report.params)},"
-        + "\"items\":[" + ",".join(items) + "],"
-        + f"\"pass\":{_json_value(report.passed)},"
-        + f"\"max_residual\":{_json_value(report.max_residual)},"
-        + f"\"elapsed_ms\":{report.elapsed_ms}"
-        + "}\n"
+        f'{{"command":{_quote(report.command)},"params":{_json_value(report.params)},'
+        f'"items":[{items}],"pass":{_json_value(report.passed)},'
+        f'"max_residual":{_json_value(report.max_residual)},"elapsed_ms":{report.elapsed_ms}}}\n'
     )
 
 

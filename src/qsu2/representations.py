@@ -28,7 +28,7 @@ from .operator_core import (
     adjoint,
     build_from_rule,
     compose,
-    identity,
+    diagonal,
     tensor,
 )
 
@@ -194,10 +194,12 @@ def check_relations(ops, margin: int = 2) -> RelationReport:
 
     ``ops`` maps generator names to operator sections on one basis; missing
     starred generators are filled in by matrix adjoints.  Each relation is a
-    word of length <= 2, evaluated on every basis vector of shell <=
-    cap - margin; the report holds the largest column norm per relation and
-    the witnessing basis point.  At q = 0 the crystal relations are checked
-    in exact integer arithmetic.
+    word of length <= 2, computed only on the interior columns, the basis
+    vectors of shell <= cap - margin (``compose`` over that column set,
+    and an identity that is 1 on those columns alone); every other column
+    of a relation operator is empty.  The report holds the largest column
+    norm per relation and the witnessing basis point.  At q = 0 the
+    crystal relations are checked in exact integer arithmetic.
     """
     ops = {_as_generator(k): v for k, v in ops.items()}
     a = ops[Generator.ALPHA]
@@ -211,54 +213,55 @@ def check_relations(ops, margin: int = 2) -> RelationReport:
     if cap < margin:
         raise ValueError("no interior: cap < margin")
     mode = a.mode
-    eye = identity(basis, mode)
+    inside = basis.shells <= cap - margin
+    interior = np.flatnonzero(inside)
+    eye = diagonal(basis, inside.astype(np.int64), mode)
 
-    # Each relation is built, reduced to its worst interior column and
-    # dropped before the next is built, so one relation operator is alive
-    # at a time.
+    def word(x, y):
+        return compose(x, y, interior)
+
+    # Each relation is built, reduced to its worst column and dropped
+    # before the next is built, so one relation operator is alive at a time.
     if mode.exact:
         relations = [
-            ("a*a+b*b-I", lambda: add(add(compose(astar, a), compose(bstar, b)), eye, 1, -1)),
-            ("aa*-I", lambda: add(compose(a, astar), eye, 1, -1)),
-            ("ab", lambda: compose(a, b)),
-            ("ab*", lambda: compose(a, bstar)),
-            ("b*b-bb*", lambda: add(compose(bstar, b), compose(b, bstar), 1, -1)),
+            ("a*a+b*b-I", lambda: add(add(word(astar, a), word(bstar, b)), eye, 1, -1)),
+            ("aa*-I", lambda: add(word(a, astar), eye, 1, -1)),
+            ("ab", lambda: word(a, b)),
+            ("ab*", lambda: word(a, bstar)),
+            ("b*b-bb*", lambda: add(word(bstar, b), word(b, bstar), 1, -1)),
         ]
     else:
         q = mode.q
         relations = [
-            ("a*a+b*b-I", lambda: add(add(compose(astar, a), compose(bstar, b)), eye, 1.0, -1.0)),
+            ("a*a+b*b-I", lambda: add(add(word(astar, a), word(bstar, b)), eye, 1.0, -1.0)),
             ("aa*+q^2bb*-I",
-             lambda: add(add(compose(a, astar), compose(b, bstar), 1.0, q * q), eye, 1.0, -1.0)),
-            ("ab-qba", lambda: add(compose(a, b), compose(b, a), 1.0, -q)),
-            ("ab*-qb*a", lambda: add(compose(a, bstar), compose(bstar, a), 1.0, -q)),
-            ("b*b-bb*", lambda: add(compose(bstar, b), compose(b, bstar), 1.0, -1.0)),
+             lambda: add(add(word(a, astar), word(b, bstar), 1.0, q * q), eye, 1.0, -1.0)),
+            ("ab-qba", lambda: add(word(a, b), word(b, a), 1.0, -q)),
+            ("ab*-qb*a", lambda: add(word(a, bstar), word(bstar, a), 1.0, -q)),
+            ("b*b-bb*", lambda: add(word(bstar, b), word(b, bstar), 1.0, -1.0)),
         ]
 
-    interior = np.flatnonzero(basis.shells <= cap - margin)
     rows = []
     for name, build in relations:
-        worst, j = _worst_column(build(), interior)
+        worst, j = _worst_column(build())
         rows.append(RelationResidual(name, worst**0.5, None if j is None else basis.point_of(j)))
     return RelationReport(cap, margin, mode.exact, tuple(rows))
 
 
-def _worst_column(op: SparseOperator, columns: np.ndarray) -> tuple[object, int | None]:
-    """Largest squared column norm, |v| * |v| summed in entry order, over
-    ``columns`` and the first column in rank order attaining it; a NaN
-    column wins at once.  (0.0, None) when every column is zero."""
+def _worst_column(op: SparseOperator) -> tuple[object, int | None]:
+    """Largest squared column norm, |v| * |v| summed in entry order, and the
+    first column in rank order attaining it; a NaN column wins at once.
+    (0.0, None) when every column is zero."""
     absv = np.abs(op.vals)
     if op.mode.exact:
         if int(absv.max(initial=0)) ** 2 * int(np.diff(op.indptr).max(initial=0)) >= EXACT_LIMIT:
             raise OverflowError("exact column norm could overflow int64")
     norms = np.zeros(len(op.domain), dtype=absv.dtype)
     np.add.at(norms, op.entry_cols(), absv * absv)  # each column summed in entry order
-    norms = norms[columns]
     nan = np.isnan(norms)
     if nan.any():
-        return float("nan"), int(columns[np.argmax(nan)])
+        return float("nan"), int(np.argmax(nan))
     top = norms.max(initial=0)
     if not top > 0:
         return 0.0, None
-    return top.item(), int(columns[np.argmax(norms == top)])
-
+    return top.item(), int(np.argmax(norms == top))

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qsu2
@@ -40,6 +41,14 @@ def test_verify_q0_passes(capsys):
 
 def test_verify_q0_cap_zero_usage_error(capsys):
     code, out, err = run(capsys, "verify-q0", "--cap", "0")
+    assert code == 2
+    assert out == ""
+    assert "no interior" in err
+
+
+def test_verify_equivalence_cap_zero_usage_error(capsys):
+    # at cap 0 no column has shell <= cap - 1, so nothing would be checked
+    code, out, err = run(capsys, "verify-equivalence", "--q", "0.5", "--cap", "0")
     assert code == 2
     assert out == ""
     assert "no interior" in err
@@ -94,6 +103,48 @@ def test_report_max_residual_propagates_nan(values):
     report = VerificationReport("verify-relations", {}, items)
     assert math.isnan(report.max_residual)
     assert json.loads(render(report, "json"))["max_residual"] is None
+
+
+# Bytes of the crafted report below as the per-value serializer wrote them.
+GOLDEN_JSON = (
+    '{"command":"golden","params":{"q":-0.5,"cap":3,"flag":true,"off":false,"none":null,'
+    '"tol":9.9999999999999998e-13,"name":"a \\"quoted\\" \\u00e9\\u2192","nested":{"list":[1,2.5,'
+    'null],"tuple":["x",null,-0]}},'
+    '"items":[{"name":"none","value":null,"bound":null,"pass":true,"witness":null}'
+    ',{"name":"int","value":3,"bound":0,"pass":false,"witness":"GammaIndex(n2=1, i2=-1, j2=1)"}'
+    ',{"name":"float","value":0.10000000000000001,"bound":9.9999999999999998e-13,"pass":true,'
+    '"witness":null}'
+    ',{"name":"nan","value":null,"bound":1,"pass":false,"witness":"PiIndex(s=3, t=0)"}'
+    ',{"name":"inf","value":null,"bound":null,"pass":false,"witness":null}'
+    ',{"name":"negzero","value":-0,"bound":0,"pass":true,"witness":null}'
+    ',{"name":"np","value":0.66666666666666663,"bound":1.0000000000000001e+301,"pass":true,'
+    '"witness":null}'
+    ',{"name":"quote \\"w\\" \\u00e9","value":1e-300,"bound":4.9406564584124654e-324,"pass":true,'
+    '"witness":"say \\"hi\\" \\u2192 \\\\ \\n"}'
+    ',{"name":"bool","value":true,"bound":false,"pass":true,"witness":null}],"pass":false,'
+    '"max_residual":null,"elapsed_ms":0}\n'
+)
+
+
+def test_json_report_golden_bytes():
+    report = VerificationReport(
+        "golden",
+        {"q": -0.5, "cap": 3, "flag": True, "off": False, "none": None, "tol": np.float64(1e-12),
+         "name": 'a "quoted" é→',
+         "nested": {"list": [1, 2.5, float("nan")], "tuple": ("x", None, -0.0)}},
+        [
+            ReportItem("none", None, None, True, None),
+            ReportItem("int", 3, 0, False, "GammaIndex(n2=1, i2=-1, j2=1)"),
+            ReportItem("float", 0.1, 1e-12, True, None),
+            ReportItem("nan", float("nan"), 1.0, False, "PiIndex(s=3, t=0)"),
+            ReportItem("inf", float("inf"), float("-inf"), False, None),
+            ReportItem("negzero", -0.0, 0.0, True, None),
+            ReportItem("np", np.float64(2.0) / 3, np.float64(1e300) * 10, True, None),
+            ReportItem('quote "w" é', 1e-300, 5e-324, True, 'say "hi" → \\ \n'),
+            ReportItem("bool", True, False, True, None),
+        ],
+    )
+    assert render(report, "json") == GOLDEN_JSON
 
 
 def _nan_at_one_point(monkeypatch):

@@ -48,6 +48,21 @@ MATRIX = {
             ("pi/b*b-bb*", True, None),
         ],
     ),
+    "verify-relations-near1": (
+        ["verify-relations", "--q", "0.999999", "--cap", "12"],
+        [
+            ("lambda/a*a+b*b-I", True, "GammaIndex(n2=8, i2=-6, j2=-6)"),
+            ("lambda/aa*+q^2bb*-I", True, "GammaIndex(n2=9, i2=-7, j2=-7)"),
+            ("lambda/ab-qba", True, "GammaIndex(n2=9, i2=-7, j2=5)"),
+            ("lambda/ab*-qb*a", True, "GammaIndex(n2=9, i2=5, j2=-7)"),
+            ("lambda/b*b-bb*", True, "GammaIndex(n2=9, i2=-9, j2=9)"),
+            ("pi/a*a+b*b-I", True, "PiIndex(s=3, t=0)"),
+            ("pi/aa*+q^2bb*-I", True, "PiIndex(s=9, t=0)"),
+            ("pi/ab-qba", True, "PiIndex(s=9, t=0)"),
+            ("pi/ab*-qb*a", True, "PiIndex(s=9, t=0)"),
+            ("pi/b*b-bb*", True, None),
+        ],
+    ),
     "verify-relations": (
         ["verify-relations", "--q", "0.47", "--cap", "6"],
         [

@@ -11,7 +11,6 @@ from qsu2 import equivalence
 from qsu2.cli import main
 from qsu2.coefficients import float_mode, g, verify_g_estimates
 from qsu2.equivalence import (
-    CrosscheckResult,
     closed_form,
     conjugate,
     crosscheck_decomposition,
@@ -38,7 +37,6 @@ from qsu2.operator_core import (
     add,
     build_from_rule,
     diagonal,
-    identity,
     max_abs_entry_per_shell,
     max_entry_difference,
 )
@@ -97,9 +95,9 @@ def test_conjugate_identity():
     u = unitary_u(6)
     from qsu2.coefficients import EXACT_ZERO
 
-    eye = identity(gamma_basis(6), EXACT_ZERO)
+    eye = diagonal(gamma_basis(6), np.ones(len(gamma_basis(6)), dtype=np.int64), EXACT_ZERO)
     conj = conjugate(eye, u)
-    expected = identity(full_basis(6), EXACT_ZERO)
+    expected = diagonal(full_basis(6), np.ones(len(full_basis(6)), dtype=np.int64), EXACT_ZERO)
     assert np.array_equal(conj.indptr, expected.indptr)
     assert np.array_equal(conj.rows, expected.rows)
     assert np.array_equal(conj.vals, expected.vals)
@@ -306,13 +304,14 @@ def test_crosscheck_small_grid():
     for q in (0.1, -0.1, 0.5, -0.5, 0.9):
         for gen in ("alpha", "beta"):
             res = crosscheck_decomposition(q, 8, gen)
-            assert not res.vacuous
             assert res.deviation < 1e-13, (q, gen, res)
 
 
-def test_crosscheck_vacuous_at_cap_zero():
-    res = crosscheck_decomposition(0.5, 0, "alpha")
-    assert res == CrosscheckResult(0.0, None, True)
+def test_crosscheck_refuses_cap_zero():
+    # at cap 0 no column has shell <= cap - 1: nothing would be checked
+    for gen in ("alpha", "beta"):
+        with pytest.raises(ValueError, match="no interior"):
+            crosscheck_decomposition(0.5, 0, gen)
 
 
 def test_closed_form_matches_difference_everywhere_interior():

@@ -14,11 +14,11 @@ from qsu2.operator_core import (
     build_from_rule,
     compose,
     diagonal,
-    identity,
     max_abs_entry_per_shell,
     max_entry_difference,
     tensor,
 )
+from qsu2.representations import build_irrep, build_lambda
 
 MODE = float_mode(0.5)
 
@@ -38,6 +38,11 @@ def column(op, j):
 def same_entries(x, y):
     return (np.array_equal(x.indptr, y.indptr) and np.array_equal(x.rows, y.rows)
             and np.array_equal(x.vals, y.vals))
+
+
+def eye(basis, mode=MODE):
+    """The identity on a basis."""
+    return diagonal(basis, np.ones(len(basis), dtype=np.int64), mode)
 
 
 def random_sparse(rng, basis_dom, basis_cod, per_col=2):
@@ -126,18 +131,57 @@ def test_identity_neutral():
     rng = np.random.default_rng(17)
     b = nat_basis(10)
     a = random_sparse(rng, b, b)
-    assert same_entries(compose(identity(b, MODE), a), a)
-    assert same_entries(compose(a, identity(b, MODE)), a)
+    assert same_entries(compose(eye(b), a), a)
+    assert same_entries(compose(a, eye(b)), a)
+
+
+def _compose_pairs():
+    """(a, b) pairs in the float (lambda), complex (irrep) and exact (q = 0) modes."""
+    lam = [build_lambda(0.47, 6, g) for g in ("alpha", "beta", "alpha_star", "beta_star")]
+    irrep = build_irrep(-0.45, complex(0.6, 0.8), 9)
+    lam0 = [build_lambda(0.0, 6, g) for g in ("alpha", "beta", "alpha_star", "beta_star")]
+    return {
+        "float": [(lam[2], lam[0]), (lam[0], lam[3]), (lam[1], lam[0])],
+        "complex": [(adjoint(irrep[1]), irrep[1]), (irrep[0], adjoint(irrep[1]))],
+        "exact": [(lam0[2], lam0[0]), (lam0[0], lam0[3]), (lam0[1], lam0[0])],
+    }
+
+
+@pytest.mark.parametrize("mode", ["float", "complex", "exact"])
+def test_compose_columns_keep_the_full_product_bits(mode):
+    rng = np.random.default_rng(5)
+    for a, b in _compose_pairs()[mode]:
+        full = compose(a, b)
+        n, cap = len(b.domain), b.domain.cap
+        for columns in (np.arange(n), np.flatnonzero(b.domain.shells <= cap - 2),
+                        np.sort(rng.choice(n, n // 3, replace=False)), [n - 1], []):
+            part = compose(a, b, columns)
+            kept = np.zeros(n, dtype=bool)
+            kept[np.asarray(columns, dtype=np.intp)] = True
+            assert not np.diff(part.indptr)[~kept].any()
+            mask = kept[full.entry_cols()]
+            assert np.array_equal(part.entry_cols(), full.entry_cols()[mask])
+            assert np.array_equal(part.rows, full.rows[mask])
+            assert part.vals.dtype == full.vals.dtype
+            assert part.vals.tobytes() == full.vals[mask].tobytes()
+
+
+@pytest.mark.parametrize("columns", [[2, 1], [1, 1], [-1, 2], [0, 6], [[0, 1]]],
+                         ids=["unsorted", "duplicate", "negative", "past-end", "2-d"])
+def test_compose_columns_must_be_ascending_domain_ranks(columns):
+    a = eye(nat_basis(6))
+    with pytest.raises(ValueError, match="strictly ascending"):
+        compose(a, a, columns)
 
 
 def test_dimension_and_mode_mismatch_errors():
-    a = identity(nat_basis(4), MODE)
-    b = identity(nat_basis(5), MODE)
+    a = eye(nat_basis(4))
+    b = eye(nat_basis(5))
     with pytest.raises(ValueError, match="dimension mismatch"):
         compose(a, b)
     with pytest.raises(ValueError, match="dimension mismatch"):
         add(a, b)
-    c = identity(nat_basis(4), EXACT_ZERO)
+    c = eye(nat_basis(4), EXACT_ZERO)
     with pytest.raises(ValueError, match="mode mismatch"):
         compose(a, c)
 
@@ -159,8 +203,7 @@ def test_max_abs_entry_per_shell():
     basis = full_basis(3)
     zero = from_columns(basis, basis, [[] for _ in basis.points])
     assert max_abs_entry_per_shell(zero) == [(m, 0.0) for m in range(4)]
-    eye = identity(basis, MODE)
-    assert max_abs_entry_per_shell(eye) == [(m, 1.0) for m in range(4)]
+    assert max_abs_entry_per_shell(eye(basis)) == [(m, 1.0) for m in range(4)]
 
 
 def test_max_entry_difference_witness():
@@ -191,10 +234,10 @@ def test_comparisons_let_nan_win():
     op = diagonal(basis, values, MODE)
     shells = dict(max_abs_entry_per_shell(op))
     assert np.isnan(shells[basis.shells[2]]) and shells[basis.shells[5]] == 7.0
-    worst, witness = max_entry_difference(op, identity(basis, MODE))
+    worst, witness = max_entry_difference(op, eye(basis))
     assert np.isnan(worst)
     assert witness == (basis.point_of(2), basis.point_of(2))
-    assert max_entry_difference(op, identity(basis, MODE), columns=[5]) == (
+    assert max_entry_difference(op, eye(basis), columns=[5]) == (
         6.0, (basis.point_of(5), basis.point_of(5)))
 
 

@@ -8,7 +8,8 @@ import pytest
 import crystal_oracle as oracle
 from qsu2.coefficients import EXACT_ZERO, float_mode
 from qsu2.lattice import FullIndex, GammaIndex, PiIndex, gamma_basis, nat_basis
-from qsu2.operator_core import adjoint, compose, diagonal, tensor
+from qsu2 import representations
+from qsu2.operator_core import add, adjoint, compose, diagonal, tensor
 from qsu2.representations import (
     Generator,
     _section,
@@ -222,6 +223,88 @@ def test_relations_need_interior():
     ops = {gv: build_lambda(0.0, 1, gv) for gv in Generator}
     with pytest.raises(ValueError, match="no interior"):
         check_relations(ops)
+
+
+def _relation_cases(q):
+    """Generator pairs of lambda and pi, and for q != 0 of an irreducible and
+    of the coproduct, on small sections."""
+    cases = {label: {g: build(q, 8, g) for g in ("alpha", "beta")}
+             for label, build in (("lambda", build_lambda), ("pi", build_pi))}
+    if q != 0.0:
+        cases["irrep"] = dict(zip(("alpha", "beta"), build_irrep(q, complex(0.6, 0.8), 12)))
+        cases["coproduct"] = dict(zip(("alpha", "beta"), coproduct_images(q, 5)))
+    return cases
+
+
+def _full_column_relations(ops, margin=2):
+    """(residual, witness) of each relation: every word composed and added on
+    all columns, then the squared column norms reduced over the interior."""
+    a, b = ops["alpha"], ops["beta"]
+    astar, bstar = adjoint(a), adjoint(b)
+    basis, mode = a.domain, a.mode
+    eye = diagonal(basis, np.ones(len(basis), dtype=np.int64), mode)
+    if mode.exact:
+        words = [add(add(compose(astar, a), compose(bstar, b)), eye, 1, -1),
+                 add(compose(a, astar), eye, 1, -1),
+                 compose(a, b),
+                 compose(a, bstar),
+                 add(compose(bstar, b), compose(b, bstar), 1, -1)]
+    else:
+        q = mode.q
+        words = [add(add(compose(astar, a), compose(bstar, b)), eye, 1.0, -1.0),
+                 add(add(compose(a, astar), compose(b, bstar), 1.0, q * q), eye, 1.0, -1.0),
+                 add(compose(a, b), compose(b, a), 1.0, -q),
+                 add(compose(a, bstar), compose(bstar, a), 1.0, -q),
+                 add(compose(bstar, b), compose(b, bstar), 1.0, -1.0)]
+    out = []
+    for op in words:
+        absv = np.abs(op.vals)
+        worst, witness = 0, None
+        for j in np.flatnonzero(basis.shells <= basis.cap - margin).tolist():
+            total = absv.dtype.type(0)
+            for v in absv[op.indptr[j]:op.indptr[j + 1]]:
+                total = total + v * v  # one term at a time, in entry order
+            if total > worst:
+                worst, witness = total, basis.point_of(j)
+        out.append((float(worst) ** 0.5, witness))
+    return out
+
+
+@pytest.mark.parametrize("q", [0.47, -0.45, 0.999999, 0.0])
+def test_relations_match_full_column_reference(q):
+    for label, ops in _relation_cases(q).items():
+        rep = check_relations(ops)
+        assert [(row.residual, row.witness) for row in rep.rows] == _full_column_relations(ops), label
+
+
+@pytest.mark.parametrize("q", [0.47, 0.0])
+def test_relations_compute_interior_columns_only(monkeypatch, q):
+    real_compose, real_worst = representations.compose, representations._worst_column
+    columns_asked, columns_held = [], []
+
+    def spy_compose(x, y, columns=None):
+        columns_asked.append(columns)
+        return real_compose(x, y, columns)
+
+    def spy_worst(op, *rest):
+        columns_held.append(np.flatnonzero(np.diff(op.indptr)))
+        return real_worst(op, *rest)
+
+    cases = _relation_cases(q)
+    monkeypatch.setattr(representations, "compose", spy_compose)
+    monkeypatch.setattr(representations, "_worst_column", spy_worst)
+    for label, ops in cases.items():
+        columns_asked.clear()
+        columns_held.clear()
+        check_relations(ops)
+        basis = ops["alpha"].domain
+        interior = np.flatnonzero(basis.shells <= basis.cap - 2)
+        assert columns_asked and all(c is not None and np.array_equal(c, interior)
+                                     for c in columns_asked), label
+        assert len(columns_held) == 5, label
+        # at q = 0 every relation holds exactly and every column is empty
+        assert q == 0.0 or any(c.size for c in columns_held), label
+        assert all(np.isin(c, interior).all() for c in columns_held), label
 
 
 def test_irrep_examples():

@@ -41,7 +41,6 @@ from .lattice import (
     full_basis,
     gamma_basis,
     pi_basis,
-    sheet_of,
 )
 from .operator_core import (
     SparseOperator,

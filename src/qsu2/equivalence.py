@@ -365,12 +365,22 @@ def tail_norms(q: float, cap: int, gen) -> list[tuple[int, float]]:
     t by a constant, so D is block-diagonal over the chains of columns with
     fixed (t, r - s), each indexed by s, and every tail is a suffix of every
     chain.  Column s of a chain sits at i = s - s_min and feeds only row
-    slots i..i+2 (row s' at s' - s_min + 1), so the suffix of width w from
-    column k is exactly the (w + 2) x w block at slots k..k+w+1.  Each w
-    takes one batched dense spectral norm (LAPACK SVD, no iteration) of the
-    exact-size blocks of all chains at least w long.  The blocks are exact
-    only if every entry lies in its column's band, no row is fed by two
-    chains and no two rows of one chain share a slot, else AssertionError.
+    slots j = i..i+2 (row s' at s' - s_min + 1), kept as band[c, i, j - i],
+    so the suffix of width w from column k is the (w + 2) x w block at slots
+    k..k+w+1.  The band is exact only if every entry lies in its column's
+    slots, no row is fed by two chains and no two rows of one chain share a
+    slot, else AssertionError.
+
+    Each suffix is bracketed in O(width): lo is its largest column 2-norm,
+    hi the Schur test sqrt(max col abs-sum) * sqrt(max row abs-sum), two
+    roots so nothing underflows.  floor[m] is the largest lo over the
+    suffixes tail m reads, and a suffix is solved unless hi * (1 + 1e-10)
+    < floor[m] for every m reading it (a NaN keeps it, so LAPACK still
+    refuses a NaN).  The chain attaining the floor is always solved, and a
+    skipped suffix lies below it by far more than SVD and summation error,
+    so each maximum is the LAPACK value an unpruned solve gives.  Each w
+    takes one batched dense spectral norm (LAPACK SVD) of its surviving
+    blocks; floor <= norm <= max hi is checked to 1e-10, else AssertionError.
     """
     d = difference(q, cap, gen)
     r, s, t = d.domain.coords
@@ -398,16 +408,39 @@ def tail_norms(q: float, cap: int, gen) -> list[tuple[int, float]]:
     holder = np.full((n, width + 2), -1)
     holder[owner, slot] = d.rows
     refuse(holder[owner, slot] != d.rows, "shares its chain slot with another row")
-    stack = np.zeros((n, width + 2, width), dtype=d.vals.dtype)
-    stack[owner, slot, s[cols] - s_min[owner]] = d.vals
+    band = np.zeros((n, width + 1, 3), dtype=d.vals.dtype)  # column `width` stays empty
+    band[owner, s[cols] - s_min[owner], s[d.rows] - s[cols] + 1] = d.vals
+    a = np.abs(band)
+
+    def from_k(x):  # x[c, k] -> max over i >= k of x[c, i]
+        return np.maximum.accumulate(x[:, ::-1], axis=1)[:, ::-1]
+
+    row_sum = np.zeros((n, width + 3))  # abs-sum of every row slot over the whole chain
+    for j in range(3):
+        row_sum[:, j:j + width + 1] += a[..., j]
+    edge = a[..., 1].copy()  # slot k + 1 loses column k - 1 in the suffix from k
+    edge[:, :-1] += a[:, 1:, 0]
+    lo = from_k(np.hypot(np.hypot(a[..., 0], a[..., 1]), a[..., 2]))
+    hi = np.sqrt(from_k(a.sum(axis=2))) * np.sqrt(
+        np.maximum(np.maximum(from_k(row_sum[:, 2:]), edge), a[..., 0]))
+    offset = np.clip(np.arange(cap + 1)[:, None] - abs(t[first]) - s_min, 0, width)
+    at = (np.arange(n), offset)  # [m, c]: the suffix of chain c that tail m reads
+    floor, slack = lo[at].max(axis=1), 1 + 1e-10
+    solve = np.zeros((n, width + 1), dtype=bool)
+    np.logical_or.at(solve, at, ~(hi[at] * slack < floor[:, None]))
     suffix = np.zeros((n, width + 1))  # suffix[c, k]: norm of chain c from column k on
     for w in range(1, width + 1):
         c = np.flatnonzero(length >= w)
-        k = length[c] - w
-        blocks = np.lib.stride_tricks.sliding_window_view(stack, (w + 2, w), axis=(1, 2))
-        suffix[c, k] = np.linalg.norm(blocks[c, k, k], 2, axis=(1, 2))
-    offset = np.clip(np.arange(cap + 1)[:, None] - abs(t[first]) - s_min, 0, width)
-    return list(enumerate(suffix[np.arange(n), offset].max(axis=1).tolist()))
+        c = c[solve[c, length[c] - w]]
+        k, i = length[c] - w, np.arange(w)
+        blocks = np.zeros((len(c), w + 2, w), dtype=band.dtype)
+        blocks[:, i[:, None] + np.arange(3), i[:, None]] = band[c[:, None], k[:, None] + i]
+        suffix[c, k] = np.linalg.norm(blocks, 2, axis=(1, 2))
+    value = suffix[at].max(axis=1)
+    bad = ~((floor <= value * slack) & (value <= hi[at].max(axis=1) * slack))
+    if bad.any():
+        raise AssertionError(f"tail {int(np.argmax(bad))} norm leaves its bracket [lo, hi]")
+    return list(enumerate(value.tolist()))
 
 
 @dataclass(frozen=True)

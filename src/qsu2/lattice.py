@@ -73,15 +73,6 @@ def pi_shell(s, t):
     return s + abs(t)
 
 
-def sheet_of(p: GammaIndex) -> int:
-    """Doubled sheet label 2k of the sheet Gamma_k = {n - max(i, j) = k}.
-
-    Sheet 0 is the right-and-rear face of the pyramid; removing it leaves a
-    replica of the whole lattice, whose face is sheet 1, and so on.
-    """
-    return p.n2 - max(p.i2, p.j2)
-
-
 def _pyramid(m):
     """Points below shell m on Gamma (equivalently on N x N x Z)."""
     return m * (m + 1) * (2 * m + 1) // 6
@@ -179,16 +170,13 @@ class Basis:
         self.point = point  # coordinates -> point object
         self.valid = valid
         self.rank = rank
-        self._points = None
 
     def __len__(self) -> int:
         return len(self.shells)
 
     @property
     def points(self) -> tuple:
-        if self._points is None:
-            self._points = tuple(map(self.point, *(c.tolist() for c in self.coords)))
-        return self._points
+        return tuple(map(self.point, *(c.tolist() for c in self.coords)))
 
     def point_of(self, k: int):
         if not 0 <= k < len(self):

@@ -11,9 +11,12 @@ stderr instead.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 # json.dumps of a str, without the encoder set-up around it
 from json.encoder import encode_basestring_ascii as _quote
+
+import numpy as np
 
 
 @dataclass
@@ -41,21 +44,21 @@ class VerificationReport:
     def max_residual(self) -> float:
         """Largest bounded |value|; a NaN value propagates instead of hiding."""
         values = [abs(item.value) for item in self.items
-                  if item.bound is not None and isinstance(item.value, (int, float))]
+                  if item.bound is not None and isinstance(item.value, numbers.Real)]
         return float("nan") if any(v != v for v in values) else max(values, default=0.0)
 
 
 def _json_value(v) -> str:
-    """JSON text of a report value, dispatched once on its type; floats
-    (np.float64 too) keep 17 digits and non-finite ones become null."""
+    """JSON text of a report value, dispatched once on its type (numpy
+    scalars as Python ones); floats keep 17 digits, non-finite ones null."""
     if isinstance(v, float):
         return format(v, ".17g") if math.isfinite(v) else "null"
     if v is None:
         return "null"
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
+    if isinstance(v, numbers.Integral):
+        return str(int(v))
     if isinstance(v, str):
         return _quote(v)
     if isinstance(v, dict):
@@ -82,7 +85,7 @@ def to_json(report: VerificationReport) -> str:
 def _csv_cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, float):
         return format(v, ".17g")

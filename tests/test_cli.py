@@ -127,24 +127,34 @@ GOLDEN_JSON = (
 
 
 def test_json_report_golden_bytes():
-    report = VerificationReport(
-        "golden",
-        {"q": -0.5, "cap": 3, "flag": True, "off": False, "none": None, "tol": np.float64(1e-12),
-         "name": 'a "quoted" é→',
-         "nested": {"list": [1, 2.5, float("nan")], "tuple": ("x", None, -0.0)}},
-        [
-            ReportItem("none", None, None, True, None),
-            ReportItem("int", 3, 0, False, "GammaIndex(n2=1, i2=-1, j2=1)"),
-            ReportItem("float", 0.1, 1e-12, True, None),
-            ReportItem("nan", float("nan"), 1.0, False, "PiIndex(s=3, t=0)"),
-            ReportItem("inf", float("inf"), float("-inf"), False, None),
-            ReportItem("negzero", -0.0, 0.0, True, None),
-            ReportItem("np", np.float64(2.0) / 3, np.float64(1e300) * 10, True, None),
-            ReportItem('quote "w" é', 1e-300, 5e-324, True, 'say "hi" → \\ \n'),
-            ReportItem("bool", True, False, True, None),
-        ],
-    )
-    assert render(report, "json") == GOLDEN_JSON
+    # numpy integer and bool scalars write the same bytes as Python's
+    for integer, boolean in ((int, bool), (np.int64, np.bool_)):
+        report = VerificationReport(
+            "golden",
+            {"q": -0.5, "cap": integer(3), "flag": boolean(True), "off": boolean(False), "none": None,
+             "tol": np.float64(1e-12), "name": 'a "quoted" é→',
+             "nested": {"list": [integer(1), 2.5, float("nan")], "tuple": ("x", None, -0.0)}},
+            [
+                ReportItem("none", None, None, boolean(True), None),
+                ReportItem("int", integer(3), integer(0), boolean(False), "GammaIndex(n2=1, i2=-1, j2=1)"),
+                ReportItem("float", 0.1, 1e-12, True, None),
+                ReportItem("nan", float("nan"), 1.0, False, "PiIndex(s=3, t=0)"),
+                ReportItem("inf", float("inf"), float("-inf"), False, None),
+                ReportItem("negzero", -0.0, 0.0, True, None),
+                ReportItem("np", np.float64(2.0) / 3, np.float64(1e300) * 10, True, None),
+                ReportItem('quote "w" é', 1e-300, 5e-324, True, 'say "hi" → \\ \n'),
+                ReportItem("bool", boolean(True), boolean(False), boolean(True), None),
+            ],
+        )
+        assert render(report, "json") == GOLDEN_JSON, integer
+
+
+def test_report_max_residual_reads_numpy_integers():
+    items = [ReportItem("small", 1e-3, 1e-12, False), ReportItem("count", np.int64(-2), 0, np.bool_(False))]
+    report = VerificationReport("verify-q0", {"cap": np.int64(3)}, items)
+    assert report.max_residual == 2
+    assert render(report, "csv") == "index,value,bound,pass\nsmall,0.001,9.9999999999999998e-13,false\ncount,-2,0,false\n"
+    assert json.loads(render(report, "json"))["params"] == {"cap": 3}
 
 
 def _nan_at_one_point(monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crystal_oracle as oracle
+from support import basis_points
 from qsu2 import coefficients as cf
 from qsu2.lattice import gamma_basis
 from qsu2.representations import build_pi
@@ -63,7 +64,7 @@ def test_cg_arrays_against_mpmath(q):
                 gm(n2 + 1) * gm(n2 + 2))
         return qm ** ((n2 + i2) // 2) * gm((n2 + j2) // 2) * gm((n2 - i2) // 2) / (gm(n2) * gm(n2 + 1))
 
-    points = gamma_basis(12).points
+    points = basis_points(gamma_basis(12))
     n2, i2, j2 = (np.array(c) for c in zip(*points))
     for name in ("a_plus", "a_minus", "b_plus", "b_minus"):
         values = getattr(cf, name)(n2, i2, j2, q)
@@ -154,7 +155,7 @@ CRYSTAL_PAIRS = (
 def test_crystal_limits_match_small_q():
     # float coefficients at q = 1e-4 against the hand-encoded crystal indicators
     q = 1e-4
-    for n2, i2, j2 in gamma_basis(6).points:
+    for n2, i2, j2 in basis_points(gamma_basis(6)):
         for coefficient, indicator in CRYSTAL_PAIRS:
             assert abs(coefficient(n2, i2, j2, q) - indicator(n2, i2, j2)) < 1e-3
 
@@ -168,7 +169,7 @@ def test_crystal_limit_indicator_values():
     assert cf.a_minus(2, 0, 0, 0.0) == oracle.a_minus0(2, 0, 0) == 1
     assert cf.a_minus(2, -2, 0, 0.0) == oracle.a_minus0(2, -2, 0) == 0
     assert cf.a_plus(4, 2, -2, 0.0) == oracle.a_plus0(4, 2, -2) == 0
-    for n2, i2, j2 in gamma_basis(12).points:
+    for n2, i2, j2 in basis_points(gamma_basis(12)):
         for coefficient, indicator in CRYSTAL_PAIRS:
             assert coefficient(n2, i2, j2, 0.0) == indicator(n2, i2, j2), (coefficient, n2, i2, j2)
 

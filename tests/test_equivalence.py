@@ -2,11 +2,13 @@
 
 import json
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
+from support import basis_points, sheet_of
 from qsu2 import equivalence
 from qsu2.cli import main
 from qsu2.coefficients import float_mode, g, verify_g_estimates
@@ -30,7 +32,6 @@ from qsu2.lattice import (
     full_basis,
     full_shell,
     gamma_basis,
-    sheet_of,
 )
 from qsu2.operator_core import (
     SparseOperator,
@@ -87,7 +88,7 @@ def test_unitary_roundtrip_and_shells_cap40():
 def test_sheet_to_fiber():
     u = unitary_u(10)
     r = u.codomain.coords[0]
-    for k, p in enumerate(u.domain.points):
+    for k, p in enumerate(basis_points(u.domain)):
         assert r[u.perm[k]] == sheet_of(p) // 2
 
 
@@ -286,7 +287,7 @@ def test_diagonal_values_against_mpmath(q):
     # absolute bound: their relative error grows on deep shells (3e-9 at
     # q = -0.45 on this cap), the open cancellation defect of those formulas
     cap = 8
-    points = full_basis(cap).points
+    points = basis_points(full_basis(cap))
     values = {name: diagonal_values(q, cap, name)
               for name in ("R1", "R2", "R3", "R4", "T1", "T2", "T3", "T4")}
     with mpmath.workdps(50):
@@ -390,7 +391,7 @@ def test_tail_norms_against_dense_svd(q, gen):
     for cap in (0, 1, 2, 7, 8):
         d = difference(q, cap, gen)
         dense = d.to_dense()
-        pi_shell = np.array([p.s + abs(p.t) for p in d.domain.points])
+        pi_shell = np.array([p.s + abs(p.t) for p in basis_points(d.domain)])
         norms = tail_norms(q, cap, gen)
         assert [m for m, _ in norms] == list(range(cap + 1))
         for m, value in norms:
@@ -398,8 +399,52 @@ def test_tail_norms_against_dense_svd(q, gen):
             assert value == pytest.approx(oracle, rel=1e-12)
 
 
+def unpruned_tail_norms(q, cap, gen):
+    """Tail norms with every chain suffix solved, the reference for the pruned solve.
+
+    The columns of D with fixed (t, r - s) form a chain ordered by s; the
+    chain is the dense (L + 2) x L matrix M with row s' at slot s' - s_min + 1,
+    and its suffix from column k is M[k:, k:].  Every suffix of width w goes
+    through one batched dense spectral norm, as tail_norms solves its blocks,
+    and tail m takes the largest norm over the chains' columns s + |t| >= m.
+    """
+    d = difference(q, cap, gen)
+    r, s, t = (c.tolist() for c in d.domain.coords)
+    chains = {}
+    for j in sorted(range(len(s)), key=s.__getitem__):
+        chains.setdefault((t[j], r[j] - s[j]), []).append(j)
+    head = {j: cols[0] for cols in chains.values() for j in cols}
+    mats = {cols[0]: np.zeros((len(cols) + 2, len(cols)), d.vals.dtype) for cols in chains.values()}
+    for i, j, v in zip(d.rows.tolist(), d.entry_cols().tolist(), d.vals.tolist()):
+        h = head[j]
+        mats[h][s[i] - s[h] + 1, s[j] - s[h]] = v
+    suffix = {h: [0.0] * (m.shape[1] + 1) for h, m in mats.items()}  # [k]: norm from column k on
+    for w in range(1, max(m.shape[1] for m in mats.values()) + 1):
+        heads = [h for h, m in mats.items() if m.shape[1] >= w]
+        values = np.linalg.norm(np.stack([mats[h][-w - 2:, -w:] for h in heads]), 2, axis=(1, 2))
+        for h, value in zip(heads, values.tolist()):
+            suffix[h][-w - 1] = value
+    # tail m reads a chain from column m - (|t| + s_min) on, and all of it for m <= |t| + s_min
+    norms, whole = [0.0] * (cap + 1), [0.0] * (cap + 2)
+    for h, vals in suffix.items():
+        base = abs(t[h]) + s[h]
+        whole[base] = max(whole[base], vals[0])
+        for k, value in enumerate(vals[1:-1], 1):
+            norms[base + k] = max(norms[base + k], value)
+    for m in range(cap, -1, -1):
+        whole[m] = max(whole[m], whole[m + 1])
+    return [(m, max(norms[m], whole[m])) for m in range(cap + 1)]
+
+
 @pytest.mark.parametrize("gen", ["alpha", "beta"])
-def test_tail_norms_solve_each_suffix_once_at_its_own_size(monkeypatch, gen):
+@pytest.mark.parametrize("q", [0.5, -0.45, 0.9, 0.999, 0.1, -1e-3, -3e-7, 1e-150])
+def test_tail_norms_equal_the_unpruned_solve(q, gen):
+    for cap in [*range(13), 36]:
+        assert tail_norms(q, cap, gen) == unpruned_tail_norms(q, cap, gen), cap
+
+
+@pytest.mark.parametrize("gen", ["alpha", "beta"])
+def test_tail_norms_solve_surviving_suffixes_at_their_own_size(monkeypatch, gen):
     shapes = []
     norm = np.linalg.norm
 
@@ -410,9 +455,47 @@ def test_tail_norms_solve_each_suffix_once_at_its_own_size(monkeypatch, gen):
     monkeypatch.setattr(np.linalg, "norm", recording)
     tail_norms(0.5, 8, gen)
     monkeypatch.undo()
+    d = difference(0.5, 8, gen)
+    r, s, t = d.domain.coords
+    _, length = np.unique(np.stack([t, r - s]), axis=1, return_counts=True)
     assert shapes and all(h == w + 2 for _, h, w in shapes)
-    assert sorted(w for _, _, w in shapes) == list(range(1, len(shapes) + 1))
-    assert sum(count for count, _, _ in shapes) == len(difference(0.5, 8, gen).domain)
+    # one call per width, each solving at most the suffixes of that width once
+    assert len({w for _, _, w in shapes}) == len(shapes)
+    assert all(count <= np.sum(length >= w) for count, _, w in shapes)
+    assert sum(count for count, _, _ in shapes) < len(d.domain)
+
+
+def test_tail_norms_nan_entry_reaches_lapack(monkeypatch):
+    def with_nan(q, cap, gen):
+        d = difference(q, cap, gen)
+        vals = d.vals.copy()
+        vals[len(vals) // 2] = np.nan
+        return SparseOperator(d.domain, d.codomain, d.entry_cols(), d.rows, vals, d.mode)
+
+    monkeypatch.setattr(equivalence, "difference", with_nan)
+    with pytest.raises(np.linalg.LinAlgError):
+        tail_norms(0.5, 8, "beta")
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0], ids=["below-floor", "above-hi"])
+def test_tail_norms_check_the_bracket(monkeypatch, factor):
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda x, *args, **kwargs: factor * norm(x, *args, **kwargs))
+    with pytest.raises(AssertionError, match=r"tail 0 norm leaves its bracket"):
+        tail_norms(0.5, 4, "alpha")
+    # an internal fault, not a usage error: the CLI does not exit 2 on it
+    with pytest.raises(AssertionError, match=r"leaves its bracket"):
+        main(["tails", "--q", "0.5", "--cap", "4", "--gen", "alpha"])
+
+
+def test_tail_norms_peak_memory_at_the_largest_cap():
+    tracemalloc.start()
+    try:
+        tail_norms(0.9, 51, "beta")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 @pytest.mark.parametrize(

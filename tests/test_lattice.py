@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import basis_points, sheet_of
 from qsu2.lattice import (
     FullIndex,
     GammaIndex,
@@ -16,7 +17,6 @@ from qsu2.lattice import (
     nat_basis,
     pi_basis,
     pi_tensor_basis,
-    sheet_of,
 )
 
 
@@ -43,8 +43,8 @@ def brute_full(cap):
 
 
 def test_gamma_points_small_caps():
-    assert list(gamma_basis(0).points) == [GammaIndex(0, 0, 0)]
-    pts1 = list(gamma_basis(1).points)
+    assert basis_points(gamma_basis(0)) == [GammaIndex(0, 0, 0)]
+    pts1 = basis_points(gamma_basis(1))
     assert len(pts1) == 5
     assert set(pts1[1:]) == {GammaIndex(1, i, j) for i in (-1, 1) for j in (-1, 1)}
     assert len(gamma_basis(2)) == 14
@@ -52,29 +52,29 @@ def test_gamma_points_small_caps():
 
 def test_gamma_points_match_brute_force():
     for cap in (0, 1, 2, 3, 7):
-        pts = list(gamma_basis(cap).points)
+        pts = basis_points(gamma_basis(cap))
         assert set(pts) == brute_gamma(cap)
         assert len(pts) == len(set(pts))
         assert pts == sorted(pts)  # (n2, i2, j2) ascending
 
 
 def test_full_points_small_caps():
-    assert list(full_basis(0).points) == [FullIndex(0, 0, 0)]
-    assert list(full_basis(1).points) == [
+    assert basis_points(full_basis(0)) == [FullIndex(0, 0, 0)]
+    assert basis_points(full_basis(1)) == [
         FullIndex(0, 0, 0),
         FullIndex(1, 0, 0),
         FullIndex(0, 1, 0),
         FullIndex(0, 0, -1),
         FullIndex(0, 0, 1),
     ]
-    pts2 = list(full_basis(2).points)
+    pts2 = basis_points(full_basis(2))
     assert len(pts2) == 14
     assert sum(1 for p in pts2 if full_shell(*p) == 2) == 9
 
 
 def test_full_points_match_brute_force():
     for cap in (0, 1, 2, 3, 7):
-        pts = list(full_basis(cap).points)
+        pts = basis_points(full_basis(cap))
         assert set(pts) == brute_full(cap)
         assert len(pts) == len(set(pts))
 
@@ -83,10 +83,10 @@ def test_shell_count_identity():
     # Shell m holds (m+1)^2 points on either lattice.
     cap = 40
     gshells = {}
-    for p in gamma_basis(cap).points:
+    for p in basis_points(gamma_basis(cap)):
         gshells[p.n2] = gshells.get(p.n2, 0) + 1
     fshells = {}
-    for p in full_basis(cap).points:
+    for p in basis_points(full_basis(cap)):
         m = full_shell(*p)
         fshells[m] = fshells.get(m, 0) + 1
     for m in range(cap + 1):
@@ -95,7 +95,7 @@ def test_shell_count_identity():
 
 def test_pi_points_counts():
     for cap in (0, 1, 5):
-        pts = list(pi_basis(cap).points)
+        pts = basis_points(pi_basis(cap))
         assert len(pts) == (cap + 1) ** 2
         assert len(set(pts)) == len(pts)
         counts = {}
@@ -108,7 +108,7 @@ def test_pi_points_counts():
 
 def test_rank_point_of_roundtrip():
     for basis in (gamma_basis(4), full_basis(4), pi_basis(4)):
-        for k, p in enumerate(basis.points):
+        for k, p in enumerate(basis_points(basis)):
             assert basis.rank(*p) == k
             assert basis.point_of(k) == p
 
@@ -134,14 +134,14 @@ def test_sheet_of_examples():
 
 def test_sheets_partition_gamma():
     cap = 12
-    for p in gamma_basis(cap).points:
+    for p in basis_points(gamma_basis(cap)):
         k2 = sheet_of(p)
         assert 0 <= k2 <= 2 * p.n2
         assert k2 % 2 == 0  # n2 and max(i2, j2) share parity
 
 
 def test_truncation_validation():
-    assert list(gamma_basis(0).points) == [GammaIndex(0, 0, 0)]
+    assert basis_points(gamma_basis(0)) == [GammaIndex(0, 0, 0)]
     for basis in (gamma_basis, full_basis, pi_basis):
         with pytest.raises(ValueError, match="non-negative"):
             basis(-1)
@@ -153,7 +153,7 @@ def test_closed_form_ranks_match_enumeration():
                       pi_tensor_basis(cap)):
             assert basis.rank(*basis.coords).tolist() == list(range(len(basis)))
             assert np.all(basis.valid(*basis.coords))
-            assert [basis.point_of(k) for k in range(len(basis))] == list(basis.points)
+            assert [basis.point_of(k) for k in range(len(basis))] == basis_points(basis)
     # valid points one shell above the cap have no rank
     assert gamma_basis(3).rank(np.array([4]), np.array([0]), np.array([2])).tolist() == [-1]
     assert full_basis(3).rank(np.array([1]), np.array([2]), np.array([-1])).tolist() == [-1]
@@ -180,5 +180,5 @@ def test_generated_gamma_points_valid(p):
 def test_basis_rank_bijection_property(cap):
     basis = full_basis(cap)
     assert len(basis) == sum((m + 1) ** 2 for m in range(cap + 1))
-    ranks = [int(basis.rank(*p)) for p in basis.points]
+    ranks = [int(basis.rank(*p)) for p in basis_points(basis)]
     assert ranks == list(range(len(basis)))

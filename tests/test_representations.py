@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import crystal_oracle as oracle
+from support import basis_points, entries
 from qsu2.coefficients import EXACT_ZERO, float_mode
 from qsu2.lattice import FullIndex, GammaIndex, PiIndex, gamma_basis, nat_basis
 from qsu2 import representations
@@ -55,7 +56,7 @@ def test_lambda_beta_apex_column():
 def test_lambda_boundary_column_only_lowering_term():
     cap = 4
     op = build_lambda(0.5, cap, "alpha")
-    for p in gamma_basis(cap).points:
+    for p in basis_points(gamma_basis(cap)):
         if p.n2 == cap and p.i2 > -p.n2 and p.j2 > -p.n2:
             col = column_as_dict(op, p)
             assert set(col) == {GammaIndex(p.n2 - 1, p.i2 - 1, p.j2 - 1)}
@@ -79,8 +80,9 @@ def test_crystal_section_refuses_non_integer_values():
 def test_lambda_shell_grading():
     for gen in Generator:
         op = build_lambda(0.5, 5, gen)
-        for i, j, _ in op.entries():
-            dn = op.codomain.points[i].n2 - op.domain.points[j].n2
+        dst, src = basis_points(op.codomain), basis_points(op.domain)
+        for i, j, _ in entries(op):
+            dn = dst[i].n2 - src[j].n2
             assert abs(dn) == 1
 
 
@@ -101,11 +103,13 @@ def test_pi_actions():
 
 def test_pi_shell_grading():
     pa = build_pi(0.5, 6, "alpha")
-    for i, j, _ in pa.entries():
-        assert pa.domain.points[j].s - pa.codomain.points[i].s == 1
+    rows, cols = basis_points(pa.codomain), basis_points(pa.domain)
+    for i, j, _ in entries(pa):
+        assert cols[j].s - rows[i].s == 1
     pb = build_pi(0.5, 6, "beta")
-    for i, j, _ in pb.entries():
-        src, dst = pb.domain.points[j], pb.codomain.points[i]
+    rows, cols = basis_points(pb.codomain), basis_points(pb.domain)
+    for i, j, _ in entries(pb):
+        src, dst = cols[j], rows[i]
         assert abs((dst.s + abs(dst.t)) - (src.s + abs(src.t))) == 1
 
 
@@ -130,8 +134,9 @@ def test_star_compatibility():
 )
 def test_crystal_builders_match_hand_encoding(build, action, gen):
     op = build(0.0, 10, gen)
-    expected = oracle.columns(action, gen, op.domain.points)
-    for j, p in enumerate(op.domain.points):
+    pts = basis_points(op.domain)
+    expected = oracle.columns(action, gen, pts)
+    for j, p in enumerate(pts):
         col = column_by_rank(op, j)
         assert col == expected[p], p
         assert all(type(v) is int for v in col.values()), p
@@ -161,7 +166,7 @@ def test_crystal_entries_are_signs():
     for gen in Generator:
         for op in (build_lambda(0.0, 5, gen), build_pi(0.0, 5, gen), build_ipi(0.0, 5, gen)):
             assert op.mode.exact
-            for _, _, v in op.entries():
+            for _, _, v in entries(op):
                 assert v in (-1, 1)
             assert np.diff(op.indptr).max() <= 1
 

@@ -37,7 +37,6 @@ from .operator_core import (
     add,
     adjoint,
     build_from_rule,
-    compose,
     diagonal,
     max_abs_entry_per_shell,
     max_entry_difference,
@@ -118,7 +117,7 @@ def difference(q: float, cap: int, gen) -> SparseOperator:
     if q == 0.0:
         raise ValueError("q=0 is exact: use verify_q0_equivalence")
     conj = conjugate(build_lambda(q, cap, gen), unitary_u(cap))
-    return add(conj, build_ipi(q, cap, gen), 1.0, -1.0)
+    return add((1.0, conj), (-1.0, build_ipi(q, cap, gen)))
 
 
 # Diagonal coefficients.  R1, R2 (alpha) and T1, T2 (beta) are the
@@ -182,19 +181,6 @@ def diagonal_values(q: float, cap: int, name: str) -> np.ndarray:
     return formulas[name]()
 
 
-# Coordinate shifts on the full lattice (boundary targets dropped).
-
-def _shift_op(q: float, cap: int, delta_r: int, delta_s: int, delta_t: int) -> SparseOperator:
-    basis = full_basis(cap)
-    mode = float_mode(q)
-
-    def rule(r, s, t):
-        r, s = r + delta_r, s + delta_s
-        return [((r, s, t + delta_t), ((r >= 0) & (s >= 0)) * 1.0)]
-
-    return build_from_rule(basis, basis, rule, mode)
-
-
 def closed_form(q: float, cap: int, gen) -> SparseOperator:
     """Assemble D_gen from the displayed diagonal coefficients and shifts.
 
@@ -203,26 +189,30 @@ def closed_form(q: float, cap: int, gen) -> SparseOperator:
     each t-branch of T1 rides its own shift, the t >= 0 branch on
     S* (x) S* (x) S and the t < 0 branch on S (x) S (x) S, plus
     T2 (I (x) I (x) S); the t < 0 branch keeps its nonzero values on the
-    (0, 0) fiber, which the identity requires.
+    (0, 0) fiber, which the identity requires.  Each term of the one rule
+    is a shift valued by its diagonal at the column (R1) or at the target
+    (R2, T1, T2); a target off the lattice takes the value 0.
     """
     gen = _as_generator(gen)
     mode = float_mode(q)
     basis = full_basis(cap)
 
-    def diag(values):
-        return diagonal(basis, values, mode)
+    def at(values, r, s, t):
+        """values at the points (r, s, t): 0 off the lattice and above the cap."""
+        rank = np.where(basis.valid(r, s, t), basis.rank(r, s, t), -1)
+        return np.append(values, 0.0)[rank]
 
     if gen is Generator.ALPHA:
-        term1 = compose(_shift_op(q, cap, +1, 0, 0), diag(diagonal_values(q, cap, "R1")))
-        term2 = compose(diag(diagonal_values(q, cap, "R2")), _shift_op(q, cap, 0, -1, 0))
-        return add(term1, term2)
+        r1, r2 = diagonal_values(q, cap, "R1"), diagonal_values(q, cap, "R2")
+        return build_from_rule(basis, basis, lambda r, s, t: [
+            ((r + 1, s, t), r1),
+            ((r, s - 1, t), at(r2, r, s - 1, t))], mode)
     if gen is Generator.BETA:
-        t = basis.coords[2]
-        branch = _t1_branch_values(q, cap)
-        term1 = compose(diag(np.where(t >= 0, branch, 0.0)), _shift_op(q, cap, +1, +1, -1))
-        term2 = compose(diag(np.where(t < 0, branch, 0.0)), _shift_op(q, cap, -1, -1, -1))
-        term3 = compose(diag(diagonal_values(q, cap, "T2")), _shift_op(q, cap, 0, 0, -1))
-        return add(add(term1, term2), term3)
+        branch, t2 = _t1_branch_values(q, cap), diagonal_values(q, cap, "T2")
+        return build_from_rule(basis, basis, lambda r, s, t: [
+            ((r + 1, s + 1, t - 1), at(np.where(t >= 0, branch, 0.0), r + 1, s + 1, t - 1)),
+            ((r - 1, s - 1, t - 1), at(np.where(t < 0, branch, 0.0), r - 1, s - 1, t - 1)),
+            ((r, s, t - 1), at(t2, r, s, t - 1))], mode)
     raise ValueError("closed forms exist for the unstarred generators")
 
 
@@ -304,8 +294,8 @@ def decay_report(q: float, cap: int, target: str) -> DecayReport:
         hi = max(lo + 1, (2 * len(ratios)) // 3)
         mid = ratios[lo:hi]
         fitted = math.exp(sum(math.log(r) for r in mid) / len(mid))
-    else:
-        fitted = 0.0
+    else:  # no two consecutive nonzero shells: nothing was fitted
+        fitted = float("nan")
     return DecayReport(
         target, q, cap, pattern_name, tuple(enumerate(shell_max)), constant, fitted
     )
@@ -476,7 +466,7 @@ def verify_q0_equivalence(cap: int) -> Q0EquivalenceReport:
     interior = full_basis(cap).shells <= cap - 1
     diffs = {}
     for gen, star in ((Generator.ALPHA, Generator.ALPHA_STAR), (Generator.BETA, Generator.BETA_STAR)):
-        diffs[gen] = add(conjugate(lam.pop(gen), u), build_ipi(0.0, cap, gen), 1, -1)
+        diffs[gen] = add((1, conjugate(lam.pop(gen), u)), (-1, build_ipi(0.0, cap, gen)))
         diffs[star] = adjoint(diffs[gen])
     mismatches, witness = {}, {}
     for gen in Generator:

@@ -109,44 +109,43 @@ def _check_cap(cap: int) -> None:
         raise ValueError("truncation cap must be non-negative")
 
 
-def _pi_shell_coords(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Shell n of N x Z in rank order: (n, 0), (n-1, -1), (n-1, 1), ..."""
-    k = (np.arange(2 * n + 1) + 1) // 2
-    t = np.where(np.arange(2 * n + 1) % 2 == 1, -k, k)
-    return n - k, t
+def _shell_ranks(cap: int, size: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """Shell m, and rank within it, of every point up to the cap in
+    shell-major order, where shell m holds size(m) points."""
+    _check_cap(cap)
+    m = np.arange(cap + 1, dtype=np.intp)
+    sizes = size(m)
+    first = np.cumsum(sizes) - sizes  # rank of each shell's first point
+    return np.repeat(m, sizes), np.arange(sizes.sum(), dtype=np.intp) - np.repeat(first, sizes)
 
 
 def _gamma_coords(cap: int) -> tuple[np.ndarray, ...]:
     """Coordinates (n2, i2, j2) of Gamma up to the cap, (n2, i2, j2) ascending."""
-    _check_cap(cap)
-    parts = []
-    for n2 in range(cap + 1):
-        side = np.arange(-n2, n2 + 1, 2)
-        parts.append((np.full((n2 + 1) ** 2, n2), np.repeat(side, n2 + 1), np.tile(side, n2 + 1)))
-    return tuple(np.concatenate(c).astype(np.intp) for c in zip(*parts))
+    n2, k = _shell_ranks(cap, lambda m: (m + 1) ** 2)
+    i, j = np.divmod(k, n2 + 1)
+    return n2, 2 * i - n2, 2 * j - n2
 
 
 def _full_coords(cap: int) -> tuple[np.ndarray, ...]:
     """Coordinates (r, s, t) with r + s + |t| <= cap in canonical order.
 
     Shell-major; within a shell r descends, then s descends, then t
-    ascends, e.g. shell 1 reads (1,0,0), (0,1,0), (0,0,-1), (0,0,1).
+    ascends, e.g. shell 1 reads (1,0,0), (0,1,0), (0,0,-1), (0,0,1).  So
+    shell m is the first (m + 1)^2 points of the (s, t) lattice, its
+    shells 0..m in rank order, with r = m - (s + |t|).
     """
-    _check_cap(cap)
-    shells = [_pi_shell_coords(n) for n in range(cap + 1)]
-    parts = []
-    for m in range(cap + 1):
-        for r in range(m, -1, -1):
-            s, t = shells[m - r]
-            parts.append((np.full(len(s), r), s, t))
-    return tuple(np.concatenate(c).astype(np.intp) for c in zip(*parts))
+    s, t = _pi_coords(cap)
+    m, k = _shell_ranks(cap, lambda m: (m + 1) ** 2)
+    s, t = s[k], t[k]
+    return m - pi_shell(s, t), s, t
 
 
 def _pi_coords(cap: int) -> tuple[np.ndarray, ...]:
-    """Coordinates (s, t) with s + |t| <= cap; shell-major, s descending, t ascending."""
-    _check_cap(cap)
-    return tuple(np.concatenate(c).astype(np.intp)
-                 for c in zip(*(_pi_shell_coords(n) for n in range(cap + 1))))
+    """Coordinates (s, t) with s + |t| <= cap; shell-major, s descending,
+    t ascending: shell n reads (n, 0), (n-1, -1), (n-1, 1), ..."""
+    n, k = _shell_ranks(cap, lambda m: 2 * m + 1)
+    a = (k + 1) // 2
+    return n - a, np.where(k % 2 == 1, -a, a)
 
 
 class Basis:

@@ -13,7 +13,7 @@ Determinism: arithmetic is plain numpy, and repeated positions are
 summed one term at a time in the order they occur.  Ties between equal
 maxima go to the first in (column, row) rank order, and NaN wins every
 maximum, so a NaN entry fails whatever reads it.  Comparisons are one
-subtraction, ``add(a, b, 1, -1)``, followed by a reduction.
+subtraction, ``add((1, a), (-1, b))``, followed by a reduction.
 """
 
 from __future__ import annotations
@@ -68,7 +68,9 @@ def _canonical(n_cols: int, n_rows: int, cols, rows, vals):
     key = cols * n_rows + rows
     if key.size > 1 and not (key[1:] > key[:-1]).all():
         order = np.argsort(key, kind="stable")
-        key, vals = key[order], vals[order]
+        key = key[order]  # one array at a time, to bound the copies alive at once
+        vals = vals[order]
+        del order
         first = np.ones(key.size, dtype=bool)
         first[1:] = key[1:] != key[:-1]
         if not first.all():
@@ -78,7 +80,9 @@ def _canonical(n_cols: int, n_rows: int, cols, rows, vals):
                 _check_exact_bound(_max_abs(vals) * largest_group, "sum")
             sums = np.zeros(starts.size, dtype=vals.dtype)
             # ufunc.at is unbuffered: one term at a time, in index order
-            np.add.at(sums, np.cumsum(first) - 1, vals)
+            group = np.cumsum(first)
+            group -= 1
+            np.add.at(sums, group, vals)
             key, vals = key[starts], sums
     keep = vals != 0
     if not keep.all():
@@ -217,24 +221,29 @@ def compose(a: SparseOperator, b: SparseOperator, columns=None) -> SparseOperato
         b_cols, b_rows, b_vals = columns[owner], b.rows[pos], b.vals[pos]
     # every entry b[k, j] meets column k of a, rows ascending
     idx, owner = _gather(a.indptr, b_rows)
-    return SparseOperator(b.domain, a.codomain, b_cols[owner], a.rows[idx],
-                          a.vals[idx] * b_vals[owner], a.mode)
+    cols, rows, vals = b_cols[owner], a.rows[idx], a.vals[idx] * b_vals[owner]
+    del idx, owner, b_cols, b_rows, b_vals  # not held while the product is canonicalised
+    return SparseOperator(b.domain, a.codomain, cols, rows, vals, a.mode)
 
 
-def add(a: SparseOperator, b: SparseOperator, wa=1, wb=1) -> SparseOperator:
-    """Weighted sum wa * a + wb * b."""
-    if not (a.domain.same_points(b.domain) and a.codomain.same_points(b.codomain)):
-        raise ValueError("dimension mismatch in add")
-    _check_modes(a, b, "add")
-    if a.mode.exact:
-        _check_exact_bound(abs(wa) * _max_abs(a.vals) + abs(wb) * _max_abs(b.vals), "add")
-    return SparseOperator(
-        a.domain, a.codomain,
-        np.concatenate((a.entry_cols(), b.entry_cols())),
-        np.concatenate((a.rows, b.rows)),
-        np.concatenate((wa * a.vals, wb * b.vals)),
-        a.mode,
-    )
+def add(*terms: tuple[object, SparseOperator]) -> SparseOperator:
+    """Weighted sum w_1 * op_1 + ... + w_n * op_n of (w, op) terms, in one
+    canonical pass over their entries in term order; nested two-term sums
+    give the same bits, since 0 + s == s for every stored s.  A single
+    term of weight 1 is returned as it is."""
+    (w, first), *rest = terms
+    if not rest and w == 1:
+        return first
+    for _, op in rest:
+        if not (first.domain.same_points(op.domain) and first.codomain.same_points(op.codomain)):
+            raise ValueError("dimension mismatch in add")
+        _check_modes(first, op, "add")
+    if first.mode.exact:
+        _check_exact_bound(sum(abs(w) * _max_abs(op.vals) for w, op in terms), "add")
+    return SparseOperator(first.domain, first.codomain,
+                          np.concatenate([op.entry_cols() for _, op in terms]),
+                          np.concatenate([op.rows for _, op in terms]),
+                          np.concatenate([w * op.vals for w, op in terms]), first.mode)
 
 
 def adjoint(a: SparseOperator) -> SparseOperator:
@@ -279,7 +288,7 @@ def max_entry_difference(a: SparseOperator, b: SparseOperator,
     ``columns`` restricts the comparison to the given domain ranks.  The
     witness is the first maximal entry in (column, row) rank order.
     """
-    d = add(a, b, 1, -1)
+    d = add((1, a), (-1, b))
     dev = np.abs(d.vals)
     if columns is not None:
         wanted = np.zeros(len(a.domain), dtype=bool)

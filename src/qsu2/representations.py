@@ -13,6 +13,7 @@ so *-compatibility holds by construction.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -153,16 +154,8 @@ def coproduct_images(q: float, cap: int) -> tuple[SparseOperator, SparseOperator
     a = build_pi(q, cap, Generator.ALPHA)
     b = build_pi(q, cap, Generator.BETA)
     basis2 = pi_tensor_basis(cap)
-    d_alpha = add(
-        tensor(a, a, basis2, basis2),
-        tensor(adjoint(b), b, basis2, basis2),
-        1.0,
-        -q,
-    )
-    d_beta = add(
-        tensor(b, a, basis2, basis2),
-        tensor(adjoint(a), b, basis2, basis2),
-    )
+    d_alpha = add((1.0, tensor(a, a, basis2, basis2)), (-q, tensor(adjoint(b), b, basis2, basis2)))
+    d_beta = add((1, tensor(b, a, basis2, basis2)), (1, tensor(adjoint(a), b, basis2, basis2)))
     return d_alpha, d_beta
 
 
@@ -189,23 +182,39 @@ class RelationReport:
         return max(residuals, default=0.0)
 
 
+# The defining relations of C(SU_q(2)), each a sum of weighted words:
+# products xy of two of a, a*, b, b* (y applied first), or the identity
+# I.  A term's weight at q is read from its label; at q = 0 the
+# q-weighted terms vanish, and they drop out of the relation and its name.
+_WEIGHTS = {"+": lambda q: 1, "-": lambda q: -1, "+q^2": lambda q: q * q, "-q": lambda q: -q}
+RELATIONS = (
+    (("+", "a*a"), ("+", "b*b"), ("-", "I")),
+    (("+", "aa*"), ("+q^2", "bb*"), ("-", "I")),
+    (("+", "ab"), ("-q", "ba")),
+    (("+", "ab*"), ("-q", "b*a")),
+    (("+", "b*b"), ("-", "bb*")),
+)
+
+
 def check_relations(ops, margin: int = 2) -> RelationReport:
     """Residuals of the defining relations on interior shells.
 
     ``ops`` maps generator names to operator sections on one basis; missing
-    starred generators are filled in by matrix adjoints.  Each relation is a
-    word of length <= 2, computed only on the interior columns, the basis
-    vectors of shell <= cap - margin (``compose`` over that column set,
-    and an identity that is 1 on those columns alone); every other column
-    of a relation operator is empty.  The report holds the largest column
-    norm per relation and the witnessing basis point.  At q = 0 the
-    crystal relations are checked in exact integer arithmetic.
+    starred generators are filled in by matrix adjoints.  Every relation of
+    ``RELATIONS`` is evaluated at the mode's q (exact integers at q = 0)
+    on the interior columns, the basis vectors of shell <= cap - margin:
+    each distinct word is composed once (``compose`` over that column set;
+    I is 1 on those columns alone) and dropped after the last relation
+    that reads it, and each relation is summed by one ``add``.  Every
+    other column of a relation operator is empty.  The report holds the
+    largest column norm per relation and the witnessing basis point.
     """
     ops = {_as_generator(k): v for k, v in ops.items()}
     a = ops[Generator.ALPHA]
     b = ops[Generator.BETA]
-    astar = ops[Generator.ALPHA_STAR] if Generator.ALPHA_STAR in ops else adjoint(a)
-    bstar = ops[Generator.BETA_STAR] if Generator.BETA_STAR in ops else adjoint(b)
+    letters = {"a": a, "b": b,
+               "a*": ops[Generator.ALPHA_STAR] if Generator.ALPHA_STAR in ops else adjoint(a),
+               "b*": ops[Generator.BETA_STAR] if Generator.BETA_STAR in ops else adjoint(b)}
     basis = a.domain
     cap = basis.cap
     if margin < 2:
@@ -215,35 +224,27 @@ def check_relations(ops, margin: int = 2) -> RelationReport:
     mode = a.mode
     inside = basis.shells <= cap - margin
     interior = np.flatnonzero(inside)
-    eye = diagonal(basis, inside.astype(np.int64), mode)
 
-    def word(x, y):
-        return compose(x, y, interior)
+    def form(word):
+        if word == "I":
+            return diagonal(basis, inside.astype(np.int64), mode)
+        x, y = re.findall(r"[ab]\*?", word)
+        return compose(letters[x], letters[y], interior)
 
-    # Each relation is built, reduced to its worst column and dropped
-    # before the next is built, so one relation operator is alive at a time.
-    if mode.exact:
-        relations = [
-            ("a*a+b*b-I", lambda: add(add(word(astar, a), word(bstar, b)), eye, 1, -1)),
-            ("aa*-I", lambda: add(word(a, astar), eye, 1, -1)),
-            ("ab", lambda: word(a, b)),
-            ("ab*", lambda: word(a, bstar)),
-            ("b*b-bb*", lambda: add(word(bstar, b), word(b, bstar), 1, -1)),
-        ]
-    else:
-        q = mode.q
-        relations = [
-            ("a*a+b*b-I", lambda: add(add(word(astar, a), word(bstar, b)), eye, 1.0, -1.0)),
-            ("aa*+q^2bb*-I",
-             lambda: add(add(word(a, astar), word(b, bstar), 1.0, q * q), eye, 1.0, -1.0)),
-            ("ab-qba", lambda: add(word(a, b), word(b, a), 1.0, -q)),
-            ("ab*-qb*a", lambda: add(word(a, bstar), word(bstar, a), 1.0, -q)),
-            ("b*b-bb*", lambda: add(word(bstar, b), word(b, bstar), 1.0, -1.0)),
-        ]
-
+    table = [[(_WEIGHTS[label](mode.q), label, word) for label, word in terms
+              if not (mode.exact and "q" in label)] for terms in RELATIONS]
+    last = {word: i for i, terms in enumerate(table) for _, _, word in terms}
+    words: dict[str, SparseOperator] = {}
     rows = []
-    for name, build in relations:
-        worst, j = _worst_column(build())
+    for i, terms in enumerate(table):
+        for _, _, word in terms:
+            if word not in words:
+                words[word] = form(word)
+        # one relation operator is alive at a time: reduced, then dropped
+        worst, j = _worst_column(add(*((w, words[word]) for w, _, word in terms)))
+        for word in [word for word in words if last[word] == i]:
+            del words[word]
+        name = "".join(label + word for _, label, word in terms).removeprefix("+")
         rows.append(RelationResidual(name, worst**0.5, None if j is None else basis.point_of(j)))
     return RelationReport(cap, margin, mode.exact, tuple(rows))
 

@@ -205,6 +205,17 @@ def test_decay_command(capsys):
     assert "shell=0" in names and "normalized_constant" in names and "fitted_ratio" in names
 
 
+@pytest.mark.parametrize("cap, target",
+                         [(0, target) for target in equivalence.DECAY_TARGETS] + [(1, "T1mT3")])
+def test_decay_with_nothing_fitted_fails(capsys, cap, target):
+    # no two consecutive shells are both nonzero, so no ratio can be fitted
+    code, out, _ = run(capsys, "decay", "--q", "0.5", "--cap", str(cap), "--target", target)
+    doc = json.loads(out)
+    assert doc["items"][-1] == {"name": "fitted_ratio", "value": None, "bound": None,
+                                "pass": False, "witness": None}
+    assert doc["pass"] is False and code == 1
+
+
 def test_tails_command(capsys):
     code, out, _ = run(capsys, "tails", "--q", "0.5", "--cap", "6", "--gen", "beta")
     assert code == 0

@@ -37,6 +37,7 @@ from qsu2.operator_core import (
     SparseOperator,
     add,
     build_from_rule,
+    compose,
     diagonal,
     max_abs_entry_per_shell,
     max_entry_difference,
@@ -326,6 +327,40 @@ def test_closed_form_matches_difference_everywhere_interior():
         assert worst < 1e-14
 
 
+def assembled_closed_form(q, cap, gen):
+    """D_gen as products of diagonal and shift operators, summed by add."""
+    basis = full_basis(cap)
+    mode = float_mode(q)
+
+    def shift(dr, ds, dt):
+        def rule(r, s, t):
+            r, s = r + dr, s + ds
+            return [((r, s, t + dt), ((r >= 0) & (s >= 0)) * 1.0)]
+        return build_from_rule(basis, basis, rule, mode)
+
+    def diag(values):
+        return diagonal(basis, values, mode)
+
+    if gen == "alpha":
+        return add((1, compose(shift(+1, 0, 0), diag(diagonal_values(q, cap, "R1")))),
+                   (1, compose(diag(diagonal_values(q, cap, "R2")), shift(0, -1, 0))))
+    t = basis.coords[2]
+    branch = equivalence._t1_branch_values(q, cap)
+    up = compose(diag(np.where(t >= 0, branch, 0.0)), shift(+1, +1, -1))
+    down = compose(diag(np.where(t < 0, branch, 0.0)), shift(-1, -1, -1))
+    return add((1, add((1, up), (1, down))),
+               (1, compose(diag(diagonal_values(q, cap, "T2")), shift(0, 0, -1))))
+
+
+@pytest.mark.parametrize("gen", ["alpha", "beta"])
+@pytest.mark.parametrize("q", [0.5, -0.45, 0.9, 0.999, 0.1, -1e-3])
+def test_closed_form_matches_assembled_reference_bitwise(q, gen):
+    for cap in [*range(9), 20]:
+        got, want = closed_form(q, cap, gen), assembled_closed_form(q, cap, gen)
+        for x, y in ((got.indptr, want.indptr), (got.rows, want.rows), (got.vals, want.vals)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), cap
+
+
 def test_t1_minus_t3_bottom_fiber_values():
     # T1 vanishes on the (0,0) fiber while I (x) T3 does not: the
     # difference there is exactly q^{|t|} g(1) for t < 0.
@@ -512,7 +547,7 @@ def test_tail_norms_refuse_rows_outside_the_chains(monkeypatch, capsys, column, 
         d = difference(q, cap, gen)
         extra = SparseOperator(d.domain, d.codomain, [d.domain.rank(*column)],
                                [d.codomain.rank(*row)], [0.125], d.mode)
-        return add(d, extra)
+        return add((1, d), (1, extra))
 
     monkeypatch.setattr(equivalence, "difference", linked)
     message = re.escape(f"row {row!r} {what}")

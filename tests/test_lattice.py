@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from support import basis_points, sheet_of
+from qsu2 import lattice
 from qsu2.lattice import (
     FullIndex,
     GammaIndex,
@@ -158,6 +159,28 @@ def test_closed_form_ranks_match_enumeration():
     assert gamma_basis(3).rank(np.array([4]), np.array([0]), np.array([2])).tolist() == [-1]
     assert full_basis(3).rank(np.array([1]), np.array([2]), np.array([-1])).tolist() == [-1]
     assert pi_tensor_basis(2).rank(*(np.array([v]) for v in (0, 3, 0, 0))).tolist() == [-1]
+
+
+def loop_coords(cap):
+    """Coordinates of gamma_basis, full_basis and pi_basis by nested loops,
+    shell by shell in rank order."""
+    gamma, full, pi = [], [], []
+    for m in range(cap + 1):
+        gamma += [(m, i2, j2) for i2 in range(-m, m + 1, 2) for j2 in range(-m, m + 1, 2)]
+        pi += [(m - (k + 1) // 2, -((k + 1) // 2) if k % 2 else (k + 1) // 2)
+               for k in range(2 * m + 1)]
+        # r descends, and (s, t) runs over the pi shell m - r in its rank order
+        full += [(m - n, s, t) for n in range(m + 1) for s, t in pi if s + abs(t) == n]
+    return [tuple(np.array(c, dtype=np.intp) for c in zip(*points))
+            for points in (gamma, full, pi)]
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 5, 18, 30, 40, 51])
+def test_coords_match_loop_reference(cap):
+    got = (lattice._gamma_coords(cap), lattice._full_coords(cap), lattice._pi_coords(cap))
+    for coords, want in zip(got, loop_coords(cap)):
+        assert [c.dtype for c in coords] == [np.dtype(np.intp)] * len(want)
+        assert all(np.array_equal(c, w) for c, w in zip(coords, want))
 
 
 @st.composite

@@ -103,7 +103,7 @@ def test_compose_add_adjoint_against_dense():
     np.testing.assert_allclose(compose(a, b).to_dense(), a.to_dense() @ b.to_dense(), atol=1e-15)
     c = random_sparse(rng, b2, b3)
     np.testing.assert_allclose(
-        add(a, c, 2.0, -3.0).to_dense(), 2.0 * a.to_dense() - 3.0 * c.to_dense(), atol=1e-15
+        add((2.0, a), (-3.0, c)).to_dense(), 2.0 * a.to_dense() - 3.0 * c.to_dense(), atol=1e-15
     )
     np.testing.assert_allclose(adjoint(a).to_dense(), a.to_dense().T, atol=0)
 
@@ -181,7 +181,7 @@ def test_dimension_and_mode_mismatch_errors():
     with pytest.raises(ValueError, match="dimension mismatch"):
         compose(a, b)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        add(a, b)
+        add((1, a), (1, b))
     c = eye(nat_basis(4), EXACT_ZERO)
     with pytest.raises(ValueError, match="mode mismatch"):
         compose(a, c)
@@ -276,13 +276,50 @@ def test_exact_mode_refuses_int64_overflow():
         compose(big, big)
     half = diagonal(basis, [2**61, 1], EXACT_ZERO)
     with pytest.raises(OverflowError, match="add"):
-        add(half, half)
+        add((1, half), (1, half))
     with pytest.raises(OverflowError, match="tensor"):
         tensor(big, big, nat_basis(4), nat_basis(4))
     with pytest.raises(OverflowError, match="sum"):
         SparseOperator(basis, basis, [0, 0], [0, 0], [2**61, 2**61], EXACT_ZERO)
     ok = compose(diagonal(basis, [2**30, 1], EXACT_ZERO), diagonal(basis, [2**30, 1], EXACT_ZERO))
     assert column(ok, 0) == [(0, 2**60)]
+
+
+def bits(op):
+    return [(a.dtype, a.tobytes()) for a in (op.indptr, op.rows, op.vals)]
+
+
+@pytest.mark.parametrize("kind", ["float", "complex", "exact"])
+def test_n_term_add_matches_nested_adds_bitwise(kind):
+    basis = nat_basis(4)
+    mode = EXACT_ZERO if kind == "exact" else MODE
+    scale = {"float": 0.1, "complex": 0.1 + 0.05j, "exact": 1}[kind]
+
+    def op(cols):
+        return from_columns(basis, basis, [[(i, v * scale) for i, v in col] for col in cols], mode)
+
+    # column 0 cancels to exactly 0 after two terms, column 2 sums three
+    # terms, and column 3 holds a NaN term (outside the exact mode)
+    nan = 5 if kind == "exact" else float("nan")
+    x = op([[(0, 1)], [(1, 2)], [(2, 1)], [(3, nan)]])
+    y = op([[(0, 1)], [], [(2, 2)], [(3, 1)]])
+    z = op([[(0, 3), (1, 7)], [(1, 4)], [(2, 3)], []])
+    w = (2, -2, 3) if kind == "exact" else (1.5, -1.5, 0.7)
+    got = add((w[0], x), (w[1], y), (w[2], z))
+    nested = add((1, add((w[0], x), (w[1], y))), (w[2], z))
+    assert bits(got) == bits(nested)
+    assert column(got, 0) == column(add((w[2], z)), 0)  # the cancelled pair leaves z alone
+    if kind != "exact":
+        assert np.isnan(got.vals[got.indptr[3]])
+    assert add((1, x)) is x
+
+
+def test_n_term_add_overflow_guard_sums_every_term():
+    basis = nat_basis(2)
+    quarter = diagonal(basis, [2**60, 1], EXACT_ZERO)
+    assert column(add((1, quarter), (1, quarter), (1, quarter)), 0) == [(0, 3 * 2**60)]
+    with pytest.raises(OverflowError, match="add"):
+        add((1, quarter), (1, quarter), (2, quarter))  # 4 * 2**60 = 2**62
 
 
 # Dyadic entries keep every product and sum exact, so the dense oracle is
@@ -327,7 +364,7 @@ def test_algebra_against_dense_property(data, kind, n1, n2, n3):
     b, db = data.draw(operators(kind, n1, n2))
     c, dc = data.draw(operators(kind, n2, n3))
     w = 2 if kind == "exact" else -1.5
-    for op, dense in ((a, da), (compose(a, b), da @ db), (add(a, c, w, 1), w * da + dc),
+    for op, dense in ((a, da), (compose(a, b), da @ db), (add((w, a), (1, c)), w * da + dc),
                       (adjoint(a), da.conj().T),
                       (tensor(a, b, nat_basis(n2 * n1), nat_basis(n3 * n2)), np.kron(da, db))):
         check_canonical(op)

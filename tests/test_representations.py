@@ -249,20 +249,22 @@ def _full_column_relations(ops, margin=2):
     basis, mode = a.domain, a.mode
     eye = diagonal(basis, np.ones(len(basis), dtype=np.int64), mode)
     if mode.exact:
-        words = [add(add(compose(astar, a), compose(bstar, b)), eye, 1, -1),
-                 add(compose(a, astar), eye, 1, -1),
+        names = ["a*a+b*b-I", "aa*-I", "ab", "ab*", "b*b-bb*"]
+        words = [add((1, add((1, compose(astar, a)), (1, compose(bstar, b)))), (-1, eye)),
+                 add((1, compose(a, astar)), (-1, eye)),
                  compose(a, b),
                  compose(a, bstar),
-                 add(compose(bstar, b), compose(b, bstar), 1, -1)]
+                 add((1, compose(bstar, b)), (-1, compose(b, bstar)))]
     else:
         q = mode.q
-        words = [add(add(compose(astar, a), compose(bstar, b)), eye, 1.0, -1.0),
-                 add(add(compose(a, astar), compose(b, bstar), 1.0, q * q), eye, 1.0, -1.0),
-                 add(compose(a, b), compose(b, a), 1.0, -q),
-                 add(compose(a, bstar), compose(bstar, a), 1.0, -q),
-                 add(compose(bstar, b), compose(b, bstar), 1.0, -1.0)]
+        names = ["a*a+b*b-I", "aa*+q^2bb*-I", "ab-qba", "ab*-qb*a", "b*b-bb*"]
+        words = [add((1.0, add((1, compose(astar, a)), (1, compose(bstar, b)))), (-1.0, eye)),
+                 add((1.0, add((1.0, compose(a, astar)), (q * q, compose(b, bstar)))), (-1.0, eye)),
+                 add((1.0, compose(a, b)), (-q, compose(b, a))),
+                 add((1.0, compose(a, bstar)), (-q, compose(bstar, a))),
+                 add((1.0, compose(bstar, b)), (-1.0, compose(b, bstar)))]
     out = []
-    for op in words:
+    for name, op in zip(names, words):
         absv = np.abs(op.vals)
         worst, witness = 0, None
         for j in np.flatnonzero(basis.shells <= basis.cap - margin).tolist():
@@ -271,7 +273,7 @@ def _full_column_relations(ops, margin=2):
                 total = total + v * v  # one term at a time, in entry order
             if total > worst:
                 worst, witness = total, basis.point_of(j)
-        out.append((float(worst) ** 0.5, witness))
+        out.append((name, float(worst) ** 0.5, witness))
     return out
 
 
@@ -279,7 +281,37 @@ def _full_column_relations(ops, margin=2):
 def test_relations_match_full_column_reference(q):
     for label, ops in _relation_cases(q).items():
         rep = check_relations(ops)
-        assert [(row.residual, row.witness) for row in rep.rows] == _full_column_relations(ops), label
+        want = _full_column_relations(ops)
+        assert [(row.name, row.residual, row.witness) for row in rep.rows] == want, label
+
+
+def test_relations_keep_q_terms_whose_weight_underflows():
+    # q * q underflows to 0.0 here, but only q = 0 drops the q-weighted terms
+    ops = {g: build_lambda(1e-170, 6, g) for g in ("alpha", "beta")}
+    want = _full_column_relations(ops)
+    assert want[1][0] == "aa*+q^2bb*-I"
+    assert [(row.name, row.residual, row.witness) for row in check_relations(ops).rows] == want
+
+
+@pytest.mark.parametrize("q", [0.47, 0.0])
+def test_relations_compose_each_word_once(monkeypatch, q):
+    real_compose = representations.compose
+    for label, ops in _relation_cases(q).items():
+        a, b = ops["alpha"], ops["beta"]
+        letters = {"a": a, "b": b, "a*": adjoint(a), "b*": adjoint(b)}
+        letter_of = {id(op): letter for letter, op in letters.items()}
+        composed = []
+
+        def spy_compose(x, y, columns=None):
+            composed.append(letter_of[id(x)] + letter_of[id(y)])
+            return real_compose(x, y, columns)
+
+        monkeypatch.setattr(representations, "compose", spy_compose)
+        check_relations({"alpha": a, "beta": b, "alpha_star": letters["a*"],
+                         "beta_star": letters["b*"]})
+        want = (["a*a", "aa*", "ab", "ab*", "b*b", "bb*"] if q == 0.0
+                else ["a*a", "aa*", "ab", "ab*", "b*a", "b*b", "ba", "bb*"])
+        assert sorted(composed) == want, label
 
 
 @pytest.mark.parametrize("q", [0.47, 0.0])

@@ -137,10 +137,8 @@ class GEstimateRow:
 
 @dataclass(frozen=True)
 class GEstimateReport:
-    q: float
     c: float
     rows: tuple[GEstimateRow, ...]
-    passed: bool
 
 
 def verify_g_estimates(q: float, kmax: int) -> GEstimateReport:
@@ -173,5 +171,4 @@ def verify_g_estimates(q: float, kmax: int) -> GEstimateReport:
         pass1 = 1.0 / (1.0 + gk) < 1.0
         pass2 = g1 / (gk * (1.0 + gk)) < 1.0
         rows.append(GEstimateRow(k, lhs1, bound, lhs2, c * bound, pass1, pass2))
-    ok = all(row.pass1 and row.pass2 for row in rows)
-    return GEstimateReport(q, c, tuple(rows), ok)
+    return GEstimateReport(c, tuple(rows))

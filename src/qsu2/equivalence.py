@@ -216,15 +216,10 @@ def closed_form(q: float, cap: int, gen) -> SparseOperator:
     raise ValueError("closed forms exist for the unstarred generators")
 
 
-@dataclass(frozen=True)
-class CrosscheckResult:
-    deviation: float
-    witness: object
-
-
-def crosscheck_decomposition(q: float, cap: int, gen) -> CrosscheckResult:
+def crosscheck_decomposition(q: float, cap: int, gen) -> tuple[float, object]:
     """Max entrywise deviation between the closed form and the direct
-    conjugation difference, over columns of shell <= cap - 1.
+    conjugation difference, over columns of shell <= cap - 1, and the
+    witnessing (row, column) pair.
 
     The two sides come from independent construction paths: the difference
     conjugates the Clebsch-Gordan action through the unitary, the closed
@@ -236,7 +231,7 @@ def crosscheck_decomposition(q: float, cap: int, gen) -> CrosscheckResult:
     d = difference(q, cap, gen)
     cf = closed_form(q, cap, gen)
     interior = np.flatnonzero(d.domain.shells <= cap - 1)
-    return CrosscheckResult(*max_entry_difference(cf, d, columns=interior))
+    return max_entry_difference(cf, d, columns=interior)
 
 
 # Decay targets: the parts whose difference is measured (two diagonals,
@@ -258,18 +253,17 @@ DECAY_TARGETS = tuple(_PATTERNS)
 
 @dataclass(frozen=True)
 class DecayReport:
-    target: str
-    q: float
-    cap: int
     pattern: str
     shell_max: tuple[tuple[int, float], ...]
+    shell_exponent: tuple[int, ...]  # per shell, the least claimed exponent over its points
     normalized_constant: float
     fitted_ratio: float
 
 
 def decay_report(q: float, cap: int, target: str) -> DecayReport:
-    """Per-shell maxima of a difference target, its normalized constant
-    C = max |entry| / |q|^pattern, and a fitted geometric tail ratio."""
+    """Per-shell maxima of a difference target, the least claimed exponent
+    per shell, the normalized constant C = max |entry| / |q|^pattern, and a
+    fitted geometric tail ratio."""
     if target not in _PATTERNS:
         raise ValueError(f"unknown decay target {target!r}")
     parts, pattern_name, pattern = _PATTERNS[target]
@@ -279,7 +273,10 @@ def decay_report(q: float, cap: int, target: str) -> DecayReport:
         values = diagonal_values(q, cap, parts[0]) - diagonal_values(q, cap, parts[1])
         mat = diagonal(full_basis(cap), values, float_mode(q))
     shell_max = [v for _, v in max_abs_entry_per_shell(mat)]
-    exponents = pattern(*mat.domain.coords)[mat.entry_cols()]
+    point_exponents = pattern(*mat.domain.coords)
+    shell_exponent = np.full(cap + 1, point_exponents.max())
+    np.minimum.at(shell_exponent, mat.domain.shells, point_exponents)
+    exponents = point_exponents[mat.entry_cols()]
     scale = power_table(abs(q), int(exponents.max(initial=0)))[exponents]
     with np.errstate(divide="ignore"):  # |q|^e underflowing to 0 gives inf
         normalized = np.abs(mat.vals) / scale
@@ -296,53 +293,8 @@ def decay_report(q: float, cap: int, target: str) -> DecayReport:
         fitted = math.exp(sum(math.log(r) for r in mid) / len(mid))
     else:  # no two consecutive nonzero shells: nothing was fitted
         fitted = float("nan")
-    return DecayReport(
-        target, q, cap, pattern_name, tuple(enumerate(shell_max)), constant, fitted
-    )
-
-
-def shell_min_pattern(cap: int, target: str) -> dict[int, int]:
-    """Per shell, the smallest claimed exponent over the shell's points."""
-    *_, pattern = _PATTERNS[target]
-    basis = full_basis(cap)
-    exponents = pattern(*basis.coords)
-    out = np.full(cap + 1, exponents.max())
-    np.minimum.at(out, basis.shells, exponents)
-    return dict(enumerate(out.tolist()))
-
-
-def decay_loglog_slope(q_grid, cap: int, target: str, noise_floor: float = 1e-13) -> float:
-    """Pooled log-log regression slope of per-shell maxima against the
-    claimed q-power, across shells and the q grid; ~1 when the claimed
-    exponents match the measured decay.
-
-    Shells whose claimed exponent is 0 carry no scaling information (the
-    bound there is a constant) and are left out, as are values below the
-    noise floor: the diagonal entries come from differences of O(1)
-    quantities, so values near machine epsilon are cancellation noise, not
-    decay data.
-    """
-    minp = shell_min_pattern(cap, target)
-    if max(minp.values()) == 0:
-        raise ValueError(
-            f"target {target!r} has no shellwise-decaying claimed pattern to fit"
-        )
-    xs = []
-    ys = []
-    for q in q_grid:
-        rep = decay_report(q, cap, target)
-        for m, v in rep.shell_max:
-            if v > noise_floor and minp[m] > 0:
-                xs.append(minp[m] * math.log(abs(q)))
-                ys.append(math.log(v))
-    if len(xs) < 2:
-        raise ValueError("not enough nonzero shells for a slope fit")
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    return sxy / sxx
+    return DecayReport(pattern_name, tuple(enumerate(shell_max)),
+                       tuple(shell_exponent.tolist()), constant, fitted)
 
 
 def tail_norms(q: float, cap: int, gen) -> list[tuple[int, float]]:
@@ -435,8 +387,6 @@ def tail_norms(q: float, cap: int, gen) -> list[tuple[int, float]]:
 
 @dataclass(frozen=True)
 class Q0EquivalenceReport:
-    cap: int
-    passed: bool
     mismatches: dict  # generator name -> mismatching interior columns
     witness: dict  # generator name -> first mismatching column, or None
     relations: dict  # "lambda0"/"pi0" -> RelationReport; empty below cap 2
@@ -451,8 +401,8 @@ def verify_q0_equivalence(cap: int) -> Q0EquivalenceReport:
     that hold an entry of its D_0, and its witness is the first such column.
     From cap 2 on, the crystal relations of lambda_0 and pi_0 are checked on
     the same sections; they run before U is built and each section is
-    dropped once conjugated, which bounds the peak memory.  Passes only with
-    zero mismatches, including signs, and zero relation residuals.
+    dropped once conjugated, which bounds the peak memory.  The equivalence
+    needs zero mismatches, including signs, and zero relation residuals.
     """
     if cap < 1:
         raise ValueError("no interior: verify_q0_equivalence needs cap >= 1")
@@ -474,6 +424,4 @@ def verify_q0_equivalence(cap: int) -> Q0EquivalenceReport:
         bad = interior & (np.diff(d.indptr) > 0)
         mismatches[gen.value] = int(bad.sum())
         witness[gen.value] = d.domain.point_of(int(np.argmax(bad))) if bad.any() else None
-    passed = all(v == 0 for v in mismatches.values()) and all(
-        rel.max_residual == 0.0 for rel in relations.values())
-    return Q0EquivalenceReport(cap, passed, mismatches, witness, relations)
+    return Q0EquivalenceReport(mismatches, witness, relations)

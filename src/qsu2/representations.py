@@ -168,18 +168,7 @@ class RelationResidual:
 
 @dataclass(frozen=True)
 class RelationReport:
-    cap: int
-    margin: int
-    exact: bool
-    rows: tuple[RelationResidual, ...]
-
-    @property
-    def max_residual(self) -> float:
-        """Largest residual; a NaN residual propagates instead of hiding."""
-        residuals = [r.residual for r in self.rows]
-        if any(r != r for r in residuals):
-            return float("nan")
-        return max(residuals, default=0.0)
+    rows: tuple[RelationResidual, ...]  # in the order of RELATIONS
 
 
 # The defining relations of C(SU_q(2)), each a sum of weighted words:
@@ -194,20 +183,24 @@ RELATIONS = (
     (("+", "ab*"), ("-q", "b*a")),
     (("+", "b*b"), ("-", "bb*")),
 )
+# Evaluating b*b-bb* right after a*a+b*b-I frees b*b and bb* before aa* is
+# formed, so at most three words are alive at once.
+_EVALUATION_ORDER = (0, 4, 1, 2, 3)
+_MARGIN = 2  # a product of two letters is exact on the shells <= cap - 2
 
 
-def check_relations(ops, margin: int = 2) -> RelationReport:
+def check_relations(ops) -> RelationReport:
     """Residuals of the defining relations on interior shells.
 
     ``ops`` maps generator names to operator sections on one basis; missing
     starred generators are filled in by matrix adjoints.  Every relation of
     ``RELATIONS`` is evaluated at the mode's q (exact integers at q = 0)
-    on the interior columns, the basis vectors of shell <= cap - margin:
-    each distinct word is composed once (``compose`` over that column set;
-    I is 1 on those columns alone) and dropped after the last relation
-    that reads it, and each relation is summed by one ``add``.  Every
-    other column of a relation operator is empty.  The report holds the
-    largest column norm per relation and the witnessing basis point.
+    on the interior columns, the basis vectors of shell <= cap - 2: each
+    distinct word is composed once (``compose`` over that column set; I is
+    1 on those columns alone) and dropped after its last reader in
+    ``_EVALUATION_ORDER``; each relation is summed by one ``add``.  Every
+    other column of a relation operator is empty.  The report holds, in
+    table order, the largest column norm per relation and its witness point.
     """
     ops = {_as_generator(k): v for k, v in ops.items()}
     a = ops[Generator.ALPHA]
@@ -217,12 +210,10 @@ def check_relations(ops, margin: int = 2) -> RelationReport:
                "b*": ops[Generator.BETA_STAR] if Generator.BETA_STAR in ops else adjoint(b)}
     basis = a.domain
     cap = basis.cap
-    if margin < 2:
-        raise ValueError("margin must be at least 2")
-    if cap < margin:
-        raise ValueError("no interior: cap < margin")
+    if cap < _MARGIN:
+        raise ValueError(f"no interior: cap < {_MARGIN}")
     mode = a.mode
-    inside = basis.shells <= cap - margin
+    inside = basis.shells <= cap - _MARGIN
     interior = np.flatnonzero(inside)
 
     def form(word):
@@ -233,10 +224,11 @@ def check_relations(ops, margin: int = 2) -> RelationReport:
 
     table = [[(_WEIGHTS[label](mode.q), label, word) for label, word in terms
               if not (mode.exact and "q" in label)] for terms in RELATIONS]
-    last = {word: i for i, terms in enumerate(table) for _, _, word in terms}
+    last = {word: i for i in _EVALUATION_ORDER for _, _, word in table[i]}
     words: dict[str, SparseOperator] = {}
-    rows = []
-    for i, terms in enumerate(table):
+    rows = [None] * len(table)
+    for i in _EVALUATION_ORDER:
+        terms = table[i]
         for _, _, word in terms:
             if word not in words:
                 words[word] = form(word)
@@ -245,8 +237,8 @@ def check_relations(ops, margin: int = 2) -> RelationReport:
         for word in [word for word in words if last[word] == i]:
             del words[word]
         name = "".join(label + word for _, label, word in terms).removeprefix("+")
-        rows.append(RelationResidual(name, worst**0.5, None if j is None else basis.point_of(j)))
-    return RelationReport(cap, margin, mode.exact, tuple(rows))
+        rows[i] = RelationResidual(name, worst**0.5, None if j is None else basis.point_of(j))
+    return RelationReport(tuple(rows))
 
 
 def _worst_column(op: SparseOperator) -> tuple[object, int | None]:

@@ -9,11 +9,11 @@ import time
 
 import numpy as np
 
+from support import decay_loglog_slope
 from qsu2.cli import main
 from qsu2.coefficients import verify_g_estimates
 from qsu2.equivalence import (
     crosscheck_decomposition,
-    decay_loglog_slope,
     decay_report,
     tail_norms,
     u_backward,
@@ -50,7 +50,8 @@ def test_criterion_1_exact_q0_intertwining(capsys):
     with _Timer() as t:
         assert len(gamma_basis(20)) == 3311
         rep = verify_q0_equivalence(20)
-        ok = rep.passed and all(v == 0 for v in rep.mismatches.values())
+        ok = all(v == 0 for v in rep.mismatches.values())
+        ok = ok and all(row.residual == 0 for rel in rep.relations.values() for row in rel.rows)
         ok = ok and len(rep.mismatches) == 4
         code = main(["verify-q0", "--cap", "20", "--out", "/dev/null"])
         ok = ok and code == 0
@@ -79,8 +80,8 @@ def test_criterion_3_defining_relations(capsys):
             lam = {g: build_lambda(q, 12, g) for g in Generator}
             pi = {g: build_pi(q, 12, g) for g in Generator}
             for ops in (lam, pi):
-                rep = check_relations(ops, margin=2)  # shells <= 10
-                ok = ok and len(rep.rows) == 5 and rep.max_residual < 1e-12
+                rep = check_relations(ops)  # shells <= 10
+                ok = ok and len(rep.rows) == 5 and all(r.residual < 1e-12 for r in rep.rows)
     with capsys.disabled():
         _report(3, ok, "five defining relations < 1e-12 for lambda_q and pi_q", t.seconds)
 
@@ -90,8 +91,8 @@ def test_criterion_4_closed_form_vs_conjugation(capsys):
         ok = True
         for q in (0.5, -0.5, 0.9):
             for gen in ("alpha", "beta"):
-                res = crosscheck_decomposition(q, 12, gen)
-                ok = ok and res.deviation < 1e-13
+                deviation, _ = crosscheck_decomposition(q, 12, gen)
+                ok = ok and deviation < 1e-13
     with capsys.disabled():
         _report(4, ok, "closed form = conjugation difference to 1e-13", t.seconds)
 
@@ -101,7 +102,7 @@ def test_criterion_5_g_estimates(capsys):
         ok = True
         for q in (0.5, 0.9):
             rep = verify_g_estimates(q, 500)
-            ok = ok and rep.passed
+            ok = ok and all(r.pass1 and r.pass2 for r in rep.rows)
             ok = ok and all(r.lhs1 < r.bound1 and r.lhs2 < r.bound2 for r in rep.rows)
     with capsys.disabled():
         _report(5, ok, "g-estimates hold for k = 1..500 at q in {0.5, 0.9}", t.seconds)

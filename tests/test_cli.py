@@ -346,12 +346,17 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def _readme_examples() -> list[str]:
+    """The qsu2 lines of the README's "Command-line usage" block."""
+    section = README.read_text(encoding="utf-8").split("## Command-line usage", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("qsu2 ")]
+
+
 def test_readme_cli_examples_parse_within_budget():
     # every example of the README's "Command-line usage" block must parse
     # with the current flags and fit the size budget; none is run here
-    section = README.read_text(encoding="utf-8").split("## Command-line usage", 1)[1]
-    block = section.split("```sh", 1)[1].split("```", 1)[0]
-    examples = [line for line in block.splitlines() if line.startswith("qsu2 ")]
+    examples = _readme_examples()
     assert len(examples) >= 7
     parser = cli.build_parser()
     for line in examples:
@@ -361,3 +366,48 @@ def test_readme_cli_examples_parse_within_budget():
             pytest.fail(f"README example does not parse: {line}")
         flag, size = cli._size(args)
         assert size <= cli.MAX_POINTS, (line, flag, size)
+
+
+def test_readme_shows_every_command():
+    commands = [shlex.split(line)[1] for line in _readme_examples()]
+    assert sorted(commands) == sorted(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_command_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: qsu2 {command} ")
+
+
+# Keys of each command's report params, in order, as the commands wrote
+# them before the command table derived them from the flags.
+PARAMS = {
+    "verify-q0": (["--cap", "2"], ["cap"]),
+    "verify-relations": (["--q", "0.5", "--cap", "2"], ["q", "cap", "tol"]),
+    "verify-equivalence": (["--q", "0.5", "--cap", "2"], ["q", "cap", "tol"]),
+    "estimates": (["--q", "0.5", "--kmax", "2"], ["q", "kmax", "c"]),
+    "decay": (["--q", "0.5", "--cap", "2", "--target", "Dbeta"], ["q", "cap", "target", "pattern"]),
+    "tails": (["--q", "0.5", "--cap", "2", "--gen", "alpha"], ["q", "cap", "gen"]),
+    "irrep": (["--q", "0.5", "--dim", "3"], ["q", "z_re", "z_im", "dim", "tol"]),
+}
+
+
+def test_params_pins_cover_every_command():
+    assert list(PARAMS) == list(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(PARAMS))
+def test_report_params_keys_in_order(capsys, command):
+    argv, keys = PARAMS[command]
+    code, out, _ = run(capsys, command, *argv)
+    assert code == 0
+    assert list(json.loads(out)["params"]) == keys
+
+
+def test_readme_states_every_least_size():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    for name, command in cli.COMMANDS.items():
+        if command.least:
+            assert f"`{name} --{command.size}` below {command.least}" in text, name

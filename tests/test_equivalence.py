@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from support import basis_points, sheet_of
+from support import basis_points, decay_loglog_slope, sheet_of
 from qsu2 import equivalence
 from qsu2.cli import main
 from qsu2.coefficients import float_mode, g, verify_g_estimates
@@ -16,7 +16,6 @@ from qsu2.equivalence import (
     closed_form,
     conjugate,
     crosscheck_decomposition,
-    decay_loglog_slope,
     decay_report,
     diagonal_values,
     difference,
@@ -114,13 +113,14 @@ def test_conjugate_cap_mismatch():
 
 def test_q0_intertwining_exact():
     rep = verify_q0_equivalence(10)
-    assert rep.passed
     assert all(v == 0 for v in rep.mismatches.values())
     assert set(rep.mismatches) == {"alpha", "beta", "alpha_star", "beta_star"}
     assert list(rep.relations) == ["lambda0", "pi0"]
-    assert all(rel.exact and rel.max_residual == 0.0 for rel in rep.relations.values())
+    for rel in rep.relations.values():
+        assert [row.name for row in rel.rows] == ["a*a+b*b-I", "aa*-I", "ab", "ab*", "b*b-bb*"]
+        assert all(row.residual == 0.0 for row in rel.rows)
     apex = verify_q0_equivalence(1)  # apex column alone, no relation interior
-    assert apex.passed and apex.relations == {}
+    assert all(v == 0 for v in apex.mismatches.values()) and apex.relations == {}
 
 
 def test_q0_apex_column():
@@ -157,7 +157,6 @@ def test_q0_regression_guard_displayed_beta_form(monkeypatch):
     monkeypatch.setattr(equivalence, "build_lambda", build)
     rep = verify_q0_equivalence(cap)
     assert calls == ["alpha", "beta"]  # lambda_0 is built once per base generator
-    assert not rep.passed
     assert rep.mismatches["alpha"] == 0 and rep.witness["alpha"] is None
     assert rep.mismatches["beta"] > 0
     assert rep.witness["beta"] == FullIndex(0, 0, 0)
@@ -305,8 +304,8 @@ def test_diagonal_values_against_mpmath(q):
 def test_crosscheck_small_grid():
     for q in (0.1, -0.1, 0.5, -0.5, 0.9):
         for gen in ("alpha", "beta"):
-            res = crosscheck_decomposition(q, 8, gen)
-            assert res.deviation < 1e-13, (q, gen, res)
+            deviation, witness = crosscheck_decomposition(q, 8, gen)
+            assert deviation < 1e-13, (q, gen, witness)
 
 
 def test_crosscheck_refuses_cap_zero():

@@ -1,6 +1,7 @@
 """Representation builders, defining relations, and crystal-limit behaviour."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from support import basis_points, entries
 from qsu2.coefficients import EXACT_ZERO, float_mode
 from qsu2.lattice import FullIndex, GammaIndex, PiIndex, gamma_basis, nat_basis
 from qsu2 import representations
-from qsu2.operator_core import add, adjoint, compose, diagonal, tensor
+from qsu2.operator_core import SparseOperator, add, adjoint, compose, diagonal, tensor
 from qsu2.representations import (
     Generator,
     _section,
@@ -184,18 +185,18 @@ def test_relations_lambda_and_pi_float():
     for q in Q_GRID + (0.9999, 0.999999, 0.99999999):
         lam = {gv: build_lambda(q, 8, gv) for gv in Generator}
         rep = check_relations(lam)
-        assert rep.max_residual < 1e-12, (q, rep.rows)
+        assert all(r.residual < 1e-12 for r in rep.rows), (q, rep.rows)
         pi = {gv: build_pi(q, 8, gv) for gv in Generator}
         rep = check_relations(pi)
-        assert rep.max_residual < 1e-12, (q, rep.rows)
+        assert all(r.residual < 1e-12 for r in rep.rows), (q, rep.rows)
 
 
 def test_relations_exact_zero():
     for build in (build_lambda, build_pi):
         ops = {gv: build(0.0, 6, gv) for gv in Generator}
         rep = check_relations(ops)
-        assert rep.exact
-        assert rep.max_residual == 0.0
+        assert [r.name for r in rep.rows] == ["a*a+b*b-I", "aa*-I", "ab", "ab*", "b*b-bb*"]
+        assert all(r.residual == 0.0 for r in rep.rows)
 
 
 def test_relations_report_nan_residual():
@@ -207,8 +208,7 @@ def test_relations_report_nan_residual():
     ops[Generator.BETA] = type(beta)(beta.domain, beta.codomain, beta.entry_cols(), beta.rows, vals,
                                      beta.mode)
     rep = check_relations(ops)
-    assert math.isnan(rep.max_residual)
-    assert not rep.max_residual < 1e-12
+    assert not all(r.residual < 1e-12 for r in rep.rows)
     bad = [row for row in rep.rows if math.isnan(row.residual)]
     assert bad and all(row.witness is not None for row in bad)
 
@@ -315,6 +315,34 @@ def test_relations_compose_each_word_once(monkeypatch, q):
 
 
 @pytest.mark.parametrize("q", [0.47, 0.0])
+def test_relations_hold_at_most_three_words(monkeypatch, q):
+    # b*b-bb* is evaluated right after a*a+b*b-I, which frees b*b and bb*
+    # before aa* is formed; evaluated in table order, four words are alive
+    class Held(SparseOperator):  # a weakly referenceable copy of a formed word
+        pass
+
+    alive, counts = weakref.WeakSet(), []
+
+    def formed(make):
+        def spy(*args):
+            op, held = make(*args), Held.__new__(Held)
+            for slot in SparseOperator.__slots__:
+                setattr(held, slot, getattr(op, slot))
+            alive.add(held)
+            counts.append(len(alive))
+            return held
+        return spy
+
+    monkeypatch.setattr(representations, "compose", formed(representations.compose))
+    monkeypatch.setattr(representations, "diagonal", formed(representations.diagonal))
+    for label, ops in _relation_cases(q).items():
+        counts.clear()
+        check_relations(ops)
+        assert len(counts) == (7 if q == 0.0 else 9) and max(counts) == 3, (label, counts)
+        assert not alive, label
+
+
+@pytest.mark.parametrize("q", [0.47, 0.0])
 def test_relations_compute_interior_columns_only(monkeypatch, q):
     real_compose, real_worst = representations.compose, representations._worst_column
     columns_asked, columns_held = [], []
@@ -360,7 +388,7 @@ def test_irrep_relations_over_circle():
         z = complex(math.cos(theta), math.sin(theta))
         alpha, beta = build_irrep(0.5, z, 20)
         rep = check_relations({"alpha": alpha, "beta": beta})
-        assert rep.max_residual < 1e-12
+        assert all(r.residual < 1e-12 for r in rep.rows)
 
 
 def test_irrep_rejects_off_circle_z():
@@ -385,7 +413,7 @@ def test_coproduct_bottom_column():
 def test_coproduct_relations():
     d_alpha, d_beta = coproduct_images(0.5, 8)
     rep = check_relations({"alpha": d_alpha, "beta": d_beta})
-    assert rep.max_residual < 1e-12
+    assert all(r.residual < 1e-12 for r in rep.rows)
 
 
 def test_coproduct_crystal_limit():

@@ -40,17 +40,16 @@ def _report(args, items: list[ReportItem], **extra) -> VerificationReport:
 
 def _relation_items(rel, prefix: str, bound, exact: bool = False) -> list[ReportItem]:
     """One item per relation row, passing on residual == bound when exact
-    and on residual < bound otherwise."""
+    and on residual < bound otherwise; CSV indexes it by its full name."""
     return [ReportItem(prefix + row.name, row.residual, bound,
                        row.residual == bound if exact else row.residual < bound,
-                       _point_str(row.witness), row.name)
+                       _point_str(row.witness))
             for row in rel.rows]
 
 
 def cmd_verify_q0(args) -> VerificationReport:
     rep = equivalence.verify_q0_equivalence(args.cap)
-    items = [ReportItem(f"intertwine/{gen}", count, 0, count == 0, _point_str(rep.witness[gen]),
-                        f"intertwine/{gen}")
+    items = [ReportItem(f"intertwine/{gen}", count, 0, count == 0, _point_str(rep.witness[gen]))
              for gen, count in rep.mismatches.items()]
     for label, rel in rep.relations.items():
         items += _relation_items(rel, f"relations/{label}/", 0.0, exact=True)
@@ -60,14 +59,15 @@ def cmd_verify_q0(args) -> VerificationReport:
 def cmd_verify_relations(args) -> VerificationReport:
     items = []
     for label, build in (("lambda", representations.build_lambda), ("pi", representations.build_pi)):
-        rel = representations.check_relations({g: build(args.q, args.cap, g) for g in ("alpha", "beta")})
+        rel = representations.check_relations(
+            {g: build(args.q, args.cap, g) for g in representations.GENERATORS})
         items += _relation_items(rel, f"{label}/", args.tol)
     return _report(args, items)
 
 
 def cmd_verify_equivalence(args) -> VerificationReport:
     items = []
-    for gen in ("alpha", "beta"):
+    for gen in representations.GENERATORS:
         deviation, witness = equivalence.crosscheck_decomposition(args.q, args.cap, gen)
         items.append(ReportItem(gen, deviation, args.tol, deviation < args.tol, _point_str(witness), gen))
     return _report(args, items)
@@ -140,7 +140,7 @@ COMMANDS = {
     "decay": Command(cmd_decay, "per-shell decay of a difference target",
                      (_Q, _CAP, ("--target", dict(choices=equivalence.DECAY_TARGETS, required=True)))),
     "tails": Command(cmd_tails, "tail norms of a difference in the (s,t) factor",
-                     (_Q, _CAP, ("--gen", dict(choices=("alpha", "beta"), required=True)))),
+                     (_Q, _CAP, ("--gen", dict(choices=representations.GENERATORS, required=True)))),
     "irrep": Command(
         cmd_irrep, "relation residuals of a unit-circle irreducible",
         (_Q, ("--z-re", dict(type=float, default=1.0)), ("--z-im", dict(type=float, default=0.0)),

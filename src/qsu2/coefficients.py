@@ -154,10 +154,7 @@ def verify_g_estimates(q: float, kmax: int) -> GEstimateReport:
     Each verdict is decided on the ratio lhs/bound, 1/(1 + g) and
     g(1)/(g(1 + g)), which stays meaningful after q^(2k) underflows to 0.
     """
-    if q == 0.0:
-        raise ValueError("estimates vacuous at q=0")
-    if not 0.0 < abs(q) < 1.0:
-        raise ValueError("deformation parameter must satisfy 0 < |q| < 1")
+    float_mode(q)  # refuses q = 0, where the estimates are vacuous, and |q| >= 1
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     g1 = g(1, q)

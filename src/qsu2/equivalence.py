@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import float_mode, g_table, power_table, t_parts
+from .coefficients import EXACT_ZERO, float_mode, g_table, power_table, t_parts
 from .lattice import (
-    Basis,
     full_basis,
     full_shell,
     gamma_basis,
@@ -42,29 +41,13 @@ from .operator_core import (
     max_entry_difference,
 )
 from .representations import (
-    Generator,
+    GENERATORS,
     RelationReport,
-    _as_generator,
     build_ipi,
     build_lambda,
     build_pi,
     check_relations,
 )
-
-
-@dataclass(frozen=True)
-class SignedIndexMap:
-    """A signed bijection between truncated bases (houses U and U*).
-
-    U sends the Gamma basis vector of rank k to sign[k] times the full-lattice
-    basis vector of rank perm[k]; U* is the inverse permutation with the
-    same signs.
-    """
-
-    domain: Basis  # gamma basis
-    codomain: Basis  # full basis
-    perm: np.ndarray
-    sign: np.ndarray
 
 
 def u_forward(n2, i2, j2):
@@ -84,8 +67,9 @@ def u_backward(r, s, t):
     return sign, r + s + abs(t), -r + s - t, -r + s + t
 
 
-def unitary_u(cap: int) -> SignedIndexMap:
-    """The sheet-flattening unitary on the shell-capped lattices."""
+def unitary_u(cap: int) -> SparseOperator:
+    """The sheet-flattening unitary on the shell-capped lattices, an exact
+    signed permutation: column k holds its sign in the row of its image."""
     dom = gamma_basis(cap)
     cod = full_basis(cap)
     sign, *image = u_forward(*dom.coords)
@@ -97,25 +81,24 @@ def unitary_u(cap: int) -> SignedIndexMap:
     back_rank = dom.rank(*back)
     bad = (back_rank[perm] != np.arange(len(dom))) | (sign * back_sign[perm] != 1)
     assert not bad.any(), f"unitary round trip failed at {dom.point_of(int(np.argmax(bad)))}"
-    return SignedIndexMap(dom, cod, perm, sign)
+    u = SparseOperator(dom, cod, np.arange(len(dom)), perm, sign, EXACT_ZERO)
+    assert u.nnz == len(dom), "unitary dropped a column"
+    return u
 
 
-def conjugate(op: SparseOperator, u: SignedIndexMap) -> SparseOperator:
-    """Matrix of U op U* on the full-lattice basis (signed re-indexing only)."""
+def conjugate(op: SparseOperator, u: SparseOperator) -> SparseOperator:
+    """Matrix of U op U* on the full-lattice basis (signed re-indexing only:
+    U holds one entry per column, so column k's is rows[k], vals[k])."""
     if not op.domain.same_points(u.domain):
         raise ValueError("cap mismatch between operator and unitary")
     cols = op.entry_cols()
-    return SparseOperator(u.codomain, u.codomain, u.perm[cols], u.perm[op.rows],
-                          op.vals * (u.sign[cols] * u.sign[op.rows]), op.mode)
+    return SparseOperator(u.codomain, u.codomain, u.rows[cols], u.rows[op.rows],
+                          op.vals * (u.vals[cols] * u.vals[op.rows]), op.mode)
 
 
-def difference(q: float, cap: int, gen) -> SparseOperator:
+def difference(q: float, cap: int, gen: str) -> SparseOperator:
     """D_gen = U lambda_q(gen) U* - I (x) pi_q(gen) on the capped full lattice."""
-    gen = _as_generator(gen)
-    if gen.starred:
-        raise ValueError("difference is defined for the unstarred generators")
-    if q == 0.0:
-        raise ValueError("q=0 is exact: use verify_q0_equivalence")
+    float_mode(q)  # refuses q = 0, which verify_q0_equivalence checks exactly, and |q| >= 1
     conj = conjugate(build_lambda(q, cap, gen), unitary_u(cap))
     return add((1.0, conj), (-1.0, build_ipi(q, cap, gen)))
 
@@ -181,7 +164,7 @@ def diagonal_values(q: float, cap: int, name: str) -> np.ndarray:
     return formulas[name]()
 
 
-def closed_form(q: float, cap: int, gen) -> SparseOperator:
+def closed_form(q: float, cap: int, gen: str) -> SparseOperator:
     """Assemble D_gen from the displayed diagonal coefficients and shifts.
 
     alpha: (S* (x) I (x) I) R1 + R2 (I (x) S (x) I), the first diagonal
@@ -193,7 +176,6 @@ def closed_form(q: float, cap: int, gen) -> SparseOperator:
     is a shift valued by its diagonal at the column (R1) or at the target
     (R2, T1, T2); a target off the lattice takes the value 0.
     """
-    gen = _as_generator(gen)
     mode = float_mode(q)
     basis = full_basis(cap)
 
@@ -202,21 +184,21 @@ def closed_form(q: float, cap: int, gen) -> SparseOperator:
         rank = np.where(basis.valid(r, s, t), basis.rank(r, s, t), -1)
         return np.append(values, 0.0)[rank]
 
-    if gen is Generator.ALPHA:
+    if gen == "alpha":
         r1, r2 = diagonal_values(q, cap, "R1"), diagonal_values(q, cap, "R2")
         return build_from_rule(basis, basis, lambda r, s, t: [
             ((r + 1, s, t), r1),
             ((r, s - 1, t), at(r2, r, s - 1, t))], mode)
-    if gen is Generator.BETA:
+    if gen == "beta":
         branch, t2 = _t1_branch_values(q, cap), diagonal_values(q, cap, "T2")
         return build_from_rule(basis, basis, lambda r, s, t: [
             ((r + 1, s + 1, t - 1), at(np.where(t >= 0, branch, 0.0), r + 1, s + 1, t - 1)),
             ((r - 1, s - 1, t - 1), at(np.where(t < 0, branch, 0.0), r - 1, s - 1, t - 1)),
             ((r, s, t - 1), at(t2, r, s, t - 1))], mode)
-    raise ValueError("closed forms exist for the unstarred generators")
+    raise ValueError(f"unknown generator {gen!r}: choose alpha or beta")
 
 
-def crosscheck_decomposition(q: float, cap: int, gen) -> tuple[float, object]:
+def crosscheck_decomposition(q: float, cap: int, gen: str) -> tuple[float, object]:
     """Max entrywise deviation between the closed form and the direct
     conjugation difference, over columns of shell <= cap - 1, and the
     witnessing (row, column) pair.
@@ -244,8 +226,8 @@ _PATTERNS = {
     "T2mT4": (("T2", "T4"), "r+s+|t|", lambda r, s, t: r + s + abs(t)),
     # The differences do not decay along the Toeplitz direction r, so their
     # claimed exponents involve only the compact (s, t) coordinates.
-    "Dalpha": (Generator.ALPHA, "2s+|t|+1", lambda r, s, t: 2 * s + abs(t) + 1),
-    "Dbeta": (Generator.BETA, "s+|t|", lambda r, s, t: s + abs(t)),
+    "Dalpha": ("alpha", "2s+|t|+1", lambda r, s, t: 2 * s + abs(t) + 1),
+    "Dbeta": ("beta", "s+|t|", lambda r, s, t: s + abs(t)),
 }
 
 DECAY_TARGETS = tuple(_PATTERNS)
@@ -267,7 +249,7 @@ def decay_report(q: float, cap: int, target: str) -> DecayReport:
     if target not in _PATTERNS:
         raise ValueError(f"unknown decay target {target!r}")
     parts, pattern_name, pattern = _PATTERNS[target]
-    if isinstance(parts, Generator):
+    if isinstance(parts, str):
         mat = difference(q, cap, parts)
     else:
         values = diagonal_values(q, cap, parts[0]) - diagonal_values(q, cap, parts[1])
@@ -297,7 +279,7 @@ def decay_report(q: float, cap: int, target: str) -> DecayReport:
                        tuple(shell_exponent.tolist()), constant, fitted)
 
 
-def tail_norms(q: float, cap: int, gen) -> list[tuple[int, float]]:
+def tail_norms(q: float, cap: int, gen: str) -> list[tuple[int, float]]:
     """Operator norms of D_gen restricted to the (s, t) tails s + |t| >= m.
 
     Geometric decay in m certifies compactness in the (s, t) factor; the
@@ -396,7 +378,7 @@ def verify_q0_equivalence(cap: int) -> Q0EquivalenceReport:
     """Exact check that D_0 = U lambda_0 U* - I (x) pi_0 vanishes.
 
     D_0 is formed in the exact mode by the same subtraction as D_q, once per
-    unstarred generator; a starred generator's difference is its adjoint.
+    generator of GENERATORS; a starred generator's difference is its adjoint.
     A generator's mismatch count is the number of columns of shell <= cap - 1
     that hold an entry of its D_0, and its witness is the first such column.
     From cap 2 on, the crystal relations of lambda_0 and pi_0 are checked on
@@ -406,22 +388,19 @@ def verify_q0_equivalence(cap: int) -> Q0EquivalenceReport:
     """
     if cap < 1:
         raise ValueError("no interior: verify_q0_equivalence needs cap >= 1")
-    base = (Generator.ALPHA, Generator.BETA)
-    lam = {gen: build_lambda(0.0, cap, gen) for gen in base}
+    lam = {gen: build_lambda(0.0, cap, gen) for gen in GENERATORS}
     relations: dict[str, RelationReport] = {}
     if cap >= 2:
         relations["lambda0"] = check_relations(lam)
-        relations["pi0"] = check_relations({gen: build_pi(0.0, cap, gen) for gen in base})
+        relations["pi0"] = check_relations({gen: build_pi(0.0, cap, gen) for gen in GENERATORS})
     u = unitary_u(cap)
     interior = full_basis(cap).shells <= cap - 1
-    diffs = {}
-    for gen, star in ((Generator.ALPHA, Generator.ALPHA_STAR), (Generator.BETA, Generator.BETA_STAR)):
-        diffs[gen] = add((1, conjugate(lam.pop(gen), u)), (-1, build_ipi(0.0, cap, gen)))
-        diffs[star] = adjoint(diffs[gen])
+    diffs = {gen: add((1, conjugate(lam.pop(gen), u)), (-1, build_ipi(0.0, cap, gen)))
+             for gen in GENERATORS}
+    diffs |= {f"{gen}_star": adjoint(diffs[gen]) for gen in GENERATORS}
     mismatches, witness = {}, {}
-    for gen in Generator:
-        d = diffs[gen]
+    for name, d in diffs.items():
         bad = interior & (np.diff(d.indptr) > 0)
-        mismatches[gen.value] = int(bad.sum())
-        witness[gen.value] = d.domain.point_of(int(np.argmax(bad))) if bad.any() else None
+        mismatches[name] = int(bad.sum())
+        witness[name] = d.domain.point_of(int(np.argmax(bad))) if bad.any() else None
     return Q0EquivalenceReport(mismatches, witness, relations)

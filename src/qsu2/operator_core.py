@@ -129,11 +129,6 @@ class SparseOperator:
         """Yield (row_rank, col_rank, value) over all stored entries."""
         yield from zip(self.rows.tolist(), self.entry_cols().tolist(), self.vals.tolist())
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=complex if self.vals.dtype.kind == "c" else float)
-        out[self.rows, self.entry_cols()] = self.vals
-        return out
-
     def __repr__(self) -> str:
         return (
             f"SparseOperator({self.codomain.label}<-{self.domain.label}, "
@@ -195,13 +190,13 @@ def _check_modes(a: SparseOperator, b: SparseOperator, what: str) -> None:
         raise ValueError(f"mode mismatch in {what}")
 
 
-def compose(a: SparseOperator, b: SparseOperator, columns=None) -> SparseOperator:
-    """Matrix product a @ b (apply b first).
+def compose(a: SparseOperator, b: SparseOperator, columns) -> SparseOperator:
+    """Matrix product a @ b (apply b first) on the given columns.
 
-    With ``columns`` (strictly ascending domain ranks) only those columns
+    ``columns`` are strictly ascending domain ranks; only those columns
     are formed and every other column is empty.  Column j of a @ b reads
     only column j of b, in the same order, so a kept column holds the same
-    bits as in the full product.
+    bits as in the full product, which ``np.arange(len(b.domain))`` forms.
     """
     if not a.domain.same_points(b.codomain):
         raise ValueError("dimension mismatch in compose")
@@ -209,16 +204,12 @@ def compose(a: SparseOperator, b: SparseOperator, columns=None) -> SparseOperato
     if a.mode.exact:
         per_col = int(np.diff(b.indptr).max(initial=0))
         _check_exact_bound(_max_abs(a.vals) * _max_abs(b.vals) * per_col, "compose")
-    if columns is None:
-        b_cols, b_rows, b_vals = b.entry_cols(), b.rows, b.vals
-    else:
-        columns = np.asarray(columns, dtype=np.intp)
-        if columns.ndim != 1 or (columns.size and not (
-                0 <= columns[0] and columns[-1] < len(b.domain)
-                and (columns[1:] > columns[:-1]).all())):
-            raise ValueError("compose columns must be strictly ascending domain ranks")
-        pos, owner = _gather(b.indptr, columns)
-        b_cols, b_rows, b_vals = columns[owner], b.rows[pos], b.vals[pos]
+    columns = np.asarray(columns, dtype=np.intp)
+    if columns.ndim != 1 or (columns.size and not (
+            0 <= columns[0] and columns[-1] < len(b.domain) and (columns[1:] > columns[:-1]).all())):
+        raise ValueError("compose columns must be strictly ascending domain ranks")
+    pos, owner = _gather(b.indptr, columns)
+    b_cols, b_rows, b_vals = columns[owner], b.rows[pos], b.vals[pos]
     # every entry b[k, j] meets column k of a, rows ascending
     idx, owner = _gather(a.indptr, b_rows)
     cols, rows, vals = b_cols[owner], a.rows[idx], a.vals[idx] * b_vals[owner]
@@ -282,18 +273,15 @@ def max_abs_entry_per_shell(a: SparseOperator) -> list[tuple[int, float]]:
 
 
 def max_entry_difference(a: SparseOperator, b: SparseOperator,
-                         columns: Sequence[int] | np.ndarray | None = None) -> tuple[float, object]:
-    """Largest |a - b| entry over the union support, with a witness point.
+                         columns: Sequence[int] | np.ndarray) -> tuple[float, object]:
+    """Largest |a - b| entry over the given domain ranks, with a witness point.
 
-    ``columns`` restricts the comparison to the given domain ranks.  The
-    witness is the first maximal entry in (column, row) rank order.
+    The witness is the first maximal entry in (column, row) rank order.
     """
     d = add((1, a), (-1, b))
-    dev = np.abs(d.vals)
-    if columns is not None:
-        wanted = np.zeros(len(a.domain), dtype=bool)
-        wanted[np.asarray(columns, dtype=np.intp)] = True
-        dev = np.where(np.repeat(wanted, np.diff(d.indptr)), dev, 0)
+    wanted = np.zeros(len(a.domain), dtype=bool)
+    wanted[np.asarray(columns, dtype=np.intp)] = True
+    dev = np.where(np.repeat(wanted, np.diff(d.indptr)), np.abs(d.vals), 0)
     if not dev.size or np.max(dev) == 0:
         return 0.0, None
     k = int(np.argmax(dev))

@@ -26,7 +26,7 @@ class ReportItem:
     bound: float | int | None
     passed: bool
     witness: str | None = None
-    index: object = None  # CSV index column (shell, k, or relation label)
+    index: object = None  # CSV index column (shell, k or a short label); the name if unset
 
 
 @dataclass

@@ -6,16 +6,15 @@ truncations: the GNS action lambda_q on l2(Gamma), given by the
 Clebsch-Gordan coefficients, and the direct-integral action pi_q on
 l2(N x Z) (lifted to the full lattice as I (x) pi_q).  The same
 builders give the crystal limits lambda_0 and pi_0 at q = 0, held in
-exact integers: their matrix entries lie in {-1, 0, +1}.  Starred
-generators are always the exact matrix adjoints of the unstarred ones,
-so *-compatibility holds by construction.
+exact integers: their matrix entries lie in {-1, 0, +1}.  The builders
+take the generators of GENERATORS; the starred letters are their matrix
+adjoints, formed by ``adjoint``, so *-compatibility holds by construction.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -34,29 +33,11 @@ from .operator_core import (
 )
 
 UNIT_CIRCLE_TOL = 1e-12  # largest ||z| - 1| of an irreducible's parameter z
-
-
-class Generator(str, Enum):
-    ALPHA = "alpha"
-    BETA = "beta"
-    ALPHA_STAR = "alpha_star"
-    BETA_STAR = "beta_star"
-
-    @property
-    def starred(self) -> bool:
-        return self.value.endswith("_star")
-
-    @property
-    def base(self) -> "Generator":
-        return Generator(self.value.removesuffix("_star"))
-
-
-def _as_generator(gen) -> Generator:
-    return gen if isinstance(gen, Generator) else Generator(gen)
+GENERATORS = ("alpha", "beta")  # the builders' generators; a* and b* are their adjoints
 
 
 def _section(basis, rule, q: float) -> SparseOperator:
-    """Generator section from a coefficient rule, in the mode that q selects.
+    """A generator's section from a coefficient rule, in the mode that q selects.
 
     At q = 0 the coefficient formulas take crystal values in {-1, 0, +1}
     and the section is held in exact integers; otherwise in floats.
@@ -74,46 +55,39 @@ def _integer(values: np.ndarray) -> np.ndarray:
     return values.astype(np.int64)
 
 
-def build_lambda(q: float, cap: int, gen) -> SparseOperator:
+def build_lambda(q: float, cap: int, gen: str) -> SparseOperator:
     """GNS generator section on the shell-capped l2(Gamma); exact at q = 0."""
-    gen = _as_generator(gen)
-    if gen.starred:
-        return adjoint(build_lambda(q, cap, gen.base))
-
-    if gen is Generator.ALPHA:
+    if gen == "alpha":
         def rule(n2, i2, j2):
             return [((n2 + 1, i2 - 1, j2 - 1), cf.a_plus(n2, i2, j2, q)),
                     ((n2 - 1, i2 - 1, j2 - 1), cf.a_minus(n2, i2, j2, q))]
-    else:
+    elif gen == "beta":
         def rule(n2, i2, j2):
             return [((n2 + 1, i2 + 1, j2 - 1), cf.b_plus(n2, i2, j2, q)),
                     ((n2 - 1, i2 + 1, j2 - 1), cf.b_minus(n2, i2, j2, q))]
-
+    else:
+        raise ValueError(f"unknown generator {gen!r}: choose alpha or beta")
     return _section(gamma_basis(cap), rule, q)
 
 
-def _pi_rule(q: float, gen: Generator):
+def _pi_rule(q: float, gen: str):
     """Action of pi_q(gen) on the basis vectors (s, t) of l2(N x Z)."""
-    if gen is Generator.ALPHA:
+    if gen == "alpha":
         return lambda s, t: [((s - 1, t), g_table(q, int(s.max()))[s])]  # g(0) = 0
-    return lambda s, t: [((s, t - 1), power_table(q, int(s.max()))[s])]
+    if gen == "beta":
+        return lambda s, t: [((s, t - 1), power_table(q, int(s.max()))[s])]
+    raise ValueError(f"unknown generator {gen!r}: choose alpha or beta")
 
 
-def build_pi(q: float, cap: int, gen) -> SparseOperator:
+def build_pi(q: float, cap: int, gen: str) -> SparseOperator:
     """Direct-integral generator section on the shell-capped l2(N x Z);
     exact at q = 0."""
-    gen = _as_generator(gen)
-    if gen.starred:
-        return adjoint(build_pi(q, cap, gen.base))
     return _section(pi_basis(cap), _pi_rule(q, gen), q)
 
 
-def build_ipi(q: float, cap: int, gen) -> SparseOperator:
+def build_ipi(q: float, cap: int, gen: str) -> SparseOperator:
     """I (x) pi_q on the shell-capped full lattice: the pi_q rule on (s, t)
     for every r; exact at q = 0."""
-    gen = _as_generator(gen)
-    if gen.starred:
-        return adjoint(build_ipi(q, cap, gen.base))
     pi_rule = _pi_rule(q, gen)
 
     def rule(r, s, t):
@@ -128,13 +102,11 @@ def build_irrep(q: float, z: complex, dim: int) -> tuple[SparseOperator, SparseO
     alpha acts as the weighted down-shift e_k -> g(k) e_{k-1}, beta as the
     diagonal e_k -> z q^k e_k.
     """
-    if q == 0.0 or not abs(q) < 1.0:
-        raise ValueError("irreducibles need 0 < |q| < 1")
+    mode = float_mode(q)
     if not abs(abs(z) - 1.0) <= UNIT_CIRCLE_TOL:  # NaN z fails too
         raise ValueError("irreducible parameter z must lie on the unit circle")
     if dim < 1:
         raise ValueError("irreducible section needs dim >= 1")
-    mode = float_mode(q)
     basis = nat_basis(dim)
     alpha = build_from_rule(basis, basis, lambda k: [((k - 1,), g_table(q, dim)[k])], mode)
     z = complex(z)
@@ -149,10 +121,9 @@ def coproduct_images(q: float, cap: int) -> tuple[SparseOperator, SparseOperator
     Delta(beta) = beta (x) alpha + alpha* (x) beta; feeding the pair to the
     relation checker verifies the homomorphism property on the truncation.
     """
-    if q == 0.0:
-        raise ValueError("coproduct images need 0 < |q| < 1")
-    a = build_pi(q, cap, Generator.ALPHA)
-    b = build_pi(q, cap, Generator.BETA)
+    float_mode(q)  # refuses q = 0 and |q| >= 1
+    a = build_pi(q, cap, "alpha")
+    b = build_pi(q, cap, "beta")
     basis2 = pi_tensor_basis(cap)
     d_alpha = add((1.0, tensor(a, a, basis2, basis2)), (-q, tensor(adjoint(b), b, basis2, basis2)))
     d_beta = add((1, tensor(b, a, basis2, basis2)), (1, tensor(adjoint(a), b, basis2, basis2)))
@@ -192,8 +163,8 @@ _MARGIN = 2  # a product of two letters is exact on the shells <= cap - 2
 def check_relations(ops) -> RelationReport:
     """Residuals of the defining relations on interior shells.
 
-    ``ops`` maps generator names to operator sections on one basis; missing
-    starred generators are filled in by matrix adjoints.  Every relation of
+    ``ops`` maps "alpha" and "beta" to operator sections on one basis; the
+    starred letters are their matrix adjoints.  Every relation of
     ``RELATIONS`` is evaluated at the mode's q (exact integers at q = 0)
     on the interior columns, the basis vectors of shell <= cap - 2: each
     distinct word is composed once (``compose`` over that column set; I is
@@ -202,12 +173,8 @@ def check_relations(ops) -> RelationReport:
     other column of a relation operator is empty.  The report holds, in
     table order, the largest column norm per relation and its witness point.
     """
-    ops = {_as_generator(k): v for k, v in ops.items()}
-    a = ops[Generator.ALPHA]
-    b = ops[Generator.BETA]
-    letters = {"a": a, "b": b,
-               "a*": ops[Generator.ALPHA_STAR] if Generator.ALPHA_STAR in ops else adjoint(a),
-               "b*": ops[Generator.BETA_STAR] if Generator.BETA_STAR in ops else adjoint(b)}
+    a, b = ops["alpha"], ops["beta"]
+    letters = {"a": a, "b": b, "a*": adjoint(a), "b*": adjoint(b)}
     basis = a.domain
     cap = basis.cap
     if cap < _MARGIN:

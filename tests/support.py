@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
+
 from qsu2.equivalence import decay_report
+from qsu2.operator_core import compose
 
 
 def basis_points(basis) -> list:
@@ -13,6 +16,18 @@ def basis_points(basis) -> list:
 def entries(op) -> list:
     """(row rank, column rank, value) of every stored entry of an operator."""
     return list(zip(op.rows.tolist(), op.entry_cols().tolist(), op.vals.tolist()))
+
+
+def to_dense(op) -> np.ndarray:
+    """Dense matrix of an operator (complex if its entries are)."""
+    out = np.zeros(op.shape, dtype=complex if op.vals.dtype.kind == "c" else float)
+    out[op.rows, op.entry_cols()] = op.vals
+    return out
+
+
+def product(a, b):
+    """The full matrix product a @ b: compose over every column of b."""
+    return compose(a, b, np.arange(len(b.domain)))
 
 
 def sheet_of(p) -> int:

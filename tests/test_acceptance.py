@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from support import decay_loglog_slope
+from support import decay_loglog_slope, to_dense
 from qsu2.cli import main
 from qsu2.coefficients import verify_g_estimates
 from qsu2.equivalence import (
@@ -23,7 +23,7 @@ from qsu2.equivalence import (
 )
 from qsu2.lattice import full_shell, gamma_basis
 from qsu2.representations import (
-    Generator,
+    GENERATORS,
     build_lambda,
     build_pi,
     check_relations,
@@ -67,8 +67,8 @@ def test_criterion_2_unitary_signed_permutation(capsys):
         ok = set(sign.tolist()) <= {-1, 1} and bool(np.all(sign * back_sign == 1))
         ok = ok and all(np.array_equal(p2, p) for p2, p in zip(back, u.domain.coords))
         ok = ok and bool(np.all(full_shell(*image) == u.domain.shells))
-        ok = ok and all(np.array_equal(c[u.perm], f) for c, f in zip(u.codomain.coords, image))
-        ok = ok and np.array_equal(np.sort(u.perm), np.arange(len(u.codomain)))
+        ok = ok and all(np.array_equal(c[u.rows], f) for c, f in zip(u.codomain.coords, image))
+        ok = ok and np.array_equal(np.sort(u.rows), np.arange(len(u.codomain)))
     with capsys.disabled():
         _report(2, ok, "U is a shell-preserving signed permutation to cap 40", t.seconds)
 
@@ -77,8 +77,8 @@ def test_criterion_3_defining_relations(capsys):
     with _Timer() as t:
         ok = True
         for q in (0.1, -0.1, 0.5, -0.5, 0.9):
-            lam = {g: build_lambda(q, 12, g) for g in Generator}
-            pi = {g: build_pi(q, 12, g) for g in Generator}
+            lam = {g: build_lambda(q, 12, g) for g in GENERATORS}
+            pi = {g: build_pi(q, 12, g) for g in GENERATORS}
             for ops in (lam, pi):
                 rep = check_relations(ops)  # shells <= 10
                 ok = ok and len(rep.rows) == 5 and all(r.residual < 1e-12 for r in rep.rows)
@@ -141,8 +141,8 @@ def test_criterion_8_crystal_limit_convergence(capsys):
         for gen in ("alpha", "beta"):
             ratios = []
             for q in (1e-1, 1e-2, 1e-3):
-                dist = np.abs(build_lambda(q, 8, gen).to_dense()
-                              - build_lambda(0.0, 8, gen).to_dense()).max()
+                dist = np.abs(to_dense(build_lambda(q, 8, gen))
+                              - to_dense(build_lambda(0.0, 8, gen))).max()
                 ok = ok and dist <= 3 * q
                 ratios.append(dist / q)
             ok = ok and max(ratios) / min(ratios) <= 2.0

@@ -189,6 +189,18 @@ def test_estimates_csv(capsys):
     assert lines[1].startswith("1,0.13397459621556135,0.25,true")
 
 
+@pytest.mark.parametrize("argv", [("verify-relations", "--q", "0.47", "--cap", "6"),
+                                  ("verify-q0", "--cap", "4")], ids=["verify-relations", "verify-q0"])
+def test_relation_csv_rows_are_told_apart(capsys, argv):
+    # each relation is checked on two representations: the index is the full item name
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    index = [line.split(",")[0] for line in out.splitlines()[1:]]
+    _, doc, _ = run(capsys, *argv)
+    assert index == [it["name"] for it in json.loads(doc)["items"]]
+    assert len(set(index)) == len(index) == (10 if argv[0] == "verify-relations" else 14)
+
+
 def test_equivalence_command(capsys):
     code, out, _ = run(capsys, "verify-equivalence", "--q", "0.5", "--cap", "6")
     assert code == 0

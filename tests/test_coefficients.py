@@ -209,7 +209,7 @@ def test_g_estimates_pass_deep():
 
 
 def test_g_estimates_reject_q_zero():
-    with pytest.raises(ValueError, match="vacuous at q=0"):
+    with pytest.raises(ValueError, match="q=0 has a dedicated exact mode"):
         cf.verify_g_estimates(0.0, 10)
     with pytest.raises(ValueError):
         cf.verify_g_estimates(0.5, 0)

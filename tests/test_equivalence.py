@@ -8,10 +8,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from support import basis_points, decay_loglog_slope, sheet_of
+from support import basis_points, decay_loglog_slope, product, sheet_of, to_dense
 from qsu2 import equivalence
 from qsu2.cli import main
-from qsu2.coefficients import float_mode, g, verify_g_estimates
+from qsu2.coefficients import EXACT_ZERO, float_mode, g, verify_g_estimates
 from qsu2.equivalence import (
     closed_form,
     conjugate,
@@ -36,7 +36,6 @@ from qsu2.operator_core import (
     SparseOperator,
     add,
     build_from_rule,
-    compose,
     diagonal,
     max_abs_entry_per_shell,
     max_entry_difference,
@@ -75,27 +74,28 @@ def test_unitary_pointwise_examples():
 
 def test_unitary_roundtrip_and_shells_cap40():
     u = unitary_u(40)  # construction itself asserts round trip and shells
+    # an exact operator with one entry per column: column k's row is rows[k]
+    assert u.mode == EXACT_ZERO and u.vals.dtype == np.int64
+    assert np.array_equal(u.indptr, np.arange(len(u.domain) + 1))
     # bijection onto the capped lattice
-    assert np.array_equal(np.sort(u.perm), np.arange(len(u.codomain)))
-    assert set(u.sign.tolist()) <= {-1, 1}
-    assert np.array_equal(full_shell(*(c[u.perm] for c in u.codomain.coords)), u.domain.shells)
+    assert np.array_equal(np.sort(u.rows), np.arange(len(u.codomain)))
+    assert set(u.vals.tolist()) <= {-1, 1}
+    assert np.array_equal(full_shell(*(c[u.rows] for c in u.codomain.coords)), u.domain.shells)
     # the arrays are the pointwise map
     sign, *image = u_forward(*u.domain.coords)
-    assert np.array_equal(u.sign, sign)
-    assert all(np.array_equal(c[u.perm], f) for c, f in zip(u.codomain.coords, image))
+    assert np.array_equal(u.vals, sign)
+    assert all(np.array_equal(c[u.rows], f) for c, f in zip(u.codomain.coords, image))
 
 
 def test_sheet_to_fiber():
     u = unitary_u(10)
     r = u.codomain.coords[0]
     for k, p in enumerate(basis_points(u.domain)):
-        assert r[u.perm[k]] == sheet_of(p) // 2
+        assert r[u.rows[k]] == sheet_of(p) // 2
 
 
 def test_conjugate_identity():
     u = unitary_u(6)
-    from qsu2.coefficients import EXACT_ZERO
-
     eye = diagonal(gamma_basis(6), np.ones(len(gamma_basis(6)), dtype=np.int64), EXACT_ZERO)
     conj = conjugate(eye, u)
     expected = diagonal(full_basis(6), np.ones(len(full_basis(6)), dtype=np.int64), EXACT_ZERO)
@@ -144,8 +144,6 @@ def test_q0_regression_guard_displayed_beta_form(monkeypatch):
     def displayed_rule(n2, i2, j2):
         return [((n2 + 1, i2 - 1, j2 + 1), (i2 == -n2) * 1),
                 ((n2 - 1, i2 - 1, j2 + 1), ((j2 == -n2) & (i2 != -n2)) * -1)]
-
-    from qsu2.coefficients import EXACT_ZERO
 
     wrong_beta = build_from_rule(basis, basis, displayed_rule, EXACT_ZERO)
     calls = []
@@ -197,7 +195,7 @@ def test_difference_column_structure():
 
 
 def test_difference_rejects_bad_inputs():
-    with pytest.raises(ValueError, match="unstarred"):
+    with pytest.raises(ValueError, match="unknown generator 'alpha_star'"):
         difference(0.5, 4, "alpha_star")
     with pytest.raises(ValueError, match="q=0"):
         difference(0.0, 4, "alpha")
@@ -341,14 +339,14 @@ def assembled_closed_form(q, cap, gen):
         return diagonal(basis, values, mode)
 
     if gen == "alpha":
-        return add((1, compose(shift(+1, 0, 0), diag(diagonal_values(q, cap, "R1")))),
-                   (1, compose(diag(diagonal_values(q, cap, "R2")), shift(0, -1, 0))))
+        return add((1, product(shift(+1, 0, 0), diag(diagonal_values(q, cap, "R1")))),
+                   (1, product(diag(diagonal_values(q, cap, "R2")), shift(0, -1, 0))))
     t = basis.coords[2]
     branch = equivalence._t1_branch_values(q, cap)
-    up = compose(diag(np.where(t >= 0, branch, 0.0)), shift(+1, +1, -1))
-    down = compose(diag(np.where(t < 0, branch, 0.0)), shift(-1, -1, -1))
+    up = product(diag(np.where(t >= 0, branch, 0.0)), shift(+1, +1, -1))
+    down = product(diag(np.where(t < 0, branch, 0.0)), shift(-1, -1, -1))
     return add((1, add((1, up), (1, down))),
-               (1, compose(diag(diagonal_values(q, cap, "T2")), shift(0, 0, -1))))
+               (1, product(diag(diagonal_values(q, cap, "T2")), shift(0, 0, -1))))
 
 
 @pytest.mark.parametrize("gen", ["alpha", "beta"])
@@ -424,7 +422,7 @@ def test_tail_norms_monotone_small():
 def test_tail_norms_against_dense_svd(q, gen):
     for cap in (0, 1, 2, 7, 8):
         d = difference(q, cap, gen)
-        dense = d.to_dense()
+        dense = to_dense(d)
         pi_shell = np.array([p.s + abs(p.t) for p in basis_points(d.domain)])
         norms = tail_norms(q, cap, gen)
         assert [m for m, _ in norms] == list(range(cap + 1))

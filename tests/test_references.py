@@ -1,5 +1,6 @@
 """No helper exists only for tests: every public module-level function and
-class of qsu2 is read somewhere in the package or in the benchmark."""
+class of qsu2, and every public method and property of its classes, is read
+somewhere in the package or in the benchmark."""
 
 import ast
 from pathlib import Path
@@ -8,18 +9,31 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qsu2"
 # the console script `qsu2 = qsu2.cli:main` calls it from outside
 ENTRY_POINTS = {("cli", "main")}
+# read only by the benchmark's own tests, which go with the next benchmark change
+MEMBERS_READ_BY_BENCHMARK_TESTS = {"lattice.Basis.points", "operator_core.SparseOperator.entries"}
 
 
 def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def _readers(package: Path, benchmark: Path) -> list[ast.Module]:
+    """The package and the benchmark (its tests aside), parsed."""
+    return [_tree(path) for path in sorted(package.glob("*.py")) + sorted(benchmark.glob("*.py"))]
+
+
+def _public_defs(body) -> list:
+    return [node for node in body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
 def unreferenced(package: Path = PACKAGE, benchmark: Path = ROOT / "perfbench") -> list[str]:
     """module.name of every public module-level def or class that no name
     or attribute of the package or the benchmark (its tests aside) reads."""
     used = set()
-    for path in sorted(package.glob("*.py")) + sorted(benchmark.glob("*.py")):
-        for node in ast.walk(_tree(path)):
+    for tree in _readers(package, benchmark):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -27,16 +41,33 @@ def unreferenced(package: Path = PACKAGE, benchmark: Path = ROOT / "perfbench") 
     return [
         f"{path.stem}.{node.name}"
         for path in sorted(package.glob("*.py"))
-        for node in _tree(path).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and (path.stem, node.name) not in ENTRY_POINTS
-        and node.name not in used
+        for node in _public_defs(_tree(path).body)
+        if (path.stem, node.name) not in ENTRY_POINTS and node.name not in used
+    ]
+
+
+def unread_members(package: Path = PACKAGE, benchmark: Path = ROOT / "perfbench",
+                   exempt=MEMBERS_READ_BY_BENCHMARK_TESTS) -> list[str]:
+    """module.Class.name of every public method or property of a package
+    class that no attribute of the package or the benchmark (its tests
+    aside) reads; a bare name of the same spelling does not count."""
+    read = {node.attr for tree in _readers(package, benchmark) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    return [
+        f"{path.stem}.{cls.name}.{node.name}"
+        for path in sorted(package.glob("*.py"))
+        for cls in _public_defs(_tree(path).body) if isinstance(cls, ast.ClassDef)
+        for node in _public_defs(cls.body) if not isinstance(node, ast.ClassDef)
+        if node.name not in read and f"{path.stem}.{cls.name}.{node.name}" not in exempt
     ]
 
 
 def test_every_public_definition_is_referenced_outside_tests():
     assert unreferenced() == []
+
+
+def test_every_public_method_is_read_outside_tests():
+    assert unread_members() == []
 
 
 def test_a_test_only_helper_is_caught(tmp_path):
@@ -47,3 +78,19 @@ def test_a_test_only_helper_is_caught(tmp_path):
         "class _Private:\n    pass\n", encoding="utf-8")
     (package / "cli.py").write_text("def main():\n    return 0\n", encoding="utf-8")
     assert unreferenced(package, tmp_path / "none") == ["mod.helper"]
+
+
+def test_a_test_only_method_is_caught(tmp_path):
+    # `size` is read as an attribute and `rows` is a property read as one;
+    # `dense` is only a local name and `_private` is not public
+    package = tmp_path / "qsu2"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "class Op:\n"
+        "    def size(self):\n        return 1\n\n"
+        "    @property\n    def rows(self):\n        return self.size()\n\n"
+        "    def dense(self):\n        return 0\n\n"
+        "    def _private(self):\n        return 0\n\n\n"
+        "def use(op):\n    dense = op.rows\n    return dense\n", encoding="utf-8")
+    assert unread_members(package, tmp_path / "none", exempt=set()) == ["mod.Op.dense"]
+    assert unread_members(package, tmp_path / "none", exempt={"mod.Op.dense"}) == []

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import crystal_oracle as oracle
-from support import basis_points, entries
+from support import basis_points, entries, product, to_dense
 from qsu2.coefficients import EXACT_ZERO, float_mode
 from qsu2.lattice import FullIndex, GammaIndex, PiIndex, gamma_basis, nat_basis
 from qsu2 import representations
-from qsu2.operator_core import SparseOperator, add, adjoint, compose, diagonal, tensor
+from qsu2.operator_core import SparseOperator, add, adjoint, diagonal, tensor
+from qsu2.equivalence import closed_form, difference, tail_norms
 from qsu2.representations import (
-    Generator,
+    GENERATORS,
     _section,
     build_ipi,
     build_irrep,
@@ -64,7 +65,7 @@ def test_lambda_boundary_column_only_lowering_term():
 
 
 def test_lambda_q_zero_selects_exact_mode():
-    for gen in Generator:
+    for gen in GENERATORS:
         assert build_lambda(0.0, 4, gen).mode == EXACT_ZERO
     with pytest.raises(ValueError, match=r"\|q\| < 1"):
         build_lambda(1.0, 4, "alpha")
@@ -79,12 +80,12 @@ def test_crystal_section_refuses_non_integer_values():
 
 
 def test_lambda_shell_grading():
-    for gen in Generator:
-        op = build_lambda(0.5, 5, gen)
-        dst, src = basis_points(op.codomain), basis_points(op.domain)
-        for i, j, _ in entries(op):
-            dn = dst[i].n2 - src[j].n2
-            assert abs(dn) == 1
+    for gen in GENERATORS:
+        for op in (build_lambda(0.5, 5, gen), adjoint(build_lambda(0.5, 5, gen))):
+            dst, src = basis_points(op.codomain), basis_points(op.domain)
+            for i, j, _ in entries(op):
+                dn = dst[i].n2 - src[j].n2
+                assert abs(dn) == 1
 
 
 def test_pi_actions():
@@ -116,25 +117,28 @@ def test_pi_shell_grading():
 
 def test_operator_norm_pi_beta_section():
     op = build_pi(0.5, 12, "beta")
-    assert np.linalg.norm(op.to_dense(), 2) == pytest.approx(1.0, abs=1e-9)
+    assert np.linalg.norm(to_dense(op), 2) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_star_compatibility():
-    for q in (0.5, -0.5):
-        lam_star = build_lambda(q, 4, "alpha_star")
-        assert same_entries(lam_star, adjoint(build_lambda(q, 4, "alpha")))
-        pi_star = build_pi(q, 4, "beta_star")
-        assert same_entries(pi_star, adjoint(build_pi(q, 4, "beta")))
+@pytest.mark.parametrize("gen", ["alpha_star", "beta_star", "a", "gamma", "ALPHA"])
+def test_builders_refuse_starred_and_unknown_names(gen):
+    # the starred letters are formed only by adjoint, never by name
+    for build in (build_lambda, build_pi, build_ipi, difference, closed_form, tail_norms):
+        with pytest.raises(ValueError, match=f"unknown generator {gen!r}"):
+            build(0.5, 4, gen)
+    with pytest.raises(ValueError, match=f"unknown generator {gen!r}"):
+        build_lambda(0.0, 4, gen)
 
 
-@pytest.mark.parametrize("gen", [g.value for g in Generator])
+@pytest.mark.parametrize("gen", ["alpha", "beta", "alpha_star", "beta_star"])
 @pytest.mark.parametrize(
     "build, action",
     [(build_lambda, oracle.lambda0_action), (build_pi, oracle.pi0_action), (build_ipi, oracle.ipi0_action)],
     ids=["lambda", "pi", "ipi"],
 )
 def test_crystal_builders_match_hand_encoding(build, action, gen):
-    op = build(0.0, 10, gen)
+    base = gen.removesuffix("_star")
+    op = build(0.0, 10, base) if gen == base else adjoint(build(0.0, 10, base))
     pts = basis_points(op.domain)
     expected = oracle.columns(action, gen, pts)
     for j, p in enumerate(pts):
@@ -164,12 +168,13 @@ def test_crystal_beta_branch_priority():
 
 
 def test_crystal_entries_are_signs():
-    for gen in Generator:
-        for op in (build_lambda(0.0, 5, gen), build_pi(0.0, 5, gen), build_ipi(0.0, 5, gen)):
-            assert op.mode.exact
-            for _, _, v in entries(op):
-                assert v in (-1, 1)
-            assert np.diff(op.indptr).max() <= 1
+    for gen in GENERATORS:
+        for built in (build_lambda(0.0, 5, gen), build_pi(0.0, 5, gen), build_ipi(0.0, 5, gen)):
+            for op in (built, adjoint(built)):
+                assert op.mode.exact
+                for _, _, v in entries(op):
+                    assert v in (-1, 1)
+                assert np.diff(op.indptr).max() <= 1
 
 
 def test_crystal_partial_isometries():
@@ -177,36 +182,36 @@ def test_crystal_partial_isometries():
     for gen in ("alpha", "beta"):
         for build in (build_lambda, build_pi):
             a = build(0.0, 5, gen)
-            assert same_entries(compose(compose(a, adjoint(a)), a), a)
+            assert same_entries(product(product(a, adjoint(a)), a), a)
 
 
 def test_relations_lambda_and_pi_float():
     # the near-1 values need the cancellation-free g(k)
     for q in Q_GRID + (0.9999, 0.999999, 0.99999999):
-        lam = {gv: build_lambda(q, 8, gv) for gv in Generator}
+        lam = {gv: build_lambda(q, 8, gv) for gv in GENERATORS}
         rep = check_relations(lam)
         assert all(r.residual < 1e-12 for r in rep.rows), (q, rep.rows)
-        pi = {gv: build_pi(q, 8, gv) for gv in Generator}
+        pi = {gv: build_pi(q, 8, gv) for gv in GENERATORS}
         rep = check_relations(pi)
         assert all(r.residual < 1e-12 for r in rep.rows), (q, rep.rows)
 
 
 def test_relations_exact_zero():
     for build in (build_lambda, build_pi):
-        ops = {gv: build(0.0, 6, gv) for gv in Generator}
+        ops = {gv: build(0.0, 6, gv) for gv in GENERATORS}
         rep = check_relations(ops)
         assert [r.name for r in rep.rows] == ["a*a+b*b-I", "aa*-I", "ab", "ab*", "b*b-bb*"]
         assert all(r.residual == 0.0 for r in rep.rows)
 
 
 def test_relations_report_nan_residual():
-    ops = {gv: build_pi(0.5, 6, gv) for gv in (Generator.ALPHA, Generator.BETA)}
-    beta = ops[Generator.BETA]
+    ops = {gv: build_pi(0.5, 6, gv) for gv in GENERATORS}
+    beta = ops["beta"]
     j = int(beta.domain.rank(*PiIndex(1, 0)))
     vals = beta.vals.copy()
     vals[beta.indptr[j]:beta.indptr[j + 1]] = math.nan
-    ops[Generator.BETA] = type(beta)(beta.domain, beta.codomain, beta.entry_cols(), beta.rows, vals,
-                                     beta.mode)
+    ops["beta"] = type(beta)(beta.domain, beta.codomain, beta.entry_cols(), beta.rows, vals,
+                             beta.mode)
     rep = check_relations(ops)
     assert not all(r.residual < 1e-12 for r in rep.rows)
     bad = [row for row in rep.rows if math.isnan(row.residual)]
@@ -225,7 +230,7 @@ def test_relations_witness_tie_goes_to_lower_rank():
 
 
 def test_relations_need_interior():
-    ops = {gv: build_lambda(0.0, 1, gv) for gv in Generator}
+    ops = {gv: build_lambda(0.0, 1, gv) for gv in GENERATORS}
     with pytest.raises(ValueError, match="no interior"):
         check_relations(ops)
 
@@ -250,19 +255,19 @@ def _full_column_relations(ops, margin=2):
     eye = diagonal(basis, np.ones(len(basis), dtype=np.int64), mode)
     if mode.exact:
         names = ["a*a+b*b-I", "aa*-I", "ab", "ab*", "b*b-bb*"]
-        words = [add((1, add((1, compose(astar, a)), (1, compose(bstar, b)))), (-1, eye)),
-                 add((1, compose(a, astar)), (-1, eye)),
-                 compose(a, b),
-                 compose(a, bstar),
-                 add((1, compose(bstar, b)), (-1, compose(b, bstar)))]
+        words = [add((1, add((1, product(astar, a)), (1, product(bstar, b)))), (-1, eye)),
+                 add((1, product(a, astar)), (-1, eye)),
+                 product(a, b),
+                 product(a, bstar),
+                 add((1, product(bstar, b)), (-1, product(b, bstar)))]
     else:
         q = mode.q
         names = ["a*a+b*b-I", "aa*+q^2bb*-I", "ab-qba", "ab*-qb*a", "b*b-bb*"]
-        words = [add((1.0, add((1, compose(astar, a)), (1, compose(bstar, b)))), (-1.0, eye)),
-                 add((1.0, add((1.0, compose(a, astar)), (q * q, compose(b, bstar)))), (-1.0, eye)),
-                 add((1.0, compose(a, b)), (-q, compose(b, a))),
-                 add((1.0, compose(a, bstar)), (-q, compose(bstar, a))),
-                 add((1.0, compose(bstar, b)), (-1.0, compose(b, bstar)))]
+        words = [add((1.0, add((1, product(astar, a)), (1, product(bstar, b)))), (-1.0, eye)),
+                 add((1.0, add((1.0, product(a, astar)), (q * q, product(b, bstar)))), (-1.0, eye)),
+                 add((1.0, product(a, b)), (-q, product(b, a))),
+                 add((1.0, product(a, bstar)), (-q, product(bstar, a))),
+                 add((1.0, product(bstar, b)), (-1.0, product(b, bstar)))]
     out = []
     for name, op in zip(names, words):
         absv = np.abs(op.vals)
@@ -295,20 +300,26 @@ def test_relations_keep_q_terms_whose_weight_underflows():
 
 @pytest.mark.parametrize("q", [0.47, 0.0])
 def test_relations_compose_each_word_once(monkeypatch, q):
-    real_compose = representations.compose
+    real_compose, real_adjoint = representations.compose, representations.adjoint
     for label, ops in _relation_cases(q).items():
         a, b = ops["alpha"], ops["beta"]
-        letters = {"a": a, "b": b, "a*": adjoint(a), "b*": adjoint(b)}
-        letter_of = {id(op): letter for letter, op in letters.items()}
+        letter_of = {id(a): "a", id(b): "b"}
+        formed = []  # keeps each adjoint alive, so its id is not reused
         composed = []
 
-        def spy_compose(x, y, columns=None):
+        def spy_adjoint(x):
+            formed.append(real_adjoint(x))
+            letter_of[id(formed[-1])] = letter_of[id(x)] + "*"
+            return formed[-1]
+
+        def spy_compose(x, y, columns):
             composed.append(letter_of[id(x)] + letter_of[id(y)])
             return real_compose(x, y, columns)
 
+        monkeypatch.setattr(representations, "adjoint", spy_adjoint)
         monkeypatch.setattr(representations, "compose", spy_compose)
-        check_relations({"alpha": a, "beta": b, "alpha_star": letters["a*"],
-                         "beta_star": letters["b*"]})
+        check_relations({"alpha": a, "beta": b})
+        assert sorted(letter_of[id(x)] for x in formed) == ["a*", "b*"], label
         want = (["a*a", "aa*", "ab", "ab*", "b*b", "bb*"] if q == 0.0
                 else ["a*a", "aa*", "ab", "ab*", "b*a", "b*b", "ba", "bb*"])
         assert sorted(composed) == want, label
@@ -347,7 +358,7 @@ def test_relations_compute_interior_columns_only(monkeypatch, q):
     real_compose, real_worst = representations.compose, representations._worst_column
     columns_asked, columns_held = [], []
 
-    def spy_compose(x, y, columns=None):
+    def spy_compose(x, y, columns):
         columns_asked.append(columns)
         return real_compose(x, y, columns)
 
@@ -374,11 +385,11 @@ def test_relations_compute_interior_columns_only(monkeypatch, q):
 
 def test_irrep_examples():
     alpha, beta = build_irrep(0.5, 1.0, 8)
-    assert beta.to_dense()[:, 0].tolist() == [1.0] + [0.0] * 7  # beta e0 = e0 at z=1
-    assert not alpha.to_dense()[:, 0].any()  # alpha e0 = 0
+    assert to_dense(beta)[:, 0].tolist() == [1.0] + [0.0] * 7  # beta e0 = e0 at z=1
+    assert not to_dense(alpha)[:, 0].any()  # alpha e0 = 0
 
     alpha, beta = build_irrep(0.5, 1j, 8)
-    out = beta.to_dense()[:, 2]
+    out = to_dense(beta)[:, 2]
     assert out[2] == pytest.approx(0.25j, abs=1e-15)
     assert not out[[0, 1, 3, 4, 5, 6, 7]].any()
 
@@ -422,15 +433,15 @@ def test_coproduct_crystal_limit():
     a0 = build_pi(0.0, 4, "alpha")
     basis = d_alpha.domain
     crystal = tensor(a0, a0, basis, basis)
-    assert np.abs(d_alpha.to_dense() - crystal.to_dense()).max() < 1e-3
+    assert np.abs(to_dense(d_alpha) - to_dense(crystal)).max() < 1e-3
 
 
 def test_crystal_limit_distance_linear_in_q():
     ratios = []
     for q in (1e-1, 1e-2, 1e-3, 1e-4):
         for gen in ("alpha", "beta"):
-            dist = np.abs(build_lambda(q, 4, gen).to_dense()
-                          - build_lambda(0.0, 4, gen).to_dense()).max()
+            dist = np.abs(to_dense(build_lambda(q, 4, gen))
+                          - to_dense(build_lambda(0.0, 4, gen))).max()
             assert dist <= 3 * q
             ratios.append(dist / q)
     assert max(ratios) / min(ratios) <= 2.0

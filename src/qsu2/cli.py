@@ -149,19 +149,38 @@ COMMANDS = {
 }
 
 
+def _add_flags(parser: argparse.ArgumentParser, command: Command) -> argparse.ArgumentParser:
+    for flag, keywords in command.flags:
+        parser.add_argument(flag, **keywords)
+    parser.add_argument("--out", default=None, help="report path (default: stdout)")
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every command's sub-parser under the top-level usage."""
     parser = argparse.ArgumentParser(
         prog="qsu2",
         description="Verification suites for the quantum SU(2) representation equivalence",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        for flag, keywords in command.flags:
-            p.add_argument(flag, **keywords)
-        p.add_argument("--out", default=None, help="report path (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        _add_flags(sub.add_parser(name, help=command.help), command)
     return parser
+
+
+def _parse(argv) -> argparse.Namespace:
+    """``argv`` parsed by the invoked command's parser alone, which builds
+    several times faster than the full parser; whatever that parser cannot
+    take whole goes to the full parser, so every message and exit code is its."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        parser = _add_flags(argparse.ArgumentParser(prog=f"qsu2 {argv[0]}"), COMMANDS[argv[0]])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _size(args) -> tuple[str, int]:
@@ -178,9 +197,7 @@ def _usage_error(message: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
+    args = _parse(argv)
     command = COMMANDS[args.command]
     if hasattr(args, "q"):
         if args.q == 0.0:

@@ -351,7 +351,9 @@ def tail_norms(q: float, cap: int, gen: str) -> list[tuple[int, float]]:
     at = (np.arange(n), offset)  # [m, c]: the suffix of chain c that tail m reads
     floor, slack = lo[at].max(axis=1), 1 + 1e-10
     solve = np.zeros((n, width + 1), dtype=bool)
-    np.logical_or.at(solve, at, ~(hi[at] * slack < floor[:, None]))
+    c, k = np.broadcast_arrays(*at)
+    keep = ~(hi[at] * slack < floor[:, None])
+    solve[c[keep], k[keep]] = True  # only True is written, so repeated (c, k) agree
     suffix = np.zeros((n, width + 1))  # suffix[c, k]: norm of chain c from column k on
     for w in range(1, width + 1):
         c = np.flatnonzero(length >= w)

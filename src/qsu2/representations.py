@@ -163,16 +163,21 @@ _MARGIN = 2  # a product of two letters is exact on the shells <= cap - 2
 def check_relations(ops) -> RelationReport:
     """Residuals of the defining relations on interior shells.
 
-    ``ops`` maps "alpha" and "beta" to operator sections on one basis; the
-    starred letters are their matrix adjoints.  Every relation of
-    ``RELATIONS`` is evaluated at the mode's q (exact integers at q = 0)
-    on the interior columns, the basis vectors of shell <= cap - 2: each
-    distinct word is composed once (``compose`` over that column set; I is
-    1 on those columns alone) and dropped after its last reader in
-    ``_EVALUATION_ORDER``; each relation is summed by one ``add``.  Every
-    other column of a relation operator is empty.  The report holds, in
-    table order, the largest column norm per relation and its witness point.
+    ``ops`` maps "alpha" and "beta" to operator sections on one basis, and
+    holds no other key (ValueError); the starred letters are their matrix
+    adjoints.  Every relation of ``RELATIONS`` is evaluated at the mode's q
+    (exact integers at q = 0) on the interior columns, the basis vectors of
+    shell <= cap - 2: each distinct word is composed once (``compose`` over
+    that column set; I is 1 on those columns alone) and dropped after its
+    last reader in ``_EVALUATION_ORDER``; each relation is summed by one
+    ``add``.  Every other column of a relation operator is empty.  The
+    report holds, in table order, the largest column norm per relation and
+    its witness point.
     """
+    expected = set(GENERATORS)
+    if ops.keys() != expected:
+        raise ValueError(f"check_relations takes the keys {GENERATORS} alone; unexpected "
+                         f"{sorted(ops.keys() - expected)}, missing {sorted(expected - ops.keys())}")
     a, b = ops["alpha"], ops["beta"]
     letters = {"a": a, "b": b, "a*": adjoint(a), "b*": adjoint(b)}
     basis = a.domain

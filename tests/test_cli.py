@@ -423,3 +423,59 @@ def test_readme_states_every_least_size():
     for name, command in cli.COMMANDS.items():
         if command.least:
             assert f"`{name} --{command.size}` below {command.least}" in text, name
+
+
+# argv the full parser refuses or answers with help, and valid edge cases;
+# main parses a command's argv with that command's parser alone and must
+# behave exactly as the full parser on each of them.
+DISPATCH_ARGV = [
+    "", "--help", "-h", "bogus --cap 3", "--cap 3 verify-q0", "verify-q0 -h",
+    *(f"{name} --help" for name in cli.COMMANDS),
+    "verify-relations --cap 3", "verify-equivalence --cap 3", "estimates --kmax 3",
+    "decay --q 0.5 --cap 3", "decay --cap 3 --target Dbeta", "tails --q 0.5 --cap 3",
+    "tails --cap 3 --gen beta", "irrep --dim 5",
+    "tails --q 0.5 --gen gamma", "decay --q 0.5 --target R9", "verify-q0 --format xml",
+    "verify-q0 --cap three", "tails --q half --gen alpha", "irrep --q 0.5 --z 1",
+    "tails --q 0.5 --gen alpha --cap 3 --extra", "verify-q0 --cap 3 extra", "verify-q0 extra --cap 3",
+    "verify-q0 --cap 3 -x", "verify-q0 --", "verify-q0 -- --cap 3",
+    "verify-q0 --ca 3", "verify-q0 --cap 3 --cap 4", "verify-relations --q=-1e-5 --cap 3",
+    "tails --q -0.5 --gen alpha --cap 3", "verify-q0 --form csv --cap 2",
+]
+
+
+@pytest.mark.parametrize("line", DISPATCH_ARGV
+                         + [shlex.join([name, *argv]) for name, (argv, _) in PARAMS.items()]
+                         + [line[len("qsu2 "):] for line in _readme_examples()])
+def test_dispatch_matches_full_parser(monkeypatch, capsys, line):
+    argv = shlex.split(line)
+    try:
+        want = vars(cli.build_parser().parse_args(argv))
+    except SystemExit as exc:
+        want = exc.code
+    full = capsys.readouterr()
+    if not isinstance(want, dict):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert (exc.value.code, capsys.readouterr()) == (want, full)
+        return
+    seen = []
+
+    def record(args):
+        seen.append(vars(args))
+        return VerificationReport(args.command, {}, [])
+
+    monkeypatch.setattr(cli, cli.COMMANDS[argv[0]].handler.__name__, record)
+    assert main(argv) == 0
+    assert seen == [want]
+
+
+@pytest.mark.parametrize("command", list(PARAMS))
+def test_valid_argv_does_not_build_the_full_parser(monkeypatch, capsys, command):
+    def refuse():
+        raise AssertionError("the full parser was built for a valid argv")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    argv = [command, *PARAMS[command][0]]
+    assert main(argv) == 0
+    monkeypatch.setattr(sys, "argv", ["qsu2", *argv])
+    assert main() == 0

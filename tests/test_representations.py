@@ -235,6 +235,19 @@ def test_relations_need_interior():
         check_relations(ops)
 
 
+@pytest.mark.parametrize("keys, match", [
+    (("alpha", "beta", "alpha_star"), r"unexpected \['alpha_star'\], missing \[\]"),
+    (("alpha",), r"unexpected \[\], missing \['beta'\]"),
+], ids=["alpha_star", "no-beta"])
+def test_relations_refuse_other_keys(keys, match):
+    # a starred key would otherwise be ignored and the adjoints' verdict returned
+    ops = {gv: build_pi(0.5, 6, gv) for gv in GENERATORS}
+    ops["alpha_star"] = diagonal(ops["alpha"].domain, np.full(len(ops["alpha"].domain), 7.0),
+                                 ops["alpha"].mode)
+    with pytest.raises(ValueError, match=match):
+        check_relations({key: ops[key] for key in keys})
+
+
 def _relation_cases(q):
     """Generator pairs of lambda and pi, and for q != 0 of an irreducible and
     of the coproduct, on small sections."""

@@ -33,11 +33,12 @@ from .lattice import (
 )
 from .operator_core import (
     SparseOperator,
+    Term,
     add,
     adjoint,
     build_from_rule,
-    diagonal,
-    max_abs_entry_per_shell,
+    column_max_abs,
+    conjugate,
     max_entry_difference,
 )
 from .representations import (
@@ -69,7 +70,7 @@ def u_backward(r, s, t):
 
 def unitary_u(cap: int) -> SparseOperator:
     """The sheet-flattening unitary on the shell-capped lattices, an exact
-    signed permutation: column k holds its sign in the row of its image."""
+    signed permutation: one term, the ranks of the images and their signs."""
     dom = gamma_basis(cap)
     cod = full_basis(cap)
     sign, *image = u_forward(*dom.coords)
@@ -81,19 +82,7 @@ def unitary_u(cap: int) -> SparseOperator:
     back_rank = dom.rank(*back)
     bad = (back_rank[perm] != np.arange(len(dom))) | (sign * back_sign[perm] != 1)
     assert not bad.any(), f"unitary round trip failed at {dom.point_of(int(np.argmax(bad)))}"
-    u = SparseOperator(dom, cod, np.arange(len(dom)), perm, sign, EXACT_ZERO)
-    assert u.nnz == len(dom), "unitary dropped a column"
-    return u
-
-
-def conjugate(op: SparseOperator, u: SparseOperator) -> SparseOperator:
-    """Matrix of U op U* on the full-lattice basis (signed re-indexing only:
-    U holds one entry per column, so column k's is rows[k], vals[k])."""
-    if not op.domain.same_points(u.domain):
-        raise ValueError("cap mismatch between operator and unitary")
-    cols = op.entry_cols()
-    return SparseOperator(u.codomain, u.codomain, u.rows[cols], u.rows[op.rows],
-                          op.vals * (u.vals[cols] * u.vals[op.rows]), op.mode)
+    return SparseOperator(dom, cod, [Term(None, perm, sign)], EXACT_ZERO)
 
 
 def difference(q: float, cap: int, gen: str) -> SparseOperator:
@@ -162,6 +151,10 @@ def diagonal_values(q: float, cap: int, name: str) -> np.ndarray:
     if name not in formulas:
         raise ValueError(f"unknown diagonal {name!r}")
     return formulas[name]()
+
+
+# The shifts (dr, ds, dt) of D_gen, term by term of its closed form.
+D_SHIFTS = {"alpha": ((1, 0, 0), (0, -1, 0)), "beta": ((1, 1, -1), (-1, -1, -1), (0, 0, -1))}
 
 
 def closed_form(q: float, cap: int, gen: str) -> SparseOperator:
@@ -250,18 +243,17 @@ def decay_report(q: float, cap: int, target: str) -> DecayReport:
         raise ValueError(f"unknown decay target {target!r}")
     parts, pattern_name, pattern = _PATTERNS[target]
     if isinstance(parts, str):
-        mat = difference(q, cap, parts)
-    else:
-        values = diagonal_values(q, cap, parts[0]) - diagonal_values(q, cap, parts[1])
-        mat = diagonal(full_basis(cap), values, float_mode(q))
-    shell_max = [v for _, v in max_abs_entry_per_shell(mat)]
-    point_exponents = pattern(*mat.domain.coords)
+        column_max = column_max_abs(difference(q, cap, parts))
+    else:  # a diagonal difference: one entry per column
+        column_max = np.abs(diagonal_values(q, cap, parts[0]) - diagonal_values(q, cap, parts[1]))
+    shells = full_basis(cap).shells  # shell-major: each shell is one run of ranks
+    shell_max = np.maximum.reduceat(column_max, np.searchsorted(shells, np.arange(cap + 1))).tolist()
+    point_exponents = pattern(*full_basis(cap).coords)
     shell_exponent = np.full(cap + 1, point_exponents.max())
-    np.minimum.at(shell_exponent, mat.domain.shells, point_exponents)
-    exponents = point_exponents[mat.entry_cols()]
-    scale = power_table(abs(q), int(exponents.max(initial=0)))[exponents]
-    with np.errstate(divide="ignore"):  # |q|^e underflowing to 0 gives inf
-        normalized = np.abs(mat.vals) / scale
+    np.minimum.at(shell_exponent, shells, point_exponents)
+    scale = power_table(abs(q), int(point_exponents.max()))[point_exponents]
+    with np.errstate(divide="ignore", invalid="ignore"):  # |q|^e underflowing to 0 gives inf
+        normalized = np.where(column_max != 0, column_max / scale, 0.0)  # (an empty column's 0/0 too)
     constant = float(np.max(normalized, initial=0.0))
     ratios = [
         shell_max[m + 1] / shell_max[m]
@@ -283,17 +275,15 @@ def tail_norms(q: float, cap: int, gen: str) -> list[tuple[int, float]]:
     """Operator norms of D_gen restricted to the (s, t) tails s + |t| >= m.
 
     Geometric decay in m certifies compactness in the (s, t) factor; the
-    Toeplitz direction r carries shifts and does not decay.  D_alpha sends
-    column (r, s, t) to rows (r + 1, s, t) and (r, s - 1, t), D_beta to
-    (r +/- 1, s +/- 1, t - 1) and (r, s, t - 1): both keep r - s and shift
-    t by a constant, so D is block-diagonal over the chains of columns with
-    fixed (t, r - s), each indexed by s, and every tail is a suffix of every
-    chain.  Column s of a chain sits at i = s - s_min and feeds only row
-    slots j = i..i+2 (row s' at s' - s_min + 1), kept as band[c, i, j - i],
-    so the suffix of width w from column k is the (w + 2) x w block at slots
-    k..k+w+1.  The band is exact only if every entry lies in its column's
-    slots, no row is fed by two chains and no two rows of one chain share a
-    slot, else AssertionError.
+    Toeplitz direction r carries shifts and does not decay.  The shifts of
+    D, D_SHIFTS[gen], move (t, r - s) by one common offset, so D is
+    block-diagonal over the chains of columns with fixed (t, r - s), each
+    indexed by s, and every tail is a suffix of every chain.  Column s of
+    a chain sits at i = s - s_min and feeds only row slots j = i..i+2 (row
+    s' at s' - s_min + 1): the term of shift (dr, ds, dt) is the band
+    diagonal band[c, i, ds + 1], so the suffix of width w from column k
+    is the (w + 2) x w block at slots k..k+w+1.  A D carrying any other
+    shift raises AssertionError.
 
     Each suffix is bracketed in O(width): lo is its largest column 2-norm,
     hi the Schur test sqrt(max col abs-sum) * sqrt(max row abs-sum), two
@@ -316,24 +306,12 @@ def tail_norms(q: float, cap: int, gen: str) -> list[tuple[int, float]]:
     length = np.zeros(n, dtype=np.intp)
     np.maximum.at(length, chain, s - s_min[chain] + 1)
     width = int(length.max())
-    cols = d.entry_cols()
-    owner = chain[cols]
-    slot = s[d.rows] - s_min[owner] + 1
-
-    def refuse(bad, what):
-        if bad.any():
-            row = d.codomain.point_of(int(d.rows[np.argmax(bad)]))
-            raise AssertionError(f"D is not block-diagonal over (t, r - s): row {row!r} {what}")
-
-    refuse(abs(s[d.rows] - s[cols]) > 1, "lies outside its column's band of slots")
-    feeds = np.full(len(d.codomain), -1)
-    feeds[d.rows] = owner
-    refuse(feeds[d.rows] != owner, "is fed by two chains")
-    holder = np.full((n, width + 2), -1)
-    holder[owner, slot] = d.rows
-    refuse(holder[owner, slot] != d.rows, "shares its chain slot with another row")
-    band = np.zeros((n, width + 1, 3), dtype=d.vals.dtype)  # column `width` stays empty
-    band[owner, s[cols] - s_min[owner], s[d.rows] - s[cols] + 1] = d.vals
+    band = np.zeros((n, width + 1, 3))  # column `width` stays empty
+    for term in d.terms:
+        if term.shift not in D_SHIFTS[gen]:
+            raise AssertionError(f"D_{gen} carries the shift {term.shift!r}, which leaves "
+                                 "its (t, r - s) chains or their band of row slots")
+        band[chain, s - s_min[chain], term.shift[1] + 1] = term.values
     a = np.abs(band)
 
     def from_k(x):  # x[c, k] -> max over i >= k of x[c, i]
@@ -402,7 +380,7 @@ def verify_q0_equivalence(cap: int) -> Q0EquivalenceReport:
     diffs |= {f"{gen}_star": adjoint(diffs[gen]) for gen in GENERATORS}
     mismatches, witness = {}, {}
     for name, d in diffs.items():
-        bad = interior & (np.diff(d.indptr) > 0)
+        bad = interior & (column_max_abs(d) != 0)
         mismatches[name] = int(bad.sum())
         witness[name] = d.domain.point_of(int(np.argmax(bad))) if bad.any() else None
     return Q0EquivalenceReport(mismatches, witness, relations)

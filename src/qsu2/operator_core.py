@@ -1,24 +1,28 @@
 """Sparse operator algebra on truncated basis spaces.
 
-Operators are held in compressed sparse column (CSC) arrays with a
-handful of entries per column (every generator action touches at most
-two basis vectors).  Two scalar modes exist: exact integer arithmetic
-(int64) for the crystal limit, where all entries live in {-1, 0, +1},
-and float (or complex) arithmetic otherwise.  Targets that fall outside
-the truncation are dropped when a matrix is built; with shell truncation
-this happens consistently on both sides of every identity, so interior
-columns are exact.
+An operator is a short sum of weighted lattice shifts.  Each term has a
+shift (the coordinate delta from a column's point to its row's), the
+codomain rank of every domain point moved by it (-1 outside the
+truncation) and a value at every domain point (0 where the target is -1).
+Terms have distinct shifts, so they never share a position.  Values are
+int64 in the exact mode of the crystal limit (entries in {-1, 0, +1}),
+float64 or complex128 otherwise.  Targets outside the truncation are
+dropped; with shell truncation this happens alike on both sides of every
+identity, so interior columns are exact.
 
-Determinism: arithmetic is plain numpy, and repeated positions are
-summed one term at a time in the order they occur.  Ties between equal
-maxima go to the first in (column, row) rank order, and NaN wins every
-maximum, so a NaN entry fails whatever reads it.  Comparisons are one
-subtraction, ``add((1, a), (-1, b))``, followed by a reduction.
+Determinism: plain numpy arithmetic.  Terms of one shift are summed one
+at a time in the order the product lists them: rule terms in rule order,
+pairs of factors b-major in ``compose``, (w, op) terms in argument order
+in ``add``.  Column reductions run in ascending row rank, ties between
+equal maxima go to the first in (column, row) rank order, and NaN wins
+every maximum, so a NaN entry fails whatever reads it.  Comparisons are
+one subtraction, ``add((1, a), (-1, b))``, followed by a reduction.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from collections import Counter
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,67 +55,30 @@ def _check_exact_bound(bound: int, what: str) -> None:
         raise OverflowError(f"exact {what} could overflow int64: entry bound {bound} >= 2**62")
 
 
-def _canonical(n_cols: int, n_rows: int, cols, rows, vals):
-    """CSC arrays (indptr, rows, vals) of the entries (cols[k], rows[k], vals[k]).
+class Term(NamedTuple):
+    """One weighted shift: column j holds ``values[j]`` in row ``targets[j]``."""
 
-    Rows ascend within each column, entries sharing a position are summed
-    from 0 left to right in the order given (a sequential sum, never a
-    pairwise reduction), and zero sums are dropped.
-    """
-    cols = np.asarray(cols, dtype=np.intp)
-    rows = np.asarray(rows, dtype=np.intp)
-    if cols.shape != rows.shape or cols.shape != vals.shape:
-        raise ValueError("entry arrays differ in length")
-    if cols.size and not (0 <= cols.min() and cols.max() < n_cols
-                          and 0 <= rows.min() and rows.max() < n_rows):
-        raise ValueError("entry index outside the operator shape")
-    key = cols * n_rows + rows
-    if key.size > 1 and not (key[1:] > key[:-1]).all():
-        order = np.argsort(key, kind="stable")
-        key = key[order]  # one array at a time, to bound the copies alive at once
-        vals = vals[order]
-        del order
-        first = np.ones(key.size, dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        if not first.all():
-            starts = np.flatnonzero(first)
-            if vals.dtype.kind == "i":
-                largest_group = int(np.diff(starts, append=key.size).max())
-                _check_exact_bound(_max_abs(vals) * largest_group, "sum")
-            sums = np.zeros(starts.size, dtype=vals.dtype)
-            # ufunc.at is unbuffered: one term at a time, in index order
-            group = np.cumsum(first)
-            group -= 1
-            np.add.at(sums, group, vals)
-            key, vals = key[starts], sums
-    keep = vals != 0
-    if not keep.all():
-        key, vals = key[keep], vals[keep]
-    cols = key // n_rows
-    indptr = np.zeros(n_cols + 1, dtype=np.intp)
-    np.cumsum(np.bincount(cols, minlength=n_cols), out=indptr[1:])
-    return indptr, key - cols * n_rows, vals
+    shift: tuple | None  # coordinate delta; None for a map between two lattices
+    targets: np.ndarray  # codomain rank of every domain point, -1 outside the truncation
+    values: np.ndarray  # value at every domain point, 0 where the target is -1
 
 
 class SparseOperator:
-    """Finite matrix between truncated basis spaces in canonical CSC form.
+    """Finite matrix between truncated basis spaces: ``terms`` holds one
+    ``Term`` per shift, all values of one ``dtype``; the constructor casts
+    them and drops the terms whose values are all zero."""
 
-    Column j holds the rows ``rows[indptr[j]:indptr[j + 1]]`` (ascending)
-    with the values at the same positions of ``vals``; no stored value is
-    0.  ``vals`` is int64 in the exact mode, float64 or complex128
-    otherwise.  The constructor takes the entries (cols[k], rows[k],
-    vals[k]) in the order they occur and canonicalises them: repeated
-    positions are summed in that order and zero sums dropped.
-    """
+    __slots__ = ("domain", "codomain", "mode", "dtype", "terms")
 
-    __slots__ = ("domain", "codomain", "mode", "indptr", "rows", "vals")
-
-    def __init__(self, domain: Basis, codomain: Basis, cols, rows, vals, mode: Mode):
-        self.domain = domain
-        self.codomain = codomain
-        self.mode = mode
-        self.indptr, self.rows, self.vals = _canonical(
-            len(domain), len(codomain), cols, rows, _entry_values(vals, mode.exact))
+    def __init__(self, domain: Basis, codomain: Basis, terms, mode: Mode):
+        self.domain, self.codomain, self.mode = domain, codomain, mode
+        terms = [t._replace(values=_entry_values(t.values, mode.exact)) for t in terms]
+        if any({t.targets.shape, t.values.shape} != {(len(domain),)} for t in terms):
+            raise ValueError("term arrays must hold one entry per domain point")
+        self.dtype = np.result_type(np.int64 if mode.exact else np.float64,
+                                    *(t.values for t in terms))
+        self.terms = tuple(t._replace(values=t.values.astype(self.dtype, copy=False))
+                           for t in terms if t.values.any())
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -119,15 +86,13 @@ class SparseOperator:
 
     @property
     def nnz(self) -> int:
-        return len(self.rows)
-
-    def entry_cols(self) -> np.ndarray:
-        """Column rank of every stored entry."""
-        return np.repeat(np.arange(len(self.domain), dtype=np.intp), np.diff(self.indptr))
+        return sum(int(np.count_nonzero(t.values)) for t in self.terms)
 
     def entries(self) -> Iterator[tuple[int, int, object]]:
-        """Yield (row_rank, col_rank, value) over all stored entries."""
-        yield from zip(self.rows.tolist(), self.entry_cols().tolist(), self.vals.tolist())
+        """Yield (row_rank, col_rank, value) over all nonzero values, term by term."""
+        for t in self.terms:
+            cols = np.flatnonzero(t.values)
+            yield from zip(t.targets[cols].tolist(), cols.tolist(), t.values[cols].tolist())
 
     def __repr__(self) -> str:
         return (
@@ -136,8 +101,34 @@ class SparseOperator:
         )
 
 
-def _concat(parts: list, dtype) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+def _term(shift, n: int, cols: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> Term:
+    """The term on n columns holding the entries (rows[k], cols[k], vals[k])."""
+    targets = np.full(n, -1, dtype=np.intp)
+    targets[cols] = rows
+    values = np.zeros(n, dtype=vals.dtype)
+    values[cols] = vals
+    return Term(shift, targets, values)
+
+
+def _by_shift(n: int, cols, rows, vals, delta: np.ndarray) -> list[Term]:
+    """Terms holding the entries (rows[k], cols[k], vals[k]), one per
+    distinct shift delta[:, k], in order of first occurrence."""
+    terms = []
+    while cols.size:
+        same = (delta == delta[:, :1]).all(axis=0)
+        terms.append(_term(tuple(delta[:, 0].tolist()), n, cols[same], rows[same], vals[same]))
+        cols, rows, vals, delta = cols[~same], rows[~same], vals[~same], delta[:, ~same]
+    return terms
+
+
+def _summed(pieces) -> list[Term]:
+    """One term per shift, its pieces summed one at a time in the order given."""
+    out: dict = {}
+    for p in pieces:
+        q = out.get(p.shift)
+        out[p.shift] = p if q is None else Term(
+            p.shift, np.maximum(q.targets, p.targets), q.values + p.values)
+    return list(out.values())
 
 
 def build_from_rule(domain: Basis, codomain: Basis, rule: Callable, mode: Mode) -> SparseOperator:
@@ -147,14 +138,16 @@ def build_from_rule(domain: Basis, codomain: Basis, rule: Callable, mode: Mode) 
     codomain coordinate arrays and the scalars, one of each per domain
     point.  Zero scalars are not stored; every other target must satisfy
     the codomain lattice invariants (else ValueError), and valid targets
-    outside the cap are silently dropped.  Terms are listed in order, so a
-    repeated target sums its terms in the order the rule gives them.
+    outside the cap are silently dropped.  A rule term is one shift (one
+    whose targets move by several is split by shift), and the terms of one
+    shift are summed in the order the rule gives them.
     """
-    cols, rows, vals = [], [], []
+    n = len(domain)
+    pieces = []
     for target, values in rule(*domain.coords):
-        values = np.broadcast_to(values, (len(domain),))
+        values = np.broadcast_to(_entry_values(values, mode.exact), (n,))
         emit = np.flatnonzero(values != 0)
-        target = tuple(np.broadcast_to(c, (len(domain),))[emit] for c in target)
+        target = tuple(np.broadcast_to(c, (n,))[emit] for c in target)
         bad = ~codomain.valid(*target)
         if bad.any():
             k = int(np.argmax(bad))
@@ -163,26 +156,19 @@ def build_from_rule(domain: Basis, codomain: Basis, rule: Callable, mode: Mode) 
                              f"from {domain.point_of(int(emit[k]))!r}")
         ranks = codomain.rank(*target)
         inside = ranks >= 0
-        cols.append(emit[inside])
-        rows.append(ranks[inside])
-        vals.append(values[emit[inside]])
-    return SparseOperator(domain, codomain, _concat(cols, np.intp), _concat(rows, np.intp),
-                          _concat(vals, np.int64 if mode.exact else np.float64), mode)
+        delta = np.array([c[inside] - d[emit[inside]] for c, d in zip(target, domain.coords)],
+                         dtype=np.intp)
+        pieces += _by_shift(n, emit[inside], ranks[inside], values[emit[inside]], delta)
+    most = max(Counter(p.shift for p in pieces).values(), default=1)
+    if mode.exact and most > 1:
+        _check_exact_bound(most * max(_max_abs(p.values) for p in pieces), "sum")
+    return SparseOperator(domain, codomain, _summed(pieces), mode)
 
 
 def diagonal(basis: Basis, values, mode: Mode) -> SparseOperator:
     """Diagonal operator with entry values[k] at the basis point of rank k."""
-    ranks = np.arange(len(basis), dtype=np.intp)
-    return SparseOperator(basis, basis, ranks, ranks, values, mode)
-
-
-def _gather(indptr: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the entries of the given columns, in order, and for each
-    the index into ``cols`` it came from."""
-    starts = indptr[cols]
-    counts = indptr[cols + 1] - starts
-    owner = np.repeat(np.arange(len(cols), dtype=np.intp), counts)
-    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum()), owner
+    shift = (0,) * len(basis.coords)
+    return SparseOperator(basis, basis, [Term(shift, np.arange(len(basis)), values)], mode)
 
 
 def _check_modes(a: SparseOperator, b: SparseOperator, what: str) -> None:
@@ -190,38 +176,47 @@ def _check_modes(a: SparseOperator, b: SparseOperator, what: str) -> None:
         raise ValueError(f"mode mismatch in {what}")
 
 
+def _bound(op: SparseOperator) -> int:
+    """Largest |entry| of an exact-mode operator."""
+    return max((_max_abs(t.values) for t in op.terms), default=0)
+
+
 def compose(a: SparseOperator, b: SparseOperator, columns) -> SparseOperator:
     """Matrix product a @ b (apply b first) on the given columns.
 
     ``columns`` are strictly ascending domain ranks; only those columns
-    are formed and every other column is empty.  Column j of a @ b reads
-    only column j of b, in the same order, so a kept column holds the same
-    bits as in the full product, which ``np.arange(len(b.domain))`` forms.
+    are formed and every other column is empty.  Each pair of a b term and
+    an a term is one gather and one multiply.  Column j of a @ b reads
+    only column j of b, so a kept column holds the same bits as in the
+    full product, which ``np.arange(len(b.domain))`` forms.
     """
     if not a.domain.same_points(b.codomain):
         raise ValueError("dimension mismatch in compose")
     _check_modes(a, b, "compose")
-    if a.mode.exact:
-        per_col = int(np.diff(b.indptr).max(initial=0))
-        _check_exact_bound(_max_abs(a.vals) * _max_abs(b.vals) * per_col, "compose")
+    if a.mode.exact:  # a column of b holds at most one entry per term
+        _check_exact_bound(_bound(a) * _bound(b) * len(b.terms), "compose")
     columns = np.asarray(columns, dtype=np.intp)
     if columns.ndim != 1 or (columns.size and not (
             0 <= columns[0] and columns[-1] < len(b.domain) and (columns[1:] > columns[:-1]).all())):
         raise ValueError("compose columns must be strictly ascending domain ranks")
-    pos, owner = _gather(b.indptr, columns)
-    b_cols, b_rows, b_vals = columns[owner], b.rows[pos], b.vals[pos]
-    # every entry b[k, j] meets column k of a, rows ascending
-    idx, owner = _gather(a.indptr, b_rows)
-    cols, rows, vals = b_cols[owner], a.rows[idx], a.vals[idx] * b_vals[owner]
-    del idx, owner, b_cols, b_rows, b_vals  # not held while the product is canonicalised
-    return SparseOperator(b.domain, a.codomain, cols, rows, vals, a.mode)
+    # an a term read at rank -1 (outside b's truncation or columns) gives no entry
+    a_ends = [(np.append(t.targets, -1), np.append(t.values, 0)) for t in a.terms]
+    pieces = []
+    for tb in b.terms:
+        mid = np.full(len(b.domain), -1, dtype=np.intp)
+        mid[columns] = tb.targets[columns]
+        for ta, (targets, values) in zip(a.terms, a_ends):
+            targets = targets[mid]
+            pieces.append(Term(tuple(x + y for x, y in zip(ta.shift, tb.shift)), targets,
+                               np.where(targets >= 0, values[mid] * tb.values, 0)))
+    return SparseOperator(b.domain, a.codomain, _summed(pieces), a.mode)
 
 
 def add(*terms: tuple[object, SparseOperator]) -> SparseOperator:
-    """Weighted sum w_1 * op_1 + ... + w_n * op_n of (w, op) terms, in one
-    canonical pass over their entries in term order; nested two-term sums
-    give the same bits, since 0 + s == s for every stored s.  A single
-    term of weight 1 is returned as it is."""
+    """Weighted sum w_1 * op_1 + ... + w_n * op_n of (w, op) terms, summed
+    shift by shift in term order; nested two-term sums give the same bits,
+    since 0 + s == s for every nonzero s.  A single term of weight 1 is
+    returned as it is."""
     (w, first), *rest = terms
     if not rest and w == 1:
         return first
@@ -230,46 +225,87 @@ def add(*terms: tuple[object, SparseOperator]) -> SparseOperator:
             raise ValueError("dimension mismatch in add")
         _check_modes(first, op, "add")
     if first.mode.exact:
-        _check_exact_bound(sum(abs(w) * _max_abs(op.vals) for w, op in terms), "add")
-    return SparseOperator(first.domain, first.codomain,
-                          np.concatenate([op.entry_cols() for _, op in terms]),
-                          np.concatenate([op.rows for _, op in terms]),
-                          np.concatenate([w * op.vals for w, op in terms]), first.mode)
+        _check_exact_bound(sum(abs(w) * _bound(op) for w, op in terms), "add")
+    return SparseOperator(first.domain, first.codomain, _summed(
+        t._replace(values=w * t.values) for w, op in terms for t in op.terms), first.mode)
 
 
 def adjoint(a: SparseOperator) -> SparseOperator:
-    """Conjugate transpose (plain transpose in the real and exact modes)."""
-    vals = a.vals.conj() if a.vals.dtype.kind == "c" else a.vals
-    return SparseOperator(a.codomain, a.domain, a.rows, a.entry_cols(), vals, a.mode)
+    """Conjugate transpose (plain transpose in the real and exact modes):
+    each term scattered to its inverse shift."""
+    terms = []
+    for t in a.terms:
+        cols = np.flatnonzero(t.values)
+        terms.append(_term(tuple(-x for x in t.shift), len(a.codomain), t.targets[cols], cols,
+                           t.values[cols].conj()))
+    return SparseOperator(a.codomain, a.domain, terms, a.mode)
+
+
+def conjugate(op: SparseOperator, u: SparseOperator) -> SparseOperator:
+    """U op U* for a signed permutation U, one term from op's basis onto
+    another lattice: entry (k, j) of op moves to (perm[k], perm[j]) with
+    sign[k] * sign[j], its shift the offset of perm[k] from perm[j] in
+    U's codomain coordinates."""
+    if not op.domain.same_points(u.domain):
+        raise ValueError("cap mismatch between operator and unitary")
+    _, perm, sign = u.terms[0]
+    pieces = []
+    for t in op.terms:
+        cols = np.flatnonzero(t.values)
+        rows = t.targets[cols]
+        vals = t.values[cols] * (sign[cols] * sign[rows])
+        cols, rows = perm[cols], perm[rows]
+        pieces += _by_shift(len(u.codomain), cols, rows, vals,
+                            np.array([c[rows] - c[cols] for c in u.codomain.coords]))
+    return SparseOperator(u.codomain, u.codomain, _summed(pieces), op.mode)
 
 
 def tensor(a: SparseOperator, b: SparseOperator, domain: Basis, codomain: Basis) -> SparseOperator:
-    """Kronecker product on factor-major tensor bases."""
+    """Kronecker product on factor-major tensor bases: each pair of terms,
+    a-major, is one term with the shifts concatenated."""
     _check_modes(a, b, "tensor")
-    nb_dom = len(b.domain)
     nb_cod = len(b.codomain)
-    if len(domain) != len(a.domain) * nb_dom or len(codomain) != len(a.codomain) * nb_cod:
+    if len(domain) != len(a.domain) * len(b.domain) or len(codomain) != len(a.codomain) * nb_cod:
         raise ValueError("dimension mismatch in tensor")
     if a.mode.exact:
-        _check_exact_bound(_max_abs(a.vals) * _max_abs(b.vals), "tensor")
-    # every pair of an a entry and a b entry, a-major
-    ea = np.repeat(np.arange(a.nnz), b.nnz)
-    eb = np.tile(np.arange(b.nnz), a.nnz)
-    return SparseOperator(
-        domain, codomain,
-        a.entry_cols()[ea] * nb_dom + b.entry_cols()[eb],
-        a.rows[ea] * nb_cod + b.rows[eb],
-        a.vals[ea] * b.vals[eb],
-        a.mode,
-    )
+        _check_exact_bound(_bound(a) * _bound(b), "tensor")
+    terms = []
+    for ta in a.terms:
+        for tb in b.terms:
+            inside = (ta.targets[:, None] >= 0) & (tb.targets >= 0)
+            terms.append(Term(ta.shift + tb.shift,
+                              np.where(inside, ta.targets[:, None] * nb_cod + tb.targets, -1).ravel(),
+                              np.where(inside, ta.values[:, None] * tb.values, 0).ravel()))
+    return SparseOperator(domain, codomain, terms, a.mode)
 
 
-def max_abs_entry_per_shell(a: SparseOperator) -> list[tuple[int, float]]:
-    """Per domain shell m, the largest |entry| over columns at shell m."""
-    out = np.zeros(a.domain.cap + 1)
-    with np.errstate(invalid="ignore"):  # a NaN entry wins its shell without a warning
-        np.maximum.at(out, a.domain.shells[a.entry_cols()], np.abs(a.vals))
-    return list(enumerate(out.tolist()))
+def column_max_abs(op: SparseOperator) -> np.ndarray:
+    """Per domain rank, the largest |entry| of its column (0 if empty; NaN wins)."""
+    out = np.abs(np.zeros(len(op.domain), dtype=op.dtype))
+    for t in op.terms:
+        out = np.maximum(out, np.abs(t.values))
+    return out
+
+
+def worst_column(op: SparseOperator) -> tuple[object, int | None]:
+    """Largest squared column norm, |v| * |v| summed over each column in
+    ascending row rank, and the first column in rank order attaining it; a
+    NaN column wins at once.  (0.0, None) when every column is zero."""
+    n = len(op.domain)
+    targets = np.array([t.targets for t in op.terms], dtype=np.intp).reshape(-1, n)
+    absv = np.abs(np.array([t.values for t in op.terms], dtype=op.dtype).reshape(-1, n))
+    if op.mode.exact and int(absv.max(initial=0)) ** 2 * len(absv) >= EXACT_LIMIT:
+        raise OverflowError("exact column norm could overflow int64")
+    norms = np.zeros(n, dtype=absv.dtype)
+    for v in np.take_along_axis(absv, np.argsort(targets, axis=0, kind="stable"), axis=0):
+        norms += v * v  # one term at a time, rows ascending
+    nan = np.isnan(norms)
+    if nan.any():
+        return float("nan"), int(np.argmax(nan))
+    top = norms.max(initial=0)
+    if not top > 0:
+        return 0.0, None
+    return top.item(), int(np.argmax(norms == top))
 
 
 def max_entry_difference(a: SparseOperator, b: SparseOperator,
@@ -281,9 +317,10 @@ def max_entry_difference(a: SparseOperator, b: SparseOperator,
     d = add((1, a), (-1, b))
     wanted = np.zeros(len(a.domain), dtype=bool)
     wanted[np.asarray(columns, dtype=np.intp)] = True
-    dev = np.where(np.repeat(wanted, np.diff(d.indptr)), np.abs(d.vals), 0)
-    if not dev.size or np.max(dev) == 0:
+    dev = np.where(wanted, column_max_abs(d), 0)
+    if not np.max(dev) != 0:  # a NaN goes on to its witness
         return 0.0, None
-    k = int(np.argmax(dev))
-    j = int(np.searchsorted(d.indptr, k, side="right")) - 1
-    return dev[k].item(), (a.codomain.point_of(int(d.rows[k])), a.domain.point_of(j))
+    j = int(np.argmax(dev))
+    i = min(int(t.targets[j]) for t in d.terms
+            if abs(t.values[j]) == dev[j] or np.isnan(t.values[j]))
+    return dev[j].item(), (a.codomain.point_of(i), a.domain.point_of(j))

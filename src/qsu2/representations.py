@@ -22,7 +22,6 @@ from . import coefficients as cf
 from .coefficients import EXACT_ZERO, float_mode, g_table, power_table
 from .lattice import full_basis, gamma_basis, nat_basis, pi_basis, pi_tensor_basis
 from .operator_core import (
-    EXACT_LIMIT,
     SparseOperator,
     add,
     adjoint,
@@ -30,6 +29,7 @@ from .operator_core import (
     compose,
     diagonal,
     tensor,
+    worst_column,
 )
 
 UNIT_CIRCLE_TOL = 1e-12  # largest ||z| - 1| of an irreducible's parameter z
@@ -205,28 +205,10 @@ def check_relations(ops) -> RelationReport:
             if word not in words:
                 words[word] = form(word)
         # one relation operator is alive at a time: reduced, then dropped
-        worst, j = _worst_column(add(*((w, words[word]) for w, _, word in terms)))
+        worst, j = worst_column(add(*((w, words[word]) for w, _, word in terms)))
         for word in [word for word in words if last[word] == i]:
             del words[word]
         name = "".join(label + word for _, label, word in terms).removeprefix("+")
         rows[i] = RelationResidual(name, worst**0.5, None if j is None else basis.point_of(j))
     return RelationReport(tuple(rows))
 
-
-def _worst_column(op: SparseOperator) -> tuple[object, int | None]:
-    """Largest squared column norm, |v| * |v| summed in entry order, and the
-    first column in rank order attaining it; a NaN column wins at once.
-    (0.0, None) when every column is zero."""
-    absv = np.abs(op.vals)
-    if op.mode.exact:
-        if int(absv.max(initial=0)) ** 2 * int(np.diff(op.indptr).max(initial=0)) >= EXACT_LIMIT:
-            raise OverflowError("exact column norm could overflow int64")
-    norms = np.zeros(len(op.domain), dtype=absv.dtype)
-    np.add.at(norms, op.entry_cols(), absv * absv)  # each column summed in entry order
-    nan = np.isnan(norms)
-    if nan.any():
-        return float("nan"), int(np.argmax(nan))
-    top = norms.max(initial=0)
-    if not top > 0:
-        return 0.0, None
-    return top.item(), int(np.argmax(norms == top))

@@ -14,14 +14,29 @@ def basis_points(basis) -> list:
 
 
 def entries(op) -> list:
-    """(row rank, column rank, value) of every stored entry of an operator."""
-    return list(zip(op.rows.tolist(), op.entry_cols().tolist(), op.vals.tolist()))
+    """(row rank, column rank, value) of every nonzero value of an operator, in
+    (column, row) rank order; each value is a numpy scalar of the operator's dtype."""
+    found = [(int(t.targets[j]), j, t.values[j])
+             for t in op.terms for j in np.flatnonzero(t.values).tolist()]
+    return sorted(found, key=lambda e: (e[1], e[0]))
+
+
+def entry_bits(op) -> list:
+    """The entries with each value as its dtype and bytes, for bitwise comparisons."""
+    return [(i, j, v.dtype, v.tobytes()) for i, j, v in entries(op)]
+
+
+def column(op, j: int) -> list:
+    """(row rank, value) of the nonzero values of column j, rows ascending."""
+    return sorted((int(t.targets[j]), t.values[j].item()) for t in op.terms if t.values[j] != 0)
 
 
 def to_dense(op) -> np.ndarray:
     """Dense matrix of an operator (complex if its entries are)."""
-    out = np.zeros(op.shape, dtype=complex if op.vals.dtype.kind == "c" else float)
-    out[op.rows, op.entry_cols()] = op.vals
+    out = np.zeros(op.shape, dtype=complex if op.dtype.kind == "c" else float)
+    for t in op.terms:
+        cols = np.flatnonzero(t.values)
+        out[t.targets[cols], cols] = t.values[cols]
     return out
 
 

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from support import decay_loglog_slope, to_dense
+from support import decay_loglog_slope, entries, to_dense
 from qsu2.cli import main
 from qsu2.coefficients import verify_g_estimates
 from qsu2.equivalence import (
@@ -62,13 +62,15 @@ def test_criterion_1_exact_q0_intertwining(capsys):
 def test_criterion_2_unitary_signed_permutation(capsys):
     with _Timer() as t:
         u = unitary_u(40)  # construction asserts the signed round trip
+        rows = np.array([i for i, _, _ in entries(u)])  # one entry per column, columns ascending
         sign, *image = u_forward(*u.domain.coords)
         back_sign, *back = u_backward(*image)
         ok = set(sign.tolist()) <= {-1, 1} and bool(np.all(sign * back_sign == 1))
         ok = ok and all(np.array_equal(p2, p) for p2, p in zip(back, u.domain.coords))
         ok = ok and bool(np.all(full_shell(*image) == u.domain.shells))
-        ok = ok and all(np.array_equal(c[u.rows], f) for c, f in zip(u.codomain.coords, image))
-        ok = ok and np.array_equal(np.sort(u.rows), np.arange(len(u.codomain)))
+        ok = ok and len(rows) == len(u.domain)
+        ok = ok and all(np.array_equal(c[rows], f) for c, f in zip(u.codomain.coords, image))
+        ok = ok and np.array_equal(np.sort(rows), np.arange(len(u.codomain)))
     with capsys.disabled():
         _report(2, ok, "U is a shell-preserving signed permutation to cap 40", t.seconds)
 

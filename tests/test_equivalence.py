@@ -8,7 +8,16 @@ import mpmath
 import numpy as np
 import pytest
 
-from support import basis_points, decay_loglog_slope, product, sheet_of, to_dense
+from support import (
+    basis_points,
+    column,
+    decay_loglog_slope,
+    entries,
+    entry_bits,
+    product,
+    sheet_of,
+    to_dense,
+)
 from qsu2 import equivalence
 from qsu2.cli import main
 from qsu2.coefficients import EXACT_ZERO, float_mode, g, verify_g_estimates
@@ -33,19 +42,16 @@ from qsu2.lattice import (
     gamma_basis,
 )
 from qsu2.operator_core import (
-    SparseOperator,
     add,
     build_from_rule,
     diagonal,
-    max_abs_entry_per_shell,
     max_entry_difference,
 )
 from qsu2.representations import build_ipi, build_irrep, build_lambda, coproduct_images
 
 
 def column_by_rank(op, j):
-    lo, hi = op.indptr[j], op.indptr[j + 1]
-    return dict(zip(op.rows[lo:hi].tolist(), op.vals[lo:hi].tolist()))
+    return dict(column(op, j))
 
 
 def column_as_dict(op, point):
@@ -74,24 +80,28 @@ def test_unitary_pointwise_examples():
 
 def test_unitary_roundtrip_and_shells_cap40():
     u = unitary_u(40)  # construction itself asserts round trip and shells
-    # an exact operator with one entry per column: column k's row is rows[k]
-    assert u.mode == EXACT_ZERO and u.vals.dtype == np.int64
-    assert np.array_equal(u.indptr, np.arange(len(u.domain) + 1))
+    # an exact operator with one entry per column
+    found = entries(u)
+    rows = np.array([i for i, _, _ in found])
+    vals = np.array([v for _, _, v in found])
+    assert u.mode == EXACT_ZERO and vals.dtype == np.int64
+    assert [j for _, j, _ in found] == list(range(len(u.domain)))
     # bijection onto the capped lattice
-    assert np.array_equal(np.sort(u.rows), np.arange(len(u.codomain)))
-    assert set(u.vals.tolist()) <= {-1, 1}
-    assert np.array_equal(full_shell(*(c[u.rows] for c in u.codomain.coords)), u.domain.shells)
-    # the arrays are the pointwise map
+    assert np.array_equal(np.sort(rows), np.arange(len(u.codomain)))
+    assert set(vals.tolist()) <= {-1, 1}
+    assert np.array_equal(full_shell(*(c[rows] for c in u.codomain.coords)), u.domain.shells)
+    # the entries are the pointwise map
     sign, *image = u_forward(*u.domain.coords)
-    assert np.array_equal(u.vals, sign)
-    assert all(np.array_equal(c[u.rows], f) for c, f in zip(u.codomain.coords, image))
+    assert np.array_equal(vals, sign)
+    assert all(np.array_equal(c[rows], f) for c, f in zip(u.codomain.coords, image))
 
 
 def test_sheet_to_fiber():
     u = unitary_u(10)
     r = u.codomain.coords[0]
     for k, p in enumerate(basis_points(u.domain)):
-        assert r[u.rows[k]] == sheet_of(p) // 2
+        (row, _), = column(u, k)
+        assert r[row] == sheet_of(p) // 2
 
 
 def test_conjugate_identity():
@@ -99,9 +109,7 @@ def test_conjugate_identity():
     eye = diagonal(gamma_basis(6), np.ones(len(gamma_basis(6)), dtype=np.int64), EXACT_ZERO)
     conj = conjugate(eye, u)
     expected = diagonal(full_basis(6), np.ones(len(full_basis(6)), dtype=np.int64), EXACT_ZERO)
-    assert np.array_equal(conj.indptr, expected.indptr)
-    assert np.array_equal(conj.rows, expected.rows)
-    assert np.array_equal(conj.vals, expected.vals)
+    assert entry_bits(conj) == entry_bits(expected)
 
 
 def test_conjugate_cap_mismatch():
@@ -164,8 +172,7 @@ def test_q0_reports_a_witness_per_generator(monkeypatch, capsys):
     # With I (x) pi_0 negated every generator fails, and each item names
     # its own first failing column.
     def negated_ipi(q, cap, gen):
-        op = build_ipi(q, cap, gen)
-        return SparseOperator(op.domain, op.codomain, op.entry_cols(), op.rows, -op.vals, op.mode)
+        return add((-1, build_ipi(q, cap, gen)))
 
     monkeypatch.setattr(equivalence, "build_ipi", negated_ipi)
     assert main(["verify-q0", "--cap", "4"]) == 1
@@ -354,8 +361,7 @@ def assembled_closed_form(q, cap, gen):
 def test_closed_form_matches_assembled_reference_bitwise(q, gen):
     for cap in [*range(9), 20]:
         got, want = closed_form(q, cap, gen), assembled_closed_form(q, cap, gen)
-        for x, y in ((got.indptr, want.indptr), (got.rows, want.rows), (got.vals, want.vals)):
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), cap
+        assert got.dtype == want.dtype and entry_bits(got) == entry_bits(want), cap
 
 
 def test_t1_minus_t3_bottom_fiber_values():
@@ -373,8 +379,10 @@ def test_t1_minus_t3_bottom_fiber_values():
 def test_r1_minus_lifted_r3_shell_ratios():
     # per-shell maxima of R1 - I (x) R3 shrink at rate ~q past the first shells
     q, cap = 0.5, 8
-    values = diagonal_values(q, cap, "R1") - diagonal_values(q, cap, "R3")
-    vals = dict(max_abs_entry_per_shell(diagonal(full_basis(cap), values, float_mode(q))))
+    values = np.abs(diagonal_values(q, cap, "R1") - diagonal_values(q, cap, "R3"))
+    shells = full_basis(cap).shells
+    vals = dict(decay_report(q, cap, "R1mR3").shell_max)
+    assert all(vals[m] == values[shells == m].max() for m in range(cap + 1))
     for k in range(2, cap):
         assert vals[k + 1] / vals[k] <= q + 0.05
 
@@ -389,6 +397,22 @@ def test_decay_report_constants():
 
     with pytest.raises(ValueError, match="unknown decay target"):
         decay_report(0.5, 4, "bogus")
+
+
+def test_decay_report_lets_nan_win_its_shell(monkeypatch):
+    real = equivalence.diagonal_values
+
+    def with_nan(q, cap, name):
+        values = real(q, cap, name)
+        if name == "R1":
+            values[5] = np.nan
+        return values
+
+    monkeypatch.setattr(equivalence, "diagonal_values", with_nan)
+    rep = decay_report(0.5, 4, "R1mR3")
+    shell = int(full_basis(4).shells[5])
+    assert [m for m, v in rep.shell_max if np.isnan(v)] == [shell]
+    assert np.isnan(rep.normalized_constant)
 
 
 def test_decay_constant_infinite_when_scale_underflows():
@@ -446,8 +470,8 @@ def unpruned_tail_norms(q, cap, gen):
     for j in sorted(range(len(s)), key=s.__getitem__):
         chains.setdefault((t[j], r[j] - s[j]), []).append(j)
     head = {j: cols[0] for cols in chains.values() for j in cols}
-    mats = {cols[0]: np.zeros((len(cols) + 2, len(cols)), d.vals.dtype) for cols in chains.values()}
-    for i, j, v in zip(d.rows.tolist(), d.entry_cols().tolist(), d.vals.tolist()):
+    mats = {cols[0]: np.zeros((len(cols) + 2, len(cols)), d.dtype) for cols in chains.values()}
+    for i, j, v in entries(d):
         h = head[j]
         mats[h][s[i] - s[h] + 1, s[j] - s[h]] = v
     suffix = {h: [0.0] * (m.shape[1] + 1) for h, m in mats.items()}  # [k]: norm from column k on
@@ -499,10 +523,16 @@ def test_tail_norms_solve_surviving_suffixes_at_their_own_size(monkeypatch, gen)
 
 def test_tail_norms_nan_entry_reaches_lapack(monkeypatch):
     def with_nan(q, cap, gen):
+        # NaN plus the middle entry of D, on that entry's shift
         d = difference(q, cap, gen)
-        vals = d.vals.copy()
-        vals[len(vals) // 2] = np.nan
-        return SparseOperator(d.domain, d.codomain, d.entry_cols(), d.rows, vals, d.mode)
+        found = entries(d)
+        i, j, _ = found[len(found) // 2]
+        shift = [x - y for x, y in zip(d.codomain.point_of(i), d.domain.point_of(j))]
+        nan = build_from_rule(d.domain, d.codomain, lambda *p: [(
+            tuple(c + x for c, x in zip(p, shift)),
+            np.where(np.arange(len(d.domain)) == j, np.nan, 0.0))], d.mode)
+        assert [(k, j) for k, _ in column(nan, j)] == [(i, j)]
+        return add((1, d), (1, nan))
 
     monkeypatch.setattr(equivalence, "difference", with_nan)
     with pytest.raises(np.linalg.LinAlgError):
@@ -531,23 +561,22 @@ def test_tail_norms_peak_memory_at_the_largest_cap():
 
 
 @pytest.mark.parametrize(
-    "column, row, what",
-    [((0, 0, 0), FullIndex(1, 0, 1), "is fed by two chains"),  # the row of column (0, 0, 1)
-     ((0, 0, 0), FullIndex(0, 0, 4), "shares its chain slot"),  # no column feeds it; slot of (1, 0, 0)
-     # column (1, 2, 0) is i = 1 of the chain (t, r - s) = (0, -1), which starts at s = 1: its
-     # band is slots 1..3, and (0, 0, 0) is that chain's row at slot 0
-     ((1, 2, 0), FullIndex(0, 0, 0), "lies outside its column's band")],
-    ids=["two-chains", "shared-slot", "below-band"],
+    "shift, point",
+    [((1, 0, 1), (0, 0, 0)),  # moves t: its rows belong to another (t, r - s) chain
+     ((-1, -2, 0), (1, 2, 0))],  # keeps the chain but moves s by 2, outside the band of slots
+    ids=["chain", "band"],
 )
-def test_tail_norms_refuse_rows_outside_the_chains(monkeypatch, capsys, column, row, what):
-    def linked(q, cap, gen):
+def test_tail_norms_refuse_unexpected_shifts(monkeypatch, capsys, shift, point):
+    def mutated(q, cap, gen):
         d = difference(q, cap, gen)
-        extra = SparseOperator(d.domain, d.codomain, [d.domain.rank(*column)],
-                               [d.codomain.rank(*row)], [0.125], d.mode)
+        at = np.arange(len(d.domain)) == d.domain.rank(*point)
+        extra = build_from_rule(d.domain, d.codomain, lambda r, s, t: [
+            ((r + shift[0], s + shift[1], t + shift[2]), 0.125 * at)], d.mode)
+        assert extra.nnz == 1
         return add((1, d), (1, extra))
 
-    monkeypatch.setattr(equivalence, "difference", linked)
-    message = re.escape(f"row {row!r} {what}")
+    monkeypatch.setattr(equivalence, "difference", mutated)
+    message = re.escape(f"D_alpha carries the shift {shift!r}")
     with pytest.raises(AssertionError, match=message):
         tail_norms(0.5, 4, "alpha")
     # an internal fault, not a usage error: the CLI does not exit 2 on it

@@ -5,40 +5,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import basis_points, entries, product, to_dense
+from support import basis_points, column, entries, entry_bits, product, to_dense
 from qsu2.coefficients import EXACT_ZERO, float_mode
 from qsu2.lattice import full_basis, nat_basis, pi_basis
 from qsu2.operator_core import (
     SparseOperator,
+    Term,
     add,
     adjoint,
     build_from_rule,
+    column_max_abs,
     compose,
     diagonal,
-    max_abs_entry_per_shell,
     max_entry_difference,
     tensor,
+    worst_column,
 )
 from qsu2.representations import build_irrep, build_lambda
 
 MODE = float_mode(0.5)
 
 
-def from_columns(basis_dom, basis_cod, cols, mode=MODE):
-    """Operator from a list of columns, each a list of (row, value)."""
-    triplets = [(j, i, v) for j, col in enumerate(cols) for i, v in col]
-    c, r, v = zip(*triplets) if triplets else ((), (), ())
-    return SparseOperator(basis_dom, basis_cod, list(c), list(r), list(v), mode)
-
-
-def column(op, j):
-    lo, hi = op.indptr[j], op.indptr[j + 1]
-    return list(zip(op.rows[lo:hi].tolist(), op.vals[lo:hi].tolist()))
-
-
-def same_entries(x, y):
-    return (np.array_equal(x.indptr, y.indptr) and np.array_equal(x.rows, y.rows)
-            and np.array_equal(x.vals, y.vals))
+def shifts(basis_dom, basis_cod, terms, mode=MODE):
+    """Operator from (shift, values) rule terms: column j holds values[j] at
+    its point moved by shift, nothing where that target is off the lattice."""
+    def rule(*coords):
+        out = []
+        for shift, values in terms:
+            target = tuple(c + d for c, d in zip(coords, shift))
+            out.append((target, np.where(basis_cod.valid(*target), np.array(values), 0)))
+        return out
+    return build_from_rule(basis_dom, basis_cod, rule, mode)
 
 
 def eye(basis, mode=MODE):
@@ -46,14 +43,12 @@ def eye(basis, mode=MODE):
     return diagonal(basis, np.ones(len(basis), dtype=np.int64), mode)
 
 
-def random_sparse(rng, basis_dom, basis_cod, per_col=2):
-    cols = []
-    n_cod = len(basis_cod)
-    for _ in range(len(basis_dom)):
-        k = rng.integers(0, per_col + 1)
-        rows = rng.choice(n_cod, size=min(k, n_cod), replace=False)
-        cols.append([(int(i), float(rng.normal())) for i in rows])
-    return from_columns(basis_dom, basis_cod, cols)
+def random_shifts(rng, basis_dom, basis_cod, n_terms=3):
+    """Random weighted shifts on l2(N) sections, repeated shifts and zeros included."""
+    n = len(basis_dom)
+    return shifts(basis_dom, basis_cod, [
+        ((int(rng.integers(-3, 4)),), rng.normal(size=n) * (rng.random(n) < 0.6))
+        for _ in range(n_terms)])
 
 
 def shift_down(basis):
@@ -98,10 +93,10 @@ def test_rule_terms_sum_in_order_and_drop_zeros():
 def test_compose_add_adjoint_against_dense():
     rng = np.random.default_rng(7)
     b1, b2, b3 = nat_basis(7), nat_basis(9), nat_basis(6)
-    a = random_sparse(rng, b2, b3)
-    b = random_sparse(rng, b1, b2)
+    a = random_shifts(rng, b2, b3)
+    b = random_shifts(rng, b1, b2)
     np.testing.assert_allclose(to_dense(product(a, b)), to_dense(a) @ to_dense(b), atol=1e-15)
-    c = random_sparse(rng, b2, b3)
+    c = random_shifts(rng, b2, b3)
     np.testing.assert_allclose(
         to_dense(add((2.0, a), (-3.0, c))), 2.0 * to_dense(a) - 3.0 * to_dense(c), atol=1e-15
     )
@@ -111,9 +106,9 @@ def test_compose_add_adjoint_against_dense():
 def test_adjoint_involution_and_product_rule():
     rng = np.random.default_rng(11)
     b1, b2, b3 = nat_basis(5), nat_basis(8), nat_basis(6)
-    a = random_sparse(rng, b2, b3)
-    b = random_sparse(rng, b1, b2)
-    assert same_entries(adjoint(adjoint(a)), a)
+    a = random_shifts(rng, b2, b3)
+    b = random_shifts(rng, b1, b2)
+    assert entry_bits(adjoint(adjoint(a))) == entry_bits(a)
     lhs = to_dense(adjoint(product(a, b)))
     rhs = to_dense(product(adjoint(b), adjoint(a)))
     np.testing.assert_allclose(lhs, rhs, atol=1e-15)
@@ -122,7 +117,7 @@ def test_adjoint_involution_and_product_rule():
 def test_compose_associative():
     rng = np.random.default_rng(13)
     b = nat_basis(8)
-    x, y, z = (random_sparse(rng, b, b) for _ in range(3))
+    x, y, z = (random_shifts(rng, b, b) for _ in range(3))
     lhs = to_dense(product(product(x, y), z))
     rhs = to_dense(product(x, product(y, z)))
     np.testing.assert_allclose(lhs, rhs, atol=1e-14)
@@ -131,9 +126,9 @@ def test_compose_associative():
 def test_identity_neutral():
     rng = np.random.default_rng(17)
     b = nat_basis(10)
-    a = random_sparse(rng, b, b)
-    assert same_entries(product(eye(b), a), a)
-    assert same_entries(product(a, eye(b)), a)
+    a = random_shifts(rng, b, b)
+    assert entry_bits(product(eye(b), a)) == entry_bits(a)
+    assert entry_bits(product(a, eye(b))) == entry_bits(a)
 
 
 def _compose_pairs():
@@ -161,12 +156,17 @@ def test_compose_columns_keep_the_full_product_bits(mode):
             part = compose(a, b, columns)
             kept = np.zeros(n, dtype=bool)
             kept[np.asarray(columns, dtype=np.intp)] = True
-            assert not np.diff(part.indptr)[~kept].any()
-            mask = kept[full.entry_cols()]
-            assert np.array_equal(part.entry_cols(), full.entry_cols()[mask])
-            assert np.array_equal(part.rows, full.rows[mask])
-            assert part.vals.dtype == full.vals.dtype
-            assert part.vals.tobytes() == full.vals[mask].tobytes()
+            assert part.dtype == full.dtype
+            assert entry_bits(part) == [e for e in entry_bits(full) if kept[e[1]]]
+
+
+def test_compose_leaves_no_entry_where_a_factor_has_none():
+    # b's NaN in column 2 meets no entry of a (its shift leaves the
+    # truncation there), and column 1 is not formed: neither holds an entry
+    basis = nat_basis(3)
+    up = build_from_rule(basis, basis, lambda k: [((k + 1,), 1.0)], MODE)
+    b = diagonal(basis, [1.0, np.nan, np.nan], MODE)
+    assert entries(compose(up, b, [0, 2])) == [(1, 0, 1.0)]
 
 
 @pytest.mark.parametrize("columns", [[2, 1], [1, 1], [-1, 2], [0, 6], [[0, 1]]],
@@ -202,11 +202,13 @@ def test_shift_relations_on_nat_sections():
     np.testing.assert_allclose(to_dense(product(sstar, s))[:, :19], expected[:, :19], atol=0)
 
 
-def test_max_abs_entry_per_shell():
+def test_column_max_abs():
     basis = full_basis(3)
-    zero = from_columns(basis, basis, [[] for _ in range(len(basis))])
-    assert max_abs_entry_per_shell(zero) == [(m, 0.0) for m in range(4)]
-    assert max_abs_entry_per_shell(eye(basis)) == [(m, 1.0) for m in range(4)]
+    zero = shifts(basis, basis, [])
+    assert column_max_abs(zero).tolist() == [0.0] * len(basis)
+    assert column_max_abs(eye(basis)).tolist() == [1.0] * len(basis)
+    two = shifts(nat_basis(3), nat_basis(3), [((0,), [1.0, -3.0, 0.0]), ((-1,), [0.0, 2.0, -0.5])])
+    assert column_max_abs(two).tolist() == [1.0, 3.0, 0.5]
 
 
 def test_max_entry_difference_witness():
@@ -221,14 +223,26 @@ def test_max_entry_difference_witness():
 def test_max_entry_difference_tie_goes_to_first_in_rank_order():
     # equal deviations: the witness is the first in (column, row) rank order
     basis = nat_basis(10)
-    zero = from_columns(basis, basis, [[]] * 10)
-    a = from_columns(basis, basis, [[(9, 1.0), (2, -1.0)]] + [[]] * 9)
+    zero = shifts(basis, basis, [])
+    at = np.eye(10)  # at[j]: 1 in column j alone
+    a = shifts(basis, basis, [((9,), at[0]), ((2,), -at[0])])
     everywhere = np.arange(10)
     assert max_entry_difference(a, zero, everywhere) == (1.0, (2, 0))
-    b = from_columns(basis, basis, [[]] * 3 + [[(5, 2.0)]] + [[]] * 3 + [[(1, -2.0)]] + [[]] * 2)
+    b = shifts(basis, basis, [((2,), 2.0 * at[3]), ((-6,), -2.0 * at[7])])
     assert max_entry_difference(b, zero, everywhere) == (2.0, (5, 3))
     assert max_entry_difference(b, zero, columns=[7, 3]) == (2.0, (5, 3))
     assert max_entry_difference(b, zero, columns=[7]) == (2.0, (1, 7))
+
+
+def test_worst_column_sums_rows_in_ascending_rank():
+    # squares 1, x, x in rows 0, 1, 2 with x = 25 * 2**-58 below half an ulp
+    # of 1: summed rows ascending, 1 + x rounds back to 1 twice; from row 2
+    # down, x + x + 1 would round up to 1 + 2**-52.  The rule lists the rows
+    # 2, 1, 0, so only the sort by row gives 1.0
+    basis = nat_basis(3)
+    small = 5 * 2.0**-29
+    op = shifts(basis, basis, [((2,), [small, 0, 0]), ((1,), [small, 0, 0]), ((0,), [1.0, 0, 0])])
+    assert worst_column(op) == (1.0, 0)
 
 
 def test_comparisons_let_nan_win():
@@ -236,8 +250,8 @@ def test_comparisons_let_nan_win():
     values = np.ones(len(basis))
     values[[2, 5]] = [np.nan, 7.0]
     op = diagonal(basis, values, MODE)
-    shells = dict(max_abs_entry_per_shell(op))
-    assert np.isnan(shells[basis.shells[2]]) and shells[basis.shells[5]] == 7.0
+    columns = column_max_abs(op)
+    assert np.isnan(columns[2]) and columns[5] == 7.0
     worst, witness = max_entry_difference(op, eye(basis), np.arange(len(basis)))
     assert np.isnan(worst)
     assert witness == (basis.point_of(2), basis.point_of(2))
@@ -246,35 +260,43 @@ def test_comparisons_let_nan_win():
 
 
 def test_constructor_canonicalises_entries():
+    # rule terms (column, row, value) (2, 1, 1.0), (0, 2, 2.0), (2, 1, -1.0),
+    # (0, 0, 3.0), (1, 1, 0.0): the repeated shift cancels and the zero is
+    # not stored
     basis = nat_basis(3)
-    op = SparseOperator(basis, basis, [2, 0, 2, 0, 1], [1, 2, 1, 0, 1], [1.0, 2.0, -1.0, 3.0, 0.0], MODE)
-    assert op.indptr.tolist() == [0, 2, 2, 2]
-    assert op.rows.tolist() == [0, 2]
-    assert op.vals.tolist() == [3.0, 2.0]
-    with pytest.raises(ValueError, match="outside the operator shape"):
-        SparseOperator(basis, basis, [3], [0], [1.0], MODE)
+    op = shifts(basis, basis, [((-1,), [0, 0, 1.0]), ((2,), [2.0, 0, 0]), ((-1,), [0, 0, -1.0]),
+                               ((0,), [3.0, 0, 0]), ((0,), [0, 0.0, 0])])
+    assert entries(op) == [(0, 0, 3.0), (2, 0, 2.0)]
+    assert op.nnz == 2 and op.dtype == np.float64
+    assert all(v.dtype == np.float64 for _, _, v in entries(op))
+    with pytest.raises(ValueError, match="one entry per domain point"):
+        SparseOperator(basis, basis, [Term((0,), np.arange(3), np.ones(4))], MODE)
 
 
 def test_repeated_positions_sum_in_occurrence_order():
     # float addition is not associative: summed from 0 one term at a time,
     # 1 + 1e16 rounds back to 1e16, so the first order cancels to nothing
     # and the second keeps the trailing 1.0
+    # (three rule terms on the one shift e_1 -> e_0)
     basis = nat_basis(2)
-    lost = SparseOperator(basis, basis, [1, 1, 1], [0, 0, 0], [1.0, 1e16, -1e16], MODE)
-    assert lost.nnz == 0 and lost.indptr.tolist() == [0, 0, 0]
-    kept = SparseOperator(basis, basis, [1, 1, 1], [0, 0, 0], [1e16, -1e16, 1.0], MODE)
+    lost = shifts(basis, basis, [((-1,), [0, v]) for v in (1.0, 1e16, -1e16)])
+    assert lost.nnz == 0 and column(lost, 0) == column(lost, 1) == []
+    kept = shifts(basis, basis, [((-1,), [0, v]) for v in (1e16, -1e16, 1.0)])
     assert column(kept, 1) == [(0, 1.0)]
 
 
 def test_exact_mode_refuses_int64_overflow():
     basis = nat_basis(2)
-    with pytest.raises(OverflowError):
-        SparseOperator(basis, basis, [0], [0], [2**63], EXACT_ZERO)
-    with pytest.raises(OverflowError):
-        SparseOperator(basis, basis, [0], [0], [2**70], EXACT_ZERO)
-    with pytest.raises(TypeError):
-        SparseOperator(basis, basis, [0], [0], [1.5], EXACT_ZERO)
-    big = SparseOperator(basis, basis, [0, 1], [0, 0], [2**31, 2**31], EXACT_ZERO)
+
+    def at_row_0(*values):  # rule terms: column j's value lands in row 0
+        return build_from_rule(basis, basis, lambda k: [((k - j,), [0] * j + [v] + [0] * (1 - j))
+                                                         for j, v in enumerate(values)], EXACT_ZERO)
+
+    one = nat_basis(1)
+    for value, error in ((2**63, OverflowError), (2**70, OverflowError), (1.5, TypeError)):
+        with pytest.raises(error):
+            build_from_rule(one, one, lambda k: [((k,), value)], EXACT_ZERO)
+    big = at_row_0(2**31, 2**31)
     with pytest.raises(OverflowError, match="compose"):
         product(big, big)
     half = diagonal(basis, [2**61, 1], EXACT_ZERO)
@@ -282,14 +304,11 @@ def test_exact_mode_refuses_int64_overflow():
         add((1, half), (1, half))
     with pytest.raises(OverflowError, match="tensor"):
         tensor(big, big, nat_basis(4), nat_basis(4))
-    with pytest.raises(OverflowError, match="sum"):
-        SparseOperator(basis, basis, [0, 0], [0, 0], [2**61, 2**61], EXACT_ZERO)
+    with pytest.raises(OverflowError, match="sum"):  # two rule terms on one shift
+        build_from_rule(basis, basis, lambda k: [((k,), [2**61, 0]), ((k,), [2**61, 0])],
+                        EXACT_ZERO)
     ok = product(diagonal(basis, [2**30, 1], EXACT_ZERO), diagonal(basis, [2**30, 1], EXACT_ZERO))
     assert column(ok, 0) == [(0, 2**60)]
-
-
-def bits(op):
-    return [(a.dtype, a.tobytes()) for a in (op.indptr, op.rows, op.vals)]
 
 
 @pytest.mark.parametrize("kind", ["float", "complex", "exact"])
@@ -298,22 +317,23 @@ def test_n_term_add_matches_nested_adds_bitwise(kind):
     mode = EXACT_ZERO if kind == "exact" else MODE
     scale = {"float": 0.1, "complex": 0.1 + 0.05j, "exact": 1}[kind]
 
-    def op(cols):
-        return from_columns(basis, basis, [[(i, v * scale) for i, v in col] for col in cols], mode)
+    def op(diag, below=(0, 0, 0, 0)):  # a diagonal, and the shift e_j -> e_{j+1}
+        return shifts(basis, basis, [((0,), [v * scale for v in diag]),
+                                     ((1,), [v * scale for v in below])], mode)
 
     # column 0 cancels to exactly 0 after two terms, column 2 sums three
     # terms, and column 3 holds a NaN term (outside the exact mode)
     nan = 5 if kind == "exact" else float("nan")
-    x = op([[(0, 1)], [(1, 2)], [(2, 1)], [(3, nan)]])
-    y = op([[(0, 1)], [], [(2, 2)], [(3, 1)]])
-    z = op([[(0, 3), (1, 7)], [(1, 4)], [(2, 3)], []])
+    x = op([1, 2, 1, nan])
+    y = op([1, 0, 2, 1])
+    z = op([3, 4, 3, 0], [7, 0, 0, 0])
     w = (2, -2, 3) if kind == "exact" else (1.5, -1.5, 0.7)
     got = add((w[0], x), (w[1], y), (w[2], z))
     nested = add((1, add((w[0], x), (w[1], y))), (w[2], z))
-    assert bits(got) == bits(nested)
+    assert entry_bits(got) == entry_bits(nested)
     assert column(got, 0) == column(add((w[2], z)), 0)  # the cancelled pair leaves z alone
     if kind != "exact":
-        assert np.isnan(got.vals[got.indptr[3]])
+        assert np.isnan(column(got, 3)[0][1])
     assert add((1, x)) is x
 
 
@@ -335,41 +355,54 @@ _SCALARS = {
 }
 
 
+def _basis(lattice, size):
+    """nat_basis(size), or the pi_basis whose cap is size - 1."""
+    return nat_basis(size) if lattice == "nat" else pi_basis(size - 1)
+
+
 @st.composite
-def operators(draw, kind, n_dom, n_cod):
-    """A random operator and its dense oracle, with repeated positions and zeros."""
-    triplets = draw(st.lists(
-        st.tuples(st.integers(0, n_dom - 1), st.integers(0, n_cod - 1), _SCALARS[kind]),
-        max_size=3 * max(n_dom, n_cod)))
+def operators(draw, kind, lattice, n_dom, n_cod):
+    """A random sum of weighted shifts and its dense oracle: shifts may
+    repeat, values may be 0, and targets may leave the truncation."""
+    dom, cod = _basis(lattice, n_dom), _basis(lattice, n_cod)
+    ndim, n = len(dom.coords), len(dom)
+    terms = draw(st.lists(st.tuples(st.tuples(*[st.integers(-2, 2)] * ndim),
+                                    st.lists(_SCALARS[kind], min_size=n, max_size=n)),
+                          max_size=4))
     mode = EXACT_ZERO if kind == "exact" else MODE
-    cols, rows, vals = zip(*triplets) if triplets else ((), (), ())
-    op = SparseOperator(nat_basis(n_dom), nat_basis(n_cod), list(cols), list(rows), list(vals), mode)
-    dense = np.zeros((n_cod, n_dom), dtype=complex if kind == "complex" else float)
-    for j, i, v in triplets:
-        dense[i, j] += v
+    op = shifts(dom, cod, terms, mode)
+    dense = np.zeros((len(cod), n), dtype=complex if kind == "complex" else float)
+    for shift, values in terms:
+        for j in range(n):
+            target = tuple(int(c[j]) + d for c, d in zip(dom.coords, shift))
+            if cod.valid(*target) and cod.rank(*target) >= 0:
+                dense[cod.rank(*target), j] += values[j]
     return op, dense
 
 
 def check_canonical(op):
-    for j in range(len(op.domain)):
-        rows = op.rows[op.indptr[j]:op.indptr[j + 1]]
-        assert np.all(np.diff(rows) > 0)
-    assert np.all(op.vals != 0)
+    """Distinct positions in (column, row) rank order, no zero, int64 when exact."""
+    found = entries(op)
+    positions = [(j, i) for i, j, _ in found]
+    assert positions == sorted(set(positions))
+    assert all(v != 0 for _, _, v in found)
     if op.mode.exact:
-        assert op.vals.dtype == np.int64
+        assert op.dtype == np.int64 and all(v.dtype == np.int64 for _, _, v in found)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.data(), st.sampled_from(sorted(_SCALARS)), st.integers(1, 5), st.integers(1, 5),
-       st.integers(1, 5))
-def test_algebra_against_dense_property(data, kind, n1, n2, n3):
-    a, da = data.draw(operators(kind, n2, n3))
-    b, db = data.draw(operators(kind, n1, n2))
-    c, dc = data.draw(operators(kind, n2, n3))
+@given(st.data(), st.sampled_from(sorted(_SCALARS)), st.sampled_from(["nat", "pi"]),
+       st.integers(1, 5), st.integers(1, 5), st.integers(1, 5))
+def test_algebra_against_dense_property(data, kind, lattice, n1, n2, n3):
+    a, da = data.draw(operators(kind, lattice, n2, n3))
+    b, db = data.draw(operators(kind, lattice, n1, n2))
+    c, dc = data.draw(operators(kind, lattice, n2, n3))
     w = 2 if kind == "exact" else -1.5
+    size = len(a.domain), len(a.codomain), len(b.domain)
     for op, dense in ((a, da), (product(a, b), da @ db), (add((w, a), (1, c)), w * da + dc),
                       (adjoint(a), da.conj().T),
-                      (tensor(a, b, nat_basis(n2 * n1), nat_basis(n3 * n2)), np.kron(da, db))):
+                      (tensor(a, b, nat_basis(size[0] * size[2]), nat_basis(size[1] * size[0])),
+                       np.kron(da, db))):
         check_canonical(op)
         assert np.array_equal(to_dense(op), dense)
         assert all(dense[i, j] == v for i, j, v in entries(op))

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import crystal_oracle as oracle
-from support import basis_points, entries, product, to_dense
+from support import basis_points, column, entries, entry_bits, product, to_dense
 from qsu2.coefficients import EXACT_ZERO, float_mode
 from qsu2.lattice import FullIndex, GammaIndex, PiIndex, gamma_basis, nat_basis
 from qsu2 import representations
-from qsu2.operator_core import SparseOperator, add, adjoint, diagonal, tensor
+from qsu2.operator_core import SparseOperator, add, adjoint, build_from_rule, diagonal, tensor
 from qsu2.equivalence import closed_form, difference, tail_norms
 from qsu2.representations import (
     GENERATORS,
@@ -28,17 +28,11 @@ Q_GRID = (0.1, -0.1, 0.5, -0.5, 0.9)
 
 
 def column_by_rank(op, j):
-    lo, hi = op.indptr[j], op.indptr[j + 1]
-    return {op.codomain.point_of(i): v for i, v in zip(op.rows[lo:hi].tolist(), op.vals[lo:hi].tolist())}
+    return {op.codomain.point_of(i): v for i, v in column(op, j)}
 
 
 def column_as_dict(op, point):
     return column_by_rank(op, int(op.domain.rank(*point)))
-
-
-def same_entries(x, y):
-    return (np.array_equal(x.indptr, y.indptr) and np.array_equal(x.rows, y.rows)
-            and np.array_equal(x.vals, y.vals))
 
 
 def test_lambda_alpha_apex_column():
@@ -76,7 +70,8 @@ def test_crystal_section_refuses_non_integer_values():
     with pytest.raises(ValueError, match="non-integer crystal coefficient 0.5"):
         _section(basis, lambda n2, i2, j2: [((n2, i2, j2), 0.5 * (n2 == 1))], 0.0)
     op = _section(basis, lambda n2, i2, j2: [((n2, i2, j2), -1.0 * (n2 == 1))], 0.0)
-    assert op.mode == EXACT_ZERO and op.vals.dtype == np.int64 and op.vals.tolist() == [-1] * 4
+    assert op.mode == EXACT_ZERO and op.dtype == np.int64
+    assert [(v.dtype, v.item()) for _, _, v in entries(op)] == [(np.int64, -1)] * 4
 
 
 def test_lambda_shell_grading():
@@ -172,9 +167,11 @@ def test_crystal_entries_are_signs():
         for built in (build_lambda(0.0, 5, gen), build_pi(0.0, 5, gen), build_ipi(0.0, 5, gen)):
             for op in (built, adjoint(built)):
                 assert op.mode.exact
-                for _, _, v in entries(op):
+                found = entries(op)
+                for _, _, v in found:
                     assert v in (-1, 1)
-                assert np.diff(op.indptr).max() <= 1
+                columns = [j for _, j, _ in found]
+                assert len(columns) == len(set(columns))  # at most one entry per column
 
 
 def test_crystal_partial_isometries():
@@ -182,7 +179,7 @@ def test_crystal_partial_isometries():
     for gen in ("alpha", "beta"):
         for build in (build_lambda, build_pi):
             a = build(0.0, 5, gen)
-            assert same_entries(product(product(a, adjoint(a)), a), a)
+            assert entry_bits(product(product(a, adjoint(a)), a)) == entry_bits(a)
 
 
 def test_relations_lambda_and_pi_float():
@@ -207,11 +204,14 @@ def test_relations_exact_zero():
 def test_relations_report_nan_residual():
     ops = {gv: build_pi(0.5, 6, gv) for gv in GENERATORS}
     beta = ops["beta"]
-    j = int(beta.domain.rank(*PiIndex(1, 0)))
-    vals = beta.vals.copy()
-    vals[beta.indptr[j]:beta.indptr[j + 1]] = math.nan
-    ops["beta"] = type(beta)(beta.domain, beta.codomain, beta.entry_cols(), beta.rows, vals,
-                             beta.mode)
+    basis = beta.domain
+    j = int(basis.rank(*PiIndex(1, 0)))
+    # NaN plus the entry of column j, on beta's one shift (s, t) -> (s, t - 1)
+    nan = build_from_rule(basis, basis, lambda s, t: [((s, t - 1), np.where(
+        np.arange(len(basis)) == j, math.nan, 0.0))], beta.mode)
+    assert [(i, k) for i, k, _ in entries(nan)] == [(i, k) for i, k, _ in entries(beta) if k == j]
+    ops["beta"] = add((1, beta), (1, nan))
+    assert all(math.isnan(v) for _, v in column(ops["beta"], j))
     rep = check_relations(ops)
     assert not all(r.residual < 1e-12 for r in rep.rows)
     bad = [row for row in rep.rows if math.isnan(row.residual)]
@@ -283,12 +283,14 @@ def _full_column_relations(ops, margin=2):
                  add((1.0, product(bstar, b)), (-1.0, product(b, bstar)))]
     out = []
     for name, op in zip(names, words):
-        absv = np.abs(op.vals)
+        absv = {}  # column rank -> |entries|, rows ascending
+        for _, j, v in entries(op):
+            absv.setdefault(j, []).append(np.abs(v))
         worst, witness = 0, None
         for j in np.flatnonzero(basis.shells <= basis.cap - margin).tolist():
-            total = absv.dtype.type(0)
-            for v in absv[op.indptr[j]:op.indptr[j + 1]]:
-                total = total + v * v  # one term at a time, in entry order
+            total = np.abs(np.zeros(1, dtype=op.dtype))[0]
+            for v in absv.get(j, []):
+                total = total + v * v  # one term at a time, rows ascending
             if total > worst:
                 worst, witness = total, basis.point_of(j)
         out.append((name, float(worst) ** 0.5, witness))
@@ -368,7 +370,7 @@ def test_relations_hold_at_most_three_words(monkeypatch, q):
 
 @pytest.mark.parametrize("q", [0.47, 0.0])
 def test_relations_compute_interior_columns_only(monkeypatch, q):
-    real_compose, real_worst = representations.compose, representations._worst_column
+    real_compose, real_worst = representations.compose, representations.worst_column
     columns_asked, columns_held = [], []
 
     def spy_compose(x, y, columns):
@@ -376,12 +378,12 @@ def test_relations_compute_interior_columns_only(monkeypatch, q):
         return real_compose(x, y, columns)
 
     def spy_worst(op, *rest):
-        columns_held.append(np.flatnonzero(np.diff(op.indptr)))
+        columns_held.append(np.unique([j for _, j, _ in entries(op)]).astype(np.intp))
         return real_worst(op, *rest)
 
     cases = _relation_cases(q)
     monkeypatch.setattr(representations, "compose", spy_compose)
-    monkeypatch.setattr(representations, "_worst_column", spy_worst)
+    monkeypatch.setattr(representations, "worst_column", spy_worst)
     for label, ops in cases.items():
         columns_asked.clear()
         columns_held.clear()

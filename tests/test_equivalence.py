@@ -561,21 +561,24 @@ def test_tail_norms_peak_memory_at_the_largest_cap():
 
 
 @pytest.mark.parametrize(
-    "shift, point",
-    [((1, 0, 1), (0, 0, 0)),  # moves t: its rows belong to another (t, r - s) chain
-     ((-1, -2, 0), (1, 2, 0))],  # keeps the chain but moves s by 2, outside the band of slots
-    ids=["chain", "band"],
+    "column, row",
+    [((0, 0, 0), (1, 0, 1)),  # the row of column (0, 0, 1): shift (1, 0, 1) moves t to another chain
+     ((0, 0, 0), (0, 0, 4)),  # no column feeds it; it holds the chain slot of (1, 0, 0), but t moves
+     # column (1, 2, 0) is i = 1 of the chain (t, r - s) = (0, -1), which starts at s = 1: its
+     # band is slots 1..3, and (0, 0, 0) is that chain's row at slot 0 (shift (-1, -2, 0))
+     ((1, 2, 0), (0, 0, 0))],
+    ids=["two-chains", "shared-slot", "below-band"],
 )
-def test_tail_norms_refuse_unexpected_shifts(monkeypatch, capsys, shift, point):
-    def mutated(q, cap, gen):
+def test_tail_norms_refuse_rows_outside_the_chains(monkeypatch, capsys, column, row):
+    def linked(q, cap, gen):
         d = difference(q, cap, gen)
-        at = np.arange(len(d.domain)) == d.domain.rank(*point)
-        extra = build_from_rule(d.domain, d.codomain, lambda r, s, t: [
-            ((r + shift[0], s + shift[1], t + shift[2]), 0.125 * at)], d.mode)
+        at = np.arange(len(d.domain)) == d.domain.rank(*column)
+        extra = build_from_rule(d.domain, d.codomain, lambda r, s, t: [(row, 0.125 * at)], d.mode)
         assert extra.nnz == 1
         return add((1, d), (1, extra))
 
-    monkeypatch.setattr(equivalence, "difference", mutated)
+    monkeypatch.setattr(equivalence, "difference", linked)
+    shift = tuple(b - a for a, b in zip(column, row))
     message = re.escape(f"D_alpha carries the shift {shift!r}")
     with pytest.raises(AssertionError, match=message):
         tail_norms(0.5, 4, "alpha")

@@ -3,14 +3,15 @@ GNS action, and the analytic estimates on g used by the compactness
 diagnostics.  The formulas hold at q = 0 too, where they take the crystal
 values in {-1, 0, +1} (with 0**0 = 1).
 
-The coefficient functions take Gamma points in doubled coordinates,
-integers or integer arrays, and evaluate elementwise from tables of
-g(k, q) and q**e built in each call with the scalar expressions, so an
-array entry carries the same bits as the scalar evaluation.  They apply
-the validity-first rule: when the target basis vector of a term does not
-exist (it would violate the Gamma invariants), the coefficient is 0 by
-definition and no division is attempted.  This is exactly the set of
-sites where the raw formulas degenerate to 0/0.
+The coefficient functions take arrays of Gamma points in doubled
+coordinates and return the rule term ``(step, values)`` of their part of
+the GNS action: the Clebsch-Gordan step, written only there, and the
+coefficient at every point from per-call tables of g(k, q) and q**e.
+They apply the validity-first rule: where point + step violates the Gamma
+invariants the target basis vector does not exist, so the coefficient is
+0 by definition and no division is attempted.  These are exactly the
+sites where the raw formulas degenerate to 0/0, and a rule of these terms
+never emits an invalid target.
 """
 
 from __future__ import annotations
@@ -77,10 +78,9 @@ def float_mode(q: float) -> Mode:
 
 
 def _coefficient(n2, i2, j2, q: float, step: tuple[int, int, int], formula):
-    """Evaluate ``formula(gt, qp, n2, i2, j2)`` where the target point
-    (n2, i2, j2) + step exists, 0.0 elsewhere; a float for scalar input."""
-    scalar = np.ndim(n2) == 0
-    n2, i2, j2 = (np.atleast_1d(np.asarray(c, dtype=np.int64)) for c in (n2, i2, j2))
+    """The rule term (step, values): ``formula(gt, qp, n2, i2, j2)`` where
+    the target point (n2, i2, j2) + step exists, 0.0 elsewhere."""
+    n2, i2, j2 = (np.asarray(c, dtype=np.int64) for c in (n2, i2, j2))
     bad = ~is_valid_gamma(n2, i2, j2)
     if bad.any():
         k = int(np.argmax(bad))
@@ -90,11 +90,11 @@ def _coefficient(n2, i2, j2, q: float, step: tuple[int, int, int], formula):
     if ok.any():
         top = int(n2.max()) + 2
         out[ok] = formula(g_table(q, top), power_table(q, 2 * top), n2[ok], i2[ok], j2[ok])
-    return float(out[0]) if scalar else out
+    return step, out
 
 
 def a_plus(n2, i2, j2, q: float):
-    """Raising coefficient of the alpha action, target (n+1/2, i-1/2, j-1/2)."""
+    """Raising term of the alpha action."""
     return _coefficient(n2, i2, j2, q, (1, -1, -1), lambda gt, qp, n2, i2, j2: (
         qp[n2 + (i2 + j2) // 2 + 1]  # q^(2n + i + j + 1)
         * (gt[(n2 - j2) // 2 + 1] * gt[(n2 - i2) // 2 + 1])
@@ -102,14 +102,14 @@ def a_plus(n2, i2, j2, q: float):
 
 
 def a_minus(n2, i2, j2, q: float):
-    """Lowering coefficient of the alpha action, target (n-1/2, i-1/2, j-1/2)."""
+    """Lowering term of the alpha action."""
     return _coefficient(n2, i2, j2, q, (-1, -1, -1), lambda gt, qp, n2, i2, j2: (
         (gt[(n2 + j2) // 2] * gt[(n2 + i2) // 2])
         / (gt[n2] * gt[n2 + 1])))
 
 
 def b_plus(n2, i2, j2, q: float):
-    """Raising coefficient of the beta action, target (n+1/2, i+1/2, j-1/2)."""
+    """Raising term of the beta action."""
     return _coefficient(n2, i2, j2, q, (1, 1, -1), lambda gt, qp, n2, i2, j2: (
         -(qp[(n2 + j2) // 2])  # q^(n + j)
         * (gt[(n2 - j2) // 2 + 1] * gt[(n2 + i2) // 2 + 1])
@@ -117,7 +117,7 @@ def b_plus(n2, i2, j2, q: float):
 
 
 def b_minus(n2, i2, j2, q: float):
-    """Lowering coefficient of the beta action, target (n-1/2, i+1/2, j-1/2)."""
+    """Lowering term of the beta action."""
     return _coefficient(n2, i2, j2, q, (-1, 1, -1), lambda gt, qp, n2, i2, j2: (
         qp[(n2 + i2) // 2]  # q^(n + i)
         * (gt[(n2 + j2) // 2] * gt[(n2 - i2) // 2])

@@ -165,30 +165,32 @@ def closed_form(q: float, cap: int, gen: str) -> SparseOperator:
     each t-branch of T1 rides its own shift, the t >= 0 branch on
     S* (x) S* (x) S and the t < 0 branch on S (x) S (x) S, plus
     T2 (I (x) I (x) S); the t < 0 branch keeps its nonzero values on the
-    (0, 0) fiber, which the identity requires.  Each term of the one rule
-    is a shift valued by its diagonal at the column (R1) or at the target
-    (R2, T1, T2); a target off the lattice takes the value 0.
+    (0, 0) fiber, which the identity requires.  The rule's terms are the
+    shifts of D_SHIFTS[gen], in order, each valued by its diagonal at the
+    column (R1) or at the target (R2, T1, T2); a target off the lattice
+    takes the value 0.
     """
     mode = float_mode(q)
+    if gen not in D_SHIFTS:
+        raise ValueError(f"unknown generator {gen!r}: choose alpha or beta")
     basis = full_basis(cap)
+    shifts = D_SHIFTS[gen]
 
-    def at(values, r, s, t):
-        """values at the points (r, s, t): 0 off the lattice and above the cap."""
-        rank = np.where(basis.valid(r, s, t), basis.rank(r, s, t), -1)
+    def at(values, shift):
+        """values at every point moved by shift: 0 off the lattice and above the cap."""
+        target = [c + d for c, d in zip(basis.coords, shift)]
+        rank = np.where(basis.valid(*target), basis.rank(*target), -1)
         return np.append(values, 0.0)[rank]
 
     if gen == "alpha":
-        r1, r2 = diagonal_values(q, cap, "R1"), diagonal_values(q, cap, "R2")
-        return build_from_rule(basis, basis, lambda r, s, t: [
-            ((r + 1, s, t), r1),
-            ((r, s - 1, t), at(r2, r, s - 1, t))], mode)
-    if gen == "beta":
-        branch, t2 = _t1_branch_values(q, cap), diagonal_values(q, cap, "T2")
-        return build_from_rule(basis, basis, lambda r, s, t: [
-            ((r + 1, s + 1, t - 1), at(np.where(t >= 0, branch, 0.0), r + 1, s + 1, t - 1)),
-            ((r - 1, s - 1, t - 1), at(np.where(t < 0, branch, 0.0), r - 1, s - 1, t - 1)),
-            ((r, s, t - 1), at(t2, r, s, t - 1))], mode)
-    raise ValueError(f"unknown generator {gen!r}: choose alpha or beta")
+        values = [diagonal_values(q, cap, "R1"), at(diagonal_values(q, cap, "R2"), shifts[1])]
+    else:
+        t = basis.coords[2]
+        branch = _t1_branch_values(q, cap)
+        values = [at(v, shift) for v, shift in zip(
+            (np.where(t >= 0, branch, 0.0), np.where(t < 0, branch, 0.0),
+             diagonal_values(q, cap, "T2")), shifts)]
+    return build_from_rule(basis, basis, lambda *p: list(zip(shifts, values)), mode)
 
 
 def crosscheck_decomposition(q: float, cap: int, gen: str) -> tuple[float, object]:

@@ -10,6 +10,10 @@ float64 or complex128 otherwise.  Targets outside the truncation are
 dropped; with shell truncation this happens alike on both sides of every
 identity, so interior columns are exact.
 
+Operators are built from rules: ``rule(*domain.coords)`` returns terms
+``(shift, values)``, a coordinate delta (a tuple, one entry per
+coordinate) and one scalar per domain point.  A rule term is one shift.
+
 Determinism: plain numpy arithmetic.  Terms of one shift are summed one
 at a time in the order the product lists them: rule terms in rule order,
 pairs of factors b-major in ``compose``, (w, op) terms in argument order
@@ -34,15 +38,23 @@ EXACT_LIMIT = 2**62
 
 
 def _entry_values(vals, exact: bool) -> np.ndarray:
-    """Entries as int64 (exact mode), float64 or complex128."""
+    """Entries as int64 (exact mode), float64 or complex128.  The exact
+    mode takes integers and integral finite floats below 2**63 in
+    magnitude; a larger integer is an OverflowError, any other value a
+    ValueError naming it."""
     arr = np.asarray(vals)
     if not exact:
         return arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64, copy=False)
-    if arr.dtype.kind in "uO":  # Python ints numpy did not fit in int64
-        arr = np.array(arr.tolist(), dtype=np.int64)  # raises OverflowError
-    if arr.size and arr.dtype.kind != "i":
-        raise TypeError(f"exact-mode entries must be integers, got {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
+    if arr.dtype.kind == "u" or arr.dtype.kind == "O" and all(isinstance(v, int) for v in arr.flat):
+        arr = np.array(arr.tolist(), dtype=np.int64)  # Python ints beyond int64: OverflowError
+    if arr.dtype.kind == "i":
+        return arr.astype(np.int64, copy=False)
+    refused = np.ones(arr.shape, dtype=bool)
+    if arr.dtype.kind == "f":  # NaN and inf fail the magnitude test
+        refused = ~((abs(arr) < 2**63) & (arr == np.trunc(arr)))
+    if refused.any():
+        raise ValueError(f"exact-mode entries must be integers, got {arr[refused].tolist()[0]!r}")
+    return arr.astype(np.int64)
 
 
 def _max_abs(vals: np.ndarray) -> int:
@@ -110,17 +122,6 @@ def _term(shift, n: int, cols: np.ndarray, rows: np.ndarray, vals: np.ndarray) -
     return Term(shift, targets, values)
 
 
-def _by_shift(n: int, cols, rows, vals, delta: np.ndarray) -> list[Term]:
-    """Terms holding the entries (rows[k], cols[k], vals[k]), one per
-    distinct shift delta[:, k], in order of first occurrence."""
-    terms = []
-    while cols.size:
-        same = (delta == delta[:, :1]).all(axis=0)
-        terms.append(_term(tuple(delta[:, 0].tolist()), n, cols[same], rows[same], vals[same]))
-        cols, rows, vals, delta = cols[~same], rows[~same], vals[~same], delta[:, ~same]
-    return terms
-
-
 def _summed(pieces) -> list[Term]:
     """One term per shift, its pieces summed one at a time in the order given."""
     out: dict = {}
@@ -132,22 +133,19 @@ def _summed(pieces) -> list[Term]:
 
 
 def build_from_rule(domain: Basis, codomain: Basis, rule: Callable, mode: Mode) -> SparseOperator:
-    """Matrix whose column at p holds the rule's targets inside the truncation.
+    """Matrix whose column at p holds each rule term's value at p + shift.
 
-    ``rule(*domain.coords)`` returns terms ``(target, values)``: a tuple of
-    codomain coordinate arrays and the scalars, one of each per domain
-    point.  Zero scalars are not stored; every other target must satisfy
-    the codomain lattice invariants (else ValueError), and valid targets
-    outside the cap are silently dropped.  A rule term is one shift (one
-    whose targets move by several is split by shift), and the terms of one
-    shift are summed in the order the rule gives them.
+    Zero values are not stored; every other target must satisfy the
+    codomain lattice invariants (else ValueError naming it and its
+    column), and valid targets outside the cap are silently dropped.
+    Terms of one shift are summed in the order the rule gives them.
     """
     n = len(domain)
     pieces = []
-    for target, values in rule(*domain.coords):
+    for shift, values in rule(*domain.coords):
         values = np.broadcast_to(_entry_values(values, mode.exact), (n,))
         emit = np.flatnonzero(values != 0)
-        target = tuple(np.broadcast_to(c, (n,))[emit] for c in target)
+        target = tuple(c[emit] + d for c, d in zip(domain.coords, shift, strict=True))
         bad = ~codomain.valid(*target)
         if bad.any():
             k = int(np.argmax(bad))
@@ -155,20 +153,13 @@ def build_from_rule(domain: Basis, codomain: Basis, rule: Callable, mode: Mode) 
             raise ValueError(f"rule produced invalid index: {point!r} "
                              f"from {domain.point_of(int(emit[k]))!r}")
         ranks = codomain.rank(*target)
-        inside = ranks >= 0
-        delta = np.array([c[inside] - d[emit[inside]] for c, d in zip(target, domain.coords)],
-                         dtype=np.intp)
-        pieces += _by_shift(n, emit[inside], ranks[inside], values[emit[inside]], delta)
+        emit, ranks = emit[ranks >= 0], ranks[ranks >= 0]
+        if emit.size:  # an empty term takes no place in the shift order or the sum guard
+            pieces.append(_term(shift, n, emit, ranks, values[emit]))
     most = max(Counter(p.shift for p in pieces).values(), default=1)
     if mode.exact and most > 1:
         _check_exact_bound(most * max(_max_abs(p.values) for p in pieces), "sum")
     return SparseOperator(domain, codomain, _summed(pieces), mode)
-
-
-def diagonal(basis: Basis, values, mode: Mode) -> SparseOperator:
-    """Diagonal operator with entry values[k] at the basis point of rank k."""
-    shift = (0,) * len(basis.coords)
-    return SparseOperator(basis, basis, [Term(shift, np.arange(len(basis)), values)], mode)
 
 
 def _check_modes(a: SparseOperator, b: SparseOperator, what: str) -> None:
@@ -245,7 +236,9 @@ def conjugate(op: SparseOperator, u: SparseOperator) -> SparseOperator:
     """U op U* for a signed permutation U, one term from op's basis onto
     another lattice: entry (k, j) of op moves to (perm[k], perm[j]) with
     sign[k] * sign[j], its shift the offset of perm[k] from perm[j] in
-    U's codomain coordinates."""
+    U's codomain coordinates.  The offsets of one term of op vary by
+    column, so its entries are split by offset, in order of first
+    occurrence."""
     if not op.domain.same_points(u.domain):
         raise ValueError("cap mismatch between operator and unitary")
     _, perm, sign = u.terms[0]
@@ -255,8 +248,12 @@ def conjugate(op: SparseOperator, u: SparseOperator) -> SparseOperator:
         rows = t.targets[cols]
         vals = t.values[cols] * (sign[cols] * sign[rows])
         cols, rows = perm[cols], perm[rows]
-        pieces += _by_shift(len(u.codomain), cols, rows, vals,
-                            np.array([c[rows] - c[cols] for c in u.codomain.coords]))
+        delta = np.array([c[rows] - c[cols] for c in u.codomain.coords])
+        while cols.size:
+            same = (delta == delta[:, :1]).all(axis=0)
+            pieces.append(_term(tuple(delta[:, 0].tolist()), len(u.codomain),
+                                cols[same], rows[same], vals[same]))
+            cols, rows, vals, delta = cols[~same], rows[~same], vals[~same], delta[:, ~same]
     return SparseOperator(u.codomain, u.codomain, _summed(pieces), op.mode)
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from qsu2.equivalence import decay_report
-from qsu2.operator_core import compose
+from qsu2.operator_core import build_from_rule, compose
 
 
 def basis_points(basis) -> list:
@@ -38,6 +38,23 @@ def to_dense(op) -> np.ndarray:
         cols = np.flatnonzero(t.values)
         out[t.targets[cols], cols] = t.values[cols]
     return out
+
+
+def term_shifts(op) -> list:
+    """The shift of every term of an operator, in term order."""
+    return [t.shift for t in op.terms]
+
+
+def diagonal(basis, values, mode):
+    """Diagonal operator with entry values[k] at the basis point of rank k:
+    one rule term of zero shift."""
+    return build_from_rule(basis, basis, lambda *p: [((0,) * len(p), values)], mode)
+
+
+def coefficient(term, n2: int, i2: int, j2: int, q: float) -> float:
+    """A coefficient function's value at one Gamma point, as a float."""
+    _, values = term(np.array([n2]), np.array([i2]), np.array([j2]), q)
+    return values.item()
 
 
 def product(a, b):

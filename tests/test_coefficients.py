@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crystal_oracle as oracle
-from support import basis_points
+from support import basis_points, coefficient
 from qsu2 import coefficients as cf
 from qsu2.lattice import gamma_basis
 from qsu2.representations import build_pi
@@ -67,7 +67,8 @@ def test_cg_arrays_against_mpmath(q):
     points = basis_points(gamma_basis(12))
     n2, i2, j2 = (np.array(c) for c in zip(*points))
     for name in ("a_plus", "a_minus", "b_plus", "b_minus"):
-        values = getattr(cf, name)(n2, i2, j2, q)
+        step, values = getattr(cf, name)(n2, i2, j2, q)
+        assert step == steps[name]
         for value, p in zip(values.tolist(), points):
             ref = exact(name, *p)
             if ref == 0:
@@ -114,34 +115,35 @@ def test_coefficient_values_at_apex():
     # a_plus(0,0,0) = q g(1)/g(2); frozen against direct evaluation
     q = 0.5
     expect = q * math.sqrt(0.75) / math.sqrt(0.9375)
-    assert cf.a_plus(0, 0, 0, q) == pytest.approx(expect, abs=1e-15)
-    assert cf.a_plus(0, 0, 0, q) == pytest.approx(0.4472135954999579, abs=1e-12)
-    assert cf.b_plus(0, 0, 0, q) == pytest.approx(-0.8944271909999159, abs=1e-12)
+    assert coefficient(cf.a_plus, 0, 0, 0, q) == pytest.approx(expect, abs=1e-15)
+    assert coefficient(cf.a_plus, 0, 0, 0, q) == pytest.approx(0.4472135954999579, abs=1e-12)
+    assert coefficient(cf.b_plus, 0, 0, 0, q) == pytest.approx(-0.8944271909999159, abs=1e-12)
     # normalization at the apex
-    assert cf.a_plus(0, 0, 0, q) ** 2 + cf.b_plus(0, 0, 0, q) ** 2 == pytest.approx(1.0, abs=1e-14)
+    total = coefficient(cf.a_plus, 0, 0, 0, q) ** 2 + coefficient(cf.b_plus, 0, 0, 0, q) ** 2
+    assert total == pytest.approx(1.0, abs=1e-14)
 
 
 def test_apex_normalization_on_q_grid():
     for q in Q_GRID:
-        total = cf.a_plus(0, 0, 0, q) ** 2 + cf.b_plus(0, 0, 0, q) ** 2
+        total = coefficient(cf.a_plus, 0, 0, 0, q) ** 2 + coefficient(cf.b_plus, 0, 0, 0, q) ** 2
         assert total == pytest.approx(1.0, abs=1e-14)
 
 
 def test_validity_first_rule():
     # the n - 1/2 level does not exist at the apex: raw formulas would be 0/0
-    assert cf.a_minus(0, 0, 0, 0.5) == 0.0
-    assert cf.b_minus(0, 0, 0, 0.5) == 0.0
+    assert coefficient(cf.a_minus, 0, 0, 0, 0.5) == 0.0
+    assert coefficient(cf.b_minus, 0, 0, 0, 0.5) == 0.0
     # half-spin point (n,i,j) = (1/2, 1/2, 1/2): a_minus = g(1)/g(2)
     expect = math.sqrt(0.75) / math.sqrt(0.9375)
-    assert cf.a_minus(1, 1, 1, 0.5) == pytest.approx(expect, abs=1e-15)
-    assert cf.a_minus(1, 1, 1, 0.5) == pytest.approx(0.8944271909999159, abs=1e-12)
+    assert coefficient(cf.a_minus, 1, 1, 1, 0.5) == pytest.approx(expect, abs=1e-15)
+    assert coefficient(cf.a_minus, 1, 1, 1, 0.5) == pytest.approx(0.8944271909999159, abs=1e-12)
 
 
 def test_invalid_input_point_rejected():
     with pytest.raises(ValueError, match="invalid Gamma point"):
-        cf.a_plus(1, 2, 0, 0.5)
+        coefficient(cf.a_plus, 1, 2, 0, 0.5)
     with pytest.raises(ValueError, match="invalid Gamma point"):
-        cf.b_minus(2, 1, 0, 0.5)  # parity mismatch
+        coefficient(cf.b_minus, 2, 1, 0, 0.5)  # parity mismatch
 
 
 CRYSTAL_PAIRS = (
@@ -156,22 +158,22 @@ def test_crystal_limits_match_small_q():
     # float coefficients at q = 1e-4 against the hand-encoded crystal indicators
     q = 1e-4
     for n2, i2, j2 in basis_points(gamma_basis(6)):
-        for coefficient, indicator in CRYSTAL_PAIRS:
-            assert abs(coefficient(n2, i2, j2, q) - indicator(n2, i2, j2)) < 1e-3
+        for term, indicator in CRYSTAL_PAIRS:
+            assert abs(coefficient(term, n2, i2, j2, q) - indicator(n2, i2, j2)) < 1e-3
 
 
 def test_crystal_limit_indicator_values():
     # the formulas at q = 0 are the indicators exactly: b_plus fires on the
     # face j = -n, b_minus on i = -n away from it
-    assert cf.b_plus(0, 0, 0, 0.0) == oracle.b_plus0(0, 0, 0) == -1
-    assert cf.b_minus(0, 0, 0, 0.0) == oracle.b_minus0(0, 0, 0) == 0
-    assert cf.b_minus(2, -2, 0, 0.0) == oracle.b_minus0(2, -2, 0) == 1
-    assert cf.a_minus(2, 0, 0, 0.0) == oracle.a_minus0(2, 0, 0) == 1
-    assert cf.a_minus(2, -2, 0, 0.0) == oracle.a_minus0(2, -2, 0) == 0
-    assert cf.a_plus(4, 2, -2, 0.0) == oracle.a_plus0(4, 2, -2) == 0
+    assert coefficient(cf.b_plus, 0, 0, 0, 0.0) == oracle.b_plus0(0, 0, 0) == -1
+    assert coefficient(cf.b_minus, 0, 0, 0, 0.0) == oracle.b_minus0(0, 0, 0) == 0
+    assert coefficient(cf.b_minus, 2, -2, 0, 0.0) == oracle.b_minus0(2, -2, 0) == 1
+    assert coefficient(cf.a_minus, 2, 0, 0, 0.0) == oracle.a_minus0(2, 0, 0) == 1
+    assert coefficient(cf.a_minus, 2, -2, 0, 0.0) == oracle.a_minus0(2, -2, 0) == 0
+    assert coefficient(cf.a_plus, 4, 2, -2, 0.0) == oracle.a_plus0(4, 2, -2) == 0
     for n2, i2, j2 in basis_points(gamma_basis(12)):
-        for coefficient, indicator in CRYSTAL_PAIRS:
-            assert coefficient(n2, i2, j2, 0.0) == indicator(n2, i2, j2), (coefficient, n2, i2, j2)
+        for term, indicator in CRYSTAL_PAIRS:
+            assert coefficient(term, n2, i2, j2, 0.0) == indicator(n2, i2, j2), (term, n2, i2, j2)
 
 
 def test_mode_constructors():

@@ -12,16 +12,19 @@ from support import (
     basis_points,
     column,
     decay_loglog_slope,
+    diagonal,
     entries,
     entry_bits,
     product,
     sheet_of,
+    term_shifts,
     to_dense,
 )
 from qsu2 import equivalence
 from qsu2.cli import main
 from qsu2.coefficients import EXACT_ZERO, float_mode, g, verify_g_estimates
 from qsu2.equivalence import (
+    D_SHIFTS,
     closed_form,
     conjugate,
     crosscheck_decomposition,
@@ -44,10 +47,9 @@ from qsu2.lattice import (
 from qsu2.operator_core import (
     add,
     build_from_rule,
-    diagonal,
     max_entry_difference,
 )
-from qsu2.representations import build_ipi, build_irrep, build_lambda, coproduct_images
+from qsu2.representations import build_ipi, build_irrep, build_lambda, build_pi, coproduct_images
 
 
 def column_by_rank(op, j):
@@ -150,8 +152,8 @@ def test_q0_regression_guard_displayed_beta_form(monkeypatch):
     basis = gamma_basis(cap)
 
     def displayed_rule(n2, i2, j2):
-        return [((n2 + 1, i2 - 1, j2 + 1), (i2 == -n2) * 1),
-                ((n2 - 1, i2 - 1, j2 + 1), ((j2 == -n2) & (i2 != -n2)) * -1)]
+        return [((1, -1, 1), (i2 == -n2) * 1),
+                ((-1, -1, 1), ((j2 == -n2) & (i2 != -n2)) * -1)]
 
     wrong_beta = build_from_rule(basis, basis, displayed_rule, EXACT_ZERO)
     calls = []
@@ -320,6 +322,21 @@ def test_crosscheck_refuses_cap_zero():
             crosscheck_decomposition(0.5, 0, gen)
 
 
+@pytest.mark.parametrize("gen", ["alpha", "beta"])
+def test_rule_terms_are_the_written_shifts_in_order(gen):
+    # each builder's terms carry its rule's shifts in rule order: the
+    # Clebsch-Gordan steps for lambda, pi's shift lifted as (0, ds, dt) for
+    # I (x) pi, and D_SHIFTS for the closed form
+    steps = {"alpha": [(1, -1, -1), (-1, -1, -1)], "beta": [(1, 1, -1), (-1, 1, -1)]}
+    pi_shift = {"alpha": (-1, 0), "beta": (0, -1)}
+    assert term_shifts(build_lambda(0.5, 6, gen)) == steps[gen]
+    assert term_shifts(build_lambda(0.0, 6, gen)) == steps[gen][gen == "alpha":]  # a+ is O(q)
+    for q in (0.5, 0.0):
+        assert term_shifts(build_pi(q, 6, gen)) == [pi_shift[gen]]
+        assert term_shifts(build_ipi(q, 6, gen)) == [(0, *pi_shift[gen])]
+    assert term_shifts(closed_form(0.5, 6, gen)) == list(D_SHIFTS[gen])
+
+
 def test_closed_form_matches_difference_everywhere_interior():
     # independent check at another q, both generators, larger cap
     for gen in ("alpha", "beta"):
@@ -338,8 +355,7 @@ def assembled_closed_form(q, cap, gen):
 
     def shift(dr, ds, dt):
         def rule(r, s, t):
-            r, s = r + dr, s + ds
-            return [((r, s, t + dt), ((r >= 0) & (s >= 0)) * 1.0)]
+            return [((dr, ds, dt), ((r + dr >= 0) & (s + ds >= 0)) * 1.0)]
         return build_from_rule(basis, basis, rule, mode)
 
     def diag(values):
@@ -527,10 +543,9 @@ def test_tail_norms_nan_entry_reaches_lapack(monkeypatch):
         d = difference(q, cap, gen)
         found = entries(d)
         i, j, _ = found[len(found) // 2]
-        shift = [x - y for x, y in zip(d.codomain.point_of(i), d.domain.point_of(j))]
+        shift = tuple(x - y for x, y in zip(d.codomain.point_of(i), d.domain.point_of(j)))
         nan = build_from_rule(d.domain, d.codomain, lambda *p: [(
-            tuple(c + x for c, x in zip(p, shift)),
-            np.where(np.arange(len(d.domain)) == j, np.nan, 0.0))], d.mode)
+            shift, np.where(np.arange(len(d.domain)) == j, np.nan, 0.0))], d.mode)
         assert [(k, j) for k, _ in column(nan, j)] == [(i, j)]
         return add((1, d), (1, nan))
 
@@ -573,12 +588,12 @@ def test_tail_norms_refuse_rows_outside_the_chains(monkeypatch, capsys, column, 
     def linked(q, cap, gen):
         d = difference(q, cap, gen)
         at = np.arange(len(d.domain)) == d.domain.rank(*column)
-        extra = build_from_rule(d.domain, d.codomain, lambda r, s, t: [(row, 0.125 * at)], d.mode)
-        assert extra.nnz == 1
+        extra = build_from_rule(d.domain, d.codomain, lambda r, s, t: [(shift, 0.125 * at)], d.mode)
+        assert entries(extra) == [(d.codomain.rank(*row), d.domain.rank(*column), 0.125)]
         return add((1, d), (1, extra))
 
     monkeypatch.setattr(equivalence, "difference", linked)
-    shift = tuple(b - a for a, b in zip(column, row))
+    shift = tuple(b - a for a, b in zip(column, row))  # the entry's row minus its column
     message = re.escape(f"D_alpha carries the shift {shift!r}")
     with pytest.raises(AssertionError, match=message):
         tail_norms(0.5, 4, "alpha")

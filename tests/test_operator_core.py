@@ -1,11 +1,14 @@
 """Sparse operator algebra against dense numpy oracles."""
 
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import basis_points, column, entries, entry_bits, product, to_dense
+from support import basis_points, column, diagonal, entries, entry_bits, product, to_dense
 from qsu2.coefficients import EXACT_ZERO, float_mode
 from qsu2.lattice import full_basis, nat_basis, pi_basis
 from qsu2.operator_core import (
@@ -16,7 +19,6 @@ from qsu2.operator_core import (
     build_from_rule,
     column_max_abs,
     compose,
-    diagonal,
     max_entry_difference,
     tensor,
     worst_column,
@@ -26,46 +28,37 @@ from qsu2.representations import build_irrep, build_lambda
 MODE = float_mode(0.5)
 
 
-def shifts(basis_dom, basis_cod, terms, mode=MODE):
-    """Operator from (shift, values) rule terms: column j holds values[j] at
-    its point moved by shift, nothing where that target is off the lattice."""
-    def rule(*coords):
-        out = []
-        for shift, values in terms:
-            target = tuple(c + d for c, d in zip(coords, shift))
-            out.append((target, np.where(basis_cod.valid(*target), np.array(values), 0)))
-        return out
-    return build_from_rule(basis_dom, basis_cod, rule, mode)
-
-
 def eye(basis, mode=MODE):
     """The identity on a basis."""
     return diagonal(basis, np.ones(len(basis), dtype=np.int64), mode)
 
 
 def random_shifts(rng, basis_dom, basis_cod, n_terms=3):
-    """Random weighted shifts on l2(N) sections, repeated shifts and zeros included."""
-    n = len(basis_dom)
-    return shifts(basis_dom, basis_cod, [
-        ((int(rng.integers(-3, 4)),), rng.normal(size=n) * (rng.random(n) < 0.6))
-        for _ in range(n_terms)])
+    """Random weighted shifts on l2(N) sections, repeated shifts and zeros
+    included; nothing is emitted below e_0."""
+    k, n = basis_dom.coords[0], len(basis_dom)
+    terms = []
+    for _ in range(n_terms):
+        d = int(rng.integers(-3, 4))
+        terms.append(((d,), np.where(k + d >= 0, rng.normal(size=n) * (rng.random(n) < 0.6), 0)))
+    return build_from_rule(basis_dom, basis_cod, lambda k: terms, MODE)
 
 
 def shift_down(basis):
     """S on l2(N): e_k -> e_{k-1}."""
-    return build_from_rule(basis, basis, lambda k: [((k - 1,), (k >= 1) * 1.0)], MODE)
+    return build_from_rule(basis, basis, lambda k: [((-1,), (k >= 1) * 1.0)], MODE)
 
 
 def test_build_identity_from_rule():
     basis = full_basis(2)
-    eye = build_from_rule(basis, basis, lambda r, s, t: [((r, s, t), 1.0)], MODE)
+    eye = build_from_rule(basis, basis, lambda r, s, t: [((0, 0, 0), 1.0)], MODE)
     assert eye.shape == (14, 14)
     assert np.array_equal(to_dense(eye), np.eye(14))
 
 
 def test_shift_rule_edge_column_empty():
     basis = pi_basis(3)
-    op = build_from_rule(basis, basis, lambda s, t: [((s - 1, t), (s >= 1) * 1.0)], MODE)
+    op = build_from_rule(basis, basis, lambda s, t: [((-1, 0), (s >= 1) * 1.0)], MODE)
     for j, p in enumerate(basis_points(basis)):
         if p.s == 0:
             assert column(op, j) == []
@@ -74,19 +67,36 @@ def test_shift_rule_edge_column_empty():
 def test_rule_invalid_target_errors():
     basis = pi_basis(2)
     with pytest.raises(ValueError, match=r"rule produced invalid index: PiIndex\(s=-1, t=0\)"):
-        build_from_rule(basis, basis, lambda s, t: [((s * 0 - 1, t), 1.0)], MODE)
+        build_from_rule(basis, basis, lambda s, t: [((-1, 0), 1.0)], MODE)
+    for shift in ((-1,), (-1, 0, 0)):  # one entry per coordinate, no more, no less
+        with pytest.raises(ValueError):
+            build_from_rule(basis, basis, lambda s, t: [(shift, 1.0)], MODE)
+
+
+def test_rule_refuses_nonzero_values_off_the_lattice_alone():
+    # the shift (-1, 0) leaves the lattice from every column with s = 0:
+    # a nonzero value there raises and names the target and its column,
+    # a zero value there is not stored and not checked
+    basis = pi_basis(2)
+    with pytest.raises(ValueError, match=re.escape(
+            "rule produced invalid index: PiIndex(s=-1, t=1) from PiIndex(s=0, t=1)")):
+        build_from_rule(basis, basis, lambda s, t: [((-1, 0), (t == 1) * 1.0)], MODE)
+    op = build_from_rule(basis, basis, lambda s, t: [((-1, 0), (s >= 1) * 1.0)], MODE)
+    assert [j for _, j, _ in entries(op)] == np.flatnonzero(basis.coords[0] >= 1).tolist()
 
 
 def test_out_of_cap_targets_dropped():
     basis = nat_basis(4)
-    up = build_from_rule(basis, basis, lambda k: [((k + 1,), 1.0)], MODE)
+    up = build_from_rule(basis, basis, lambda k: [((1,), 1.0)], MODE)
     assert column(up, 3) == []  # boundary-truncation convention
     assert to_dense(up)[3, 2] == 1.0
 
 
 def test_rule_terms_sum_in_order_and_drop_zeros():
     basis = nat_basis(3)
-    op = build_from_rule(basis, basis, lambda k: [((k,), 1.0), ((k,), -1.0), ((0 * k,), 0.5 * k)], MODE)
+    # the last three terms put 0.5 * k in row 0: shift -j, nonzero at column j alone
+    op = build_from_rule(basis, basis, lambda k: [((0,), 1.0), ((0,), -1.0)] + [
+        ((-j,), 0.5 * k * (k == j)) for j in range(3)], MODE)
     assert [column(op, j) for j in range(3)] == [[], [(0, 0.5)], [(0, 1.0)]]
 
 
@@ -164,7 +174,7 @@ def test_compose_leaves_no_entry_where_a_factor_has_none():
     # b's NaN in column 2 meets no entry of a (its shift leaves the
     # truncation there), and column 1 is not formed: neither holds an entry
     basis = nat_basis(3)
-    up = build_from_rule(basis, basis, lambda k: [((k + 1,), 1.0)], MODE)
+    up = build_from_rule(basis, basis, lambda k: [((1,), 1.0)], MODE)
     b = diagonal(basis, [1.0, np.nan, np.nan], MODE)
     assert entries(compose(up, b, [0, 2])) == [(1, 0, 1.0)]
 
@@ -204,10 +214,11 @@ def test_shift_relations_on_nat_sections():
 
 def test_column_max_abs():
     basis = full_basis(3)
-    zero = shifts(basis, basis, [])
+    zero = build_from_rule(basis, basis, lambda *p: [], MODE)
     assert column_max_abs(zero).tolist() == [0.0] * len(basis)
     assert column_max_abs(eye(basis)).tolist() == [1.0] * len(basis)
-    two = shifts(nat_basis(3), nat_basis(3), [((0,), [1.0, -3.0, 0.0]), ((-1,), [0.0, 2.0, -0.5])])
+    two = build_from_rule(nat_basis(3), nat_basis(3), lambda k: [((0,), [1.0, -3.0, 0.0]),
+                                                              ((-1,), [0.0, 2.0, -0.5])], MODE)
     assert column_max_abs(two).tolist() == [1.0, 3.0, 0.5]
 
 
@@ -223,12 +234,12 @@ def test_max_entry_difference_witness():
 def test_max_entry_difference_tie_goes_to_first_in_rank_order():
     # equal deviations: the witness is the first in (column, row) rank order
     basis = nat_basis(10)
-    zero = shifts(basis, basis, [])
+    zero = build_from_rule(basis, basis, lambda *p: [], MODE)
     at = np.eye(10)  # at[j]: 1 in column j alone
-    a = shifts(basis, basis, [((9,), at[0]), ((2,), -at[0])])
+    a = build_from_rule(basis, basis, lambda k: [((9,), at[0]), ((2,), -at[0])], MODE)
     everywhere = np.arange(10)
     assert max_entry_difference(a, zero, everywhere) == (1.0, (2, 0))
-    b = shifts(basis, basis, [((2,), 2.0 * at[3]), ((-6,), -2.0 * at[7])])
+    b = build_from_rule(basis, basis, lambda k: [((2,), 2.0 * at[3]), ((-6,), -2.0 * at[7])], MODE)
     assert max_entry_difference(b, zero, everywhere) == (2.0, (5, 3))
     assert max_entry_difference(b, zero, columns=[7, 3]) == (2.0, (5, 3))
     assert max_entry_difference(b, zero, columns=[7]) == (2.0, (1, 7))
@@ -241,7 +252,8 @@ def test_worst_column_sums_rows_in_ascending_rank():
     # 2, 1, 0, so only the sort by row gives 1.0
     basis = nat_basis(3)
     small = 5 * 2.0**-29
-    op = shifts(basis, basis, [((2,), [small, 0, 0]), ((1,), [small, 0, 0]), ((0,), [1.0, 0, 0])])
+    op = build_from_rule(basis, basis, lambda k: [((2,), [small, 0, 0]), ((1,), [small, 0, 0]),
+                                                  ((0,), [1.0, 0, 0])], MODE)
     assert worst_column(op) == (1.0, 0)
 
 
@@ -264,8 +276,9 @@ def test_constructor_canonicalises_entries():
     # (0, 0, 3.0), (1, 1, 0.0): the repeated shift cancels and the zero is
     # not stored
     basis = nat_basis(3)
-    op = shifts(basis, basis, [((-1,), [0, 0, 1.0]), ((2,), [2.0, 0, 0]), ((-1,), [0, 0, -1.0]),
-                               ((0,), [3.0, 0, 0]), ((0,), [0, 0.0, 0])])
+    op = build_from_rule(basis, basis, lambda k: [
+        ((-1,), [0, 0, 1.0]), ((2,), [2.0, 0, 0]), ((-1,), [0, 0, -1.0]), ((0,), [3.0, 0, 0]),
+        ((0,), [0, 0.0, 0])], MODE)
     assert entries(op) == [(0, 0, 3.0), (2, 0, 2.0)]
     assert op.nnz == 2 and op.dtype == np.float64
     assert all(v.dtype == np.float64 for _, _, v in entries(op))
@@ -279,23 +292,28 @@ def test_repeated_positions_sum_in_occurrence_order():
     # and the second keeps the trailing 1.0
     # (three rule terms on the one shift e_1 -> e_0)
     basis = nat_basis(2)
-    lost = shifts(basis, basis, [((-1,), [0, v]) for v in (1.0, 1e16, -1e16)])
+    lost = build_from_rule(basis, basis, lambda k: [((-1,), [0, v]) for v in (1.0, 1e16, -1e16)],
+                           MODE)
     assert lost.nnz == 0 and column(lost, 0) == column(lost, 1) == []
-    kept = shifts(basis, basis, [((-1,), [0, v]) for v in (1e16, -1e16, 1.0)])
+    kept = build_from_rule(basis, basis, lambda k: [((-1,), [0, v]) for v in (1e16, -1e16, 1.0)],
+                           MODE)
     assert column(kept, 1) == [(0, 1.0)]
 
 
 def test_exact_mode_refuses_int64_overflow():
     basis = nat_basis(2)
 
-    def at_row_0(*values):  # rule terms: column j's value lands in row 0
-        return build_from_rule(basis, basis, lambda k: [((k - j,), [0] * j + [v] + [0] * (1 - j))
+    def at_row_0(*values):  # rule terms: column j's value lands in row 0, shift -j
+        return build_from_rule(basis, basis, lambda k: [((-j,), [0] * j + [v] + [0] * (1 - j))
                                                          for j, v in enumerate(values)], EXACT_ZERO)
 
     one = nat_basis(1)
-    for value, error in ((2**63, OverflowError), (2**70, OverflowError), (1.5, TypeError)):
-        with pytest.raises(error):
-            build_from_rule(one, one, lambda k: [((k,), value)], EXACT_ZERO)
+    for value, error, match in ((2**63, OverflowError, None), (2**70, OverflowError, None),
+                                (1.5, ValueError, "got 1.5"), (np.nan, ValueError, "got nan"),
+                                (np.inf, ValueError, "got inf"), (2.0**63, ValueError, "got 9.2"),
+                                (Fraction(3, 2), ValueError, re.escape("got Fraction(3, 2)"))):
+        with pytest.raises(error, match=match):
+            build_from_rule(one, one, lambda k: [((0,), value)], EXACT_ZERO)
     big = at_row_0(2**31, 2**31)
     with pytest.raises(OverflowError, match="compose"):
         product(big, big)
@@ -305,8 +323,11 @@ def test_exact_mode_refuses_int64_overflow():
     with pytest.raises(OverflowError, match="tensor"):
         tensor(big, big, nat_basis(4), nat_basis(4))
     with pytest.raises(OverflowError, match="sum"):  # two rule terms on one shift
-        build_from_rule(basis, basis, lambda k: [((k,), [2**61, 0]), ((k,), [2**61, 0])],
+        build_from_rule(basis, basis, lambda k: [((0,), [2**61, 0]), ((0,), [2**61, 0])],
                         EXACT_ZERO)
+    # a term with no entry does not count toward the sum guard
+    lone = build_from_rule(basis, basis, lambda k: [((0,), [2**61, 0]), ((0,), 0)], EXACT_ZERO)
+    assert column(lone, 0) == [(0, 2**61)]
     ok = product(diagonal(basis, [2**30, 1], EXACT_ZERO), diagonal(basis, [2**30, 1], EXACT_ZERO))
     assert column(ok, 0) == [(0, 2**60)]
 
@@ -318,8 +339,8 @@ def test_n_term_add_matches_nested_adds_bitwise(kind):
     scale = {"float": 0.1, "complex": 0.1 + 0.05j, "exact": 1}[kind]
 
     def op(diag, below=(0, 0, 0, 0)):  # a diagonal, and the shift e_j -> e_{j+1}
-        return shifts(basis, basis, [((0,), [v * scale for v in diag]),
-                                     ((1,), [v * scale for v in below])], mode)
+        return build_from_rule(basis, basis, lambda k: [((0,), [v * scale for v in diag]),
+                                                        ((1,), [v * scale for v in below])], mode)
 
     # column 0 cancels to exactly 0 after two terms, column 2 sums three
     # terms, and column 3 holds a NaN term (outside the exact mode)
@@ -366,11 +387,14 @@ def operators(draw, kind, lattice, n_dom, n_cod):
     repeat, values may be 0, and targets may leave the truncation."""
     dom, cod = _basis(lattice, n_dom), _basis(lattice, n_cod)
     ndim, n = len(dom.coords), len(dom)
-    terms = draw(st.lists(st.tuples(st.tuples(*[st.integers(-2, 2)] * ndim),
+    drawn = draw(st.lists(st.tuples(st.tuples(*[st.integers(-2, 2)] * ndim),
                                     st.lists(_SCALARS[kind], min_size=n, max_size=n)),
                           max_size=4))
+    # a rule emits no value at a target off the lattice
+    terms = [(shift, np.where(cod.valid(*(c + d for c, d in zip(dom.coords, shift))), values, 0))
+             for shift, values in drawn]
     mode = EXACT_ZERO if kind == "exact" else MODE
-    op = shifts(dom, cod, terms, mode)
+    op = build_from_rule(dom, cod, lambda *p: terms, mode)
     dense = np.zeros((len(cod), n), dtype=complex if kind == "complex" else float)
     for shift, values in terms:
         for j in range(n):

@@ -1,6 +1,7 @@
 """No helper exists only for tests: every public module-level function and
 class of qsu2, and every public method and property of its classes, is read
-somewhere in the package or in the benchmark."""
+somewhere in the package or in the benchmark, and every private
+module-level function is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -62,12 +63,49 @@ def unread_members(package: Path = PACKAGE, benchmark: Path = ROOT / "perfbench"
     ]
 
 
+def uncalled_private(package: Path = PACKAGE) -> list[str]:
+    """module.name of every private module-level function that no name or
+    attribute of the package reads outside its own definition."""
+    trees = {path.stem: _tree(path) for path in sorted(package.glob("*.py"))}
+    found = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                continue
+            own = set(ast.walk(node))
+            if not any(isinstance(other, ast.Name) and other.id == node.name
+                       or isinstance(other, ast.Attribute) and other.attr == node.name
+                       for t in trees.values() for other in ast.walk(t) if other not in own):
+                found.append(f"{stem}.{node.name}")
+    return found
+
+
 def test_every_public_definition_is_referenced_outside_tests():
     assert unreferenced() == []
 
 
 def test_every_public_method_is_read_outside_tests():
     assert unread_members() == []
+
+
+def test_every_private_function_is_called_in_the_package():
+    assert uncalled_private() == []
+
+
+def test_a_private_function_only_tests_call_is_caught(tmp_path):
+    # `_used` is called, `_recursive` only calls itself and `_spare` is read
+    # by no one; the dunder `__getattr__` is a hook, not a helper
+    package = tmp_path / "qsu2"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "def _used():\n    return 1\n\n\n"
+        "def _recursive(n):\n    return _recursive(n - 1) if n else _used()\n\n\n"
+        "def _spare():\n    return 0\n\n\n"
+        "def __getattr__(name):\n    return name\n", encoding="utf-8")
+    (package / "other.py").write_text("from . import mod\n\nVALUE = mod._used()\n",
+                                       encoding="utf-8")
+    assert uncalled_private(package) == ["mod._recursive", "mod._spare"]
 
 
 def test_a_test_only_helper_is_caught(tmp_path):

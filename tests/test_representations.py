@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import crystal_oracle as oracle
-from support import basis_points, column, entries, entry_bits, product, to_dense
+from support import basis_points, column, diagonal, entries, entry_bits, product, to_dense
 from qsu2.coefficients import EXACT_ZERO, float_mode
 from qsu2.lattice import FullIndex, GammaIndex, PiIndex, gamma_basis, nat_basis
 from qsu2 import representations
-from qsu2.operator_core import SparseOperator, add, adjoint, build_from_rule, diagonal, tensor
+from qsu2.operator_core import SparseOperator, add, adjoint, build_from_rule, tensor
 from qsu2.equivalence import closed_form, difference, tail_norms
 from qsu2.representations import (
     GENERATORS,
@@ -67,9 +67,10 @@ def test_lambda_q_zero_selects_exact_mode():
 
 def test_crystal_section_refuses_non_integer_values():
     basis = gamma_basis(2)
-    with pytest.raises(ValueError, match="non-integer crystal coefficient 0.5"):
-        _section(basis, lambda n2, i2, j2: [((n2, i2, j2), 0.5 * (n2 == 1))], 0.0)
-    op = _section(basis, lambda n2, i2, j2: [((n2, i2, j2), -1.0 * (n2 == 1))], 0.0)
+    for value in (0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"exact-mode entries must be integers, got {value!r}"):
+            _section(basis, lambda n2, i2, j2: [((0, 0, 0), np.where(n2 == 1, value, 0.0))], 0.0)
+    op = _section(basis, lambda n2, i2, j2: [((0, 0, 0), -1.0 * (n2 == 1))], 0.0)
     assert op.mode == EXACT_ZERO and op.dtype == np.int64
     assert [(v.dtype, v.item()) for _, _, v in entries(op)] == [(np.int64, -1)] * 4
 
@@ -207,7 +208,7 @@ def test_relations_report_nan_residual():
     basis = beta.domain
     j = int(basis.rank(*PiIndex(1, 0)))
     # NaN plus the entry of column j, on beta's one shift (s, t) -> (s, t - 1)
-    nan = build_from_rule(basis, basis, lambda s, t: [((s, t - 1), np.where(
+    nan = build_from_rule(basis, basis, lambda s, t: [((0, -1), np.where(
         np.arange(len(basis)) == j, math.nan, 0.0))], beta.mode)
     assert [(i, k) for i, k, _ in entries(nan)] == [(i, k) for i, k, _ in entries(beta) if k == j]
     ops["beta"] = add((1, beta), (1, nan))
@@ -359,9 +360,11 @@ def test_relations_hold_at_most_three_words(monkeypatch, q):
             return held
         return spy
 
+    cases = _relation_cases(q)
     monkeypatch.setattr(representations, "compose", formed(representations.compose))
-    monkeypatch.setattr(representations, "diagonal", formed(representations.diagonal))
-    for label, ops in _relation_cases(q).items():
+    # check_relations builds from a rule only its identity word I
+    monkeypatch.setattr(representations, "build_from_rule", formed(representations.build_from_rule))
+    for label, ops in cases.items():
         counts.clear()
         check_relations(ops)
         assert len(counts) == (7 if q == 0.0 else 9) and max(counts) == 3, (label, counts)

@@ -12,6 +12,9 @@ invariants the target basis vector does not exist, so the coefficient is
 0 by definition and no division is attempted.  These are exactly the
 sites where the raw formulas degenerate to 0/0, and a rule of these terms
 never emits an invalid target.
+
+An operator carries the q it was built at, and q == 0 is its exact mode;
+``float_mode`` admits every other q, 0 < |q| < 1, and returns it.
 """
 
 from __future__ import annotations
@@ -55,26 +58,13 @@ def t_parts(t):
     return np.maximum(t, 0), np.maximum(-t, 0)
 
 
-@dataclass(frozen=True)
-class Mode:
-    """Scalar mode of an operator: exact integers at q = 0, floats otherwise."""
-
-    q: float
-
-    @property
-    def exact(self) -> bool:
-        return self.q == 0.0
-
-
-EXACT_ZERO = Mode(0.0)
-
-
-def float_mode(q: float) -> Mode:
+def float_mode(q: float) -> float:
+    """q itself, once checked to be a float-mode parameter: 0 < |q| < 1."""
     if not -1.0 < q < 1.0:
         raise ValueError("deformation parameter must satisfy |q| < 1")
     if q == 0.0:
-        raise ValueError("q=0 has a dedicated exact mode (EXACT_ZERO)")
-    return Mode(q)
+        raise ValueError("q=0 has a dedicated exact mode")
+    return q
 
 
 def _coefficient(n2, i2, j2, q: float, step: tuple[int, int, int], formula):

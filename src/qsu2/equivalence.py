@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import EXACT_ZERO, float_mode, g_table, power_table, t_parts
+from .coefficients import float_mode, g_table, power_table, t_parts
 from .lattice import (
     full_basis,
     full_shell,
@@ -82,7 +82,7 @@ def unitary_u(cap: int) -> SparseOperator:
     back_rank = dom.rank(*back)
     bad = (back_rank[perm] != np.arange(len(dom))) | (sign * back_sign[perm] != 1)
     assert not bad.any(), f"unitary round trip failed at {dom.point_of(int(np.argmax(bad)))}"
-    return SparseOperator(dom, cod, [Term(None, perm, sign)], EXACT_ZERO)
+    return SparseOperator(dom, cod, [Term(None, perm, sign)], 0.0)
 
 
 def difference(q: float, cap: int, gen: str) -> SparseOperator:
@@ -165,32 +165,27 @@ def closed_form(q: float, cap: int, gen: str) -> SparseOperator:
     each t-branch of T1 rides its own shift, the t >= 0 branch on
     S* (x) S* (x) S and the t < 0 branch on S (x) S (x) S, plus
     T2 (I (x) I (x) S); the t < 0 branch keeps its nonzero values on the
-    (0, 0) fiber, which the identity requires.  The rule's terms are the
-    shifts of D_SHIFTS[gen], in order, each valued by its diagonal at the
-    column (R1) or at the target (R2, T1, T2); a target off the lattice
-    takes the value 0.
+    (0, 0) fiber, which the identity requires.  The terms are the shifts
+    of D_SHIFTS[gen], in order, each valued by its diagonal at the column
+    (R1) or at the target (R2, T1, T2), a transpose V S_d = (S_{-d} V)^T:
+    the adjoint of the diagonal valued at the column on the shift -d.
     """
-    mode = float_mode(q)
+    float_mode(q)  # refuses q = 0, which has no float diagonals, and |q| >= 1
     if gen not in D_SHIFTS:
         raise ValueError(f"unknown generator {gen!r}: choose alpha or beta")
-    basis = full_basis(cap)
-    shifts = D_SHIFTS[gen]
+    basis, shifts = full_basis(cap), D_SHIFTS[gen]
+    negated = [tuple(-x for x in d) for d in shifts]
 
-    def at(values, shift):
-        """values at every point moved by shift: 0 off the lattice and above the cap."""
-        target = [c + d for c, d in zip(basis.coords, shift)]
-        rank = np.where(basis.valid(*target), basis.rank(*target), -1)
-        return np.append(values, 0.0)[rank]
+    def at_column(shifts, values):
+        return build_from_rule(basis, basis, lambda *p: list(zip(shifts, values)), q)
 
     if gen == "alpha":
-        values = [diagonal_values(q, cap, "R1"), at(diagonal_values(q, cap, "R2"), shifts[1])]
-    else:
-        t = basis.coords[2]
-        branch = _t1_branch_values(q, cap)
-        values = [at(v, shift) for v, shift in zip(
-            (np.where(t >= 0, branch, 0.0), np.where(t < 0, branch, 0.0),
-             diagonal_values(q, cap, "T2")), shifts)]
-    return build_from_rule(basis, basis, lambda *p: list(zip(shifts, values)), mode)
+        return add((1.0, at_column(shifts[:1], [diagonal_values(q, cap, "R1")])),
+                   (1.0, adjoint(at_column(negated[1:], [diagonal_values(q, cap, "R2")]))))
+    t = basis.coords[2]
+    branch = _t1_branch_values(q, cap)
+    t1 = [np.where(t >= 0, branch, 0.0), np.where(t < 0, branch, 0.0)]
+    return adjoint(at_column(negated, [*t1, diagonal_values(q, cap, "T2")]))
 
 
 def crosscheck_decomposition(q: float, cap: int, gen: str) -> tuple[float, object]:
@@ -280,9 +275,10 @@ def tail_norms(q: float, cap: int, gen: str) -> list[tuple[int, float]]:
     Toeplitz direction r carries shifts and does not decay.  The shifts of
     D, D_SHIFTS[gen], move (t, r - s) by one common offset, so D is
     block-diagonal over the chains of columns with fixed (t, r - s), each
-    indexed by s, and every tail is a suffix of every chain.  Column s of
-    a chain sits at i = s - s_min and feeds only row slots j = i..i+2 (row
-    s' at s' - s_min + 1): the term of shift (dr, ds, dt) is the band
+    indexed by s, and every tail is a suffix of every chain.  Column
+    (r, s, t) sits at i = min(r, s) = s - s_min of its chain, whose length
+    is (cap - |t| - |r - s|) // 2 + 1, and feeds only row slots j = i..i+2
+    (row s' at s' - s_min + 1): the term of shift (dr, ds, dt) is the band
     diagonal band[c, i, ds + 1], so the suffix of width w from column k
     is the (w + 2) x w block at slots k..k+w+1.  A D carrying any other
     shift raises AssertionError.
@@ -303,17 +299,16 @@ def tail_norms(q: float, cap: int, gen: str) -> list[tuple[int, float]]:
     _, first, chain = np.unique((t + cap) * (2 * cap + 1) + r - s, return_index=True,
                                 return_inverse=True)
     n = len(first)
-    s_min = np.full(n, cap)
-    np.minimum.at(s_min, chain, s)
-    length = np.zeros(n, dtype=np.intp)
-    np.maximum.at(length, chain, s - s_min[chain] + 1)
+    slot = np.minimum(r, s)  # i of each column in its chain
+    s_min = (s - slot)[first]
+    length = (cap - abs(t[first]) - abs((r - s)[first])) // 2 + 1
     width = int(length.max())
     band = np.zeros((n, width + 1, 3))  # column `width` stays empty
     for term in d.terms:
         if term.shift not in D_SHIFTS[gen]:
             raise AssertionError(f"D_{gen} carries the shift {term.shift!r}, which leaves "
                                  "its (t, r - s) chains or their band of row slots")
-        band[chain, s - s_min[chain], term.shift[1] + 1] = term.values
+        band[chain, slot, term.shift[1] + 1] = term.values
     a = np.abs(band)
 
     def from_k(x):  # x[c, k] -> max over i >= k of x[c, i]

@@ -4,11 +4,11 @@ An operator is a short sum of weighted lattice shifts.  Each term has a
 shift (the coordinate delta from a column's point to its row's), the
 codomain rank of every domain point moved by it (-1 outside the
 truncation) and a value at every domain point (0 where the target is -1).
-Terms have distinct shifts, so they never share a position.  Values are
-int64 in the exact mode of the crystal limit (entries in {-1, 0, +1}),
-float64 or complex128 otherwise.  Targets outside the truncation are
-dropped; with shell truncation this happens alike on both sides of every
-identity, so interior columns are exact.
+Terms have distinct shifts, so they never share a position.  An operator
+carries the q it was built at: values are int64 at q == 0, the exact mode
+of the crystal limit (entries in {-1, 0, +1}), else float64 or complex128.
+Targets outside the truncation are dropped; with shell truncation this
+happens alike on both sides of every identity, so interior columns are exact.
 
 Operators are built from rules: ``rule(*domain.coords)`` returns terms
 ``(shift, values)``, a coordinate delta (a tuple, one entry per
@@ -30,7 +30,6 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .coefficients import Mode
 from .lattice import Basis
 
 # Exact-mode results must stay below this magnitude, far from int64 wrap-around.
@@ -80,14 +79,14 @@ class SparseOperator:
     ``Term`` per shift, all values of one ``dtype``; the constructor casts
     them and drops the terms whose values are all zero."""
 
-    __slots__ = ("domain", "codomain", "mode", "dtype", "terms")
+    __slots__ = ("domain", "codomain", "q", "dtype", "terms")
 
-    def __init__(self, domain: Basis, codomain: Basis, terms, mode: Mode):
-        self.domain, self.codomain, self.mode = domain, codomain, mode
-        terms = [t._replace(values=_entry_values(t.values, mode.exact)) for t in terms]
+    def __init__(self, domain: Basis, codomain: Basis, terms, q: float):
+        self.domain, self.codomain, self.q = domain, codomain, q
+        terms = [t._replace(values=_entry_values(t.values, q == 0)) for t in terms]
         if any({t.targets.shape, t.values.shape} != {(len(domain),)} for t in terms):
             raise ValueError("term arrays must hold one entry per domain point")
-        self.dtype = np.result_type(np.int64 if mode.exact else np.float64,
+        self.dtype = np.result_type(np.int64 if q == 0 else np.float64,
                                     *(t.values for t in terms))
         self.terms = tuple(t._replace(values=t.values.astype(self.dtype, copy=False))
                            for t in terms if t.values.any())
@@ -107,10 +106,8 @@ class SparseOperator:
             yield from zip(t.targets[cols].tolist(), cols.tolist(), t.values[cols].tolist())
 
     def __repr__(self) -> str:
-        return (
-            f"SparseOperator({self.codomain.label}<-{self.domain.label}, "
-            f"shape={self.shape}, nnz={self.nnz}, mode={'exact0' if self.mode.exact else 'float'})"
-        )
+        return (f"SparseOperator({self.codomain.label}<-{self.domain.label}, "
+                f"shape={self.shape}, nnz={self.nnz}, q={self.q!r})")
 
 
 def _term(shift, n: int, cols: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> Term:
@@ -132,7 +129,7 @@ def _summed(pieces) -> list[Term]:
     return list(out.values())
 
 
-def build_from_rule(domain: Basis, codomain: Basis, rule: Callable, mode: Mode) -> SparseOperator:
+def build_from_rule(domain: Basis, codomain: Basis, rule: Callable, q: float) -> SparseOperator:
     """Matrix whose column at p holds each rule term's value at p + shift.
 
     Zero values are not stored; every other target must satisfy the
@@ -143,7 +140,7 @@ def build_from_rule(domain: Basis, codomain: Basis, rule: Callable, mode: Mode) 
     n = len(domain)
     pieces = []
     for shift, values in rule(*domain.coords):
-        values = np.broadcast_to(_entry_values(values, mode.exact), (n,))
+        values = np.broadcast_to(_entry_values(values, q == 0), (n,))
         emit = np.flatnonzero(values != 0)
         target = tuple(c[emit] + d for c, d in zip(domain.coords, shift, strict=True))
         bad = ~codomain.valid(*target)
@@ -157,13 +154,13 @@ def build_from_rule(domain: Basis, codomain: Basis, rule: Callable, mode: Mode) 
         if emit.size:  # an empty term takes no place in the shift order or the sum guard
             pieces.append(_term(shift, n, emit, ranks, values[emit]))
     most = max(Counter(p.shift for p in pieces).values(), default=1)
-    if mode.exact and most > 1:
+    if q == 0 and most > 1:
         _check_exact_bound(most * max(_max_abs(p.values) for p in pieces), "sum")
-    return SparseOperator(domain, codomain, _summed(pieces), mode)
+    return SparseOperator(domain, codomain, _summed(pieces), q)
 
 
 def _check_modes(a: SparseOperator, b: SparseOperator, what: str) -> None:
-    if a.mode != b.mode:
+    if a.q != b.q:
         raise ValueError(f"mode mismatch in {what}")
 
 
@@ -184,7 +181,7 @@ def compose(a: SparseOperator, b: SparseOperator, columns) -> SparseOperator:
     if not a.domain.same_points(b.codomain):
         raise ValueError("dimension mismatch in compose")
     _check_modes(a, b, "compose")
-    if a.mode.exact:  # a column of b holds at most one entry per term
+    if a.q == 0:  # a column of b holds at most one entry per term
         _check_exact_bound(_bound(a) * _bound(b) * len(b.terms), "compose")
     columns = np.asarray(columns, dtype=np.intp)
     if columns.ndim != 1 or (columns.size and not (
@@ -200,7 +197,7 @@ def compose(a: SparseOperator, b: SparseOperator, columns) -> SparseOperator:
             targets = targets[mid]
             pieces.append(Term(tuple(x + y for x, y in zip(ta.shift, tb.shift)), targets,
                                np.where(targets >= 0, values[mid] * tb.values, 0)))
-    return SparseOperator(b.domain, a.codomain, _summed(pieces), a.mode)
+    return SparseOperator(b.domain, a.codomain, _summed(pieces), a.q)
 
 
 def add(*terms: tuple[object, SparseOperator]) -> SparseOperator:
@@ -215,10 +212,10 @@ def add(*terms: tuple[object, SparseOperator]) -> SparseOperator:
         if not (first.domain.same_points(op.domain) and first.codomain.same_points(op.codomain)):
             raise ValueError("dimension mismatch in add")
         _check_modes(first, op, "add")
-    if first.mode.exact:
+    if first.q == 0:
         _check_exact_bound(sum(abs(w) * _bound(op) for w, op in terms), "add")
     return SparseOperator(first.domain, first.codomain, _summed(
-        t._replace(values=w * t.values) for w, op in terms for t in op.terms), first.mode)
+        t._replace(values=w * t.values) for w, op in terms for t in op.terms), first.q)
 
 
 def adjoint(a: SparseOperator) -> SparseOperator:
@@ -229,7 +226,7 @@ def adjoint(a: SparseOperator) -> SparseOperator:
         cols = np.flatnonzero(t.values)
         terms.append(_term(tuple(-x for x in t.shift), len(a.codomain), t.targets[cols], cols,
                            t.values[cols].conj()))
-    return SparseOperator(a.codomain, a.domain, terms, a.mode)
+    return SparseOperator(a.codomain, a.domain, terms, a.q)
 
 
 def conjugate(op: SparseOperator, u: SparseOperator) -> SparseOperator:
@@ -254,7 +251,7 @@ def conjugate(op: SparseOperator, u: SparseOperator) -> SparseOperator:
             pieces.append(_term(tuple(delta[:, 0].tolist()), len(u.codomain),
                                 cols[same], rows[same], vals[same]))
             cols, rows, vals, delta = cols[~same], rows[~same], vals[~same], delta[:, ~same]
-    return SparseOperator(u.codomain, u.codomain, _summed(pieces), op.mode)
+    return SparseOperator(u.codomain, u.codomain, _summed(pieces), op.q)
 
 
 def tensor(a: SparseOperator, b: SparseOperator, domain: Basis, codomain: Basis) -> SparseOperator:
@@ -264,7 +261,7 @@ def tensor(a: SparseOperator, b: SparseOperator, domain: Basis, codomain: Basis)
     nb_cod = len(b.codomain)
     if len(domain) != len(a.domain) * len(b.domain) or len(codomain) != len(a.codomain) * nb_cod:
         raise ValueError("dimension mismatch in tensor")
-    if a.mode.exact:
+    if a.q == 0:
         _check_exact_bound(_bound(a) * _bound(b), "tensor")
     terms = []
     for ta in a.terms:
@@ -273,7 +270,7 @@ def tensor(a: SparseOperator, b: SparseOperator, domain: Basis, codomain: Basis)
             terms.append(Term(ta.shift + tb.shift,
                               np.where(inside, ta.targets[:, None] * nb_cod + tb.targets, -1).ravel(),
                               np.where(inside, ta.values[:, None] * tb.values, 0).ravel()))
-    return SparseOperator(domain, codomain, terms, a.mode)
+    return SparseOperator(domain, codomain, terms, a.q)
 
 
 def column_max_abs(op: SparseOperator) -> np.ndarray:
@@ -291,7 +288,7 @@ def worst_column(op: SparseOperator) -> tuple[object, int | None]:
     n = len(op.domain)
     targets = np.array([t.targets for t in op.terms], dtype=np.intp).reshape(-1, n)
     absv = np.abs(np.array([t.values for t in op.terms], dtype=op.dtype).reshape(-1, n))
-    if op.mode.exact and int(absv.max(initial=0)) ** 2 * len(absv) >= EXACT_LIMIT:
+    if op.q == 0 and int(absv.max(initial=0)) ** 2 * len(absv) >= EXACT_LIMIT:
         raise OverflowError("exact column norm could overflow int64")
     norms = np.zeros(n, dtype=absv.dtype)
     for v in np.take_along_axis(absv, np.argsort(targets, axis=0, kind="stable"), axis=0):

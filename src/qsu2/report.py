@@ -3,9 +3,9 @@
 Reports are regression artifacts: field order is fixed, floats are
 written with 17 significant digits (enough to round-trip float64
 exactly), CSV uses '.' decimals and no locale, and repeated runs with
-identical flags produce byte-identical output.  The elapsed_ms field is
-therefore pinned to 0 in the serialized report; wall time goes to
-stderr instead.
+identical flags produce byte-identical output.  The JSON "elapsed_ms"
+field is therefore always written as 0; wall time goes to stderr
+instead.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class VerificationReport:
     command: str
     params: dict
     items: list[ReportItem] = field(default_factory=list)
-    elapsed_ms: int = 0
 
     @property
     def passed(self) -> bool:
@@ -78,7 +77,7 @@ def to_json(report: VerificationReport) -> str:
     return (
         f'{{"command":{_quote(report.command)},"params":{_json_value(report.params)},'
         f'"items":[{items}],"pass":{_json_value(report.passed)},'
-        f'"max_residual":{_json_value(report.max_residual)},"elapsed_ms":{report.elapsed_ms}}}\n'
+        f'"max_residual":{_json_value(report.max_residual)},"elapsed_ms":0}}\n'
     )
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coefficients as cf
-from .coefficients import EXACT_ZERO, float_mode, g_table, power_table
+from .coefficients import float_mode, g_table, power_table
 from .lattice import full_basis, gamma_basis, nat_basis, pi_basis, pi_tensor_basis
 from .operator_core import (
     SparseOperator,
@@ -38,7 +38,7 @@ GENERATORS = ("alpha", "beta")  # the builders' generators; a* and b* are their 
 def _section(basis, rule, q: float) -> SparseOperator:
     """A generator's section from a coefficient rule: exact integers at
     q = 0, where the coefficients take crystal values in {-1, 0, +1}."""
-    return build_from_rule(basis, basis, rule, EXACT_ZERO if q == 0.0 else float_mode(q))
+    return build_from_rule(basis, basis, rule, q if q == 0.0 else float_mode(q))
 
 
 def build_lambda(q: float, cap: int, gen: str) -> SparseOperator:
@@ -82,15 +82,15 @@ def build_irrep(q: float, z: complex, dim: int) -> tuple[SparseOperator, SparseO
     alpha acts as the weighted down-shift e_k -> g(k) e_{k-1}, beta as the
     diagonal e_k -> z q^k e_k.
     """
-    mode = float_mode(q)
+    float_mode(q)  # refuses q = 0 and |q| >= 1
     if not abs(abs(z) - 1.0) <= UNIT_CIRCLE_TOL:  # NaN z fails too
         raise ValueError("irreducible parameter z must lie on the unit circle")
     if dim < 1:
         raise ValueError("irreducible section needs dim >= 1")
     basis = nat_basis(dim)
-    alpha = build_from_rule(basis, basis, lambda k: [((-1,), g_table(q, dim)[k])], mode)
+    alpha = build_from_rule(basis, basis, lambda k: [((-1,), g_table(q, dim)[k])], q)
     z = complex(z)
-    beta = build_from_rule(basis, basis, lambda k: [((0,), z * power_table(q, dim)[k])], mode)
+    beta = build_from_rule(basis, basis, lambda k: [((0,), z * power_table(q, dim)[k])], q)
     return alpha, beta
 
 
@@ -145,7 +145,7 @@ def check_relations(ops) -> RelationReport:
 
     ``ops`` maps "alpha" and "beta" to operator sections on one basis, and
     holds no other key (ValueError); the starred letters are their matrix
-    adjoints.  Every relation of ``RELATIONS`` is evaluated at the mode's q
+    adjoints.  Every relation of ``RELATIONS`` is evaluated at the operators' q
     (exact integers at q = 0) on the interior columns, the basis vectors of
     shell <= cap - 2: each distinct word is composed once (``compose`` over
     that column set; I is 1 on those columns alone) and dropped after its
@@ -164,19 +164,19 @@ def check_relations(ops) -> RelationReport:
     cap = basis.cap
     if cap < _MARGIN:
         raise ValueError(f"no interior: cap < {_MARGIN}")
-    mode = a.mode
+    q = a.q
     inside = basis.shells <= cap - _MARGIN
     interior = np.flatnonzero(inside)
 
     def form(word):
         if word == "I":
             identity = [((0,) * len(basis.coords), inside.astype(np.int64))]
-            return build_from_rule(basis, basis, lambda *p: identity, mode)
+            return build_from_rule(basis, basis, lambda *p: identity, q)
         x, y = re.findall(r"[ab]\*?", word)
         return compose(letters[x], letters[y], interior)
 
-    table = [[(_WEIGHTS[label](mode.q), label, word) for label, word in terms
-              if not (mode.exact and "q" in label)] for terms in RELATIONS]
+    table = [[(_WEIGHTS[label](q), label, word) for label, word in terms
+              if not (q == 0 and "q" in label)] for terms in RELATIONS]
     last = {word: i for i in _EVALUATION_ORDER for _, _, word in table[i]}
     words: dict[str, SparseOperator] = {}
     rows = [None] * len(table)

@@ -177,16 +177,14 @@ def test_crystal_limit_indicator_values():
 
 
 def test_mode_constructors():
-    assert cf.EXACT_ZERO.exact
-    m = cf.float_mode(0.5)
-    assert not m.exact and m.q == 0.5
-    # float_mode stays float-only; the builders pick EXACT_ZERO at q = 0
+    assert cf.float_mode(0.5) == 0.5
+    # float_mode stays float-only; the builders take q = 0 as the exact mode
     with pytest.raises(ValueError):
         cf.float_mode(0.0)
     with pytest.raises(ValueError):
         cf.float_mode(1.0)
-    assert build_pi(0.0, 2, "alpha").mode == cf.EXACT_ZERO
-    assert build_pi(0.5, 2, "alpha").mode == m
+    assert build_pi(0.0, 2, "alpha").q == 0
+    assert build_pi(0.5, 2, "alpha").q == 0.5
     with pytest.raises(ValueError):
         build_pi(1.0, 2, "alpha")
 

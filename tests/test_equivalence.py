@@ -22,7 +22,7 @@ from support import (
 )
 from qsu2 import equivalence
 from qsu2.cli import main
-from qsu2.coefficients import EXACT_ZERO, float_mode, g, verify_g_estimates
+from qsu2.coefficients import float_mode, g, verify_g_estimates
 from qsu2.equivalence import (
     D_SHIFTS,
     closed_form,
@@ -86,7 +86,7 @@ def test_unitary_roundtrip_and_shells_cap40():
     found = entries(u)
     rows = np.array([i for i, _, _ in found])
     vals = np.array([v for _, _, v in found])
-    assert u.mode == EXACT_ZERO and vals.dtype == np.int64
+    assert u.q == 0 and vals.dtype == np.int64
     assert [j for _, j, _ in found] == list(range(len(u.domain)))
     # bijection onto the capped lattice
     assert np.array_equal(np.sort(rows), np.arange(len(u.codomain)))
@@ -108,9 +108,9 @@ def test_sheet_to_fiber():
 
 def test_conjugate_identity():
     u = unitary_u(6)
-    eye = diagonal(gamma_basis(6), np.ones(len(gamma_basis(6)), dtype=np.int64), EXACT_ZERO)
+    eye = diagonal(gamma_basis(6), np.ones(len(gamma_basis(6)), dtype=np.int64), 0.0)
     conj = conjugate(eye, u)
-    expected = diagonal(full_basis(6), np.ones(len(full_basis(6)), dtype=np.int64), EXACT_ZERO)
+    expected = diagonal(full_basis(6), np.ones(len(full_basis(6)), dtype=np.int64), 0.0)
     assert entry_bits(conj) == entry_bits(expected)
 
 
@@ -155,7 +155,7 @@ def test_q0_regression_guard_displayed_beta_form(monkeypatch):
         return [((1, -1, 1), (i2 == -n2) * 1),
                 ((-1, -1, 1), ((j2 == -n2) & (i2 != -n2)) * -1)]
 
-    wrong_beta = build_from_rule(basis, basis, displayed_rule, EXACT_ZERO)
+    wrong_beta = build_from_rule(basis, basis, displayed_rule, 0.0)
     calls = []
 
     def build(q, cap, gen):
@@ -545,7 +545,7 @@ def test_tail_norms_nan_entry_reaches_lapack(monkeypatch):
         i, j, _ = found[len(found) // 2]
         shift = tuple(x - y for x, y in zip(d.codomain.point_of(i), d.domain.point_of(j)))
         nan = build_from_rule(d.domain, d.codomain, lambda *p: [(
-            shift, np.where(np.arange(len(d.domain)) == j, np.nan, 0.0))], d.mode)
+            shift, np.where(np.arange(len(d.domain)) == j, np.nan, 0.0))], d.q)
         assert [(k, j) for k, _ in column(nan, j)] == [(i, j)]
         return add((1, d), (1, nan))
 
@@ -588,7 +588,7 @@ def test_tail_norms_refuse_rows_outside_the_chains(monkeypatch, capsys, column, 
     def linked(q, cap, gen):
         d = difference(q, cap, gen)
         at = np.arange(len(d.domain)) == d.domain.rank(*column)
-        extra = build_from_rule(d.domain, d.codomain, lambda r, s, t: [(shift, 0.125 * at)], d.mode)
+        extra = build_from_rule(d.domain, d.codomain, lambda r, s, t: [(shift, 0.125 * at)], d.q)
         assert entries(extra) == [(d.codomain.rank(*row), d.domain.rank(*column), 0.125)]
         return add((1, d), (1, extra))
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from support import basis_points, column, diagonal, entries, entry_bits, product, to_dense
-from qsu2.coefficients import EXACT_ZERO, float_mode
+from qsu2.coefficients import float_mode
 from qsu2.lattice import full_basis, nat_basis, pi_basis
 from qsu2.operator_core import (
     SparseOperator,
@@ -194,7 +194,7 @@ def test_dimension_and_mode_mismatch_errors():
         product(a, b)
     with pytest.raises(ValueError, match="dimension mismatch"):
         add((1, a), (1, b))
-    c = eye(nat_basis(4), EXACT_ZERO)
+    c = eye(nat_basis(4), 0.0)
     with pytest.raises(ValueError, match="mode mismatch"):
         product(a, c)
 
@@ -305,7 +305,7 @@ def test_exact_mode_refuses_int64_overflow():
 
     def at_row_0(*values):  # rule terms: column j's value lands in row 0, shift -j
         return build_from_rule(basis, basis, lambda k: [((-j,), [0] * j + [v] + [0] * (1 - j))
-                                                         for j, v in enumerate(values)], EXACT_ZERO)
+                                                         for j, v in enumerate(values)], 0.0)
 
     one = nat_basis(1)
     for value, error, match in ((2**63, OverflowError, None), (2**70, OverflowError, None),
@@ -313,29 +313,29 @@ def test_exact_mode_refuses_int64_overflow():
                                 (np.inf, ValueError, "got inf"), (2.0**63, ValueError, "got 9.2"),
                                 (Fraction(3, 2), ValueError, re.escape("got Fraction(3, 2)"))):
         with pytest.raises(error, match=match):
-            build_from_rule(one, one, lambda k: [((0,), value)], EXACT_ZERO)
+            build_from_rule(one, one, lambda k: [((0,), value)], 0.0)
     big = at_row_0(2**31, 2**31)
     with pytest.raises(OverflowError, match="compose"):
         product(big, big)
-    half = diagonal(basis, [2**61, 1], EXACT_ZERO)
+    half = diagonal(basis, [2**61, 1], 0.0)
     with pytest.raises(OverflowError, match="add"):
         add((1, half), (1, half))
     with pytest.raises(OverflowError, match="tensor"):
         tensor(big, big, nat_basis(4), nat_basis(4))
     with pytest.raises(OverflowError, match="sum"):  # two rule terms on one shift
         build_from_rule(basis, basis, lambda k: [((0,), [2**61, 0]), ((0,), [2**61, 0])],
-                        EXACT_ZERO)
+                        0.0)
     # a term with no entry does not count toward the sum guard
-    lone = build_from_rule(basis, basis, lambda k: [((0,), [2**61, 0]), ((0,), 0)], EXACT_ZERO)
+    lone = build_from_rule(basis, basis, lambda k: [((0,), [2**61, 0]), ((0,), 0)], 0.0)
     assert column(lone, 0) == [(0, 2**61)]
-    ok = product(diagonal(basis, [2**30, 1], EXACT_ZERO), diagonal(basis, [2**30, 1], EXACT_ZERO))
+    ok = product(diagonal(basis, [2**30, 1], 0.0), diagonal(basis, [2**30, 1], 0.0))
     assert column(ok, 0) == [(0, 2**60)]
 
 
 @pytest.mark.parametrize("kind", ["float", "complex", "exact"])
 def test_n_term_add_matches_nested_adds_bitwise(kind):
     basis = nat_basis(4)
-    mode = EXACT_ZERO if kind == "exact" else MODE
+    mode = 0.0 if kind == "exact" else MODE
     scale = {"float": 0.1, "complex": 0.1 + 0.05j, "exact": 1}[kind]
 
     def op(diag, below=(0, 0, 0, 0)):  # a diagonal, and the shift e_j -> e_{j+1}
@@ -360,7 +360,7 @@ def test_n_term_add_matches_nested_adds_bitwise(kind):
 
 def test_n_term_add_overflow_guard_sums_every_term():
     basis = nat_basis(2)
-    quarter = diagonal(basis, [2**60, 1], EXACT_ZERO)
+    quarter = diagonal(basis, [2**60, 1], 0.0)
     assert column(add((1, quarter), (1, quarter), (1, quarter)), 0) == [(0, 3 * 2**60)]
     with pytest.raises(OverflowError, match="add"):
         add((1, quarter), (1, quarter), (2, quarter))  # 4 * 2**60 = 2**62
@@ -393,7 +393,7 @@ def operators(draw, kind, lattice, n_dom, n_cod):
     # a rule emits no value at a target off the lattice
     terms = [(shift, np.where(cod.valid(*(c + d for c, d in zip(dom.coords, shift))), values, 0))
              for shift, values in drawn]
-    mode = EXACT_ZERO if kind == "exact" else MODE
+    mode = 0.0 if kind == "exact" else MODE
     op = build_from_rule(dom, cod, lambda *p: terms, mode)
     dense = np.zeros((len(cod), n), dtype=complex if kind == "complex" else float)
     for shift, values in terms:
@@ -410,7 +410,7 @@ def check_canonical(op):
     positions = [(j, i) for i, j, _ in found]
     assert positions == sorted(set(positions))
     assert all(v != 0 for _, _, v in found)
-    if op.mode.exact:
+    if op.q == 0:
         assert op.dtype == np.int64 and all(v.dtype == np.int64 for _, _, v in found)
 
 

@@ -1,7 +1,8 @@
 """No helper exists only for tests: every public module-level function and
 class of qsu2, and every public method and property of its classes, is read
 somewhere in the package or in the benchmark, and every private
-module-level function is read somewhere in the package."""
+module-level function is read somewhere in the package.  The sparse algebra
+of operator_core imports no qsu2 module but lattice."""
 
 import ast
 from pathlib import Path
@@ -79,6 +80,27 @@ def uncalled_private(package: Path = PACKAGE) -> list[str]:
                        for t in trees.values() for other in ast.walk(t) if other not in own):
                 found.append(f"{stem}.{node.name}")
     return found
+
+
+def package_imports(path: Path) -> set[str]:
+    """The qsu2 modules a module imports: ``from .x import`` and ``from . import x``."""
+    found = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def test_operator_core_imports_only_the_lattice():
+    # the scalar policy (q and its coefficients) stays out of the sparse algebra
+    assert package_imports(PACKAGE / "operator_core.py") == {"lattice"}
+
+
+def test_a_second_package_import_is_caught(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("import numpy as np\nfrom . import coefficients\n"
+                      "from .lattice import Basis\n", encoding="utf-8")
+    assert package_imports(module) == {"coefficients", "lattice"}
 
 
 def test_every_public_definition_is_referenced_outside_tests():

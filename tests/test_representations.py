@@ -8,11 +8,19 @@ import pytest
 
 import crystal_oracle as oracle
 from support import basis_points, column, diagonal, entries, entry_bits, product, to_dense
-from qsu2.coefficients import EXACT_ZERO, float_mode
+from qsu2.coefficients import float_mode
 from qsu2.lattice import FullIndex, GammaIndex, PiIndex, gamma_basis, nat_basis
 from qsu2 import representations
-from qsu2.operator_core import SparseOperator, add, adjoint, build_from_rule, tensor
-from qsu2.equivalence import closed_form, difference, tail_norms
+from qsu2.operator_core import (
+    SparseOperator,
+    add,
+    adjoint,
+    build_from_rule,
+    compose,
+    conjugate,
+    tensor,
+)
+from qsu2.equivalence import closed_form, difference, tail_norms, unitary_u
 from qsu2.representations import (
     GENERATORS,
     _section,
@@ -60,9 +68,27 @@ def test_lambda_boundary_column_only_lowering_term():
 
 def test_lambda_q_zero_selects_exact_mode():
     for gen in GENERATORS:
-        assert build_lambda(0.0, 4, gen).mode == EXACT_ZERO
+        assert build_lambda(0.0, 4, gen).q == 0
     with pytest.raises(ValueError, match=r"\|q\| < 1"):
         build_lambda(1.0, 4, "alpha")
+
+
+def test_every_operator_carries_its_q():
+    """An operator's q is the q it was built at; it is int64 exactly when q == 0."""
+    u = unitary_u(3)
+    built = [(0.0, u)]
+    for q in (0.0, 0.5, -0.45):
+        for gen in GENERATORS:
+            lam = build_lambda(q, 3, gen)
+            built += [(q, op) for op in (
+                lam, build_pi(q, 3, gen), build_ipi(q, 3, gen), adjoint(lam), conjugate(lam, u),
+                compose(lam, adjoint(lam), np.arange(len(lam.domain))), add((1, lam), (-q, lam)))]
+            if q != 0:
+                built += [(q, difference(q, 3, gen)), (q, closed_form(q, 3, gen))]
+        if q != 0:
+            built += [(q, op) for op in (*build_irrep(q, 1j, 4), *coproduct_images(q, 2))]
+    for q, op in built:
+        assert op.q == q and (op.dtype == np.int64) == (q == 0), (q, op)
 
 
 def test_crystal_section_refuses_non_integer_values():
@@ -71,7 +97,7 @@ def test_crystal_section_refuses_non_integer_values():
         with pytest.raises(ValueError, match=f"exact-mode entries must be integers, got {value!r}"):
             _section(basis, lambda n2, i2, j2: [((0, 0, 0), np.where(n2 == 1, value, 0.0))], 0.0)
     op = _section(basis, lambda n2, i2, j2: [((0, 0, 0), -1.0 * (n2 == 1))], 0.0)
-    assert op.mode == EXACT_ZERO and op.dtype == np.int64
+    assert op.q == 0 and op.dtype == np.int64
     assert [(v.dtype, v.item()) for _, _, v in entries(op)] == [(np.int64, -1)] * 4
 
 
@@ -167,7 +193,7 @@ def test_crystal_entries_are_signs():
     for gen in GENERATORS:
         for built in (build_lambda(0.0, 5, gen), build_pi(0.0, 5, gen), build_ipi(0.0, 5, gen)):
             for op in (built, adjoint(built)):
-                assert op.mode.exact
+                assert op.q == 0
                 found = entries(op)
                 for _, _, v in found:
                     assert v in (-1, 1)
@@ -209,7 +235,7 @@ def test_relations_report_nan_residual():
     j = int(basis.rank(*PiIndex(1, 0)))
     # NaN plus the entry of column j, on beta's one shift (s, t) -> (s, t - 1)
     nan = build_from_rule(basis, basis, lambda s, t: [((0, -1), np.where(
-        np.arange(len(basis)) == j, math.nan, 0.0))], beta.mode)
+        np.arange(len(basis)) == j, math.nan, 0.0))], beta.q)
     assert [(i, k) for i, k, _ in entries(nan)] == [(i, k) for i, k, _ in entries(beta) if k == j]
     ops["beta"] = add((1, beta), (1, nan))
     assert all(math.isnan(v) for _, v in column(ops["beta"], j))
@@ -244,7 +270,7 @@ def test_relations_refuse_other_keys(keys, match):
     # a starred key would otherwise be ignored and the adjoints' verdict returned
     ops = {gv: build_pi(0.5, 6, gv) for gv in GENERATORS}
     ops["alpha_star"] = diagonal(ops["alpha"].domain, np.full(len(ops["alpha"].domain), 7.0),
-                                 ops["alpha"].mode)
+                                 ops["alpha"].q)
     with pytest.raises(ValueError, match=match):
         check_relations({key: ops[key] for key in keys})
 
@@ -265,9 +291,9 @@ def _full_column_relations(ops, margin=2):
     all columns, then the squared column norms reduced over the interior."""
     a, b = ops["alpha"], ops["beta"]
     astar, bstar = adjoint(a), adjoint(b)
-    basis, mode = a.domain, a.mode
-    eye = diagonal(basis, np.ones(len(basis), dtype=np.int64), mode)
-    if mode.exact:
+    basis, q = a.domain, a.q
+    eye = diagonal(basis, np.ones(len(basis), dtype=np.int64), q)
+    if q == 0:
         names = ["a*a+b*b-I", "aa*-I", "ab", "ab*", "b*b-bb*"]
         words = [add((1, add((1, product(astar, a)), (1, product(bstar, b)))), (-1, eye)),
                  add((1, product(a, astar)), (-1, eye)),
@@ -275,7 +301,6 @@ def _full_column_relations(ops, margin=2):
                  product(a, bstar),
                  add((1, product(bstar, b)), (-1, product(b, bstar)))]
     else:
-        q = mode.q
         names = ["a*a+b*b-I", "aa*+q^2bb*-I", "ab-qba", "ab*-qb*a", "b*b-bb*"]
         words = [add((1.0, add((1, product(astar, a)), (1, product(bstar, b)))), (-1.0, eye)),
                  add((1.0, add((1.0, product(a, astar)), (q * q, product(b, bstar)))), (-1.0, eye)),

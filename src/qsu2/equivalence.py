@@ -1,5 +1,5 @@
 """The crystal-limit unitary, conjugation, the difference operators, and
-the diagnostics certifying their compactness structure.
+the diagnostics measuring their compactness structure.
 
 The unitary U flattens the pyramid Gamma sheet by sheet onto
 N x N x Z: a point (n, i, j) goes to (n - (i v j), n + (i ^ j), j - i)
@@ -10,10 +10,10 @@ the GNS generators exactly onto I (x) pi_0.  For q != 0 the differences
     D_a = U lambda_q(a) U* - I (x) pi_q(a)
 
 decompose into diagonal coefficient operators (R1, R2 for alpha, T1, T2
-for beta) times coordinate shifts, and the diagnostics here certify the
-decays that place D_a in (Toeplitz) (x) (compacts of the (s, t) factor):
-the (s, t) tail norms die geometrically while the Toeplitz direction r
-does not decay.
+for beta) times coordinate shifts.  The diagnostics here measure the
+decays that place D_a in (Toeplitz) (x) (compacts of the (s, t) factor)
+along s and t (r does not decay); a tails report checks only that no tail
+norm exceeds the one before it by more than TAIL_SLACK, not a geometric rate.
 """
 
 from __future__ import annotations
@@ -244,10 +244,10 @@ def decay_report(q: float, cap: int, target: str) -> DecayReport:
     else:  # a diagonal difference: one entry per column
         column_max = np.abs(diagonal_values(q, cap, parts[0]) - diagonal_values(q, cap, parts[1]))
     shells = full_basis(cap).shells  # shell-major: each shell is one run of ranks
-    shell_max = np.maximum.reduceat(column_max, np.searchsorted(shells, np.arange(cap + 1))).tolist()
+    starts = np.searchsorted(shells, np.arange(cap + 1))
+    shell_max = np.maximum.reduceat(column_max, starts).tolist()
     point_exponents = pattern(*full_basis(cap).coords)
-    shell_exponent = np.full(cap + 1, point_exponents.max())
-    np.minimum.at(shell_exponent, shells, point_exponents)
+    shell_exponent = np.minimum.reduceat(point_exponents, starts)
     scale = power_table(abs(q), int(point_exponents.max()))[point_exponents]
     with np.errstate(divide="ignore", invalid="ignore"):  # |q|^e underflowing to 0 gives inf
         normalized = np.where(column_max != 0, column_max / scale, 0.0)  # (an empty column's 0/0 too)

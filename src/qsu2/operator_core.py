@@ -17,9 +17,9 @@ coordinate) and one scalar per domain point.  A rule term is one shift.
 Determinism: plain numpy arithmetic.  Terms of one shift are summed one
 at a time in the order the product lists them: rule terms in rule order,
 pairs of factors b-major in ``compose``, (w, op) terms in argument order
-in ``add``.  Column reductions run in ascending row rank, ties between
-equal maxima go to the first in (column, row) rank order, and NaN wins
-every maximum, so a NaN entry fails whatever reads it.  Comparisons are
+in ``add``; column sums run in term order too.  Ties between equal
+maxima go to the first in (column, row) rank order, and NaN wins every
+maximum, so a NaN entry fails whatever reads it.  Comparisons are
 one subtraction, ``add((1, a), (-1, b))``, followed by a reduction.
 """
 
@@ -283,23 +283,16 @@ def column_max_abs(op: SparseOperator) -> np.ndarray:
 
 def worst_column(op: SparseOperator) -> tuple[object, int | None]:
     """Largest squared column norm, |v| * |v| summed over each column in
-    ascending row rank, and the first column in rank order attaining it; a
-    NaN column wins at once.  (0.0, None) when every column is zero."""
-    n = len(op.domain)
-    targets = np.array([t.targets for t in op.terms], dtype=np.intp).reshape(-1, n)
-    absv = np.abs(np.array([t.values for t in op.terms], dtype=op.dtype).reshape(-1, n))
-    if op.q == 0 and int(absv.max(initial=0)) ** 2 * len(absv) >= EXACT_LIMIT:
+    term order, and the first column in rank order attaining it; a NaN
+    column wins.  (0.0, None) when every column is zero."""
+    if op.q == 0 and _bound(op) ** 2 * len(op.terms) >= EXACT_LIMIT:
         raise OverflowError("exact column norm could overflow int64")
-    norms = np.zeros(n, dtype=absv.dtype)
-    for v in np.take_along_axis(absv, np.argsort(targets, axis=0, kind="stable"), axis=0):
-        norms += v * v  # one term at a time, rows ascending
-    nan = np.isnan(norms)
-    if nan.any():
-        return float("nan"), int(np.argmax(nan))
-    top = norms.max(initial=0)
-    if not top > 0:
-        return 0.0, None
-    return top.item(), int(np.argmax(norms == top))
+    norms = np.abs(np.zeros(len(op.domain), dtype=op.dtype))
+    for t in op.terms:
+        v = np.abs(t.values)
+        norms += v * v
+    j = int(np.argmax(norms))  # the first NaN, else the first maximum
+    return (0.0, None) if norms[j] == 0 else (norms[j].item(), j)
 
 
 def max_entry_difference(a: SparseOperator, b: SparseOperator,

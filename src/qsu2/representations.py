@@ -23,6 +23,7 @@ from .coefficients import float_mode, g_table, power_table
 from .lattice import full_basis, gamma_basis, nat_basis, pi_basis, pi_tensor_basis
 from .operator_core import (
     SparseOperator,
+    Term,
     add,
     adjoint,
     build_from_rule,
@@ -148,11 +149,11 @@ def check_relations(ops) -> RelationReport:
     adjoints.  Every relation of ``RELATIONS`` is evaluated at the operators' q
     (exact integers at q = 0) on the interior columns, the basis vectors of
     shell <= cap - 2: each distinct word is composed once (``compose`` over
-    that column set; I is 1 on those columns alone) and dropped after its
-    last reader in ``_EVALUATION_ORDER``; each relation is summed by one
-    ``add``.  Every other column of a relation operator is empty.  The
-    report holds, in table order, the largest column norm per relation and
-    its witness point.
+    that column set; I is one zero-shift term, 1 on those columns alone) and
+    dropped after its last reader in ``_EVALUATION_ORDER``; each relation is
+    summed by one ``add``.  Every other column of a relation operator is
+    empty.  The report holds, in table order, the largest column norm per
+    relation and its witness point.
     """
     expected = set(GENERATORS)
     if ops.keys() != expected:
@@ -169,9 +170,9 @@ def check_relations(ops) -> RelationReport:
     interior = np.flatnonzero(inside)
 
     def form(word):
-        if word == "I":
-            identity = [((0,) * len(basis.coords), inside.astype(np.int64))]
-            return build_from_rule(basis, basis, lambda *p: identity, q)
+        if word == "I":  # int64: the exact mode refuses bools
+            return SparseOperator(basis, basis, [Term((0,) * len(basis.coords), np.where(
+                inside, np.arange(len(basis)), -1), inside.astype(np.int64))], q)
         x, y = re.findall(r"[ab]\*?", word)
         return compose(letters[x], letters[y], interior)
 

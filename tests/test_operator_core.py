@@ -245,16 +245,45 @@ def test_max_entry_difference_tie_goes_to_first_in_rank_order():
     assert max_entry_difference(b, zero, columns=[7]) == (2.0, (1, 7))
 
 
-def test_worst_column_sums_rows_in_ascending_rank():
-    # squares 1, x, x in rows 0, 1, 2 with x = 25 * 2**-58 below half an ulp
-    # of 1: summed rows ascending, 1 + x rounds back to 1 twice; from row 2
-    # down, x + x + 1 would round up to 1 + 2**-52.  The rule lists the rows
-    # 2, 1, 0, so only the sort by row gives 1.0
+def test_worst_column_sums_in_term_order():
+    # squares x, x, 1 in rows 2, 1, 0 of column 0, with x = 25 * 2**-58
+    # below half an ulp of 1.  The rule lists the rows 2, 1, 0, so the terms
+    # come in that order and the sum runs x + x + 1: 2x lies above half an
+    # ulp, so it rounds up to 1 + 2**-52 (rows ascending, 1 + x would round
+    # back to 1 twice)
     basis = nat_basis(3)
     small = 5 * 2.0**-29
     op = build_from_rule(basis, basis, lambda k: [((2,), [small, 0, 0]), ((1,), [small, 0, 0]),
                                                   ((0,), [1.0, 0, 0])], MODE)
-    assert worst_column(op) == (1.0, 0)
+    assert worst_column(op) == (1 + 2**-52, 0)
+
+
+def test_worst_column_empty_nan_ties_and_exact():
+    basis = nat_basis(4)
+    for q in (MODE, 0.0):  # no term at all
+        assert worst_column(build_from_rule(basis, basis, lambda k: [], q)) == (0.0, None)
+    # equal norms 9 + 16 and 16 + 9: the first column in rank order wins
+    tie = build_from_rule(basis, basis, lambda k: [((0,), [0, 3.0, 0, 4.0]),
+                                                   ((-1,), [0, 4.0, 0, 3.0])], MODE)
+    assert worst_column(tie) == (25.0, 1)
+    # the first NaN column wins over the larger finite column of an earlier term
+    nan = build_from_rule(basis, basis, lambda k: [((0,), [9.0, 0, 0, 0]),
+                                                   ((-1,), [0, 0, np.nan, np.nan])], MODE)
+    worst, j = worst_column(nan)
+    assert np.isnan(worst) and j == 2
+    exact = build_from_rule(basis, basis, lambda k: [((0,), [0, 2, 0, 0]),
+                                                     ((-1,), [0, -1, 0, 0])], 0.0)
+    worst, j = worst_column(exact)
+    assert (worst, j) == (5, 1) and type(worst) is int
+    # the bound is the largest |entry| squared times the number of terms
+    below = build_from_rule(basis, basis, lambda k: [((0,), [2**31 - 1, 0, 0, 0])], 0.0)
+    assert worst_column(below) == ((2**31 - 1) ** 2, 0)
+    at_limit = build_from_rule(basis, basis, lambda k: [((0,), [2**31, 0, 0, 0])], 0.0)
+    two_terms = build_from_rule(basis, basis, lambda k: [((0,), [2**31 - 1, 0, 0, 0]),
+                                                         ((1,), [1, 0, 0, 0])], 0.0)
+    for op in (at_limit, two_terms):
+        with pytest.raises(OverflowError, match="exact column norm could overflow int64"):
+            worst_column(op)
 
 
 def test_comparisons_let_nan_win():

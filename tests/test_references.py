@@ -2,7 +2,8 @@
 class of qsu2, and every public method and property of its classes, is read
 somewhere in the package or in the benchmark, and every private
 module-level function is read somewhere in the package.  The sparse algebra
-of operator_core imports no qsu2 module but lattice."""
+of operator_core imports no qsu2 module but lattice, and no module of the
+package scatters through ``np.<ufunc>.at``."""
 
 import ast
 from pathlib import Path
@@ -91,6 +92,18 @@ def package_imports(path: Path) -> set[str]:
     return found
 
 
+def ufunc_at_calls(package: Path = PACKAGE) -> list[str]:
+    """module:line np.<ufunc>.at of every unbuffered scatter call in the package."""
+    return [
+        f"{path.stem}:{node.lineno} np.{node.func.value.attr}.at"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "at" and isinstance(node.func.value, ast.Attribute)
+        and isinstance(node.func.value.value, ast.Name) and node.func.value.value.id == "np"
+    ]
+
+
 def test_operator_core_imports_only_the_lattice():
     # the scalar policy (q and its coefficients) stays out of the sparse algebra
     assert package_imports(PACKAGE / "operator_core.py") == {"lattice"}
@@ -113,6 +126,26 @@ def test_every_public_method_is_read_outside_tests():
 
 def test_every_private_function_is_called_in_the_package():
     assert uncalled_private() == []
+
+
+def test_no_ufunc_at_scatter():
+    # per-group reductions run over sorted runs (``reduceat``), not scatters
+    assert ufunc_at_calls() == []
+
+
+def test_a_ufunc_at_call_is_caught(tmp_path):
+    # `np.add.at` and `np.minimum.at` are scatters; a method named `at` on
+    # anything but a numpy ufunc, and `reduceat`, are not
+    package = tmp_path / "qsu2"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "import numpy as np\n\n\n"
+        "def f(out, idx, v, frame):\n"
+        "    np.add.at(out, idx, v)\n"
+        "    frame.loc.at(0)\n"
+        "    np.minimum.reduceat(v, idx)\n"
+        "    return np.minimum.at(out, idx, v)\n", encoding="utf-8")
+    assert ufunc_at_calls(package) == ["mod:5 np.add.at", "mod:8 np.minimum.at"]
 
 
 def test_a_private_function_only_tests_call_is_caught(tmp_path):

@@ -387,8 +387,8 @@ def test_relations_hold_at_most_three_words(monkeypatch, q):
 
     cases = _relation_cases(q)
     monkeypatch.setattr(representations, "compose", formed(representations.compose))
-    # check_relations builds from a rule only its identity word I
-    monkeypatch.setattr(representations, "build_from_rule", formed(representations.build_from_rule))
+    # the one operator check_relations constructs itself is its identity word I
+    monkeypatch.setattr(representations, "SparseOperator", formed(representations.SparseOperator))
     for label, ops in cases.items():
         counts.clear()
         check_relations(ops)

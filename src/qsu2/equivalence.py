@@ -56,7 +56,7 @@ def u_forward(n2, i2, j2):
     (-1)^((i v j) - j) and point (n - (i v j), n + (i ^ j), j - i)."""
     hi = np.maximum(i2, j2)
     lo = np.minimum(i2, j2)
-    sign = 1 - 2 * ((hi - j2) // 2 % 2)
+    sign = 1 - 2 * ((hi - j2) // 2 & 1)
     return sign, (n2 - hi) // 2, (n2 + lo) // 2, (j2 - i2) // 2
 
 
@@ -64,7 +64,7 @@ def u_backward(r, s, t):
     """Image of full-lattice points under U*, elementwise: (sign, n2, i2, j2)
     with sign (-1)^(t_minus), 2n = r + s + |t|, 2i = -r + s - t,
     2j = -r + s + t."""
-    sign = 1 - 2 * (t_parts(t)[1] % 2)
+    sign = 1 - 2 * (t_parts(t)[1] & 1)
     return sign, r + s + abs(t), -r + s - t, -r + s + t
 
 
@@ -235,7 +235,9 @@ class DecayReport:
 def decay_report(q: float, cap: int, target: str) -> DecayReport:
     """Per-shell maxima of a difference target, the least claimed exponent
     per shell, the normalized constant C = max |entry| / |q|^pattern, and a
-    fitted geometric tail ratio."""
+    fitted geometric tail ratio.  C is fitted on the same columns as the
+    maxima, so every maximum lies under C |q|^exponent of its shell whatever
+    the data: a bound read from C reports the decay and certifies nothing."""
     if target not in _PATTERNS:
         raise ValueError(f"unknown decay target {target!r}")
     parts, pattern_name, pattern = _PATTERNS[target]

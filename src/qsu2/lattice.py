@@ -54,7 +54,7 @@ class PiIndex(NamedTuple):
 def is_valid_gamma(n2, i2, j2):
     """Whether (n2, i2, j2) satisfies the Gamma invariants."""
     return ((n2 >= 0) & (abs(i2) <= n2) & (abs(j2) <= n2)
-            & ((i2 - n2) % 2 == 0) & ((j2 - n2) % 2 == 0))
+            & (((i2 - n2) & 1) == 0) & (((j2 - n2) & 1) == 0))
 
 
 def is_valid_full(r, s, t):
@@ -145,7 +145,7 @@ def _pi_coords(cap: int) -> tuple[np.ndarray, ...]:
     t ascending: shell n reads (n, 0), (n-1, -1), (n-1, 1), ..."""
     n, k = _shell_ranks(cap, lambda m: 2 * m + 1)
     a = (k + 1) // 2
-    return n - a, np.where(k % 2 == 1, -a, a)
+    return n - a, np.where((k & 1) == 1, -a, a)
 
 
 class Basis:

@@ -1,12 +1,15 @@
 """CLI behaviour: exit codes, report schemas, determinism."""
 
+import ctypes
 import json
 import math
 import os
+import platform
 import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -356,6 +359,58 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def _fake_ctypes(libc) -> SimpleNamespace:
+    """ctypes as cli sees it, with ``libc`` as the C library."""
+    return SimpleNamespace(CDLL=lambda name: libc, c_int=ctypes.c_int)
+
+
+def test_main_pins_both_heap_thresholds(monkeypatch, capsys):
+    # M_MMAP_THRESHOLD (-3) at 32 MiB and M_TRIM_THRESHOLD (-1) at twice
+    # that; setting only one turns glibc's dynamic thresholds off
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(cli, "ctypes", _fake_ctypes(SimpleNamespace(mallopt=mallopt)))
+    assert run(capsys, "verify-q0", "--cap", "3")[0] == 0
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+    assert (mallopt.argtypes, mallopt.restype) == ((ctypes.c_int, ctypes.c_int), ctypes.c_int)
+
+
+def test_main_runs_unchanged_without_mallopt(monkeypatch, capsys):
+    want = run(capsys, "verify-q0", "--cap", "6")[:2]
+    monkeypatch.setattr(cli, "ctypes", _fake_ctypes(SimpleNamespace()))
+    assert run(capsys, "verify-q0", "--cap", "6")[:2] == want
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
+def test_a_second_run_faults_in_no_fresh_heap():
+    # without the pinned thresholds, every 190 KB temporary of verify-q0
+    # --cap 40 is a fresh mmap and the second run takes about 3,400 minor
+    # page faults; with them it reuses the first run's heap
+    src = str(Path(qsu2.__file__).resolve().parents[1])
+    code = """
+import contextlib, io, resource
+from qsu2 import cli, lattice
+
+def verify():
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["verify-q0", "--cap", "40"]) == 0
+
+verify()
+for value in vars(lattice).values():  # the bases are made again, as in a fresh process
+    getattr(value, "cache_clear", lambda: None)()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+verify()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert int(out.stdout) < 300
 
 
 def _readme_examples() -> list[str]:

@@ -43,6 +43,7 @@ from qsu2.lattice import (
     full_basis,
     full_shell,
     gamma_basis,
+    is_valid_gamma,
 )
 from qsu2.operator_core import (
     add,
@@ -69,6 +70,28 @@ def forward(p):
 def backward(f):
     sign, *p = u_backward(*f)
     return int(sign), GammaIndex(*map(int, p))
+
+
+def test_parity_by_bitwise_and_matches_the_modulo_forms():
+    # `x & 1` and `x % 2` agree on int64 and on Python ints, negatives
+    # included; checked on a grid of points, as arrays and one at a time
+    grid = np.stack(np.meshgrid(*[np.arange(-7, 8, dtype=np.int64)] * 3)).reshape(3, -1)
+
+    def valid(n2, i2, j2):
+        return ((n2 >= 0) & (abs(i2) <= n2) & (abs(j2) <= n2)
+                & ((i2 - n2) % 2 == 0) & ((j2 - n2) % 2 == 0))
+
+    def forward_sign(n2, i2, j2):
+        return 1 - 2 * ((np.maximum(i2, j2) - j2) // 2 % 2)
+
+    def backward_sign(r, s, t):
+        return 1 - 2 * (np.maximum(-t, 0) % 2)
+
+    for got, want in ((is_valid_gamma, valid), (lambda *p: u_forward(*p)[0], forward_sign),
+                      (lambda *p: u_backward(*p)[0], backward_sign)):
+        assert np.array_equal(got(*grid), want(*grid))
+        points = grid.T.tolist()
+        assert [got(*p) for p in points] == [want(*p) for p in points]
 
 
 def test_unitary_pointwise_examples():

@@ -2,8 +2,9 @@
 class of qsu2, and every public method and property of its classes, is read
 somewhere in the package or in the benchmark, and every private
 module-level function is read somewhere in the package.  The sparse algebra
-of operator_core imports no qsu2 module but lattice, and no module of the
-package scatters through ``np.<ufunc>.at``."""
+of operator_core imports no qsu2 module but lattice, no module of the
+package scatters through ``np.<ufunc>.at``, and only the entry point in cli
+touches the C allocator."""
 
 import ast
 from pathlib import Path
@@ -102,6 +103,50 @@ def ufunc_at_calls(package: Path = PACKAGE) -> list[str]:
         and node.func.attr == "at" and isinstance(node.func.value, ast.Attribute)
         and isinstance(node.func.value.value, ast.Name) and node.func.value.value.id == "np"
     ]
+
+
+def allocator_touches(package: Path = PACKAGE) -> list[str]:
+    """module:line of every ctypes import and every name, attribute or
+    string ``mallopt`` outside cli.py, whose ``main`` alone sets the allocator."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        hits = set()
+        for node in ast.walk(_tree(path)):
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(module.split(".")[0] == "ctypes" for module in modules):
+                hits.add((node.lineno, "ctypes"))
+            elif "mallopt" in (getattr(node, "id", None), getattr(node, "attr", None),
+                               getattr(node, "value", None)):
+                hits.add((node.lineno, "mallopt"))
+        found += [f"{path.stem}:{line} {what}" for line, what in sorted(hits)]
+    return found
+
+
+def test_only_cli_touches_the_allocator():
+    # a library import must leave the allocator as the host program set it
+    assert allocator_touches() == []
+
+
+def test_an_allocator_touch_is_caught(tmp_path):
+    # every ctypes import and every spelling of mallopt outside cli.py;
+    # cli.py itself, and the word in a comment, are not
+    package = tmp_path / "qsu2"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "import ctypes.util\n"
+        "from ctypes import CDLL\n"
+        "import numpy as np  # not mallopt\n\n"
+        "libc = CDLL(None)\n"
+        "libc.mallopt(-3, 1)\n"
+        "getattr(libc, 'mallopt')\n"
+        "mallopt = None\n", encoding="utf-8")
+    (package / "cli.py").write_text("import ctypes\n\nctypes.CDLL(None).mallopt(-1, 1)\n",
+                                    encoding="utf-8")
+    assert allocator_touches(package) == [
+        "mod:1 ctypes", "mod:2 ctypes", "mod:6 mallopt", "mod:7 mallopt", "mod:8 mallopt"]
 
 
 def test_operator_core_imports_only_the_lattice():

@@ -86,6 +86,9 @@ def cmd_verify_equivalence(args) -> VerificationReport:
 
 
 def cmd_estimates(args) -> VerificationReport:
+    """The g estimates, reported rather than certified: the verdicts
+    1/(1 + g) < 1 and g(1)/(g(1 + g)) < 1 hold for any g table with
+    0 < g(1) <= g(k) <= 1, so every item passes by construction."""
     rep = coefficients.verify_g_estimates(args.q, args.kmax)
     items = [item for row in rep.rows for item in (
         ReportItem(f"k={row.k}:|1-g|", row.lhs1, row.bound1, row.pass1, None, row.k),

@@ -143,6 +143,8 @@ def verify_g_estimates(q: float, kmax: int) -> GEstimateReport:
     once x drops near machine epsilon and would fake violations there.
     Each verdict is decided on the ratio lhs/bound, 1/(1 + g) and
     g(1)/(g(1 + g)), which stays meaningful after q^(2k) underflows to 0.
+    Both verdicts hold for any table with 0 < g(1) <= g(k) <= 1, so they
+    are reported, not certified: an estimate passes by construction.
     """
     float_mode(q)  # refuses q = 0, where the estimates are vacuous, and |q| >= 1
     if kmax < 1:

@@ -29,7 +29,6 @@ from .lattice import (
     full_shell,
     gamma_basis,
     is_valid_full,
-    is_valid_gamma,
 )
 from .operator_core import (
     SparseOperator,
@@ -60,28 +59,26 @@ def u_forward(n2, i2, j2):
     return sign, (n2 - hi) // 2, (n2 + lo) // 2, (j2 - i2) // 2
 
 
-def u_backward(r, s, t):
-    """Image of full-lattice points under U*, elementwise: (sign, n2, i2, j2)
-    with sign (-1)^(t_minus), 2n = r + s + |t|, 2i = -r + s - t,
-    2j = -r + s + t."""
-    sign = 1 - 2 * (t_parts(t)[1] & 1)
-    return sign, r + s + abs(t), -r + s - t, -r + s + t
-
-
 def unitary_u(cap: int) -> SparseOperator:
     """The sheet-flattening unitary on the shell-capped lattices, an exact
-    signed permutation: one term, the ranks of the images and their signs."""
+    signed permutation: one term, the ranks of the images and their signs.
+    Every image must be a full-lattice point on its point's shell, and every
+    codomain rank must be hit exactly once (else AssertionError naming the
+    point)."""
     dom = gamma_basis(cap)
     cod = full_basis(cap)
     sign, *image = u_forward(*dom.coords)
     bad = ~is_valid_full(*image) | (full_shell(*image) != dom.shells)
-    assert not bad.any(), f"unitary broke the shell grading at {dom.point_of(int(np.argmax(bad)))}"
+    if bad.any():
+        point = dom.point_of(int(np.argmax(bad)))
+        raise AssertionError(f"unitary broke the shell grading at {point}")
     perm = cod.rank(*image)
-    back_sign, *back = u_backward(*cod.coords)
-    assert is_valid_gamma(*back).all(), "U* left the Gamma lattice"
-    back_rank = dom.rank(*back)
-    bad = (back_rank[perm] != np.arange(len(dom))) | (sign * back_sign[perm] != 1)
-    assert not bad.any(), f"unitary round trip failed at {dom.point_of(int(np.argmax(bad)))}"
+    taken = np.bincount(perm, minlength=len(cod))[perm] > 1
+    if taken.any():
+        point = dom.point_of(int(np.argmax(taken)))
+        raise AssertionError(f"unitary is not one-to-one: the image of {point} is taken twice")
+    if len(dom) != len(cod):
+        raise AssertionError(f"unitary maps {len(dom)} points onto {len(cod)}")
     return SparseOperator(dom, cod, [Term(None, perm, sign)], 0.0)
 
 

@@ -12,20 +12,20 @@ happens alike on both sides of every identity, so interior columns are exact.
 
 Operators are built from rules: ``rule(*domain.coords)`` returns terms
 ``(shift, values)``, a coordinate delta (a tuple, one entry per
-coordinate) and one scalar per domain point.  A rule term is one shift.
+coordinate) and one scalar per domain point.  A rule names each shift
+once, and each rule term is one term of the operator.
 
 Determinism: plain numpy arithmetic.  Terms of one shift are summed one
-at a time in the order the product lists them: rule terms in rule order,
-pairs of factors b-major in ``compose``, (w, op) terms in argument order
-in ``add``; column sums run in term order too.  Ties between equal
-maxima go to the first in (column, row) rank order, and NaN wins every
-maximum, so a NaN entry fails whatever reads it.  Comparisons are
-one subtraction, ``add((1, a), (-1, b))``, followed by a reduction.
+at a time in the order the product lists them: pairs of factors b-major
+in ``compose``, (w, op) terms in argument order in ``add``; column sums
+run in term order too.  Ties between equal maxima go to the first in
+(column, row) rank order, and NaN wins every maximum, so a NaN entry
+fails whatever reads it.  Comparisons are one subtraction,
+``add((1, a), (-1, b))``, followed by a reduction.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -38,27 +38,21 @@ EXACT_LIMIT = 2**62
 
 def _entry_values(vals, exact: bool) -> np.ndarray:
     """Entries as int64 (exact mode), float64 or complex128.  The exact
-    mode takes integers and integral finite floats below 2**63 in
-    magnitude; a larger integer is an OverflowError, any other value a
-    ValueError naming it."""
+    mode takes int arrays and integral finite float arrays below 2**63 in
+    magnitude; any other value, or an array of any other kind, is a
+    ValueError naming the first refused value."""
     arr = np.asarray(vals)
     if not exact:
         return arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64, copy=False)
-    if arr.dtype.kind == "u" or arr.dtype.kind == "O" and all(isinstance(v, int) for v in arr.flat):
-        arr = np.array(arr.tolist(), dtype=np.int64)  # Python ints beyond int64: OverflowError
     if arr.dtype.kind == "i":
         return arr.astype(np.int64, copy=False)
     refused = np.ones(arr.shape, dtype=bool)
     if arr.dtype.kind == "f":  # NaN and inf fail the magnitude test
         refused = ~((abs(arr) < 2**63) & (arr == np.trunc(arr)))
     if refused.any():
-        raise ValueError(f"exact-mode entries must be integers, got {arr[refused].tolist()[0]!r}")
+        raise ValueError("exact-mode entries must be int64 integers, "
+                         f"got {arr[refused].tolist()[0]!r}")
     return arr.astype(np.int64)
-
-
-def _max_abs(vals: np.ndarray) -> int:
-    """Largest |entry| of an int64 array, as a Python int."""
-    return max(int(vals.max()), -int(vals.min())) if vals.size else 0
 
 
 def _check_exact_bound(bound: int, what: str) -> None:
@@ -132,14 +126,17 @@ def _summed(pieces) -> list[Term]:
 def build_from_rule(domain: Basis, codomain: Basis, rule: Callable, q: float) -> SparseOperator:
     """Matrix whose column at p holds each rule term's value at p + shift.
 
+    A rule names each shift at most once (else ValueError naming it).
     Zero values are not stored; every other target must satisfy the
     codomain lattice invariants (else ValueError naming it and its
     column), and valid targets outside the cap are silently dropped.
-    Terms of one shift are summed in the order the rule gives them.
     """
     n = len(domain)
-    pieces = []
+    terms, seen = [], set()
     for shift, values in rule(*domain.coords):
+        if shift in seen:
+            raise ValueError(f"rule names the shift {shift!r} twice")
+        seen.add(shift)
         values = np.broadcast_to(_entry_values(values, q == 0), (n,))
         emit = np.flatnonzero(values != 0)
         target = tuple(c[emit] + d for c, d in zip(domain.coords, shift, strict=True))
@@ -151,12 +148,9 @@ def build_from_rule(domain: Basis, codomain: Basis, rule: Callable, q: float) ->
                              f"from {domain.point_of(int(emit[k]))!r}")
         ranks = codomain.rank(*target)
         emit, ranks = emit[ranks >= 0], ranks[ranks >= 0]
-        if emit.size:  # an empty term takes no place in the shift order or the sum guard
-            pieces.append(_term(shift, n, emit, ranks, values[emit]))
-    most = max(Counter(p.shift for p in pieces).values(), default=1)
-    if q == 0 and most > 1:
-        _check_exact_bound(most * max(_max_abs(p.values) for p in pieces), "sum")
-    return SparseOperator(domain, codomain, _summed(pieces), q)
+        if emit.size:  # an empty term takes no part in the operator's dtype
+            terms.append(_term(shift, n, emit, ranks, values[emit]))
+    return SparseOperator(domain, codomain, terms, q)
 
 
 def _check_modes(a: SparseOperator, b: SparseOperator, what: str) -> None:
@@ -165,8 +159,8 @@ def _check_modes(a: SparseOperator, b: SparseOperator, what: str) -> None:
 
 
 def _bound(op: SparseOperator) -> int:
-    """Largest |entry| of an exact-mode operator."""
-    return max((_max_abs(t.values) for t in op.terms), default=0)
+    """Largest |entry| of an exact-mode operator, as a Python int."""
+    return max((max(int(t.values.max()), -int(t.values.min())) for t in op.terms), default=0)
 
 
 def compose(a: SparseOperator, b: SparseOperator, columns) -> SparseOperator:

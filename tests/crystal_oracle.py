@@ -14,7 +14,12 @@ faces i = -n and j = -n.  lambda_0(beta) jumps up to
 branch takes priority at the common corner, where the drop coefficient
 vanishes.  pi_0(alpha) is the shift s -> s - 1, pi_0(beta) the shift
 t -> t - 1 on the bottom fiber s = 0; I (x) pi_0 acts the same for every r.
+
+u_backward is the inverse of the crystal-limit unitary, the tests'
+reference for U*: it is a second formula, not read back from U.
 """
+
+from qsu2.coefficients import t_parts
 
 # Crystal limits of the four Clebsch-Gordan coefficients.  a_plus is O(q)
 # and vanishes; the others are indicators with values in {-1, 0, +1}.
@@ -77,3 +82,11 @@ def columns(action, gen: str, points) -> dict:
                 else:
                     cols[target][p] = value
     return cols
+
+
+def u_backward(r, s, t):
+    """Image of full-lattice points under U*, elementwise: (sign, n2, i2, j2)
+    with sign (-1)^(t_minus), 2n = r + s + |t|, 2i = -r + s - t,
+    2j = -r + s + t."""
+    sign = 1 - 2 * (t_parts(t)[1] & 1)
+    return sign, r + s + abs(t), -r + s - t, -r + s + t

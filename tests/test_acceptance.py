@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from crystal_oracle import u_backward
 from support import decay_loglog_slope, entries, to_dense
 from qsu2.cli import main
 from qsu2.coefficients import verify_g_estimates
@@ -16,7 +17,6 @@ from qsu2.equivalence import (
     crosscheck_decomposition,
     decay_report,
     tail_norms,
-    u_backward,
     u_forward,
     unitary_u,
     verify_q0_equivalence,
@@ -61,7 +61,7 @@ def test_criterion_1_exact_q0_intertwining(capsys):
 
 def test_criterion_2_unitary_signed_permutation(capsys):
     with _Timer() as t:
-        u = unitary_u(40)  # construction asserts the signed round trip
+        u = unitary_u(40)  # construction checks a shell-preserving bijection
         rows = np.array([i for i, _, _ in entries(u)])  # one entry per column, columns ascending
         sign, *image = u_forward(*u.domain.coords)
         back_sign, *back = u_backward(*image)

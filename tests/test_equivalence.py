@@ -1,13 +1,18 @@
 """The unitary, conjugation, difference operators, and decay diagnostics."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+from crystal_oracle import u_backward
 from support import (
     basis_points,
     column,
@@ -32,7 +37,6 @@ from qsu2.equivalence import (
     diagonal_values,
     difference,
     tail_norms,
-    u_backward,
     u_forward,
     unitary_u,
     verify_q0_equivalence,
@@ -104,7 +108,7 @@ def test_unitary_pointwise_examples():
 
 
 def test_unitary_roundtrip_and_shells_cap40():
-    u = unitary_u(40)  # construction itself asserts round trip and shells
+    u = unitary_u(40)  # construction itself checks shells and a bijection
     # an exact operator with one entry per column
     found = entries(u)
     rows = np.array([i for i, _, _ in found])
@@ -119,6 +123,54 @@ def test_unitary_roundtrip_and_shells_cap40():
     sign, *image = u_forward(*u.domain.coords)
     assert np.array_equal(vals, sign)
     assert all(np.array_equal(c[rows], f) for c, f in zip(u.codomain.coords, image))
+
+
+def _collided(n2, i2, j2):
+    """U with (n2, i2, j2), i2 < j2, sent to the image of (n2, j2, j2):
+    every image valid and on its shell, some taken twice."""
+    return u_forward(n2, np.maximum(i2, j2), j2)
+
+
+def _off_shell(n2, i2, j2):
+    """U with the shell n2 = 2 moved one shell up along r."""
+    sign, r, s, t = u_forward(n2, i2, j2)
+    return sign, r + (n2 == 2), s, t
+
+
+@pytest.mark.parametrize("forward_map, message", [
+    (_collided, "the image of GammaIndex(n2=1, i2=-1, j2=1) is taken twice"),
+    (_off_shell, "broke the shell grading at GammaIndex(n2=2, i2=-2, j2=-2)"),
+], ids=["collided", "off_shell"])
+def test_unitary_refuses_a_map_that_is_not_a_shell_bijection(monkeypatch, forward_map, message):
+    # the first point, in rank order, whose image is taken twice or off its shell
+    monkeypatch.setattr(equivalence, "u_forward", forward_map)
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        unitary_u(4)
+
+
+def test_unitary_refuses_a_codomain_of_another_size(monkeypatch):
+    # one-to-one into a larger lattice is not onto
+    monkeypatch.setattr(equivalence, "full_basis", lambda cap: full_basis(cap + 1))
+    with pytest.raises(AssertionError, match="maps 30 points onto 55"):
+        unitary_u(3)
+
+
+def test_unitary_check_survives_optimised_python():
+    # `python -O` strips assert statements, not an explicit raise
+    src = str(Path(equivalence.__file__).resolve().parents[1])
+    code = """
+import numpy as np
+from qsu2 import equivalence
+forward = equivalence.u_forward
+equivalence.u_forward = lambda n2, i2, j2: forward(n2, np.maximum(i2, j2), j2)
+try:
+    equivalence.unitary_u(4)
+except AssertionError as error:
+    print(__debug__, error)
+"""
+    out = subprocess.run([sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.startswith("False unitary") and "is taken twice" in out.stdout
 
 
 def test_sheet_to_fiber():

@@ -3,8 +3,8 @@ class of qsu2, and every public method and property of its classes, is read
 somewhere in the package or in the benchmark, and every private
 module-level function is read somewhere in the package.  The sparse algebra
 of operator_core imports no qsu2 module but lattice, no module of the
-package scatters through ``np.<ufunc>.at``, and only the entry point in cli
-touches the C allocator."""
+package scatters through ``np.<ufunc>.at`` or checks through an ``assert``
+statement, and only the entry point in cli touches the C allocator."""
 
 import ast
 from pathlib import Path
@@ -105,6 +105,13 @@ def ufunc_at_calls(package: Path = PACKAGE) -> list[str]:
     ]
 
 
+def assert_statements(package: Path = PACKAGE) -> list[str]:
+    """module:line of every assert statement in the package."""
+    return [f"{path.stem}:{node.lineno} assert"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)]
+
+
 def allocator_touches(package: Path = PACKAGE) -> list[str]:
     """module:line of every ctypes import and every name, attribute or
     string ``mallopt`` outside cli.py, whose ``main`` alone sets the allocator."""
@@ -191,6 +198,27 @@ def test_a_ufunc_at_call_is_caught(tmp_path):
         "    np.minimum.reduceat(v, idx)\n"
         "    return np.minimum.at(out, idx, v)\n", encoding="utf-8")
     assert ufunc_at_calls(package) == ["mod:5 np.add.at", "mod:8 np.minimum.at"]
+
+
+def test_no_assert_statement():
+    # `python -O` drops an assert statement, and the check with it
+    assert assert_statements() == []
+
+
+def test_an_assert_statement_is_caught(tmp_path):
+    # an assert statement, nested too, but not a raised AssertionError
+    # or the word in a string
+    package = tmp_path / "qsu2"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "def f(x):\n"
+        "    assert x > 0, 'positive'\n"
+        "    if x > 1:\n"
+        "        assert x != 2\n"
+        "    if x > 3:\n"
+        "        raise AssertionError('assert x <= 3')\n"
+        "    return x\n", encoding="utf-8")
+    assert assert_statements(package) == ["mod:2 assert", "mod:4 assert"]
 
 
 def test_a_private_function_only_tests_call_is_caught(tmp_path):

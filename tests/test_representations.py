@@ -94,7 +94,7 @@ def test_every_operator_carries_its_q():
 def test_crystal_section_refuses_non_integer_values():
     basis = gamma_basis(2)
     for value in (0.5, np.nan, np.inf):
-        with pytest.raises(ValueError, match=f"exact-mode entries must be integers, got {value!r}"):
+        with pytest.raises(ValueError, match=f"exact-mode entries must be int64 integers, got {value!r}"):
             _section(basis, lambda n2, i2, j2: [((0, 0, 0), np.where(n2 == 1, value, 0.0))], 0.0)
     op = _section(basis, lambda n2, i2, j2: [((0, 0, 0), -1.0 * (n2 == 1))], 0.0)
     assert op.q == 0 and op.dtype == np.int64

@@ -20,7 +20,7 @@ An operator carries the q it was built at, and q == 0 is its exact mode;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,8 +114,7 @@ def b_minus(n2, i2, j2, q: float):
         / (gt[n2] * gt[n2 + 1])))
 
 
-@dataclass(frozen=True)
-class GEstimateRow:
+class GEstimateRow(NamedTuple):
     k: int
     lhs1: float  # |1 - g(k)|
     bound1: float  # q^(2k)
@@ -125,8 +124,7 @@ class GEstimateRow:
     pass2: bool
 
 
-@dataclass(frozen=True)
-class GEstimateReport:
+class GEstimateReport(NamedTuple):
     c: float
     rows: tuple[GEstimateRow, ...]
 

@@ -19,7 +19,7 @@ norm exceeds the one before it by more than TAIL_SLACK, not a geometric rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -220,8 +220,7 @@ _PATTERNS = {
 DECAY_TARGETS = tuple(_PATTERNS)
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(NamedTuple):
     pattern: str
     shell_max: tuple[tuple[int, float], ...]
     shell_exponent: tuple[int, ...]  # per shell, the least claimed exponent over its points
@@ -274,77 +273,104 @@ def tail_norms(q: float, cap: int, gen: str) -> list[tuple[int, float]]:
     Toeplitz direction r carries shifts and does not decay.  The shifts of
     D, D_SHIFTS[gen], move (t, r - s) by one common offset, so D is
     block-diagonal over the chains of columns with fixed (t, r - s), each
-    indexed by s, and every tail is a suffix of every chain.  Column
-    (r, s, t) sits at i = min(r, s) = s - s_min of its chain, whose length
-    is (cap - |t| - |r - s|) // 2 + 1, and feeds only row slots j = i..i+2
-    (row s' at s' - s_min + 1): the term of shift (dr, ds, dt) is the band
-    diagonal band[c, i, ds + 1], so the suffix of width w from column k
-    is the (w + 2) x w block at slots k..k+w+1.  A D carrying any other
-    shift raises AssertionError.
+    indexed by s, and every tail is a suffix of every chain.  Chain
+    (t, r - s) has rank ((t + r - s + cap)(2 cap + 1) + t - (r - s) + cap) / 2,
+    a bijection of the diamond |t| + |r - s| <= cap onto its size.  Column
+    (r, s, t) sits at slot i = min(r, s) of its chain, whose length is
+    (cap - |t| - |r - s|) // 2 + 1, and feeds only row slots i..i+2: the
+    term of shift (dr, ds, dt) is the band diagonal b[i, ds + 1].  A D
+    carrying any other shift raises AssertionError.  So the suffix of width
+    w from slot k is a (w + 2) x w block whose Gram matrix is the trailing
+    w x w principal submatrix of its chain's pentadiagonal Gram: diagonal
+    sum_j b[i, j]^2, first off-diagonal b[i, 1] b[i+1, 0] + b[i, 2] b[i+1, 1],
+    second off-diagonal b[i, 2] b[i+2, 0].
 
     Each suffix is bracketed in O(width): lo is its largest column 2-norm,
     hi the Schur test sqrt(max col abs-sum) * sqrt(max row abs-sum), two
-    roots so nothing underflows.  floor[m] is the largest lo over the
-    suffixes tail m reads, and a suffix is solved unless hi * (1 + 1e-10)
-    < floor[m] for every m reading it (a NaN keeps it, so LAPACK still
-    refuses a NaN).  The chain attaining the floor is always solved, and a
-    skipped suffix lies below it by far more than SVD and summation error,
-    so each maximum is the LAPACK value an unpruned solve gives.  Each w
-    takes one batched dense spectral norm (LAPACK SVD) of its surviving
-    blocks; floor <= norm <= max hi is checked to 1e-10, else AssertionError.
+    roots so nothing underflows.  Suffix (c, k) is read only by the tail
+    s + |t| of the column at slot k, and a whole chain (k = 0) also by every
+    smaller tail, so floor[m], the largest lo tail m reads, and the largest
+    hi and norm are O(points) maxima over the columns grouped by s + |t|.
+    A suffix is solved unless hi * (1 + 1e-10) < floor[m] for its tail m
+    (floor does not grow with m, so for a whole chain the tail of its
+    first column decides; a NaN keeps it, so LAPACK still refuses a NaN).
+    The chain attaining the floor is always solved, and a skipped suffix
+    lies below it by far more than solver and summation error, so each
+    maximum is the value an unpruned solve gives.
+
+    Each block is scaled by 2^-e, e the binary exponent of its largest
+    |entry|, before the products: that entry lands in [1/2, 1), so the
+    Gram's largest diagonal is at least 1/4, and only squares far below
+    its O(eps) share can underflow, even at q = 1e-150, where unscaled
+    squares of every entry do.  Each w takes one batched symmetric
+    eigensolve (LAPACK) of its surviving Grams, and the norm is
+    sqrt(largest eigenvalue) * 2^e.  The solver is backward stable, so
+    that eigenvalue is off by O(eps) of the Gram's norm, sigma_max^2, and
+    the norm is within O(eps) relative, as an SVD of the block would give.
+    floor <= norm <= max hi is checked to 1e-10, else AssertionError.
     """
     d = difference(q, cap, gen)
     r, s, t = d.domain.coords
-    _, first, chain = np.unique((t + cap) * (2 * cap + 1) + r - s, return_index=True,
-                                return_inverse=True)
-    n = len(first)
+    n = 2 * cap * (cap + 1) + 1  # the chains, one per point of the diamond
+    chain = ((t + r - s + cap) * (2 * cap + 1) + t - (r - s) + cap) // 2
     slot = np.minimum(r, s)  # i of each column in its chain
-    s_min = (s - slot)[first]
-    length = (cap - abs(t[first]) - abs((r - s)[first])) // 2 + 1
-    width = int(length.max())
-    band = np.zeros((n, width + 1, 3))  # column `width` stays empty
+    length = (cap - abs(t) - abs(r - s)) // 2 + 1  # of each column's chain
+    width = cap // 2 + 1
+    band = np.zeros((3, n, width + 1))  # [j, c, i]: b[i, j] of chain c; slot `width` stays empty
     for term in d.terms:
         if term.shift not in D_SHIFTS[gen]:
             raise AssertionError(f"D_{gen} carries the shift {term.shift!r}, which leaves "
                                  "its (t, r - s) chains or their band of row slots")
-        band[chain, slot, term.shift[1] + 1] = term.values
-    a = np.abs(band)
+        band[term.shift[1] + 1, chain, slot] = term.values
+    a0, a1, a2 = a = np.abs(band)
 
     def from_k(x):  # x[c, k] -> max over i >= k of x[c, i]
         return np.maximum.accumulate(x[:, ::-1], axis=1)[:, ::-1]
 
     row_sum = np.zeros((n, width + 3))  # abs-sum of every row slot over the whole chain
     for j in range(3):
-        row_sum[:, j:j + width + 1] += a[..., j]
-    edge = a[..., 1].copy()  # slot k + 1 loses column k - 1 in the suffix from k
-    edge[:, :-1] += a[:, 1:, 0]
-    lo = from_k(np.hypot(np.hypot(a[..., 0], a[..., 1]), a[..., 2]))
-    hi = np.sqrt(from_k(a.sum(axis=2))) * np.sqrt(
-        np.maximum(np.maximum(from_k(row_sum[:, 2:]), edge), a[..., 0]))
-    offset = np.clip(np.arange(cap + 1)[:, None] - abs(t[first]) - s_min, 0, width)
-    at = (np.arange(n), offset)  # [m, c]: the suffix of chain c that tail m reads
-    floor, slack = lo[at].max(axis=1), 1 + 1e-10
-    solve = np.zeros((n, width + 1), dtype=bool)
-    c, k = np.broadcast_arrays(*at)
-    keep = ~(hi[at] * slack < floor[:, None])
-    solve[c[keep], k[keep]] = True  # only True is written, so repeated (c, k) agree
-    suffix = np.zeros((n, width + 1))  # suffix[c, k]: norm of chain c from column k on
-    for w in range(1, width + 1):
-        c = np.flatnonzero(length >= w)
-        c = c[solve[c, length[c] - w]]
-        k, i = length[c] - w, np.arange(w)
-        blocks = np.zeros((len(c), w + 2, w), dtype=band.dtype)
-        blocks[:, i[:, None] + np.arange(3), i[:, None]] = band[c[:, None], k[:, None] + i]
-        suffix[c, k] = np.linalg.norm(blocks, 2, axis=(1, 2))
-    value = suffix[at].max(axis=1)
-    bad = ~((floor <= value * slack) & (value <= hi[at].max(axis=1) * slack))
+        row_sum[:, j:j + width + 1] += a[j]
+    edge = a1.copy()  # slot k + 1 loses column k - 1 in the suffix from k
+    edge[:, :-1] += a0[:, 1:]
+    lo = from_k(np.hypot(np.hypot(a0, a1), a2))
+    hi = np.sqrt(from_k(a.sum(axis=0))) * np.sqrt(
+        np.maximum(np.maximum(from_k(row_sum[:, 2:]), edge), a0))
+    lo, hi = lo[chain, slot], hi[chain, slot]  # of the suffix from each column on
+    tail = s + abs(t)
+    order = np.argsort(tail, kind="stable")
+    starts = np.searchsorted(tail[order], np.arange(cap + 1))  # every tail holds (0, m, 0)
+    whole = slot == 0
+
+    def per_tail(x):  # x per suffix -> max over the suffixes each tail reads
+        own = np.maximum.reduceat(x[order], starts)
+        head = np.maximum.reduceat(np.where(whole, x, 0.0)[order], starts)
+        return np.maximum(own, np.maximum.accumulate(head[::-1])[::-1])
+
+    floor, slack = per_tail(lo), 1 + 1e-10
+    solve = np.flatnonzero(~(hi * slack < floor[tail]))
+    widths = length[solve] - slot[solve]
+    solve = solve[np.argsort(widths, kind="stable")]
+    norm = np.zeros(len(tail))
+    for w, cols in enumerate(np.split(solve, np.cumsum(np.bincount(widths))[:-1])):
+        if not cols.size:
+            continue
+        i = np.arange(w)
+        b = band[:, chain[cols, None], slot[cols, None] + i]
+        e = np.frexp(abs(b).max(axis=(0, 2)))[1]
+        b0, b1, b2 = np.ldexp(b, -e[:, None])
+        gram = np.zeros((len(cols), w, w))
+        gram[:, i, i] = b0 * b0 + b1 * b1 + b2 * b2
+        gram[:, i[:-1], i[1:]] = b1[:, :-1] * b0[:, 1:] + b2[:, :-1] * b1[:, 1:]
+        gram[:, i[:-2], i[2:]] = b2[:, :-2] * b0[:, 2:]
+        norm[cols] = np.ldexp(np.sqrt(np.linalg.eigvalsh(gram, UPLO="U")[:, -1]), e)
+    value = per_tail(norm)
+    bad = ~((floor <= value * slack) & (value <= per_tail(hi) * slack))
     if bad.any():
         raise AssertionError(f"tail {int(np.argmax(bad))} norm leaves its bracket [lo, hi]")
     return list(enumerate(value.tolist()))
 
 
-@dataclass(frozen=True)
-class Q0EquivalenceReport:
+class Q0EquivalenceReport(NamedTuple):
     mismatches: dict  # generator name -> mismatching interior columns
     witness: dict  # generator name -> first mismatching column, or None
     relations: dict  # "lambda0"/"pi0" -> RelationReport; empty below cap 2

@@ -70,8 +70,9 @@ class Term(NamedTuple):
 
 class SparseOperator:
     """Finite matrix between truncated basis spaces: ``terms`` holds one
-    ``Term`` per shift, all values of one ``dtype``; the constructor casts
-    them and drops the terms whose values are all zero."""
+    ``Term`` per shift, all values of one ``dtype``; the constructor drops
+    the terms whose values are all zero and casts the rest to the dtype
+    they share, so a dropped term takes no part in it."""
 
     __slots__ = ("domain", "codomain", "q", "dtype", "terms")
 
@@ -80,10 +81,11 @@ class SparseOperator:
         terms = [t._replace(values=_entry_values(t.values, q == 0)) for t in terms]
         if any({t.targets.shape, t.values.shape} != {(len(domain),)} for t in terms):
             raise ValueError("term arrays must hold one entry per domain point")
+        terms = [t for t in terms if t.values.any()]
         self.dtype = np.result_type(np.int64 if q == 0 else np.float64,
                                     *(t.values for t in terms))
         self.terms = tuple(t._replace(values=t.values.astype(self.dtype, copy=False))
-                           for t in terms if t.values.any())
+                           for t in terms)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -148,8 +150,7 @@ def build_from_rule(domain: Basis, codomain: Basis, rule: Callable, q: float) ->
                              f"from {domain.point_of(int(emit[k]))!r}")
         ranks = codomain.rank(*target)
         emit, ranks = emit[ranks >= 0], ranks[ranks >= 0]
-        if emit.size:  # an empty term takes no part in the operator's dtype
-            terms.append(_term(shift, n, emit, ranks, values[emit]))
+        terms.append(_term(shift, n, emit, ranks, values[emit]))
     return SparseOperator(domain, codomain, terms, q)
 
 

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 # json.dumps of a str, without the encoder set-up around it
 from json.encoder import encode_basestring_ascii as _quote
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass
-class ReportItem:
+class ReportItem(NamedTuple):
     name: str
     value: float | int
     bound: float | int | None
@@ -29,11 +28,10 @@ class ReportItem:
     index: object = None  # CSV index column (shell, k or a short label); the name if unset
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     command: str
     params: dict
-    items: list[ReportItem] = field(default_factory=list)
+    items: list[ReportItem]
 
     @property
     def passed(self) -> bool:

@@ -14,7 +14,7 @@ adjoints, formed by ``adjoint``, so *-compatibility holds by construction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,15 +111,13 @@ def coproduct_images(q: float, cap: int) -> tuple[SparseOperator, SparseOperator
     return d_alpha, d_beta
 
 
-@dataclass(frozen=True)
-class RelationResidual:
+class RelationResidual(NamedTuple):
     name: str
     residual: float
     witness: object
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     rows: tuple[RelationResidual, ...]  # in the order of RELATIONS
 
 

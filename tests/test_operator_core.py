@@ -168,7 +168,8 @@ def test_compose_columns_keep_the_full_product_bits(mode):
             part = compose(a, b, columns)
             kept = np.zeros(n, dtype=bool)
             kept[np.asarray(columns, dtype=np.intp)] = True
-            assert part.dtype == full.dtype
+            # an operator left with no term has its mode's own dtype
+            assert part.dtype == (full.dtype if part.terms else np.int64 if a.q == 0 else np.float64)
             assert entry_bits(part) == [e for e in entry_bits(full) if kept[e[1]]]
 
 
@@ -313,6 +314,26 @@ def test_constructor_canonicalises_entries():
     assert all(v.dtype == np.float64 for _, _, v in entries(op))
     with pytest.raises(ValueError, match="one entry per domain point"):
         SparseOperator(basis, basis, [Term((0,), np.arange(3), np.ones(4))], MODE)
+
+
+def test_dropped_terms_take_no_part_in_the_dtype():
+    # an all-zero complex term is dropped and leaves the float term's dtype
+    basis = nat_basis(3)
+    op = SparseOperator(basis, basis, [Term((0,), np.arange(3), np.ones(3)),
+                                       Term((1,), np.arange(3), np.zeros(3, complex))], MODE)
+    assert op.dtype == np.float64 and [t.shift for t in op.terms] == [(0,)]
+    assert op.terms[0].values.dtype == np.float64
+    # so does a rule term whose one value targets e_3, outside the truncation
+    dropped = build_from_rule(basis, basis, lambda k: [
+        ((0,), np.ones(3)), ((1,), np.where(k == 2, 1j, 0))], MODE)
+    assert dropped.dtype == np.float64 and entries(dropped) == entries(op)
+    # a kept complex term makes sums and tensors with a real operator complex
+    c = build_from_rule(basis, basis, lambda k: [((1,), np.where(k < 2, 1j, 0))], MODE)
+    wide = nat_basis(9)
+    for mixed, dense in ((add((1, op), (1, c)), to_dense(op) + to_dense(c)),
+                         (tensor(op, c, wide, wide), np.kron(to_dense(op), to_dense(c))),
+                         (tensor(c, op, wide, wide), np.kron(to_dense(c), to_dense(op)))):
+        assert mixed.dtype == np.complex128 and np.array_equal(to_dense(mixed), dense)
 
 
 def test_repeated_positions_sum_in_occurrence_order():

@@ -4,7 +4,9 @@ somewhere in the package or in the benchmark, and every private
 module-level function is read somewhere in the package.  The sparse algebra
 of operator_core imports no qsu2 module but lattice, no module of the
 package scatters through ``np.<ufunc>.at`` or checks through an ``assert``
-statement, and only the entry point in cli touches the C allocator."""
+statement, only the entry point in cli touches the C allocator, and no
+module imports ``dataclasses``: records are ``typing.NamedTuple``s, like
+``Term`` and the lattice indices, and the import would cost every start-up."""
 
 import ast
 from pathlib import Path
@@ -130,6 +132,37 @@ def allocator_touches(package: Path = PACKAGE) -> list[str]:
                 hits.add((node.lineno, "mallopt"))
         found += [f"{path.stem}:{line} {what}" for line, what in sorted(hits)]
     return found
+
+
+
+def dataclasses_imports(package: Path = PACKAGE) -> list[str]:
+    """module:line of every import of ``dataclasses`` in the package."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if "dataclasses" in (module.split(".")[0] for module in modules):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_no_dataclasses_import():
+    assert dataclasses_imports() == []
+
+
+def test_a_dataclasses_import_is_caught(tmp_path):
+    # both import forms, nested too, but not the word in a comment
+    package = tmp_path / "qsu2"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "import numpy as np  # not dataclasses\n\n\n"
+        "def f():\n"
+        "    import dataclasses as dc\n"
+        "    return dc\n", encoding="utf-8")
+    assert dataclasses_imports(package) == ["mod:1", "mod:2", "mod:7"]
 
 
 def test_only_cli_touches_the_allocator():

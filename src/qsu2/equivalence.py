@@ -199,8 +199,7 @@ def crosscheck_decomposition(q: float, cap: int, gen: str) -> tuple[float, objec
         raise ValueError("no interior: crosscheck_decomposition needs cap >= 1")
     d = difference(q, cap, gen)
     cf = closed_form(q, cap, gen)
-    interior = np.flatnonzero(d.domain.shells <= cap - 1)
-    return max_entry_difference(cf, d, columns=interior)
+    return max_entry_difference(cf, d, d.domain.shells <= cap - 1)
 
 
 # Decay targets: the parts whose difference is measured (two diagonals,
@@ -349,12 +348,9 @@ def tail_norms(q: float, cap: int, gen: str) -> list[tuple[int, float]]:
     floor, slack = per_tail(lo), 1 + 1e-10
     solve = np.flatnonzero(~(hi * slack < floor[tail]))
     widths = length[solve] - slot[solve]
-    solve = solve[np.argsort(widths, kind="stable")]
     norm = np.zeros(len(tail))
-    for w, cols in enumerate(np.split(solve, np.cumsum(np.bincount(widths))[:-1])):
-        if not cols.size:
-            continue
-        i = np.arange(w)
+    for w in sorted(set(widths.tolist())):
+        cols, i = solve[widths == w], np.arange(w)
         b = band[:, chain[cols, None], slot[cols, None] + i]
         e = np.frexp(abs(b).max(axis=(0, 2)))[1]
         b0, b1, b2 = np.ldexp(b, -e[:, None])

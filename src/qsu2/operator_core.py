@@ -26,7 +26,7 @@ fails whatever reads it.  Comparisons are one subtraction,
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -167,27 +167,25 @@ def _bound(op: SparseOperator) -> int:
 def compose(a: SparseOperator, b: SparseOperator, columns) -> SparseOperator:
     """Matrix product a @ b (apply b first) on the given columns.
 
-    ``columns`` are strictly ascending domain ranks; only those columns
-    are formed and every other column is empty.  Each pair of a b term and
-    an a term is one gather and one multiply.  Column j of a @ b reads
-    only column j of b, so a kept column holds the same bits as in the
-    full product, which ``np.arange(len(b.domain))`` forms.
+    ``columns`` is a boolean mask over the domain points; only the
+    columns it marks are formed and every other column is empty.  Each
+    pair of a b term and an a term is one gather and one multiply.
+    Column j of a @ b reads only column j of b, so a kept column holds
+    the same bits as in the full product, which an all-True mask forms.
     """
     if not a.domain.same_points(b.codomain):
         raise ValueError("dimension mismatch in compose")
     _check_modes(a, b, "compose")
     if a.q == 0:  # a column of b holds at most one entry per term
         _check_exact_bound(_bound(a) * _bound(b) * len(b.terms), "compose")
-    columns = np.asarray(columns, dtype=np.intp)
-    if columns.ndim != 1 or (columns.size and not (
-            0 <= columns[0] and columns[-1] < len(b.domain) and (columns[1:] > columns[:-1]).all())):
-        raise ValueError("compose columns must be strictly ascending domain ranks")
+    columns = np.asarray(columns)
+    if columns.dtype != bool or columns.shape != (len(b.domain),):
+        raise ValueError("columns must be a boolean mask over the domain")
     # an a term read at rank -1 (outside b's truncation or columns) gives no entry
     a_ends = [(np.append(t.targets, -1), np.append(t.values, 0)) for t in a.terms]
     pieces = []
     for tb in b.terms:
-        mid = np.full(len(b.domain), -1, dtype=np.intp)
-        mid[columns] = tb.targets[columns]
+        mid = np.where(columns, tb.targets, -1)
         for ta, (targets, values) in zip(a.terms, a_ends):
             targets = targets[mid]
             pieces.append(Term(tuple(x + y for x, y in zip(ta.shift, tb.shift)), targets,
@@ -291,15 +289,17 @@ def worst_column(op: SparseOperator) -> tuple[object, int | None]:
 
 
 def max_entry_difference(a: SparseOperator, b: SparseOperator,
-                         columns: Sequence[int] | np.ndarray) -> tuple[float, object]:
-    """Largest |a - b| entry over the given domain ranks, with a witness point.
+                         columns: np.ndarray) -> tuple[float, object]:
+    """Largest |a - b| entry over the columns marked by ``columns``, a
+    boolean mask over the domain points, with a witness point.
 
     The witness is the first maximal entry in (column, row) rank order.
     """
+    columns = np.asarray(columns)
+    if columns.dtype != bool or columns.shape != (len(a.domain),):
+        raise ValueError("columns must be a boolean mask over the domain")
     d = add((1, a), (-1, b))
-    wanted = np.zeros(len(a.domain), dtype=bool)
-    wanted[np.asarray(columns, dtype=np.intp)] = True
-    dev = np.where(wanted, column_max_abs(d), 0)
+    dev = np.where(columns, column_max_abs(d), 0)
     if not np.max(dev) != 0:  # a NaN goes on to its witness
         return 0.0, None
     j = int(np.argmax(dev))

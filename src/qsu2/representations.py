@@ -146,8 +146,8 @@ def check_relations(ops) -> RelationReport:
     holds no other key (ValueError); the starred letters are their matrix
     adjoints.  Every relation of ``RELATIONS`` is evaluated at the operators' q
     (exact integers at q = 0) on the interior columns, the basis vectors of
-    shell <= cap - 2: each distinct word is composed once (``compose`` over
-    that column set; I is one zero-shift term, 1 on those columns alone) and
+    shell <= cap - 2: each distinct word is composed once (``compose`` with
+    their boolean mask; I is one zero-shift term, 1 on those columns alone) and
     dropped after its last reader in ``_EVALUATION_ORDER``; each relation is
     summed by one ``add``.  Every other column of a relation operator is
     empty.  The report holds, in table order, the largest column norm per
@@ -165,14 +165,13 @@ def check_relations(ops) -> RelationReport:
         raise ValueError(f"no interior: cap < {_MARGIN}")
     q = a.q
     inside = basis.shells <= cap - _MARGIN
-    interior = np.flatnonzero(inside)
 
     def form(word):
         if word == "I":  # int64: the exact mode refuses bools
             return SparseOperator(basis, basis, [Term((0,) * len(basis.coords), np.where(
                 inside, np.arange(len(basis)), -1), inside.astype(np.int64))], q)
         x, y = re.findall(r"[ab]\*?", word)
-        return compose(letters[x], letters[y], interior)
+        return compose(letters[x], letters[y], inside)
 
     table = [[(_WEIGHTS[label](q), label, word) for label, word in terms
               if not (q == 0 and "q" in label)] for terms in RELATIONS]

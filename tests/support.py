@@ -59,7 +59,7 @@ def coefficient(term, n2: int, i2: int, j2: int, q: float) -> float:
 
 def product(a, b):
     """The full matrix product a @ b: compose over every column of b."""
-    return compose(a, b, np.arange(len(b.domain)))
+    return compose(a, b, np.ones(len(b.domain), dtype=bool))
 
 
 def sheet_of(p) -> int:

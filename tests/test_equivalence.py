@@ -398,6 +398,26 @@ def test_crosscheck_refuses_cap_zero():
 
 
 @pytest.mark.parametrize("gen", ["alpha", "beta"])
+def test_crosscheck_reads_columns_of_shell_below_cap_alone(monkeypatch, gen):
+    # a 1e-3 diagonal entry planted in the closed form (D has no zero
+    # shift): ignored on a column of shell cap, reported on one of shell
+    # cap - 1, with that column in the witness
+    q, cap = 0.47, 8
+    basis, real = full_basis(cap), equivalence.closed_form
+    for shell in (cap, cap - 1):
+        j = int(np.flatnonzero(basis.shells == shell)[0])
+        planted = diagonal(basis, np.where(np.arange(len(basis)) == j, 1e-3, 0.0), q)
+        monkeypatch.setattr(equivalence, "closed_form",
+                            lambda *args, planted=planted: add((1.0, real(*args)), (1.0, planted)))
+        deviation, witness = crosscheck_decomposition(q, cap, gen)
+        if shell == cap:
+            assert deviation < 1e-13, witness
+        else:
+            assert deviation == pytest.approx(1e-3, rel=1e-12)
+            assert witness == (basis.point_of(j), basis.point_of(j))
+
+
+@pytest.mark.parametrize("gen", ["alpha", "beta"])
 def test_rule_terms_are_the_written_shifts_in_order(gen):
     # each builder's terms carry its rule's shifts in rule order: the
     # Clebsch-Gordan steps for lambda, pi's shift lifted as (0, ds, dt) for
@@ -418,8 +438,7 @@ def test_closed_form_matches_difference_everywhere_interior():
         d = difference(0.3, 10, gen)
         cf_op = closed_form(0.3, 10, gen)
         basis = d.domain
-        interior = [j for j in range(len(basis)) if basis.shells[j] <= 9]
-        worst, _ = max_entry_difference(cf_op, d, columns=interior)
+        worst, _ = max_entry_difference(cf_op, d, columns=basis.shells <= 9)
         assert worst < 1e-14
 
 

@@ -24,6 +24,7 @@ import time
 from typing import Callable, NamedTuple
 
 from . import coefficients, equivalence, representations
+from .lattice import points_below
 from .report import ReportItem, VerificationReport, render
 
 DEFAULT_CAP = 12
@@ -206,8 +207,7 @@ def _size(args) -> tuple[str, int]:
     """The flag that sizes a command and the points it makes it enumerate."""
     flag = COMMANDS[args.command].size
     n = getattr(args, flag)
-    # Shell m of the Gamma and full lattices holds (m + 1)^2 points.
-    return flag, (n + 1) * (n + 2) * (2 * n + 3) // 6 if flag == "cap" else n
+    return flag, points_below(n + 1) if flag == "cap" else n
 
 
 def _usage_error(message: str) -> int:

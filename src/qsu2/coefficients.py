@@ -3,11 +3,11 @@ GNS action, and the analytic estimates on g used by the compactness
 diagnostics.  The formulas hold at q = 0 too, where they take the crystal
 values in {-1, 0, +1} (with 0**0 = 1).
 
-The coefficient functions take arrays of Gamma points in doubled
-coordinates and return the rule term ``(step, values)`` of their part of
-the GNS action: the Clebsch-Gordan step, written only there, and the
-coefficient at every point from per-call tables of g(k, q) and q**e.
-They apply the validity-first rule: where point + step violates the Gamma
+The coefficient functions take a Gamma basis and return the rule term
+``(step, values)`` of their part of the GNS action: the Clebsch-Gordan
+step, written only there, and the coefficient at every point of the
+basis from per-call tables of g(k, q) and q**e up to its cap.  They
+apply the validity-first rule: where point + step violates the Gamma
 invariants the target basis vector does not exist, so the coefficient is
 0 by definition and no division is attempted.  These are exactly the
 sites where the raw formulas degenerate to 0/0, and a rule of these terms
@@ -67,48 +67,46 @@ def float_mode(q: float) -> float:
     return q
 
 
-def _coefficient(n2, i2, j2, q: float, step: tuple[int, int, int], formula):
-    """The rule term (step, values): ``formula(gt, qp, n2, i2, j2)`` where
-    the target point (n2, i2, j2) + step exists, 0.0 elsewhere."""
-    n2, i2, j2 = (np.asarray(c, dtype=np.int64) for c in (n2, i2, j2))
-    bad = ~is_valid_gamma(n2, i2, j2)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(f"invalid Gamma point ({n2[k]}, {i2[k]}, {j2[k]})")
+def _coefficient(basis, q: float, step: tuple[int, int, int], formula):
+    """The rule term (step, values) on a Gamma basis: ``formula(gt, qp, n2,
+    i2, j2)`` at the points (n2, i2, j2) whose target point + step exists,
+    0.0 elsewhere; gt and qp tabulate g(k, q) and q**e up to the cap."""
+    if basis.label != "gamma":
+        raise ValueError(f"Clebsch-Gordan terms take a Gamma basis, not {basis.label!r}")
+    n2, i2, j2 = basis.coords
     ok = is_valid_gamma(n2 + step[0], i2 + step[1], j2 + step[2])
-    out = np.zeros(n2.shape)
-    if ok.any():
-        top = int(n2.max()) + 2
-        out[ok] = formula(g_table(q, top), power_table(q, 2 * top), n2[ok], i2[ok], j2[ok])
+    top = basis.cap + 2
+    out = np.zeros(len(basis))
+    out[ok] = formula(g_table(q, top), power_table(q, 2 * top), n2[ok], i2[ok], j2[ok])
     return step, out
 
 
-def a_plus(n2, i2, j2, q: float):
-    """Raising term of the alpha action."""
-    return _coefficient(n2, i2, j2, q, (1, -1, -1), lambda gt, qp, n2, i2, j2: (
+def a_plus(basis, q: float):
+    """Raising term of the alpha action on a Gamma basis."""
+    return _coefficient(basis, q, (1, -1, -1), lambda gt, qp, n2, i2, j2: (
         qp[n2 + (i2 + j2) // 2 + 1]  # q^(2n + i + j + 1)
         * (gt[(n2 - j2) // 2 + 1] * gt[(n2 - i2) // 2 + 1])
         / (gt[n2 + 1] * gt[n2 + 2])))
 
 
-def a_minus(n2, i2, j2, q: float):
-    """Lowering term of the alpha action."""
-    return _coefficient(n2, i2, j2, q, (-1, -1, -1), lambda gt, qp, n2, i2, j2: (
+def a_minus(basis, q: float):
+    """Lowering term of the alpha action on a Gamma basis."""
+    return _coefficient(basis, q, (-1, -1, -1), lambda gt, qp, n2, i2, j2: (
         (gt[(n2 + j2) // 2] * gt[(n2 + i2) // 2])
         / (gt[n2] * gt[n2 + 1])))
 
 
-def b_plus(n2, i2, j2, q: float):
-    """Raising term of the beta action."""
-    return _coefficient(n2, i2, j2, q, (1, 1, -1), lambda gt, qp, n2, i2, j2: (
+def b_plus(basis, q: float):
+    """Raising term of the beta action on a Gamma basis."""
+    return _coefficient(basis, q, (1, 1, -1), lambda gt, qp, n2, i2, j2: (
         -(qp[(n2 + j2) // 2])  # q^(n + j)
         * (gt[(n2 - j2) // 2 + 1] * gt[(n2 + i2) // 2 + 1])
         / (gt[n2 + 1] * gt[n2 + 2])))
 
 
-def b_minus(n2, i2, j2, q: float):
-    """Lowering term of the beta action."""
-    return _coefficient(n2, i2, j2, q, (-1, 1, -1), lambda gt, qp, n2, i2, j2: (
+def b_minus(basis, q: float):
+    """Lowering term of the beta action on a Gamma basis."""
+    return _coefficient(basis, q, (-1, 1, -1), lambda gt, qp, n2, i2, j2: (
         qp[(n2 + i2) // 2]  # q^(n + i)
         * (gt[(n2 + j2) // 2] * gt[(n2 - i2) // 2])
         / (gt[n2] * gt[n2 + 1])))

@@ -73,7 +73,7 @@ def pi_shell(s, t):
     return s + abs(t)
 
 
-def _pyramid(m):
+def points_below(m):
     """Points below shell m on Gamma (equivalently on N x N x Z)."""
     return m * (m + 1) * (2 * m + 1) // 6
 
@@ -89,13 +89,13 @@ def _inside(shell, cap, rank):
 
 def _gamma_rank(cap: int, n2, i2, j2):
     """Rank of valid Gamma points in gamma_basis(cap), -1 above the cap."""
-    return _inside(n2, cap, _pyramid(n2) + (i2 + n2) // 2 * (n2 + 1) + (j2 + n2) // 2)
+    return _inside(n2, cap, points_below(n2) + (i2 + n2) // 2 * (n2 + 1) + (j2 + n2) // 2)
 
 
 def _full_rank(cap: int, r, s, t):
     """Rank of valid (r, s, t) in full_basis(cap), -1 above the cap."""
     m = full_shell(r, s, t)
-    return _inside(m, cap, _pyramid(m) + (m - r) ** 2 + _pi_offset(t))
+    return _inside(m, cap, points_below(m) + (m - r) ** 2 + _pi_offset(t))
 
 
 def _pi_rank(cap: int, s, t):

@@ -278,8 +278,8 @@ def worst_column(op: SparseOperator) -> tuple[object, int | None]:
     """Largest squared column norm, |v| * |v| summed over each column in
     term order, and the first column in rank order attaining it; a NaN
     column wins.  (0.0, None) when every column is zero."""
-    if op.q == 0 and _bound(op) ** 2 * len(op.terms) >= EXACT_LIMIT:
-        raise OverflowError("exact column norm could overflow int64")
+    if op.q == 0:
+        _check_exact_bound(_bound(op) ** 2 * len(op.terms), "column norm")
     norms = np.abs(np.zeros(len(op.domain), dtype=op.dtype))
     for t in op.terms:
         v = np.abs(t.values)

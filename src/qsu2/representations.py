@@ -48,7 +48,8 @@ def build_lambda(q: float, cap: int, gen: str) -> SparseOperator:
     terms = {"alpha": (cf.a_plus, cf.a_minus), "beta": (cf.b_plus, cf.b_minus)}
     if gen not in terms:
         raise ValueError(f"unknown generator {gen!r}: choose alpha or beta")
-    return _section(gamma_basis(cap), lambda *p: [term(*p, q) for term in terms[gen]], q)
+    basis = gamma_basis(cap)
+    return _section(basis, lambda *_: [term(basis, q) for term in terms[gen]], q)
 
 
 def _pi_rule(q: float, gen: str):
@@ -78,21 +79,20 @@ def build_ipi(q: float, cap: int, gen: str) -> SparseOperator:
 
 
 def build_irrep(q: float, z: complex, dim: int) -> tuple[SparseOperator, SparseOperator]:
-    """The infinite-dimensional irreducible indexed by z on the unit circle.
-
-    alpha acts as the weighted down-shift e_k -> g(k) e_{k-1}, beta as the
-    diagonal e_k -> z q^k e_k.
+    """The infinite-dimensional irreducible indexed by z on the unit circle:
+    the fibre at z of pi_q, whose rule reads no t.  e_k is pi_q's s, and a
+    rule term shifting t by dt takes the phase z**-dt, so alpha acts as the
+    weighted down-shift e_k -> g(k) e_{k-1}, beta as e_k -> z q^k e_k.
     """
     float_mode(q)  # refuses q = 0 and |q| >= 1
     if not abs(abs(z) - 1.0) <= UNIT_CIRCLE_TOL:  # NaN z fails too
         raise ValueError("irreducible parameter z must lie on the unit circle")
     if dim < 1:
         raise ValueError("irreducible section needs dim >= 1")
-    basis = nat_basis(dim)
-    alpha = build_from_rule(basis, basis, lambda k: [((-1,), g_table(q, dim)[k])], q)
-    z = complex(z)
-    beta = build_from_rule(basis, basis, lambda k: [((0,), z * power_table(q, dim)[k])], q)
-    return alpha, beta
+    basis, z = nat_basis(dim), complex(z)
+    return tuple(build_from_rule(basis, basis, lambda s: [
+        ((ds,), v if dt == 0 else z ** -dt * v) for (ds, dt), v in _pi_rule(q, gen)(s, None)], q)
+        for gen in GENERATORS)
 
 
 def coproduct_images(q: float, cap: int) -> tuple[SparseOperator, SparseOperator]:
@@ -121,18 +121,12 @@ class RelationReport(NamedTuple):
     rows: tuple[RelationResidual, ...]  # in the order of RELATIONS
 
 
-# The defining relations of C(SU_q(2)), each a sum of weighted words:
-# products xy of two of a, a*, b, b* (y applied first), or the identity
-# I.  A term's weight at q is read from its label; at q = 0 the
+# The defining relations of C(SU_q(2)) as the paper writes them, each a sum
+# of terms (_TERM): a sign, a weight 1, q or q^2, and a word, the product xy
+# of two of a, a*, b, b* (y applied first) or the identity I.  At q = 0 the
 # q-weighted terms vanish, and they drop out of the relation and its name.
-_WEIGHTS = {"+": lambda q: 1, "-": lambda q: -1, "+q^2": lambda q: q * q, "-q": lambda q: -q}
-RELATIONS = (
-    (("+", "a*a"), ("+", "b*b"), ("-", "I")),
-    (("+", "aa*"), ("+q^2", "bb*"), ("-", "I")),
-    (("+", "ab"), ("-q", "ba")),
-    (("+", "ab*"), ("-q", "b*a")),
-    (("+", "b*b"), ("-", "bb*")),
-)
+RELATIONS = ("a*a+b*b-I", "aa*+q^2bb*-I", "ab-qba", "ab*-qb*a", "b*b-bb*")
+_TERM = re.compile(r"([+-]?)(q\^2|q|)((?:[ab]\*?){2}|I)")
 # Evaluating b*b-bb* right after a*a+b*b-I frees b*b and bb* before aa* is
 # formed, so at most three words are alive at once.
 _EVALUATION_ORDER = (0, 4, 1, 2, 3)
@@ -144,14 +138,15 @@ def check_relations(ops) -> RelationReport:
 
     ``ops`` maps "alpha" and "beta" to operator sections on one basis, and
     holds no other key (ValueError); the starred letters are their matrix
-    adjoints.  Every relation of ``RELATIONS`` is evaluated at the operators' q
-    (exact integers at q = 0) on the interior columns, the basis vectors of
-    shell <= cap - 2: each distinct word is composed once (``compose`` with
-    their boolean mask; I is one zero-shift term, 1 on those columns alone) and
-    dropped after its last reader in ``_EVALUATION_ORDER``; each relation is
-    summed by one ``add``.  Every other column of a relation operator is
-    empty.  The report holds, in table order, the largest column norm per
-    relation and its witness point.
+    adjoints.  Every relation of ``RELATIONS`` is split into its terms by
+    ``_TERM`` and evaluated at the operators' q (exact integers at q = 0) on
+    the interior columns, the basis vectors of shell <= cap - 2: each
+    distinct word is composed once (``compose`` with their boolean mask; I is
+    one zero-shift term, 1 on those columns alone) and dropped after its last
+    reader in ``_EVALUATION_ORDER``; each relation is summed by one ``add``.
+    Every other column of a relation operator is empty.  The report holds, in
+    table order, the largest column norm per relation, its witness point and
+    its name: the text of the terms it kept, the relation itself unless q = 0.
     """
     expected = set(GENERATORS)
     if ops.keys() != expected:
@@ -173,8 +168,9 @@ def check_relations(ops) -> RelationReport:
         x, y = re.findall(r"[ab]\*?", word)
         return compose(letters[x], letters[y], inside)
 
-    table = [[(_WEIGHTS[label](q), label, word) for label, word in terms
-              if not (q == 0 and "q" in label)] for terms in RELATIONS]
+    # per relation, (weight, text, word) of each term: the sign times 1, q or q * q
+    table = [[((-1 if m[1] == "-" else 1) * {"": 1, "q": q, "q^2": q * q}[m[2]], m[0], m[3])
+              for m in _TERM.finditer(relation) if not (q == 0 and m[2])] for relation in RELATIONS]
     last = {word: i for i in _EVALUATION_ORDER for _, _, word in table[i]}
     words: dict[str, SparseOperator] = {}
     rows = [None] * len(table)
@@ -187,7 +183,7 @@ def check_relations(ops) -> RelationReport:
         worst, j = worst_column(add(*((w, words[word]) for w, _, word in terms)))
         for word in [word for word in words if last[word] == i]:
             del words[word]
-        name = "".join(label + word for _, label, word in terms).removeprefix("+")
+        name = "".join(text for _, text, _ in terms).removeprefix("+")
         rows[i] = RelationResidual(name, worst**0.5, None if j is None else basis.point_of(j))
     return RelationReport(tuple(rows))
 

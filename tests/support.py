@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from qsu2.equivalence import decay_report
+from qsu2.lattice import gamma_basis
 from qsu2.operator_core import build_from_rule, compose
 
 
@@ -52,9 +53,11 @@ def diagonal(basis, values, mode):
 
 
 def coefficient(term, n2: int, i2: int, j2: int, q: float) -> float:
-    """A coefficient function's value at one Gamma point, as a float."""
-    _, values = term(np.array([n2]), np.array([i2]), np.array([j2]), q)
-    return values.item()
+    """A coefficient function's value at one Gamma point, as a float: its
+    term on gamma_basis(n2), read at the point's rank."""
+    basis = gamma_basis(n2)
+    _, values = term(basis, q)
+    return values[basis.rank(n2, i2, j2)].item()
 
 
 def product(a, b):

@@ -3,7 +3,6 @@
 import math
 
 import mpmath
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 import crystal_oracle as oracle
 from support import basis_points, coefficient
 from qsu2 import coefficients as cf
-from qsu2.lattice import gamma_basis
+from qsu2.lattice import full_basis, gamma_basis, nat_basis, pi_basis
 from qsu2.representations import build_pi
 
 Q_GRID = (0.1, -0.1, 0.5, -0.5, 0.9)
@@ -65,9 +64,8 @@ def test_cg_arrays_against_mpmath(q):
         return qm ** ((n2 + i2) // 2) * gm((n2 + j2) // 2) * gm((n2 - i2) // 2) / (gm(n2) * gm(n2 + 1))
 
     points = basis_points(gamma_basis(12))
-    n2, i2, j2 = (np.array(c) for c in zip(*points))
     for name in ("a_plus", "a_minus", "b_plus", "b_minus"):
-        step, values = getattr(cf, name)(n2, i2, j2, q)
+        step, values = getattr(cf, name)(gamma_basis(12), q)
         assert step == steps[name]
         for value, p in zip(values.tolist(), points):
             ref = exact(name, *p)
@@ -139,11 +137,12 @@ def test_validity_first_rule():
     assert coefficient(cf.a_minus, 1, 1, 1, 0.5) == pytest.approx(0.8944271909999159, abs=1e-12)
 
 
-def test_invalid_input_point_rejected():
-    with pytest.raises(ValueError, match="invalid Gamma point"):
-        coefficient(cf.a_plus, 1, 2, 0, 0.5)
-    with pytest.raises(ValueError, match="invalid Gamma point"):
-        coefficient(cf.b_minus, 2, 1, 0, 0.5)  # parity mismatch
+def test_non_gamma_basis_refused():
+    # the terms read the Gamma coordinates of their basis, so no other lattice is taken
+    for basis in (full_basis(3), pi_basis(3), nat_basis(4)):
+        for term in (cf.a_plus, cf.a_minus, cf.b_plus, cf.b_minus):
+            with pytest.raises(ValueError, match=f"take a Gamma basis, not {basis.label!r}"):
+                term(basis, 0.5)
 
 
 CRYSTAL_PAIRS = (

@@ -1,7 +1,8 @@
 """No helper exists only for tests: every public module-level function and
 class of qsu2, and every public method and property of its classes, is read
 somewhere in the package or in the benchmark, and every private
-module-level function is read somewhere in the package.  The sparse algebra
+module-level function and every private module-level name an assignment
+binds (a table such as ``_MARGIN``) is read somewhere in the package.  The sparse algebra
 of operator_core imports no qsu2 module but lattice, no module of the
 package scatters through ``np.<ufunc>.at`` or checks through an ``assert``
 statement, only the entry point in cli touches the C allocator, and no
@@ -68,21 +69,33 @@ def unread_members(package: Path = PACKAGE, benchmark: Path = ROOT / "perfbench"
     ]
 
 
-def uncalled_private(package: Path = PACKAGE) -> list[str]:
-    """module.name of every private module-level function that no name or
-    attribute of the package reads outside its own definition."""
+def _module_level_names(node) -> list[str]:
+    """The names a module-level statement defines: a function's, or those
+    an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def unread_private(package: Path = PACKAGE) -> list[str]:
+    """module.name of every private module-level function or assigned name
+    that no loaded name or attribute of the package reads outside the
+    statement that defines it."""
     trees = {path.stem: _tree(path) for path in sorted(package.glob("*.py"))}
     found = []
     for stem, tree in trees.items():
         for node in tree.body:
-            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")):
-                continue
             own = set(ast.walk(node))
-            if not any(isinstance(other, ast.Name) and other.id == node.name
-                       or isinstance(other, ast.Attribute) and other.attr == node.name
-                       for t in trees.values() for other in ast.walk(t) if other not in own):
-                found.append(f"{stem}.{node.name}")
+            for name in _module_level_names(node):
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                if not any(isinstance(other, ast.Name) and other.id == name
+                           and isinstance(other.ctx, ast.Load)
+                           or isinstance(other, ast.Attribute) and other.attr == name
+                           for t in trees.values() for other in ast.walk(t) if other not in own):
+                    found.append(f"{stem}.{name}")
     return found
 
 
@@ -210,7 +223,8 @@ def test_every_public_method_is_read_outside_tests():
 
 
 def test_every_private_function_is_called_in_the_package():
-    assert uncalled_private() == []
+    # private tables too: a lookup table left behind by a rewrite is caught
+    assert unread_private() == []
 
 
 def test_no_ufunc_at_scatter():
@@ -266,7 +280,24 @@ def test_a_private_function_only_tests_call_is_caught(tmp_path):
         "def __getattr__(name):\n    return name\n", encoding="utf-8")
     (package / "other.py").write_text("from . import mod\n\nVALUE = mod._used()\n",
                                        encoding="utf-8")
-    assert uncalled_private(package) == ["mod._recursive", "mod._spare"]
+    assert unread_private(package) == ["mod._recursive", "mod._spare"]
+
+
+def test_an_orphaned_private_table_is_caught(tmp_path):
+    # `_USED` is read and `_A` is read through an attribute; `_WEIGHTS` is
+    # only read by its own statement and only bound again in a function, and
+    # `_B` and the annotated `_LIMIT` are read by no one; `__all__` is a dunder
+    package = tmp_path / "qsu2"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "_USED = 1\n"
+        "_WEIGHTS = {'+': lambda q: 1, '-': lambda q: -_WEIGHTS}\n"
+        "_A, _B = 1, 2\n"
+        "_LIMIT: int = 3\n"
+        "__all__ = []\n\n\n"
+        "def f(q):\n    _WEIGHTS = q\n    return _USED\n", encoding="utf-8")
+    (package / "other.py").write_text("from . import mod\n\nVALUE = mod._A\n", encoding="utf-8")
+    assert unread_private(package) == ["mod._WEIGHTS", "mod._B", "mod._LIMIT"]
 
 
 def test_a_test_only_helper_is_caught(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 import crystal_oracle as oracle
 from support import basis_points, column, diagonal, entries, entry_bits, product, to_dense
-from qsu2.coefficients import float_mode
+from qsu2.coefficients import float_mode, g
 from qsu2.lattice import FullIndex, GammaIndex, PiIndex, gamma_basis, nat_basis
 from qsu2 import representations
 from qsu2.operator_core import (
@@ -229,6 +229,18 @@ def test_relations_exact_zero():
         assert all(r.residual == 0.0 for r in rep.rows)
 
 
+@pytest.mark.parametrize("q", [0.5, -0.45, 1e-3, -3e-7])
+def test_relation_names_are_the_relations_as_written(q):
+    # the row names join the parsed terms' text, so a character the parse
+    # skipped would be missing from its name
+    assert representations.RELATIONS == ("a*a+b*b-I", "aa*+q^2bb*-I", "ab-qba", "ab*-qb*a", "b*b-bb*")
+    for ops in ({gv: build(q, 4, gv) for gv in GENERATORS} for build in (build_lambda, build_pi)):
+        assert [r.name for r in check_relations(ops).rows] == list(representations.RELATIONS)
+    alpha, beta = build_irrep(q, 1j, 5)
+    rows = check_relations({"alpha": alpha, "beta": beta}).rows
+    assert [r.name for r in rows] == list(representations.RELATIONS)
+
+
 def test_relations_report_nan_residual():
     ops = {gv: build_pi(0.5, 6, gv) for gv in GENERATORS}
     beta = ops["beta"]
@@ -436,6 +448,17 @@ def test_irrep_examples():
     out = to_dense(beta)[:, 2]
     assert out[2] == pytest.approx(0.25j, abs=1e-15)
     assert not out[[0, 1, 3, 4, 5, 6, 7]].any()
+
+
+@pytest.mark.parametrize("q", [0.5, -0.45, 0.999999])
+def test_irrep_entries_exactly(q):
+    # alpha e_k = g(k) e_{k-1} and beta e_k = z q^k e_k, entry for entry
+    for z in (1, -1, 1j, 0.6 + 0.8j):
+        for dim in (1, 3, 30):
+            alpha, beta = build_irrep(q, z, dim)
+            assert (alpha.dtype, beta.dtype) == (np.float64, np.complex128)
+            assert entries(alpha) == [(k - 1, k, g(k, q)) for k in range(1, dim)]
+            assert entries(beta) == [(k, k, z * q**k) for k in range(dim)]
 
 
 def test_irrep_relations_over_circle():

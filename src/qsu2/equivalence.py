@@ -284,12 +284,16 @@ def tail_norms(q: float, cap: int, gen: str) -> list[tuple[int, float]]:
     sum_j b[i, j]^2, first off-diagonal b[i, 1] b[i+1, 0] + b[i, 2] b[i+1, 1],
     second off-diagonal b[i, 2] b[i+2, 0].
 
-    Each suffix is bracketed in O(width): lo is its largest column 2-norm,
-    hi the Schur test sqrt(max col abs-sum) * sqrt(max row abs-sum), two
+    Along a chain s + |t| rises by one per slot, so the suffixes tail m
+    reads cover exactly the columns with s + |t| >= m, and its norm is at
+    least floor[m], the largest column 2-norm among them: one maximum per
+    tail over the columns grouped by s + |t|, then a running maximum from
+    the last tail down.  Each suffix is bounded above in O(width) by hi,
+    the Schur test sqrt(max col abs-sum) * sqrt(max row abs-sum), two
     roots so nothing underflows.  Suffix (c, k) is read only by the tail
     s + |t| of the column at slot k, and a whole chain (k = 0) also by every
-    smaller tail, so floor[m], the largest lo tail m reads, and the largest
-    hi and norm are O(points) maxima over the columns grouped by s + |t|.
+    smaller tail, so the largest hi and norm per tail are O(points) maxima
+    over the columns grouped by s + |t|.
     A suffix is solved unless hi * (1 + 1e-10) < floor[m] for its tail m
     (floor does not grow with m, so for a whole chain the tail of its
     first column decides; a NaN keeps it, so LAPACK still refuses a NaN).
@@ -315,13 +319,21 @@ def tail_norms(q: float, cap: int, gen: str) -> list[tuple[int, float]]:
     slot = np.minimum(r, s)  # i of each column in its chain
     length = (cap - abs(t) - abs(r - s)) // 2 + 1  # of each column's chain
     width = cap // 2 + 1
-    band = np.zeros((3, n, width + 1))  # [j, c, i]: b[i, j] of chain c; slot `width` stays empty
+    v = np.zeros((3, len(s)))  # [j, column]: the entry of the term of ds = j - 1, else 0
     for term in d.terms:
         if term.shift not in D_SHIFTS[gen]:
             raise AssertionError(f"D_{gen} carries the shift {term.shift!r}, which leaves "
                                  "its (t, r - s) chains or their band of row slots")
-        band[term.shift[1] + 1, chain, slot] = term.values
-    a0, a1, a2 = a = np.abs(band)
+        v[term.shift[1] + 1] = term.values
+    band = np.zeros((3, n, width + 1))  # [j, c, i]: b[i, j] of chain c; slot `width` stays empty
+    band[:, chain, slot] = v
+    tail = s + abs(t)
+    order = np.argsort(tail, kind="stable")
+    starts = np.searchsorted(tail[order], np.arange(cap + 1))  # every tail holds (0, m, 0)
+    column_norm = np.hypot(np.hypot(abs(v[0]), abs(v[1])), abs(v[2]))
+    floor = np.maximum.accumulate(np.maximum.reduceat(column_norm[order], starts)[::-1])[::-1]
+    del v, column_norm  # each array of the band stage goes after its last reader
+    a = np.abs(band)
 
     def from_k(x):  # x[c, k] -> max over i >= k of x[c, i]
         return np.maximum.accumulate(x[:, ::-1], axis=1)[:, ::-1]
@@ -329,15 +341,17 @@ def tail_norms(q: float, cap: int, gen: str) -> list[tuple[int, float]]:
     row_sum = np.zeros((n, width + 3))  # abs-sum of every row slot over the whole chain
     for j in range(3):
         row_sum[:, j:j + width + 1] += a[j]
-    edge = a1.copy()  # slot k + 1 loses column k - 1 in the suffix from k
-    edge[:, :-1] += a0[:, 1:]
-    lo = from_k(np.hypot(np.hypot(a0, a1), a2))
-    hi = np.sqrt(from_k(a.sum(axis=0))) * np.sqrt(
-        np.maximum(np.maximum(from_k(row_sum[:, 2:]), edge), a0))
-    lo, hi = lo[chain, slot], hi[chain, slot]  # of the suffix from each column on
-    tail = s + abs(t)
-    order = np.argsort(tail, kind="stable")
-    starts = np.searchsorted(tail[order], np.arange(cap + 1))  # every tail holds (0, m, 0)
+    rows = from_k(row_sum[:, 2:])  # largest row abs-sum from each slot on, whole chain
+    del row_sum
+    edge = a[1].copy()  # slot k + 1 loses column k - 1 in the suffix from k
+    edge[:, :-1] += a[0, :, 1:]
+    np.maximum(np.maximum(rows, edge, out=rows), a[0], out=rows)
+    del edge
+    hi = np.sqrt(from_k(a.sum(axis=0)))
+    del a
+    hi *= np.sqrt(rows)
+    del rows
+    hi = hi[chain, slot]  # of the suffix from each column on
     whole = slot == 0
 
     def per_tail(x):  # x per suffix -> max over the suffixes each tail reads
@@ -345,7 +359,7 @@ def tail_norms(q: float, cap: int, gen: str) -> list[tuple[int, float]]:
         head = np.maximum.reduceat(np.where(whole, x, 0.0)[order], starts)
         return np.maximum(own, np.maximum.accumulate(head[::-1])[::-1])
 
-    floor, slack = per_tail(lo), 1 + 1e-10
+    slack = 1 + 1e-10
     solve = np.flatnonzero(~(hi * slack < floor[tail]))
     widths = length[solve] - slot[solve]
     norm = np.zeros(len(tail))

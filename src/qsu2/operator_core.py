@@ -78,14 +78,16 @@ class SparseOperator:
 
     def __init__(self, domain: Basis, codomain: Basis, terms, q: float):
         self.domain, self.codomain, self.q = domain, codomain, q
-        terms = [t._replace(values=_entry_values(t.values, q == 0)) for t in terms]
-        if any({t.targets.shape, t.values.shape} != {(len(domain),)} for t in terms):
-            raise ValueError("term arrays must hold one entry per domain point")
-        terms = [t for t in terms if t.values.any()]
-        self.dtype = np.result_type(np.int64 if q == 0 else np.float64,
-                                    *(t.values for t in terms))
-        self.terms = tuple(t._replace(values=t.values.astype(self.dtype, copy=False))
-                           for t in terms)
+        kept = []
+        for shift, targets, values in terms:
+            values = _entry_values(values, q == 0)
+            if targets.shape != (len(domain),) or values.shape != (len(domain),):
+                raise ValueError("term arrays must hold one entry per domain point")
+            if values.any():
+                kept.append((shift, targets, values))
+        self.dtype = np.result_type(np.int64 if q == 0 else np.float64, *(v for *_, v in kept))
+        self.terms = tuple(Term(shift, targets, values.astype(self.dtype, copy=False))
+                           for shift, targets, values in kept)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -149,7 +151,8 @@ def build_from_rule(domain: Basis, codomain: Basis, rule: Callable, q: float) ->
             raise ValueError(f"rule produced invalid index: {point!r} "
                              f"from {domain.point_of(int(emit[k]))!r}")
         ranks = codomain.rank(*target)
-        emit, ranks = emit[ranks >= 0], ranks[ranks >= 0]
+        inside = ranks >= 0
+        emit, ranks = emit[inside], ranks[inside]
         terms.append(_term(shift, n, emit, ranks, values[emit]))
     return SparseOperator(domain, codomain, terms, q)
 
@@ -197,7 +200,8 @@ def add(*terms: tuple[object, SparseOperator]) -> SparseOperator:
     """Weighted sum w_1 * op_1 + ... + w_n * op_n of (w, op) terms, summed
     shift by shift in term order; nested two-term sums give the same bits,
     since 0 + s == s for every nonzero s.  A single term of weight 1 is
-    returned as it is."""
+    returned as it is, and the values of any term of weight 1 are taken as
+    they are (1 * x == x bit for bit)."""
     (w, first), *rest = terms
     if not rest and w == 1:
         return first
@@ -208,7 +212,8 @@ def add(*terms: tuple[object, SparseOperator]) -> SparseOperator:
     if first.q == 0:
         _check_exact_bound(sum(abs(w) * _bound(op) for w, op in terms), "add")
     return SparseOperator(first.domain, first.codomain, _summed(
-        t._replace(values=w * t.values) for w, op in terms for t in op.terms), first.q)
+        t if w == 1 else t._replace(values=w * t.values) for w, op in terms for t in op.terms),
+        first.q)
 
 
 def adjoint(a: SparseOperator) -> SparseOperator:
@@ -228,22 +233,32 @@ def conjugate(op: SparseOperator, u: SparseOperator) -> SparseOperator:
     sign[k] * sign[j], its shift the offset of perm[k] from perm[j] in
     U's codomain coordinates.  The offsets of one term of op vary by
     column, so its entries are split by offset, in order of first
-    occurrence."""
+    occurrence.  Each entry's offset is one integer, the difference of
+    its row's and column's places in mixed radix with 2 * span + 1 per
+    coordinate (span = max - min over the codomain): every coordinate
+    delta is a digit in [-span, span], so equal integers mean equal
+    offsets.  A piece's shift is read from the coordinates of its first
+    entry."""
     if not op.domain.same_points(u.domain):
         raise ValueError("cap mismatch between operator and unitary")
     _, perm, sign = u.terms[0]
+    coords = u.codomain.coords
+    place = 0
+    for c in coords:
+        place = place * (2 * int(c.max() - c.min()) + 1) + c
     pieces = []
     for t in op.terms:
         cols = np.flatnonzero(t.values)
         rows = t.targets[cols]
         vals = t.values[cols] * (sign[cols] * sign[rows])
         cols, rows = perm[cols], perm[rows]
-        delta = np.array([c[rows] - c[cols] for c in u.codomain.coords])
+        offset = place[rows] - place[cols]
         while cols.size:
-            same = (delta == delta[:, :1]).all(axis=0)
-            pieces.append(_term(tuple(delta[:, 0].tolist()), len(u.codomain),
-                                cols[same], rows[same], vals[same]))
-            cols, rows, vals, delta = cols[~same], rows[~same], vals[~same], delta[:, ~same]
+            same = offset == offset[0]
+            shift = tuple(int(c[rows[0]] - c[cols[0]]) for c in coords)
+            pieces.append(_term(shift, len(u.codomain), cols[same], rows[same], vals[same]))
+            rest = ~same
+            cols, rows, vals, offset = cols[rest], rows[rest], vals[rest], offset[rest]
     return SparseOperator(u.codomain, u.codomain, _summed(pieces), op.q)
 
 

@@ -40,8 +40,10 @@ class VerificationReport(NamedTuple):
     @property
     def max_residual(self) -> float:
         """Largest bounded |value|; a NaN value propagates instead of hiding."""
+        # the concrete types first: they spare most values the slower ABC check
         values = [abs(item.value) for item in self.items
-                  if item.bound is not None and isinstance(item.value, numbers.Real)]
+                  if item.bound is not None
+                  and (isinstance(item.value, (float, int)) or isinstance(item.value, numbers.Real))]
         return float("nan") if any(v != v for v in values) else max(values, default=0.0)
 
 

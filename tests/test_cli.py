@@ -8,6 +8,7 @@ import platform
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -158,6 +159,23 @@ def test_report_max_residual_reads_numpy_integers():
     assert report.max_residual == 2
     assert render(report, "csv") == "index,value,bound,pass\nsmall,0.001,9.9999999999999998e-13,false\ncount,-2,0,false\n"
     assert json.loads(render(report, "json"))["params"] == {"cap": 3}
+
+
+@pytest.mark.parametrize("value, counted", [
+    (np.float32(-0.5), 0.5), (Fraction(-3, 4), Fraction(3, 4)), (True, 1), (np.int64(-7), 7),
+    (-2, 2), (0.25, 0.25), (float("nan"), None), (np.float32("nan"), None),
+    ("text", 1e-3), (3 + 4j, 1e-3), (None, 1e-3),
+])
+def test_report_max_residual_reads_every_real_value(value, counted):
+    # a bounded value counts when it is a numbers.Real, numpy scalars, fractions and
+    # bools included; any other value, and an unbounded one, is left out
+    items = [ReportItem("value", value, 0, False), ReportItem("small", 1e-3, 1e-12, False),
+             ReportItem("unbounded", 100.0, None, True)]
+    residual = VerificationReport("golden", {}, items).max_residual
+    if counted is None:
+        assert math.isnan(residual)
+    else:
+        assert residual == max(counted, 1e-3)
 
 
 def _nan_at_one_point(monkeypatch):

@@ -51,6 +51,7 @@ from qsu2.lattice import (
 )
 from qsu2.operator_core import (
     add,
+    adjoint,
     build_from_rule,
     max_entry_difference,
 )
@@ -194,6 +195,27 @@ def test_conjugate_cap_mismatch():
     op = build_lambda(0.0, 5, "alpha")
     with pytest.raises(ValueError, match="cap mismatch"):
         conjugate(op, u)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, -0.45])
+def test_conjugate_against_the_dense_signed_permutation(q):
+    # U = P S, P the permutation and S the signs of the oracle's U*, so U op U* = P S op S P^T;
+    # at q != 0 each term of b splits over two offsets
+    for cap in (0, 1, 2, 7):
+        full = full_basis(cap)
+        sign, *point = u_backward(*full.coords)
+        u_dense = np.zeros((len(full), len(full)))
+        u_dense[np.arange(len(full)), gamma_basis(cap).rank(*point)] = sign
+        u = unitary_u(cap)
+        for gen in ("alpha", "beta"):
+            lam = build_lambda(q, cap, gen)
+            for op in (lam, adjoint(lam)):
+                conj = conjugate(op, u)
+                assert np.array_equal(to_dense(conj), u_dense @ to_dense(op) @ u_dense.T), (cap, gen)
+                for term in conj.terms:
+                    cols = np.flatnonzero(term.values)
+                    moved = [c[term.targets[cols]] - c[cols] for c in full.coords]
+                    assert all((d == x).all() for d, x in zip(moved, term.shift)), (cap, gen)
 
 
 def test_q0_intertwining_exact():
@@ -648,6 +670,21 @@ def test_tail_norms_solve_surviving_suffixes_at_their_own_size(monkeypatch, gen)
     assert sum(count for count, _, _ in shapes) < len(d.domain)
 
 
+@pytest.mark.parametrize("gen, solved", [("alpha", 232), ("beta", 241)])
+def test_tail_norms_solve_a_pinned_number_of_suffixes(monkeypatch, gen, solved):
+    # the Grams the skip test leaves to eigvalsh at q = 0.5, cap 18, of 2470 suffixes
+    counts = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(x, *args, **kwargs):
+        counts.append(len(x))
+        return eigvalsh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    tail_norms(0.5, 18, gen)
+    assert sum(counts) == solved
+
+
 def test_tail_norms_nan_entry_reaches_lapack(monkeypatch):
     def with_nan(q, cap, gen):
         # NaN plus the middle entry of D, on that entry's shift
@@ -685,8 +722,8 @@ def test_tail_norms_peak_memory_at_the_largest_cap():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # measured: 20.1 MB with cold lattice caches, 17.4 MB warm
-    assert peak < 22e6
+    # measured: 17.3 MB with cold lattice caches, 14.6 MB warm
+    assert peak < 19e6
 
 
 @pytest.mark.parametrize(

@@ -116,7 +116,7 @@ def cmd_decay(args) -> VerificationReport:
 
 def cmd_tails(args) -> VerificationReport:
     items, prev = [], None
-    for m, v in equivalence.tail_norms(args.q, args.cap, args.gen):
+    for m, v in equivalence.tail_norms(equivalence.difference(args.q, args.cap, args.gen)):
         bound = v if prev is None else prev + TAIL_SLACK
         items.append(ReportItem(f"m={m}", v, bound, v <= bound, None, m))
         prev = v

@@ -265,24 +265,26 @@ def decay_report(q: float, cap: int, target: str) -> DecayReport:
                        tuple(shell_exponent.tolist()), constant, fitted)
 
 
-def tail_norms(q: float, cap: int, gen: str) -> list[tuple[int, float]]:
-    """Operator norms of D_gen restricted to the (s, t) tails s + |t| >= m.
+def tail_norms(d: SparseOperator) -> list[tuple[int, float]]:
+    """Operator norms of d, an operator on a capped full lattice such as
+    D_gen, restricted to the (s, t) tails s + |t| >= m.
 
     Geometric decay in m certifies compactness in the (s, t) factor; the
-    Toeplitz direction r carries shifts and does not decay.  The shifts of
-    D, D_SHIFTS[gen], move (t, r - s) by one common offset, so D is
-    block-diagonal over the chains of columns with fixed (t, r - s), each
-    indexed by s, and every tail is a suffix of every chain.  Chain
-    (t, r - s) has rank ((t + r - s + cap)(2 cap + 1) + t - (r - s) + cap) / 2,
-    a bijection of the diamond |t| + |r - s| <= cap onto its size.  Column
-    (r, s, t) sits at slot i = min(r, s) of its chain, whose length is
-    (cap - |t| - |r - s|) // 2 + 1, and feeds only row slots i..i+2: the
-    term of shift (dr, ds, dt) is the band diagonal b[i, ds + 1].  A D
-    carrying any other shift raises AssertionError.  So the suffix of width
-    w from slot k is a (w + 2) x w block whose Gram matrix is the trailing
-    w x w principal submatrix of its chain's pentadiagonal Gram: diagonal
-    sum_j b[i, j]^2, first off-diagonal b[i, 1] b[i+1, 0] + b[i, 2] b[i+1, 1],
-    second off-diagonal b[i, 2] b[i+2, 0].
+    Toeplitz direction r carries shifts and does not decay.  Every shift
+    (dr, ds, dt) of d must move (t, r - s) by one common offset, else
+    AssertionError naming the shifts; then d maps the chain of columns
+    with fixed (t, r - s), indexed by s, into one chain of rows, and every
+    tail is a suffix of every chain.  Chain (t, r - s) has rank
+    ((t + r - s + cap)(2 cap + 1) + t - (r - s) + cap) / 2, a bijection of
+    the diamond |t| + |r - s| <= cap onto its size.  Column (r, s, t) sits
+    at slot i = min(r, s) of its chain, whose length is
+    (cap - |t| - |r - s|) // 2 + 1.  The band is read from the terms: it
+    has K = max ds - min ds + 1 diagonals, and the term of shift
+    (dr, ds, dt) is the diagonal b[i, ds - min ds], which feeds row slot
+    i + ds - min ds.  The suffix of width w from slot k is a
+    (w + K - 1) x w block whose Gram matrix is the trailing w x w
+    principal submatrix of its chain's banded Gram, with K - 1
+    superdiagonals: superdiagonal o holds sum_j b[i, j + o] b[i + o, j].
 
     Along a chain s + |t| rises by one per slot, so the suffixes tail m
     reads cover exactly the columns with s + |t| >= m, and its norm is at
@@ -290,10 +292,13 @@ def tail_norms(q: float, cap: int, gen: str) -> list[tuple[int, float]]:
     tail over the columns grouped by s + |t|, then a running maximum from
     the last tail down.  Each suffix is bounded above in O(width) by hi,
     the Schur test sqrt(max col abs-sum) * sqrt(max row abs-sum), two
-    roots so nothing underflows.  Suffix (c, k) is read only by the tail
-    s + |t| of the column at slot k, and a whole chain (k = 0) also by every
-    smaller tail, so the largest hi and norm per tail are O(points) maxima
-    over the columns grouped by s + |t|.
+    roots so nothing underflows.  The row abs-sums are built one term at
+    a time: after term j, row slot i + j sums columns i..i + j, the edge
+    row of the suffix from i, and the rows past the edge are whole.
+    Suffix (c, k) is read only by the tail s + |t| of the column at slot
+    k, and a whole chain (k = 0) also by every smaller tail, so the
+    largest hi and norm per tail are O(points) maxima over the columns
+    grouped by s + |t|.
     A suffix is solved unless hi * (1 + 1e-10) < floor[m] for its tail m
     (floor does not grow with m, so for a whole chain the tail of its
     first column decides; a NaN keeps it, so LAPACK still refuses a NaN).
@@ -312,25 +317,28 @@ def tail_norms(q: float, cap: int, gen: str) -> list[tuple[int, float]]:
     the norm is within O(eps) relative, as an SVD of the block would give.
     floor <= norm <= max hi is checked to 1e-10, else AssertionError.
     """
-    d = difference(q, cap, gen)
     r, s, t = d.domain.coords
+    cap = d.domain.cap
     n = 2 * cap * (cap + 1) + 1  # the chains, one per point of the diamond
     chain = ((t + r - s + cap) * (2 * cap + 1) + t - (r - s) + cap) // 2
     slot = np.minimum(r, s)  # i of each column in its chain
     length = (cap - abs(t) - abs(r - s)) // 2 + 1  # of each column's chain
     width = cap // 2 + 1
-    v = np.zeros((3, len(s)))  # [j, column]: the entry of the term of ds = j - 1, else 0
-    for term in d.terms:
-        if term.shift not in D_SHIFTS[gen]:
-            raise AssertionError(f"D_{gen} carries the shift {term.shift!r}, which leaves "
-                                 "its (t, r - s) chains or their band of row slots")
-        v[term.shift[1] + 1] = term.values
-    band = np.zeros((3, n, width + 1))  # [j, c, i]: b[i, j] of chain c; slot `width` stays empty
+    shifts = [term.shift for term in d.terms]
+    if len({(dt, dr - ds) for dr, ds, dt in shifts}) > 1:
+        raise AssertionError(f"the shifts {shifts} move (t, r - s) by different offsets")
+    ds = [shift[1] for shift in shifts]
+    low = min(ds, default=0)
+    v = np.zeros((max(ds, default=0) - low + 1, len(s)))  # [j, column]: term of ds = low + j
+    for j, term in zip(ds, d.terms):
+        v[j - low] = term.values
+    diags = len(v)  # K, the band's diagonals
+    band = np.zeros((diags, n, width))  # [j, c, i]: b[i, j] of chain c
     band[:, chain, slot] = v
     tail = s + abs(t)
     order = np.argsort(tail, kind="stable")
     starts = np.searchsorted(tail[order], np.arange(cap + 1))  # every tail holds (0, m, 0)
-    column_norm = np.hypot(np.hypot(abs(v[0]), abs(v[1])), abs(v[2]))
+    column_norm = np.hypot.reduce(abs(v), axis=0)
     floor = np.maximum.accumulate(np.maximum.reduceat(column_norm[order], starts)[::-1])[::-1]
     del v, column_norm  # each array of the band stage goes after its last reader
     a = np.abs(band)
@@ -338,15 +346,12 @@ def tail_norms(q: float, cap: int, gen: str) -> list[tuple[int, float]]:
     def from_k(x):  # x[c, k] -> max over i >= k of x[c, i]
         return np.maximum.accumulate(x[:, ::-1], axis=1)[:, ::-1]
 
-    row_sum = np.zeros((n, width + 3))  # abs-sum of every row slot over the whole chain
-    for j in range(3):
-        row_sum[:, j:j + width + 1] += a[j]
-    rows = from_k(row_sum[:, 2:])  # largest row abs-sum from each slot on, whole chain
+    row_sum = np.zeros((n, width + diags - 1))  # abs-sum of every row slot, one term at a time
+    for j in range(diags):  # then row slot i + j sums columns i..i + j: an edge row of suffix i
+        row_sum[:, j:j + width] += a[j]
+        rows = np.maximum(rows, row_sum[:, j:j + width], out=rows) if j else a[0].copy()
+    np.maximum(rows, from_k(row_sum[:, diags - 1:]), out=rows)  # and the whole rows past the edge
     del row_sum
-    edge = a[1].copy()  # slot k + 1 loses column k - 1 in the suffix from k
-    edge[:, :-1] += a[0, :, 1:]
-    np.maximum(np.maximum(rows, edge, out=rows), a[0], out=rows)
-    del edge
     hi = np.sqrt(from_k(a.sum(axis=0)))
     del a
     hi *= np.sqrt(rows)
@@ -367,11 +372,10 @@ def tail_norms(q: float, cap: int, gen: str) -> list[tuple[int, float]]:
         cols, i = solve[widths == w], np.arange(w)
         b = band[:, chain[cols, None], slot[cols, None] + i]
         e = np.frexp(abs(b).max(axis=(0, 2)))[1]
-        b0, b1, b2 = np.ldexp(b, -e[:, None])
+        b = np.ldexp(b, -e[:, None])
         gram = np.zeros((len(cols), w, w))
-        gram[:, i, i] = b0 * b0 + b1 * b1 + b2 * b2
-        gram[:, i[:-1], i[1:]] = b1[:, :-1] * b0[:, 1:] + b2[:, :-1] * b1[:, 1:]
-        gram[:, i[:-2], i[2:]] = b2[:, :-2] * b0[:, 2:]
+        for o in range(min(diags, w)):  # superdiagonal o
+            gram[:, i[:w - o], i[o:]] = (b[o:, :, :w - o] * b[:diags - o, :, o:]).sum(axis=0)
         norm[cols] = np.ldexp(np.sqrt(np.linalg.eigvalsh(gram, UPLO="U")[:, -1]), e)
     value = per_tail(norm)
     bad = ~((floor <= value * slack) & (value <= per_tail(hi) * slack))

@@ -83,13 +83,14 @@ def build_irrep(q: float, z: complex, dim: int) -> tuple[SparseOperator, SparseO
     the fibre at z of pi_q, whose rule reads no t.  e_k is pi_q's s, and a
     rule term shifting t by dt takes the phase z**-dt, so alpha acts as the
     weighted down-shift e_k -> g(k) e_{k-1}, beta as e_k -> z q^k e_k.
+    A z within UNIT_CIRCLE_TOL of the circle is replaced by z / |z|, on it.
     """
     float_mode(q)  # refuses q = 0 and |q| >= 1
     if not abs(abs(z) - 1.0) <= UNIT_CIRCLE_TOL:  # NaN z fails too
         raise ValueError("irreducible parameter z must lie on the unit circle")
     if dim < 1:
         raise ValueError("irreducible section needs dim >= 1")
-    basis, z = nat_basis(dim), complex(z)
+    basis, z = nat_basis(dim), complex(z) / abs(z)
     return tuple(build_from_rule(basis, basis, lambda s: [
         ((ds,), v if dt == 0 else z ** -dt * v) for (ds, dt), v in _pi_rule(q, gen)(s, None)], q)
         for gen in GENERATORS)

@@ -16,6 +16,7 @@ from qsu2.coefficients import verify_g_estimates
 from qsu2.equivalence import (
     crosscheck_decomposition,
     decay_report,
+    difference,
     tail_norms,
     u_forward,
     unitary_u,
@@ -128,7 +129,7 @@ def test_criterion_7_compactness_tails(capsys):
     with _Timer() as t:
         ok = True
         for gen in ("alpha", "beta"):
-            norms = dict(tail_norms(0.5, 18, gen))
+            norms = dict(tail_norms(difference(0.5, 18, gen)))
             for m in range(18):
                 ok = ok and norms[m + 1] <= norms[m] + NORM_SLACK
             for m in range(6, 13):

@@ -288,6 +288,15 @@ def test_irrep_command(capsys):
     assert len(doc["items"]) == 5
 
 
+@pytest.mark.parametrize("z_re", ["1.0000000000009", "0.9999999999991"])
+def test_irrep_takes_every_z_its_usage_check_accepts(capsys, z_re):
+    # |z| - 1 is within the unit-circle tolerance, so the relations are
+    # checked at z / |z|; |z|^2 in beta* beta would leave a*a+b*b-I near 2e-12
+    code, out, _ = run(capsys, "irrep", "--q", "0.5", "--z-re", z_re, "--z-im", "0", "--dim", "8")
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
 def test_out_file_and_determinism(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for p in paths:

@@ -315,7 +315,7 @@ def test_difference_rejects_bad_inputs():
         lambda: diagonal_values(0.0, 4, "R1"),
         lambda: diagonal_values(0.0, 4, "T1"),
         lambda: decay_report(0.0, 4, "R1mR3"),
-        lambda: tail_norms(0.0, 4, "alpha"),
+        lambda: tail_norms(difference(0.0, 4, "alpha")),
         lambda: crosscheck_decomposition(0.0, 4, "alpha"),
         lambda: build_irrep(0.0, 1.0, 4),
         lambda: coproduct_images(0.0, 4),
@@ -566,76 +566,106 @@ def test_decay_slope_rejects_nondecaying_pattern():
 
 
 def test_tail_norms_monotone_small():
-    norms = tail_norms(0.5, 8, "alpha")
+    norms = tail_norms(difference(0.5, 8, "alpha"))
     assert norms[0][1] >= 0.447  # apex column witness lower bound
     values = [v for _, v in norms]
     for a, b in zip(values, values[1:]):
         assert b <= a + 1e-8
 
 
-@pytest.mark.parametrize("gen", ["alpha", "beta"])
-@pytest.mark.parametrize("q", [0.5, -0.45, 0.9, 0.999, 0.1, -1e-3, 1e-150])
-def test_tail_norms_against_dense_svd(q, gen):
+# Shifts on each generator's chain offset (t, r - s) that D_gen does not
+# carry (beta's (1, 1, -1) adds to its own term): a band of K = 4 slots for
+# alpha, ds in -2..1, and K = 5 for beta, ds in -2..2.
+WIDER_SHIFTS = {"alpha": ((-1, -2, 0), (2, 1, 0)), "beta": ((2, 2, -1), (-2, -2, -1), (1, 1, -1))}
+
+
+def widened(q, cap, gen):
+    """D_gen plus a term on each shift of WIDER_SHIFTS[gen], valued
+    q^(s + |t|) / (r + j + 1) for its j-th shift wherever the target lies
+    on the lattice."""
+    d = difference(q, cap, gen)
+    extra = build_from_rule(d.domain, d.codomain, lambda r, s, t: [
+        ((dr, ds, dt), np.where((r + dr >= 0) & (s + ds >= 0), q ** (s + abs(t)) / (r + j + 1), 0.0))
+        for j, (dr, ds, dt) in enumerate(WIDER_SHIFTS[gen])], d.q)
+    return add((1, d), (1, extra))
+
+
+def check_against_dense_svd(build, q, gen):
     for cap in (0, 1, 2, 7, 8):
-        d = difference(q, cap, gen)
+        d = build(q, cap, gen)
         dense = to_dense(d)
         pi_shell = np.array([p.s + abs(p.t) for p in basis_points(d.domain)])
-        norms = tail_norms(q, cap, gen)
+        norms = tail_norms(d)
         assert [m for m, _ in norms] == list(range(cap + 1))
         for m, value in norms:
             oracle = max(np.linalg.svd(dense[:, pi_shell >= m], compute_uv=False), default=0.0)
             assert value == pytest.approx(oracle, rel=1e-12)
 
 
-def scaled_gram_norms(blocks):
-    """Spectral norms of (w + 2) x w blocks holding entries only at [i + j, i],
-    j = 0..2, by the solve of tail_norms: each block scaled by 2^-e, e the
-    binary exponent of its largest |entry|, the upper pentadiagonal of its
-    Gram from those entries, and sqrt(largest eigenvalue) * 2^e."""
+@pytest.mark.parametrize("gen", ["alpha", "beta"])
+@pytest.mark.parametrize("q", [0.5, -0.45, 0.9, 0.999, 0.1, -1e-3, 1e-150])
+def test_tail_norms_against_dense_svd(q, gen):
+    check_against_dense_svd(difference, q, gen)
+
+
+@pytest.mark.parametrize("gen", ["alpha", "beta"])
+@pytest.mark.parametrize("q", [0.5, -0.45, 0.9])
+def test_wider_band_tail_norms_against_dense_svd(q, gen):
+    check_against_dense_svd(widened, q, gen)
+
+
+def scaled_gram_norms(blocks, k):
+    """Spectral norms of (w + k - 1) x w blocks holding entries only at
+    [i + j, i], j = 0..k-1, by the solve of tail_norms: each block scaled by
+    2^-e, e the binary exponent of its largest |entry|, the upper band of
+    its Gram from those entries, superdiagonal o summed over j in order,
+    and sqrt(largest eigenvalue) * 2^e."""
     count, _, w = blocks.shape
-    b = np.stack([np.diagonal(blocks, -j, axis1=1, axis2=2) for j in range(3)], axis=-1)
+    b = [np.diagonal(blocks, -j, axis1=1, axis2=2) for j in range(k)]
     e = np.frexp(abs(blocks).max(axis=(1, 2)))[1]
-    b = np.ldexp(b, -e[:, None, None])
+    b = [np.ldexp(x, -e[:, None]) for x in b]
     i = np.arange(w)
     gram = np.zeros((count, w, w))
-    gram[:, i, i] = (b * b).sum(axis=2)
-    gram[:, i[:-1], i[1:]] = b[:, :-1, 1] * b[:, 1:, 0] + b[:, :-1, 2] * b[:, 1:, 1]
-    gram[:, i[:-2], i[2:]] = b[:, :-2, 2] * b[:, 2:, 0]
+    for o in range(min(k, w)):
+        gram[:, i[:w - o], i[o:]] = sum(b[j + o][:, :w - o] * b[j][:, o:] for j in range(k - o))
     return np.ldexp(np.sqrt(np.linalg.eigvalsh(gram, UPLO="U")[:, -1]), e)
 
 
-def unpruned_tail_norms(q, cap, gen):
+def unpruned_tail_norms(d):
     """Tail norms with every chain suffix solved, the reference for the pruned solve.
 
-    The columns of D with fixed (t, r - s) form a chain ordered by s; the
-    chain is the dense (L + 2) x L matrix M with row s' at slot s' - s_min + 1,
-    and its suffix from column k is M[k:, k:].  Every suffix of width w goes
+    The columns of d with fixed (t, r - s) form a chain ordered by s; with
+    the shifts' ds in low..high and k = high - low + 1, the chain is the
+    dense (L + k - 1) x L matrix M with row s' at slot s' - s_head - low,
+    and its suffix from column c is M[c:, c:].  Every suffix of width w goes
     through one batched scaled Gram solve, as tail_norms solves its blocks,
     and tail m takes the largest norm over the chains' columns s + |t| >= m.
     """
-    d = difference(q, cap, gen)
+    ds = [shift[1] for shift in term_shifts(d)] or [0]
+    low, k = min(ds), max(ds) - min(ds) + 1
     r, s, t = (c.tolist() for c in d.domain.coords)
     chains = {}
     for j in sorted(range(len(s)), key=s.__getitem__):
         chains.setdefault((t[j], r[j] - s[j]), []).append(j)
     head = {j: cols[0] for cols in chains.values() for j in cols}
-    mats = {cols[0]: np.zeros((len(cols) + 2, len(cols)), d.dtype) for cols in chains.values()}
+    mats = {cols[0]: np.zeros((len(cols) + k - 1, len(cols)), d.dtype) for cols in chains.values()}
     for i, j, v in entries(d):
         h = head[j]
-        mats[h][s[i] - s[h] + 1, s[j] - s[h]] = v
-    suffix = {h: [0.0] * (m.shape[1] + 1) for h, m in mats.items()}  # [k]: norm from column k on
+        mats[h][s[i] - s[h] - low, s[j] - s[h]] = v
+    suffix = {h: [0.0] * (m.shape[1] + 1) for h, m in mats.items()}  # [c]: norm from column c on
     for w in range(1, max(m.shape[1] for m in mats.values()) + 1):
         heads = [h for h, m in mats.items() if m.shape[1] >= w]
-        values = scaled_gram_norms(np.stack([mats[h][-w - 2:, -w:] for h in heads]))
+        values = scaled_gram_norms(np.stack([mats[h][-w - k + 1:, -w:] for h in heads]), k)
         for h, value in zip(heads, values.tolist()):
             suffix[h][-w - 1] = value
     # tail m reads a chain from column m - (|t| + s_min) on, and all of it for m <= |t| + s_min
+    cap = d.domain.cap
     norms, whole = [0.0] * (cap + 1), [0.0] * (cap + 2)
     for h, vals in suffix.items():
         base = abs(t[h]) + s[h]
         whole[base] = max(whole[base], vals[0])
-        for k, value in enumerate(vals[1:-1], 1):
-            norms[base + k] = max(norms[base + k], value)
+        for c, value in enumerate(vals[1:-1], 1):
+            norms[base + c] = max(norms[base + c], value)
     for m in range(cap, -1, -1):
         whole[m] = max(whole[m], whole[m + 1])
     return [(m, max(norms[m], whole[m])) for m in range(cap + 1)]
@@ -645,7 +675,16 @@ def unpruned_tail_norms(q, cap, gen):
 @pytest.mark.parametrize("q", [0.5, -0.45, 0.9, 0.999, 0.1, -1e-3, -3e-7, 1e-150])
 def test_tail_norms_equal_the_unpruned_solve(q, gen):
     for cap in [*range(13), 36]:
-        assert tail_norms(q, cap, gen) == unpruned_tail_norms(q, cap, gen), cap
+        d = difference(q, cap, gen)
+        assert tail_norms(d) == unpruned_tail_norms(d), cap
+
+
+@pytest.mark.parametrize("gen", ["alpha", "beta"])
+@pytest.mark.parametrize("q", [0.5, -0.45, 0.9])
+def test_wider_band_tail_norms_equal_the_unpruned_solve(q, gen):
+    for cap in [*range(13), 36]:
+        d = widened(q, cap, gen)
+        assert tail_norms(d) == unpruned_tail_norms(d), cap
 
 
 @pytest.mark.parametrize("gen", ["alpha", "beta"])
@@ -658,7 +697,7 @@ def test_tail_norms_solve_surviving_suffixes_at_their_own_size(monkeypatch, gen)
         return eigvalsh(x, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    tail_norms(0.5, 8, gen)
+    tail_norms(difference(0.5, 8, gen))
     monkeypatch.undo()
     d = difference(0.5, 8, gen)
     r, s, t = d.domain.coords
@@ -681,25 +720,21 @@ def test_tail_norms_solve_a_pinned_number_of_suffixes(monkeypatch, gen, solved):
         return eigvalsh(x, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    tail_norms(0.5, 18, gen)
+    tail_norms(difference(0.5, 18, gen))
     assert sum(counts) == solved
 
 
-def test_tail_norms_nan_entry_reaches_lapack(monkeypatch):
-    def with_nan(q, cap, gen):
-        # NaN plus the middle entry of D, on that entry's shift
-        d = difference(q, cap, gen)
-        found = entries(d)
-        i, j, _ = found[len(found) // 2]
-        shift = tuple(x - y for x, y in zip(d.codomain.point_of(i), d.domain.point_of(j)))
-        nan = build_from_rule(d.domain, d.codomain, lambda *p: [(
-            shift, np.where(np.arange(len(d.domain)) == j, np.nan, 0.0))], d.q)
-        assert [(k, j) for k, _ in column(nan, j)] == [(i, j)]
-        return add((1, d), (1, nan))
-
-    monkeypatch.setattr(equivalence, "difference", with_nan)
+def test_tail_norms_nan_entry_reaches_lapack():
+    # NaN plus the middle entry of D, on that entry's shift
+    d = difference(0.5, 8, "beta")
+    found = entries(d)
+    i, j, _ = found[len(found) // 2]
+    shift = tuple(x - y for x, y in zip(d.codomain.point_of(i), d.domain.point_of(j)))
+    nan = build_from_rule(d.domain, d.codomain, lambda *p: [(
+        shift, np.where(np.arange(len(d.domain)) == j, np.nan, 0.0))], d.q)
+    assert [(k, j) for k, _ in column(nan, j)] == [(i, j)]
     with pytest.raises(np.linalg.LinAlgError):
-        tail_norms(0.5, 8, "beta")
+        tail_norms(add((1, d), (1, nan)))
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0], ids=["below-floor", "above-hi"])
@@ -709,7 +744,7 @@ def test_tail_norms_check_the_bracket(monkeypatch, factor):
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda x, *args, **kwargs: factor**2 * eigvalsh(x, *args, **kwargs))
     with pytest.raises(AssertionError, match=r"tail 0 norm leaves its bracket"):
-        tail_norms(0.5, 4, "alpha")
+        tail_norms(difference(0.5, 4, "alpha"))
     # an internal fault, not a usage error: the CLI does not exit 2 on it
     with pytest.raises(AssertionError, match=r"leaves its bracket"):
         main(["tails", "--q", "0.5", "--cap", "4", "--gen", "alpha"])
@@ -718,7 +753,7 @@ def test_tail_norms_check_the_bracket(monkeypatch, factor):
 def test_tail_norms_peak_memory_at_the_largest_cap():
     tracemalloc.start()
     try:
-        tail_norms(0.9, 51, "beta")
+        tail_norms(difference(0.9, 51, "beta"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -729,13 +764,10 @@ def test_tail_norms_peak_memory_at_the_largest_cap():
 @pytest.mark.parametrize(
     "column, row",
     [((0, 0, 0), (1, 0, 1)),  # the row of column (0, 0, 1): shift (1, 0, 1) moves t to another chain
-     ((0, 0, 0), (0, 0, 4)),  # no column feeds it; it holds the chain slot of (1, 0, 0), but t moves
-     # column (1, 2, 0) is i = 1 of the chain (t, r - s) = (0, -1), which starts at s = 1: its
-     # band is slots 1..3, and (0, 0, 0) is that chain's row at slot 0 (shift (-1, -2, 0))
-     ((1, 2, 0), (0, 0, 0))],
-    ids=["two-chains", "shared-slot", "below-band"],
+     ((0, 0, 0), (0, 0, 4))],  # no column feeds it; it holds the chain slot of (1, 0, 0), but t moves
+    ids=["two-chains", "shared-slot"],
 )
-def test_tail_norms_refuse_rows_outside_the_chains(monkeypatch, capsys, column, row):
+def test_tail_norms_refuse_rows_outside_the_chains(monkeypatch, column, row):
     def linked(q, cap, gen):
         d = difference(q, cap, gen)
         at = np.arange(len(d.domain)) == d.domain.rank(*column)
@@ -743,11 +775,12 @@ def test_tail_norms_refuse_rows_outside_the_chains(monkeypatch, capsys, column, 
         assert entries(extra) == [(d.codomain.rank(*row), d.domain.rank(*column), 0.125)]
         return add((1, d), (1, extra))
 
-    monkeypatch.setattr(equivalence, "difference", linked)
     shift = tuple(b - a for a, b in zip(column, row))  # the entry's row minus its column
-    message = re.escape(f"D_alpha carries the shift {shift!r}")
+    message = re.escape(f"the shifts {[(1, 0, 0), (0, -1, 0), shift]} move (t, r - s) "
+                        "by different offsets")
     with pytest.raises(AssertionError, match=message):
-        tail_norms(0.5, 4, "alpha")
+        tail_norms(linked(0.5, 4, "alpha"))
     # an internal fault, not a usage error: the CLI does not exit 2 on it
+    monkeypatch.setattr(equivalence, "difference", linked)
     with pytest.raises(AssertionError, match=message):
         main(["tails", "--q", "0.5", "--cap", "4", "--gen", "alpha"])

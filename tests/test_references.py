@@ -7,7 +7,9 @@ of operator_core imports no qsu2 module but lattice, no module of the
 package scatters through ``np.<ufunc>.at`` or checks through an ``assert``
 statement, only the entry point in cli touches the C allocator, and no
 module imports ``dataclasses``: records are ``typing.NamedTuple``s, like
-``Term`` and the lattice indices, and the import would cost every start-up."""
+``Term`` and the lattice indices, and the import would cost every start-up.
+Only operator_core and equivalence, whose ``tail_norms`` reads the band of an
+operator from its terms, read an attribute named ``terms``."""
 
 import ast
 from pathlib import Path
@@ -158,6 +160,38 @@ def dataclasses_imports(package: Path = PACKAGE) -> list[str]:
             if "dataclasses" in (module.split(".")[0] for module in modules):
                 found.append(f"{path.stem}:{node.lineno}")
     return found
+
+
+# the modules that may read an operator's terms
+TERM_READERS = {"operator_core", "equivalence"}
+
+
+def term_reads(package: Path = PACKAGE) -> list[str]:
+    """module:line of every read of an attribute named ``terms`` outside TERM_READERS."""
+    return [f"{path.stem}:{node.lineno} .terms"
+            for path in sorted(package.glob("*.py")) if path.stem not in TERM_READERS
+            for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Attribute) and node.attr == "terms"]
+
+
+def test_only_operator_core_and_equivalence_read_terms():
+    # every other module goes through the operator algebra
+    assert term_reads() == []
+
+
+def test_a_term_read_is_caught(tmp_path):
+    # any attribute named terms, nested too, but not a local name, a string
+    # or a read inside one of TERM_READERS
+    package = tmp_path / "qsu2"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "def f(op, terms):\n"
+        "    n = len(op.terms)\n"
+        "    if n:\n"
+        "        return [t.shift for t in op.terms]\n"
+        "    return terms, 'op.terms'\n", encoding="utf-8")
+    (package / "equivalence.py").write_text("def g(d):\n    return d.terms\n", encoding="utf-8")
+    assert term_reads(package) == ["mod:2 .terms", "mod:4 .terms"]
 
 
 def test_no_dataclasses_import():

@@ -146,7 +146,8 @@ def test_operator_norm_pi_beta_section():
 @pytest.mark.parametrize("gen", ["alpha_star", "beta_star", "a", "gamma", "ALPHA"])
 def test_builders_refuse_starred_and_unknown_names(gen):
     # the starred letters are formed only by adjoint, never by name
-    for build in (build_lambda, build_pi, build_ipi, difference, closed_form, tail_norms):
+    for build in (build_lambda, build_pi, build_ipi, difference, closed_form,
+                  lambda q, cap, gen: tail_norms(difference(q, cap, gen))):
         with pytest.raises(ValueError, match=f"unknown generator {gen!r}"):
             build(0.5, 4, gen)
     with pytest.raises(ValueError, match=f"unknown generator {gen!r}"):

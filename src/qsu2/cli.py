@@ -1,10 +1,13 @@
 """Command-line front end running the verification suites.
 
 Exit codes: 0 when every checked item passes, 1 on a quantitative
-failure, 2 on usage errors (including q = 0 for the float commands,
-which have a dedicated exact counterpart in verify-q0, and sizes over
-MAX_POINTS).  Every command is declared once in COMMANDS, which the
-parser, the usage checks and the report params all read.
+failure, 2 only on a usage error refused before any work is done
+(including q = 0 for the float commands, which have a dedicated exact
+counterpart in verify-q0, sizes over MAX_POINTS and an unwritable
+--out), so an existing --out survives it.  A fault during the work is
+not a usage error: it raises with its traceback, and --out is left
+empty.  Every command is declared once in COMMANDS, which the parser,
+the usage checks and the report params all read.
 
 ``main`` first pins glibc's malloc thresholds (``_pin_heap``), so freed
 numpy temporaries are reused from the heap instead of being handed back
@@ -266,11 +269,8 @@ def main(argv=None) -> int:
         return _usage_error(f"cannot write --out {args.out}: {exc.strerror or exc}")
     with out as fh:
         started = time.perf_counter()
-        try:
-            # looked up by name, so a handler patched on this module is the one that runs
-            report = globals()[command.handler.__name__](args)
-        except ValueError as exc:
-            return _usage_error(str(exc))
+        # looked up by name, so a handler patched on this module is the one that runs
+        report = globals()[command.handler.__name__](args)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         fh.write(render(report, args.format))
     print(f"qsu2 {report.command}: {'pass' if report.passed else 'FAIL'} "

@@ -52,6 +52,17 @@ def diagonal(basis, values, mode):
     return build_from_rule(basis, basis, lambda *p: [((0,) * len(p), values)], mode)
 
 
+def nan_on_middle_entry(d):
+    """The operator holding NaN at the row and column of the middle entry
+    of ``d`` (on that entry's shift) and nothing else, and that (row, column)."""
+    found = entries(d)
+    i, j, _ = found[len(found) // 2]
+    shift = tuple(x - y for x, y in zip(d.codomain.point_of(i), d.domain.point_of(j)))
+    nan = build_from_rule(d.domain, d.codomain, lambda *p: [(
+        shift, np.where(np.arange(len(d.domain)) == j, np.nan, 0.0))], d.q)
+    return nan, (i, j)
+
+
 def coefficient(term, n2: int, i2: int, j2: int, q: float) -> float:
     """A coefficient function's value at one Gamma point, as a float: its
     term on gamma_basis(n2), read at the point's rank."""

@@ -16,9 +16,11 @@ import numpy as np
 import pytest
 
 import qsu2
-from qsu2 import cli, equivalence
+from support import nan_on_middle_entry
+from qsu2 import cli, coefficients, equivalence, representations
 from qsu2.cli import main
 from qsu2.lattice import full_basis, gamma_basis
+from qsu2.operator_core import add
 from qsu2.report import ReportItem, VerificationReport, render
 
 
@@ -319,25 +321,6 @@ def test_unwritable_out_is_usage_error(monkeypatch, tmp_path, capsys, where):
     assert f"qsu2: error: cannot write --out {out}" in err
 
 
-@pytest.mark.parametrize(
-    "argv, flag",
-    [
-        (["verify-relations", "--q", "0.5", "--cap", "1"], "--cap"),
-        (["irrep", "--q", "0.5", "--z-re", "2"], "--z-re"),
-        (["irrep", "--q", "0.5", "--dim", "1"], "--dim"),
-    ],
-    ids=["relations-cap", "irrep-z", "irrep-dim"],
-)
-def test_usage_error_leaves_out_untouched(tmp_path, capsys, argv, flag):
-    out = tmp_path / "o.json"
-    out.write_bytes(b"sentinel\n")
-    code, stdout, err = run(capsys, *argv, "--out", str(out))
-    assert code == 2
-    assert out.read_bytes() == b"sentinel\n"
-    assert stdout == ""
-    assert flag in err
-
-
 def test_stdout_determinism(capsys):
     outs = []
     for _ in range(2):
@@ -490,6 +473,86 @@ PARAMS = {
 
 def test_params_pins_cover_every_command():
     assert list(PARAMS) == list(cli.COMMANDS)
+
+
+# Every refusal of the library that argv can reach, as the usage checks of
+# main make it before any work: id, argv and a part of the message.  The q
+# rows repeat --q after a valid argv of each float command; the last one counts.
+GATE = {
+    **{f"{name}-q-{q}": ([name, *argv, "--q", q], message)
+       for name, (argv, _) in PARAMS.items() if "--q" in argv
+       for q, message in (("0", "q=0 is exact"), ("1.5", "|q| < 1"))},
+    "relations-cap": (["verify-relations", "--q", "0.5", "--cap", "1"], "--cap"),
+    "q0-cap": (["verify-q0", "--cap", "0"], "--cap >= 1"),
+    "equivalence-cap": (["verify-equivalence", "--q", "0.5", "--cap", "0"], "--cap >= 1"),
+    "irrep-z": (["irrep", "--q", "0.5", "--z-re", "2"], "--z-re"),
+    "irrep-dim": (["irrep", "--q", "0.5", "--dim", "1"], "--dim"),
+    "irrep-dim-2": (["irrep", "--q", "0.5", "--dim", "2"], "--dim >= 3"),
+    "estimates-kmax": (["estimates", "--q", "0.5", "--kmax", "0"], "--kmax >= 1"),
+    **{f"{name}-tol-{tol}": ([name, "--q", "0.5", "--tol", tol], "tol must be positive")
+       for name in ("verify-relations", "verify-equivalence", "irrep") for tol in ("0", "nan")},
+    "irrep-z-re-inf": (["irrep", "--q", "0.5", "--z-re", "inf"], "--z-re must be finite"),
+}
+
+
+@pytest.mark.parametrize("row", list(GATE))
+def test_usage_error_leaves_out_untouched(monkeypatch, tmp_path, capsys, row):
+    argv, message = GATE[row]
+
+    def refuse(args):
+        raise AssertionError("the command ran past the usage checks")
+
+    monkeypatch.setattr(cli, cli.COMMANDS[argv[0]].handler.__name__, refuse)
+    out = tmp_path / "o.json"
+    out.write_bytes(b"sentinel\n")
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert out.read_bytes() == b"sentinel\n"
+    assert stdout == ""
+    assert err.startswith("qsu2: error: ") and message in err
+
+
+# per command, one callee its handler reaches
+CALLEES = {
+    "verify-q0": (equivalence, "verify_q0_equivalence"),
+    "verify-relations": (representations, "check_relations"),
+    "verify-equivalence": (equivalence, "closed_form"),
+    "estimates": (coefficients, "verify_g_estimates"),
+    "decay": (equivalence, "decay_report"),
+    "tails": (equivalence, "tail_norms"),
+    "irrep": (representations, "build_irrep"),
+}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_a_library_error_in_a_handler_is_a_fault(monkeypatch, tmp_path, capsys, command):
+    # not a usage error: main raises it, writes no report and truncates --out
+    def fail(*args):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(*CALLEES[command], fail)
+    out = tmp_path / "o.json"
+    out.write_bytes(b"sentinel\n")
+    with pytest.raises(ValueError, match="^internal$"):
+        main([command, *PARAMS[command][0], "--out", str(out)])
+    assert out.read_bytes() == b""
+    assert capsys.readouterr() == ("", "")
+
+
+def test_a_lapack_fault_in_tails_raises(monkeypatch, capsys):
+    # NaN plus the middle entry of D_beta, as in
+    # test_tail_norms_nan_entry_reaches_lapack: the eigensolve fails, and
+    # "Eigenvalues did not converge" is no usage error
+    clean = equivalence.difference
+
+    def poisoned(q, cap, gen):
+        d = clean(q, cap, gen)
+        return add((1, d), (1, nan_on_middle_entry(d)[0]))
+
+    monkeypatch.setattr(equivalence, "difference", poisoned)
+    with pytest.raises(np.linalg.LinAlgError):
+        main(["tails", "--q", "0.5", "--cap", "8", "--gen", "beta"])
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("command", list(PARAMS))

@@ -20,6 +20,7 @@ from support import (
     diagonal,
     entries,
     entry_bits,
+    nan_on_middle_entry,
     product,
     sheet_of,
     term_shifts,
@@ -727,11 +728,7 @@ def test_tail_norms_solve_a_pinned_number_of_suffixes(monkeypatch, gen, solved):
 def test_tail_norms_nan_entry_reaches_lapack():
     # NaN plus the middle entry of D, on that entry's shift
     d = difference(0.5, 8, "beta")
-    found = entries(d)
-    i, j, _ = found[len(found) // 2]
-    shift = tuple(x - y for x, y in zip(d.codomain.point_of(i), d.domain.point_of(j)))
-    nan = build_from_rule(d.domain, d.codomain, lambda *p: [(
-        shift, np.where(np.arange(len(d.domain)) == j, np.nan, 0.0))], d.q)
+    nan, (i, j) = nan_on_middle_entry(d)
     assert [(k, j) for k, _ in column(nan, j)] == [(i, j)]
     with pytest.raises(np.linalg.LinAlgError):
         tail_norms(add((1, d), (1, nan)))

@@ -8,6 +8,9 @@ package scatters through ``np.<ufunc>.at`` or checks through an ``assert``
 statement, only the entry point in cli touches the C allocator, and no
 module imports ``dataclasses``: records are ``typing.NamedTuple``s, like
 ``Term`` and the lattice indices, and the import would cost every start-up.
+The one ``try`` statement of the package is the ``except OSError`` around
+opening ``--out`` in ``cli.main``: anything else a command raises is a fault,
+not a usage error, and propagates.
 Only operator_core and equivalence, whose ``tail_norms`` reads the band of an
 operator from its terms, read an attribute named ``terms``."""
 
@@ -279,6 +282,57 @@ def test_a_ufunc_at_call_is_caught(tmp_path):
         "    np.minimum.reduceat(v, idx)\n"
         "    return np.minimum.at(out, idx, v)\n", encoding="utf-8")
     assert ufunc_at_calls(package) == ["mod:5 np.add.at", "mod:8 np.minimum.at"]
+
+
+def _try_clauses(node, scope: str):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ExceptHandler):
+            yield f"{scope} except {ast.unparse(child.type) if child.type else ''}".rstrip()
+        elif isinstance(child, ast.Try) and not child.handlers:
+            yield f"{scope} try/finally"
+        inner = (f"{scope}.{child.name}" if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else scope)
+        yield from _try_clauses(child, inner)
+
+
+def try_clauses(package: Path = PACKAGE) -> list[str]:
+    """module.function and caught type of every except clause in the
+    package, and module.function of every try with none (a try/finally)."""
+    return [clause for path in sorted(package.glob("*.py"))
+            for clause in _try_clauses(_tree(path), path.stem)]
+
+
+def test_only_main_catches_and_only_the_out_error():
+    # a library error inside a command is a fault with its traceback, never exit 2
+    assert try_clauses() == ["cli.main except OSError"]
+
+
+def test_a_try_clause_is_caught(tmp_path):
+    # every except clause, bare and tuple ones and those nested in a method
+    # too, and a try/finally; not the word in a string
+    package = tmp_path / "qsu2"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "class Op:\n"
+        "    def f(self, x):\n"
+        "        try:\n"
+        "            return 1 / x\n"
+        "        except (ValueError, ZeroDivisionError):\n"
+        "            try:\n"
+        "                return 'except ValueError'\n"
+        "            finally:\n"
+        "                pass\n\n\n"
+        "def g():\n"
+        "    try:\n"
+        "        pass\n"
+        "    except OSError as exc:\n"
+        "        pass\n\n\n"
+        "try:\n"
+        "    import numpy\n"
+        "except:\n"
+        "    numpy = None\n", encoding="utf-8")
+    assert try_clauses(package) == ["mod.Op.f except (ValueError, ZeroDivisionError)",
+                                    "mod.Op.f try/finally", "mod.g except OSError", "mod except"]
 
 
 def test_no_assert_statement():

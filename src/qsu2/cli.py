@@ -21,7 +21,6 @@ import argparse
 import contextlib
 import ctypes
 import math
-import os
 import sys
 import time
 from typing import Callable, NamedTuple
@@ -226,8 +225,10 @@ def _pin_heap() -> None:
     verify-q0 --cap 40 is 190 KB) are unmapped or trimmed when freed, and
     their pages are zero-filled and faulted in again when taken back.  Both
     are set, because setting either one turns the dynamic rule off.
+    mallopt is read from ctypes.pythonapi, the handle on the process's own
+    symbols that ctypes opens on import, so no call opens a library.
     Without mallopt (a C library other than glibc) nothing is set."""
-    mallopt = getattr(ctypes.CDLL(None) if os.name == "posix" else None, "mallopt", None)
+    mallopt = getattr(ctypes.pythonapi, "mallopt", None)
     if mallopt is None:
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)

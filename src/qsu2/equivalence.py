@@ -306,15 +306,23 @@ def tail_norms(d: SparseOperator) -> list[tuple[int, float]]:
     lies below it by far more than solver and summation error, so each
     maximum is the value an unpruned solve gives.
 
-    Each block is scaled by 2^-e, e the binary exponent of its largest
-    |entry|, before the products: that entry lands in [1/2, 1), so the
-    Gram's largest diagonal is at least 1/4, and only squares far below
-    its O(eps) share can underflow, even at q = 1e-150, where unscaled
-    squares of every entry do.  Each w takes one batched symmetric
-    eigensolve (LAPACK) of its surviving Grams, and the norm is
-    sqrt(largest eigenvalue) * 2^e.  The solver is backward stable, so
-    that eigenvalue is off by O(eps) of the Gram's norm, sigma_max^2, and
-    the norm is within O(eps) relative, as an SVD of the block would give.
+    The surviving suffixes, stably sorted by width, are read with one
+    gather into flat[j, first + i] = b[i, j], one suffix after another,
+    then K zero columns.  Each is scaled by 2^-e, e the binary exponent
+    of its largest |entry| (one maximum.reduceat over the suffix starts),
+    before the products: that entry lands in [1/2, 1), so the Gram's
+    largest diagonal is at least 1/4, and only squares far below its
+    O(eps) share can underflow, even at q = 1e-150, where unscaled
+    squares of every entry do.  Each superdiagonal o is formed once for
+    all suffixes, sum_j flat[j + o, p] flat[j, p + o] in order of j,
+    which at p = first + i, i < w - o, is the Gram entry (i, i + o).
+    Each w then writes these into a zeroed batch of row-major w x w
+    Grams through strided views, every (w + 1)-th entry from o, and
+    takes one batched symmetric eigensolve (LAPACK) of the upper
+    triangles; the norm is sqrt(largest eigenvalue) * 2^e.  The solver
+    is backward stable, so that eigenvalue is off by O(eps) of the Gram's
+    norm, sigma_max^2, and the norm is within O(eps) relative, as an SVD
+    of the block would give.
     floor <= norm <= max hi is checked to 1e-10, else AssertionError.
     """
     r, s, t = d.domain.coords
@@ -367,16 +375,30 @@ def tail_norms(d: SparseOperator) -> list[tuple[int, float]]:
     slack = 1 + 1e-10
     solve = np.flatnonzero(~(hi * slack < floor[tail]))
     widths = length[solve] - slot[solve]
+    by_width = np.argsort(widths, kind="stable")
+    solve, widths = solve[by_width], widths[by_width]
+    first = np.cumsum(widths) - widths  # where each suffix starts in flat
+    total = int(widths.sum())
+    flat = np.zeros((diags, total + diags))  # [j, first + i]: b[i, j] of each suffix, then zeros
+    body = flat[:, :total]
+    at_slot = np.repeat(slot[solve] - first, widths) + np.arange(total)  # slot + i at first + i
+    body[:] = band[:, np.repeat(chain[solve], widths), at_slot]
+    del band, at_slot
+    e = np.frexp(np.maximum.reduceat(abs(body).max(axis=0), first))[1]
+    np.ldexp(body, -np.repeat(e, widths), out=body)
+    # superdiagonal o at first + i; past i = w - o - 1 it reads the next suffix and goes unused
+    sup = [(flat[o:, :total] * flat[:diags - o, o:total + o]).sum(axis=0) for o in range(diags)]
+    del flat, body
+    bounds = np.searchsorted(widths, np.arange(width + 2)).tolist()  # width w: bounds[w]:bounds[w + 1]
     norm = np.zeros(len(tail))
     for w in sorted(set(widths.tolist())):
-        cols, i = solve[widths == w], np.arange(w)
-        b = band[:, chain[cols, None], slot[cols, None] + i]
-        e = np.frexp(abs(b).max(axis=(0, 2)))[1]
-        b = np.ldexp(b, -e[:, None])
-        gram = np.zeros((len(cols), w, w))
-        for o in range(min(diags, w)):  # superdiagonal o
-            gram[:, i[:w - o], i[o:]] = (b[o:, :, :w - o] * b[:diags - o, :, o:]).sum(axis=0)
-        norm[cols] = np.ldexp(np.sqrt(np.linalg.eigvalsh(gram, UPLO="U")[:, -1]), e)
+        lo, up = bounds[w], bounds[w + 1]
+        count, at = up - lo, int(first[lo])
+        gram = np.zeros((count, w * w))
+        for o in range(min(diags, w)):  # superdiagonal o: every (w + 1)-th entry from o
+            gram[:, o::w + 1][:, :w - o] = sup[o][at:at + count * w].reshape(count, w)[:, :w - o]
+        top = np.linalg.eigvalsh(gram.reshape(count, w, w), UPLO="U")[:, -1]
+        norm[solve[lo:up]] = np.ldexp(np.sqrt(top), e[lo:up])
     value = per_tail(norm)
     bad = ~((floor <= value * slack) & (value <= per_tail(hi) * slack))
     if bad.any():

@@ -141,7 +141,9 @@ def build_from_rule(domain: Basis, codomain: Basis, rule: Callable, q: float) ->
         if shift in seen:
             raise ValueError(f"rule names the shift {shift!r} twice")
         seen.add(shift)
-        values = np.broadcast_to(_entry_values(values, q == 0), (n,))
+        values = _entry_values(values, q == 0)
+        if values.shape != (n,):  # a scalar rule value: the same entry at every point
+            values = np.broadcast_to(values, (n,))
         emit = np.flatnonzero(values != 0)
         target = tuple(c[emit] + d for c, d in zip(domain.coords, shift, strict=True))
         bad = ~codomain.valid(*target)

@@ -680,6 +680,24 @@ def test_tail_norms_equal_the_unpruned_solve(q, gen):
         assert tail_norms(d) == unpruned_tail_norms(d), cap
 
 
+def test_tail_norms_equal_the_unpruned_solve_at_the_largest_cap(monkeypatch):
+    # cap 51, the largest the CLI takes, solves a suffix of every width 1..26,
+    # so the flat gather and the strided Gram fill are checked at each of them
+    widths = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(x, *args, **kwargs):
+        widths.append(x.shape[-1])
+        return eigvalsh(x, *args, **kwargs)
+
+    d = difference(0.9, 51, "beta")
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    norms = tail_norms(d)
+    monkeypatch.undo()
+    assert widths == list(range(1, 27))
+    assert norms == unpruned_tail_norms(d)
+
+
 @pytest.mark.parametrize("gen", ["alpha", "beta"])
 @pytest.mark.parametrize("q", [0.5, -0.45, 0.9])
 def test_wider_band_tail_norms_equal_the_unpruned_solve(q, gen):

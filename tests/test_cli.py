@@ -45,6 +45,32 @@ def test_verify_q0_passes(capsys):
     assert all(it["pass"] for it in doc["items"])
 
 
+def test_verify_q0_cap_zero_usage_error(capsys):
+    code, out, err = run(capsys, "verify-q0", "--cap", "0")
+    assert code == 2
+    assert out == ""
+    assert "no interior" in err
+
+
+def test_verify_equivalence_cap_zero_usage_error(capsys):
+    # at cap 0 no column has shell <= cap - 1, so nothing would be checked
+    code, out, err = run(capsys, "verify-equivalence", "--q", "0.5", "--cap", "0")
+    assert code == 2
+    assert out == ""
+    assert "no interior" in err
+
+
+def test_q_zero_redirects_to_exact_command(capsys):
+    code, _, err = run(capsys, "verify-relations", "--q", "0", "--cap", "6")
+    assert code == 2
+    assert "verify-q0" in err
+
+
+def test_q_out_of_range(capsys):
+    code, _, err = run(capsys, "tails", "--q", "1.5", "--cap", "4", "--gen", "alpha")
+    assert code == 2
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-q0", "--bogus", "1"])
@@ -232,6 +258,15 @@ def test_tails_command(capsys):
     values = [it["value"] for it in doc["items"]]
     for a, b in zip(values, values[1:]):
         assert b <= a + 1e-8  # nonincreasing up to the CLI's TAIL_SLACK
+
+
+# --tol inf is a row of GATE for each command that takes --tol
+@pytest.mark.parametrize("value", ["nan"])
+def test_non_finite_tol_usage_error(capsys, value):
+    code, out, err = run(capsys, "verify-relations", "--q", "0.5", "--cap", "6", "--tol", value)
+    assert code == 2
+    assert out == ""
+    assert "tol" in err
 
 
 def test_irrep_command(capsys):

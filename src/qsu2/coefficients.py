@@ -11,7 +11,10 @@ apply the validity-first rule: where point + step violates the Gamma
 invariants the target basis vector does not exist, so the coefficient is
 0 by definition and no division is attempted.  These are exactly the
 sites where the raw formulas degenerate to 0/0, and a rule of these terms
-never emits an invalid target.
+never emits an invalid target.  A formula reads a point through n2 and
+the integers a = n + i = (n2 + i2) >> 1 and b = n + j = (n2 + j2) >> 1,
+each halved once per call; a shift right by one is floor division by 2
+on every integer, and n2 + i2 is even on Gamma, so nothing is rounded.
 
 An operator carries the q it was built at, and q == 0 is its exact mode;
 ``float_mode`` admits every other q, 0 < |q| < 1, and returns it.
@@ -78,46 +81,49 @@ def float_mode(q: float) -> float:
 
 def _coefficient(basis, q: float, step: tuple[int, int, int], formula):
     """The rule term (step, values) on a Gamma basis: ``formula(gt, qp, n2,
-    i2, j2)`` at the points (n2, i2, j2) whose target point + step exists,
-    0.0 elsewhere; gt and qp tabulate g(k, q) and q**e up to the cap."""
+    a, b)`` at the points (n2, i2, j2) whose target point + step exists,
+    0.0 elsewhere, with a = n + i and b = n + j halved from the doubled
+    coordinates by one shift each; gt and qp tabulate g(k, q) and q**e up
+    to the cap."""
     if basis.label != "gamma":
         raise ValueError(f"Clebsch-Gordan terms take a Gamma basis, not {basis.label!r}")
     n2, i2, j2 = basis.coords
     ok = is_valid_gamma(n2 + step[0], i2 + step[1], j2 + step[2])
+    n2, i2, j2 = n2[ok], i2[ok], j2[ok]
     top = basis.cap + 2
     out = np.zeros(len(basis))
-    out[ok] = formula(g_table(q, top), power_table(q, 2 * top), n2[ok], i2[ok], j2[ok])
+    out[ok] = formula(g_table(q, top), power_table(q, 2 * top), n2, (n2 + i2) >> 1, (n2 + j2) >> 1)
     return step, out
 
 
 def a_plus(basis, q: float):
     """Raising term of the alpha action on a Gamma basis."""
-    return _coefficient(basis, q, (1, -1, -1), lambda gt, qp, n2, i2, j2: (
-        qp[n2 + (i2 + j2) // 2 + 1]  # q^(2n + i + j + 1)
-        * (gt[(n2 - j2) // 2 + 1] * gt[(n2 - i2) // 2 + 1])
+    return _coefficient(basis, q, (1, -1, -1), lambda gt, qp, n2, a, b: (
+        qp[a + b + 1]  # q^(2n + i + j + 1)
+        * (gt[n2 - b + 1] * gt[n2 - a + 1])
         / (gt[n2 + 1] * gt[n2 + 2])))
 
 
 def a_minus(basis, q: float):
     """Lowering term of the alpha action on a Gamma basis."""
-    return _coefficient(basis, q, (-1, -1, -1), lambda gt, qp, n2, i2, j2: (
-        (gt[(n2 + j2) // 2] * gt[(n2 + i2) // 2])
+    return _coefficient(basis, q, (-1, -1, -1), lambda gt, qp, n2, a, b: (
+        (gt[b] * gt[a])
         / (gt[n2] * gt[n2 + 1])))
 
 
 def b_plus(basis, q: float):
     """Raising term of the beta action on a Gamma basis."""
-    return _coefficient(basis, q, (1, 1, -1), lambda gt, qp, n2, i2, j2: (
-        -(qp[(n2 + j2) // 2])  # q^(n + j)
-        * (gt[(n2 - j2) // 2 + 1] * gt[(n2 + i2) // 2 + 1])
+    return _coefficient(basis, q, (1, 1, -1), lambda gt, qp, n2, a, b: (
+        -(qp[b])  # q^(n + j)
+        * (gt[n2 - b + 1] * gt[a + 1])
         / (gt[n2 + 1] * gt[n2 + 2])))
 
 
 def b_minus(basis, q: float):
     """Lowering term of the beta action on a Gamma basis."""
-    return _coefficient(basis, q, (-1, 1, -1), lambda gt, qp, n2, i2, j2: (
-        qp[(n2 + i2) // 2]  # q^(n + i)
-        * (gt[(n2 + j2) // 2] * gt[(n2 - i2) // 2])
+    return _coefficient(basis, q, (-1, 1, -1), lambda gt, qp, n2, a, b: (
+        qp[a]  # q^(n + i)
+        * (gt[b] * gt[n2 - a])
         / (gt[n2] * gt[n2 + 1])))
 
 

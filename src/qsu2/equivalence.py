@@ -55,8 +55,8 @@ def u_forward(n2, i2, j2):
     (-1)^((i v j) - j) and point (n - (i v j), n + (i ^ j), j - i)."""
     hi = np.maximum(i2, j2)
     lo = np.minimum(i2, j2)
-    sign = 1 - 2 * ((hi - j2) // 2 & 1)
-    return sign, (n2 - hi) // 2, (n2 + lo) // 2, (j2 - i2) // 2
+    sign = 1 - 2 * ((hi - j2) >> 1 & 1)
+    return sign, (n2 - hi) >> 1, (n2 + lo) >> 1, (j2 - i2) >> 1
 
 
 def unitary_u(cap: int) -> SparseOperator:
@@ -275,10 +275,10 @@ def tail_norms(d: SparseOperator) -> list[tuple[int, float]]:
     AssertionError naming the shifts; then d maps the chain of columns
     with fixed (t, r - s), indexed by s, into one chain of rows, and every
     tail is a suffix of every chain.  Chain (t, r - s) has rank
-    ((t + r - s + cap)(2 cap + 1) + t - (r - s) + cap) / 2, a bijection of
+    ((t + r - s + cap)(2 cap + 1) + t - (r - s) + cap) >> 1, a bijection of
     the diamond |t| + |r - s| <= cap onto its size.  Column (r, s, t) sits
     at slot i = min(r, s) of its chain, whose length is
-    (cap - |t| - |r - s|) // 2 + 1.  The band is read from the terms: it
+    ((cap - |t| - |r - s|) >> 1) + 1.  The band is read from the terms: it
     has K = max ds - min ds + 1 diagonals, and the term of shift
     (dr, ds, dt) is the diagonal b[i, ds - min ds], which feeds row slot
     i + ds - min ds.  The suffix of width w from slot k is a
@@ -328,10 +328,10 @@ def tail_norms(d: SparseOperator) -> list[tuple[int, float]]:
     r, s, t = d.domain.coords
     cap = d.domain.cap
     n = 2 * cap * (cap + 1) + 1  # the chains, one per point of the diamond
-    chain = ((t + r - s + cap) * (2 * cap + 1) + t - (r - s) + cap) // 2
+    chain = ((t + r - s + cap) * (2 * cap + 1) + t - (r - s) + cap) >> 1
     slot = np.minimum(r, s)  # i of each column in its chain
-    length = (cap - abs(t) - abs(r - s)) // 2 + 1  # of each column's chain
-    width = cap // 2 + 1
+    length = ((cap - abs(t) - abs(r - s)) >> 1) + 1  # of each column's chain
+    width = (cap >> 1) + 1
     shifts = [term.shift for term in d.terms]
     if len({(dt, dr - ds) for dr, ds, dt in shifts}) > 1:
         raise AssertionError(f"the shifts {shifts} move (t, r - s) by different offsets")

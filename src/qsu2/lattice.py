@@ -3,7 +3,10 @@
 The GNS space of quantum SU(2) is indexed by the pyramid lattice
 Gamma = {(n, i, j) : n in (1/2)N, i, j in {-n, ..., n}}.  Half-integers
 are stored doubled, (n2, i2, j2) = (2n, 2i, 2j), so every index
-computation is exact integer arithmetic.  The direct-integral side
+computation is exact integer arithmetic.  Index arithmetic never
+divides: a doubled coordinate is halved by a shift, x >> 1, which is
+floor division by 2 on every int64 and every Python int, and a parity
+is read with & 1.  The direct-integral side
 lives on N x N x Z (points (r, s, t)) with the middle-and-last pair
 (s, t) indexing the factor N x Z.
 
@@ -15,7 +18,8 @@ on either lattice.
 
 A basis holds its points as coordinate arrays in rank order, and the
 rank of a point is a closed form in its coordinates, so operator
-builders map whole arrays of target points to ranks at once.  The
+builders map whole arrays of target points to ranks at once; the points
+below a shell are read from one table over the shells up to the cap.  The
 coordinate functions below (validity, shells, ranks) act elementwise on
 integers and on integer arrays alike.
 """
@@ -52,9 +56,9 @@ class PiIndex(NamedTuple):
 
 
 def is_valid_gamma(n2, i2, j2):
-    """Whether (n2, i2, j2) satisfies the Gamma invariants."""
-    return ((n2 >= 0) & (abs(i2) <= n2) & (abs(j2) <= n2)
-            & (((i2 - n2) & 1) == 0) & (((j2 - n2) & 1) == 0))
+    """Whether (n2, i2, j2) satisfies the Gamma invariants (|i2| <= n2
+    implies n2 >= 0; one & 1 tests both parities)."""
+    return (abs(i2) <= n2) & (abs(j2) <= n2) & ((((i2 - n2) | (j2 - n2)) & 1) == 0)
 
 
 def is_valid_full(r, s, t):
@@ -87,15 +91,22 @@ def _inside(shell, cap, rank):
     return np.where(shell <= cap, rank, -1)
 
 
+def _below(cap: int, m):
+    """points_below(m) of shells m >= 0, read from one table over the
+    shells 0..cap + 1; every shell above the cap reads cap + 1's entry,
+    which _inside then discards."""
+    return points_below(np.arange(cap + 2))[np.minimum(m, cap + 1)]
+
+
 def _gamma_rank(cap: int, n2, i2, j2):
     """Rank of valid Gamma points in gamma_basis(cap), -1 above the cap."""
-    return _inside(n2, cap, points_below(n2) + (i2 + n2) // 2 * (n2 + 1) + (j2 + n2) // 2)
+    return _inside(n2, cap, _below(cap, n2) + ((i2 + n2) >> 1) * (n2 + 1) + ((j2 + n2) >> 1))
 
 
 def _full_rank(cap: int, r, s, t):
     """Rank of valid (r, s, t) in full_basis(cap), -1 above the cap."""
     m = full_shell(r, s, t)
-    return _inside(m, cap, points_below(m) + (m - r) ** 2 + _pi_offset(t))
+    return _inside(m, cap, _below(cap, m) + (m - r) ** 2 + _pi_offset(t))
 
 
 def _pi_rank(cap: int, s, t):
@@ -122,7 +133,9 @@ def _shell_ranks(cap: int, size: Callable) -> tuple[np.ndarray, np.ndarray]:
 def _gamma_coords(cap: int) -> tuple[np.ndarray, ...]:
     """Coordinates (n2, i2, j2) of Gamma up to the cap, (n2, i2, j2) ascending."""
     n2, k = _shell_ranks(cap, lambda m: (m + 1) ** 2)
-    i, j = np.divmod(k, n2 + 1)
+    shell, row = _shell_ranks(cap, lambda m: m + 1)  # the m + 1 rows of every shell m
+    i = np.repeat(row, shell + 1)  # each row holds m + 1 points
+    j = k - i * (n2 + 1)
     return n2, 2 * i - n2, 2 * j - n2
 
 
@@ -144,7 +157,7 @@ def _pi_coords(cap: int) -> tuple[np.ndarray, ...]:
     """Coordinates (s, t) with s + |t| <= cap; shell-major, s descending,
     t ascending: shell n reads (n, 0), (n-1, -1), (n-1, 1), ..."""
     n, k = _shell_ranks(cap, lambda m: 2 * m + 1)
-    a = (k + 1) // 2
+    a = (k + 1) >> 1
     return n - a, np.where((k & 1) == 1, -a, a)
 
 

@@ -72,20 +72,31 @@ class SparseOperator:
     """Finite matrix between truncated basis spaces: ``terms`` holds one
     ``Term`` per shift, all values of one ``dtype``; the constructor drops
     the terms whose values are all zero and casts the rest to the dtype
-    they share, so a dropped term takes no part in it."""
+    they share, so a dropped term takes no part in it.  In the exact mode
+    ``bound`` is the largest |entry| as a Python int (0 with no terms),
+    read from each kept term's largest and least value, the two reductions
+    that also tell a zero term; the overflow guards read it.  It is None
+    in the float modes."""
 
-    __slots__ = ("domain", "codomain", "q", "dtype", "terms")
+    __slots__ = ("domain", "codomain", "q", "dtype", "terms", "bound")
 
     def __init__(self, domain: Basis, codomain: Basis, terms, q: float):
         self.domain, self.codomain, self.q = domain, codomain, q
-        kept = []
+        exact = q == 0
+        kept, bound = [], 0
         for shift, targets, values in terms:
-            values = _entry_values(values, q == 0)
+            values = _entry_values(values, exact)
             if targets.shape != (len(domain),) or values.shape != (len(domain),):
                 raise ValueError("term arrays must hold one entry per domain point")
-            if values.any():
+            if exact:
+                top = max(int(values.max()), -int(values.min()))
+                if top:
+                    kept.append((shift, targets, values))
+                    bound = max(bound, top)
+            elif values.any():
                 kept.append((shift, targets, values))
-        self.dtype = np.result_type(np.int64 if q == 0 else np.float64, *(v for *_, v in kept))
+        self.bound = bound if exact else None
+        self.dtype = np.result_type(np.int64 if exact else np.float64, *(v for *_, v in kept))
         self.terms = tuple(Term(shift, targets, values.astype(self.dtype, copy=False))
                            for shift, targets, values in kept)
 
@@ -164,11 +175,6 @@ def _check_modes(a: SparseOperator, b: SparseOperator, what: str) -> None:
         raise ValueError(f"mode mismatch in {what}")
 
 
-def _bound(op: SparseOperator) -> int:
-    """Largest |entry| of an exact-mode operator, as a Python int."""
-    return max((max(int(t.values.max()), -int(t.values.min())) for t in op.terms), default=0)
-
-
 def compose(a: SparseOperator, b: SparseOperator, columns) -> SparseOperator:
     """Matrix product a @ b (apply b first) on the given columns.
 
@@ -182,7 +188,7 @@ def compose(a: SparseOperator, b: SparseOperator, columns) -> SparseOperator:
         raise ValueError("dimension mismatch in compose")
     _check_modes(a, b, "compose")
     if a.q == 0:  # a column of b holds at most one entry per term
-        _check_exact_bound(_bound(a) * _bound(b) * len(b.terms), "compose")
+        _check_exact_bound(a.bound * b.bound * len(b.terms), "compose")
     columns = np.asarray(columns)
     if columns.dtype != bool or columns.shape != (len(b.domain),):
         raise ValueError("columns must be a boolean mask over the domain")
@@ -212,7 +218,7 @@ def add(*terms: tuple[object, SparseOperator]) -> SparseOperator:
             raise ValueError("dimension mismatch in add")
         _check_modes(first, op, "add")
     if first.q == 0:
-        _check_exact_bound(sum(abs(w) * _bound(op) for w, op in terms), "add")
+        _check_exact_bound(sum(abs(w) * op.bound for w, op in terms), "add")
     return SparseOperator(first.domain, first.codomain, _summed(
         t if w == 1 else t._replace(values=w * t.values) for w, op in terms for t in op.terms),
         first.q)
@@ -272,7 +278,7 @@ def tensor(a: SparseOperator, b: SparseOperator, domain: Basis, codomain: Basis)
     if len(domain) != len(a.domain) * len(b.domain) or len(codomain) != len(a.codomain) * nb_cod:
         raise ValueError("dimension mismatch in tensor")
     if a.q == 0:
-        _check_exact_bound(_bound(a) * _bound(b), "tensor")
+        _check_exact_bound(a.bound * b.bound, "tensor")
     terms = []
     for ta in a.terms:
         for tb in b.terms:
@@ -296,7 +302,7 @@ def worst_column(op: SparseOperator) -> tuple[object, int | None]:
     term order, and the first column in rank order attaining it; a NaN
     column wins.  (0.0, None) when every column is zero."""
     if op.q == 0:
-        _check_exact_bound(_bound(op) ** 2 * len(op.terms), "column norm")
+        _check_exact_bound(op.bound ** 2 * len(op.terms), "column norm")
     norms = np.abs(np.zeros(len(op.domain), dtype=op.dtype))
     for t in op.terms:
         v = np.abs(t.values)

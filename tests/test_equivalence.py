@@ -49,6 +49,7 @@ from qsu2.lattice import (
     full_shell,
     gamma_basis,
     is_valid_gamma,
+    points_below,
 )
 from qsu2.operator_core import (
     add,
@@ -79,25 +80,44 @@ def backward(f):
 
 
 def test_parity_by_bitwise_and_matches_the_modulo_forms():
-    # `x & 1` and `x % 2` agree on int64 and on Python ints, negatives
-    # included; checked on a grid of points, as arrays and one at a time
+    # `x & 1` and `x % 2`, and `x >> 1` and `x // 2`, agree on int64 and on
+    # Python ints, negatives included; checked on a grid of points, as
+    # arrays and one at a time
     grid = np.stack(np.meshgrid(*[np.arange(-7, 8, dtype=np.int64)] * 3)).reshape(3, -1)
 
     def valid(n2, i2, j2):
         return ((n2 >= 0) & (abs(i2) <= n2) & (abs(j2) <= n2)
                 & ((i2 - n2) % 2 == 0) & ((j2 - n2) % 2 == 0))
 
-    def forward_sign(n2, i2, j2):
-        return 1 - 2 * ((np.maximum(i2, j2) - j2) // 2 % 2)
+    def forward_image(n2, i2, j2):
+        hi, lo = np.maximum(i2, j2), np.minimum(i2, j2)
+        return 1 - 2 * ((hi - j2) // 2 % 2), (n2 - hi) // 2, (n2 + lo) // 2, (j2 - i2) // 2
 
     def backward_sign(r, s, t):
         return 1 - 2 * (np.maximum(-t, 0) % 2)
 
-    for got, want in ((is_valid_gamma, valid), (lambda *p: u_forward(*p)[0], forward_sign),
-                      (lambda *p: u_backward(*p)[0], backward_sign)):
-        assert np.array_equal(got(*grid), want(*grid))
-        points = grid.T.tolist()
-        assert [got(*p) for p in points] == [want(*p) for p in points]
+    def gamma_rank(cap):  # the cubic points_below and `// 2`, on valid points
+        return lambda n2, i2, j2: np.where(
+            n2 <= cap, points_below(n2) + (i2 + n2) // 2 * (n2 + 1) + (j2 + n2) // 2, -1)
+
+    def full_rank(cap):
+        def rank(r, s, t):
+            m = r + s + abs(t)
+            return np.where(m <= cap, points_below(m) + (m - r) ** 2 + 2 * abs(t) - (t < 0), -1)
+        return rank
+
+    gamma_points = grid[:, valid(*grid)]
+    full_points = grid[:, (grid[0] >= 0) & (grid[1] >= 0)]
+    checks = [(is_valid_gamma, valid, grid), (u_forward, forward_image, grid),
+              (lambda *p: u_backward(*p)[0], backward_sign, grid)]
+    for cap in (0, 1, 3, 6, 7, 13):
+        checks += [(gamma_basis(cap).rank, gamma_rank(cap), gamma_points),
+                   (full_basis(cap).rank, full_rank(cap), full_points)]
+    for got, want, points in checks:
+        assert np.array_equal(got(*points), want(*points))
+        points = points.T.tolist()
+        assert [np.asarray(got(*p)).tolist() for p in points] == [
+            np.asarray(want(*p)).tolist() for p in points]
 
 
 def test_unitary_pointwise_examples():

@@ -159,6 +159,17 @@ def test_closed_form_ranks_match_enumeration():
     assert gamma_basis(3).rank(np.array([4]), np.array([0]), np.array([2])).tolist() == [-1]
     assert full_basis(3).rank(np.array([1]), np.array([2]), np.array([-1])).tolist() == [-1]
     assert pi_tensor_basis(2).rank(*(np.array([v]) for v in (0, 3, 0, 0))).tolist() == [-1]
+    # and neither do those further up, which lie past any table of the shells up to the cap
+    for cap in (0, 1, 4, 9):
+        for up in (1, 2, 5):
+            m = cap + up
+            gamma = np.array([(m, m, -m), (m, -m, m), (m, m % 2, m % 2)]).T
+            full = np.array([(m, 0, 0), (0, m, 0), (0, 0, -m), (1, m - 2, -1)]).T
+            for basis, points in ((gamma_basis(cap), gamma), (full_basis(cap), full)):
+                points = points[:, basis.valid(*points)]
+                assert points.shape[1] >= 3
+                assert basis.rank(*points).tolist() == [-1] * points.shape[1]
+                assert [int(basis.rank(*p)) for p in points.T.tolist()] == [-1] * points.shape[1]
 
 
 def loop_coords(cap):
@@ -181,6 +192,16 @@ def test_coords_match_loop_reference(cap):
     for coords, want in zip(got, loop_coords(cap)):
         assert [c.dtype for c in coords] == [np.dtype(np.intp)] * len(want)
         assert all(np.array_equal(c, w) for c, w in zip(coords, want))
+
+
+def test_gamma_coords_match_the_divmod_construction():
+    # each point's row i and column j in its shell, as k = i (n2 + 1) + j
+    for cap in range(46):
+        n2, k = lattice._shell_ranks(cap, lambda m: (m + 1) ** 2)
+        i, j = np.divmod(k, n2 + 1)
+        got = gamma_basis(cap).coords
+        assert [c.dtype for c in got] == [np.dtype(np.intp)] * 3
+        assert all(np.array_equal(c, w) for c, w in zip(got, (n2, 2 * i - n2, 2 * j - n2)))
 
 
 @st.composite

@@ -12,7 +12,8 @@ The one ``try`` statement of the package is the ``except OSError`` around
 opening ``--out`` in ``cli.main``: anything else a command raises is a fault,
 not a usage error, and propagates.
 Only operator_core and equivalence, whose ``tail_norms`` reads the band of an
-operator from its terms, read an attribute named ``terms``."""
+operator from its terms, read an attribute named ``terms``.  Index arithmetic
+never divides to halve: it shifts (``>> 1``) and masks (``& 1``)."""
 
 import ast
 from pathlib import Path
@@ -354,6 +355,51 @@ def test_an_assert_statement_is_caught(tmp_path):
         "        raise AssertionError('assert x <= 3')\n"
         "    return x\n", encoding="utf-8")
     assert assert_statements(package) == ["mod:2 assert", "mod:4 assert"]
+
+
+def _halving(node) -> str | None:
+    """What a node spells if it halves or takes a parity by division:
+    ``divmod`` (the builtin or an attribute), ``// 2`` or ``% 2``."""
+    if "divmod" in (getattr(node, "id", None), getattr(node, "attr", None)):
+        return "divmod"
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, (ast.FloorDiv, ast.Mod)):
+        right = node.right if isinstance(node, ast.BinOp) else node.value
+        if isinstance(right, ast.Constant) and right.value == 2:
+            return "// 2" if isinstance(node.op, ast.FloorDiv) else "% 2"
+    return None
+
+
+def division_halvings(package: Path = PACKAGE) -> list[str]:
+    """module:line and spelling of every ``divmod``, ``// 2`` and ``% 2`` in the package."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        hits = sorted((node.lineno, what) for node in ast.walk(_tree(path))
+                      if (what := _halving(node)))
+        found += [f"{path.stem}:{line} {what}" for line, what in hits]
+    return found
+
+
+def test_index_arithmetic_halves_by_shift():
+    # halving is `>> 1` and parity `& 1`; points_below's `// 6` is not a halving
+    assert division_halvings() == []
+
+
+def test_a_division_halving_is_caught(tmp_path):
+    # both spellings of divmod, `// 2` and `% 2` nested and augmented too;
+    # not `// 6`, `>> 1`, `& 1` or the words in a string or a comment
+    package = tmp_path / "qsu2"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "import numpy as np\n\n\n"
+        "def f(k, n):\n"
+        "    i, j = np.divmod(k, n)\n"
+        "    a, b = divmod(k, n)\n"
+        "    c = (k + (n // 2)) * 3\n"
+        "    k %= 2\n"
+        "    d = n * (n + 1) // 6 + (k >> 1) + (k & 1)  # not // 2\n"
+        "    return i, j, a, b, c, d, 'n % 2', (k % 2 == 0)\n", encoding="utf-8")
+    assert division_halvings(package) == [
+        "mod:5 divmod", "mod:6 divmod", "mod:7 // 2", "mod:8 % 2", "mod:10 % 2"]
 
 
 def test_a_private_function_only_tests_call_is_caught(tmp_path):

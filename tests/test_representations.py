@@ -88,8 +88,17 @@ def test_every_operator_carries_its_q():
                 built += [(q, difference(q, 3, gen)), (q, closed_form(q, 3, gen))]
         if q != 0:
             built += [(q, op) for op in (*build_irrep(q, 1j, 4), *coproduct_images(q, 2))]
+    # an exact operator whose largest |entry| is a negative entry
+    built.append((0.0, diagonal(nat_basis(3), [1, -2**61, 2**60], 0.0)))
     for q, op in built:
         assert op.q == q and (op.dtype == np.int64) == (q == 0), (q, op)
+        # the exact mode keeps its largest |entry| as a Python int, the float modes none
+        if q == 0:
+            want = max((abs(int(v)) for *_, v in entries(op)), default=0)
+            assert type(op.bound) is int and op.bound == want, (op, op.bound, want)
+        else:
+            assert op.bound is None, op
+    assert built[-1][1].bound == 2**61
 
 
 def test_crystal_section_refuses_non_integer_values():

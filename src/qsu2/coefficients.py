@@ -79,52 +79,65 @@ def float_mode(q: float) -> float:
     return q
 
 
-def _coefficient(basis, q: float, step: tuple[int, int, int], formula):
-    """The rule term (step, values) on a Gamma basis: ``formula(gt, qp, n2,
+def _coefficient(basis, q: float, step: tuple[int, int, int], formula, power=None):
+    """The rule term (step, values) on a Gamma basis: ``formula(gt, qe, n2,
     a, b)`` at the points (n2, i2, j2) whose target point + step exists,
     0.0 elsewhere, with a = n + i and b = n + j halved from the doubled
-    coordinates by one shift each; gt and qp tabulate g(k, q) and q**e up
-    to the cap."""
+    coordinates by one shift each; gt tabulates g(k, q) up to the cap and
+    qe holds the formula's q-power factor q**power(a, b) at each point
+    (None without one).  Where that power is 0 (every e >= 1 at q = 0, or a
+    power that underflows) the coefficient is 0, since its other factors
+    are finite, so the formula is evaluated only where it is nonzero; one
+    ``all()`` over the O(cap) table of powers tells whether any is 0."""
     if basis.label != "gamma":
         raise ValueError(f"Clebsch-Gordan terms take a Gamma basis, not {basis.label!r}")
     n2, i2, j2 = basis.coords
     ok = is_valid_gamma(n2 + step[0], i2 + step[1], j2 + step[2])
     n2, i2, j2 = n2[ok], i2[ok], j2[ok]
+    a, b = (n2 + i2) >> 1, (n2 + j2) >> 1
     top = basis.cap + 2
+    qe = None
+    if power is not None:
+        qp = power_table(q, 2 * top)
+        qe = qp[power(a, b)]
+        if not qp.all():
+            live = qe != 0
+            ok[ok] = live
+            n2, a, b, qe = n2[live], a[live], b[live], qe[live]
     out = np.zeros(len(basis))
-    out[ok] = formula(g_table(q, top), power_table(q, 2 * top), n2, (n2 + i2) >> 1, (n2 + j2) >> 1)
+    out[ok] = formula(g_table(q, top), qe, n2, a, b)
     return step, out
 
 
 def a_plus(basis, q: float):
     """Raising term of the alpha action on a Gamma basis."""
-    return _coefficient(basis, q, (1, -1, -1), lambda gt, qp, n2, a, b: (
-        qp[a + b + 1]  # q^(2n + i + j + 1)
+    return _coefficient(basis, q, (1, -1, -1), lambda gt, qe, n2, a, b: (
+        qe  # q^(2n + i + j + 1)
         * (gt[n2 - b + 1] * gt[n2 - a + 1])
-        / (gt[n2 + 1] * gt[n2 + 2])))
+        / (gt[n2 + 1] * gt[n2 + 2])), power=lambda a, b: a + b + 1)
 
 
 def a_minus(basis, q: float):
     """Lowering term of the alpha action on a Gamma basis."""
-    return _coefficient(basis, q, (-1, -1, -1), lambda gt, qp, n2, a, b: (
+    return _coefficient(basis, q, (-1, -1, -1), lambda gt, qe, n2, a, b: (
         (gt[b] * gt[a])
         / (gt[n2] * gt[n2 + 1])))
 
 
 def b_plus(basis, q: float):
     """Raising term of the beta action on a Gamma basis."""
-    return _coefficient(basis, q, (1, 1, -1), lambda gt, qp, n2, a, b: (
-        -(qp[b])  # q^(n + j)
+    return _coefficient(basis, q, (1, 1, -1), lambda gt, qe, n2, a, b: (
+        -qe  # q^(n + j)
         * (gt[n2 - b + 1] * gt[a + 1])
-        / (gt[n2 + 1] * gt[n2 + 2])))
+        / (gt[n2 + 1] * gt[n2 + 2])), power=lambda a, b: b)
 
 
 def b_minus(basis, q: float):
     """Lowering term of the beta action on a Gamma basis."""
-    return _coefficient(basis, q, (-1, 1, -1), lambda gt, qp, n2, a, b: (
-        qp[a]  # q^(n + i)
+    return _coefficient(basis, q, (-1, 1, -1), lambda gt, qe, n2, a, b: (
+        qe  # q^(n + i)
         * (gt[b] * gt[n2 - a])
-        / (gt[n2] * gt[n2 + 1])))
+        / (gt[n2] * gt[n2 + 1])), power=lambda a, b: a)
 
 
 class GEstimateRow(NamedTuple):

@@ -180,9 +180,12 @@ def compose(a: SparseOperator, b: SparseOperator, columns) -> SparseOperator:
 
     ``columns`` is a boolean mask over the domain points; only the
     columns it marks are formed and every other column is empty.  Each
-    pair of a b term and an a term is one gather and one multiply.
-    Column j of a @ b reads only column j of b, so a kept column holds
-    the same bits as in the full product, which an all-True mask forms.
+    pair of a b term and an a term is one gather from a's own arrays and
+    one multiply, summed in place into its shift's term as soon as it is
+    formed, with the bits ``_summed`` gives; the operands' arrays are
+    never written.  Column j of a @ b reads only column j of b, so a kept
+    column holds the same bits as in the full product, which an all-True
+    mask forms.
     """
     if not a.domain.same_points(b.codomain):
         raise ValueError("dimension mismatch in compose")
@@ -192,16 +195,25 @@ def compose(a: SparseOperator, b: SparseOperator, columns) -> SparseOperator:
     columns = np.asarray(columns)
     if columns.dtype != bool or columns.shape != (len(b.domain),):
         raise ValueError("columns must be a boolean mask over the domain")
-    # an a term read at rank -1 (outside b's truncation or columns) gives no entry
-    a_ends = [(np.append(t.targets, -1), np.append(t.values, 0)) for t in a.terms]
-    pieces = []
+    # numpy multiplies float by complex as complex, so casting a's gathered
+    # factor first gives the same bits and lets the product overwrite it
+    dtype = np.result_type(a.dtype, b.dtype)
+    sums: dict = {}
     for tb in b.terms:
         mid = np.where(columns, tb.targets, -1)
-        for ta, (targets, values) in zip(a.terms, a_ends):
-            targets = targets[mid]
-            pieces.append(Term(tuple(x + y for x, y in zip(ta.shift, tb.shift)), targets,
-                               np.where(targets >= 0, values[mid] * tb.values, 0)))
-    return SparseOperator(b.domain, a.codomain, _summed(pieces), a.q)
+        off = mid < 0  # outside b's truncation or columns: no entry, and a's factor reads 0
+        for ta in a.terms:
+            targets, values = ta.targets[mid], ta.values[mid].astype(dtype, copy=False)
+            targets[off], values[off] = -1, 0
+            np.multiply(values, tb.values, out=values)
+            values[targets < 0] = 0
+            shift = tuple(x + y for x, y in zip(ta.shift, tb.shift))
+            if (acc := sums.get(shift)) is None:
+                sums[shift] = Term(shift, targets, values)
+            else:
+                np.maximum(acc.targets, targets, out=acc.targets)
+                np.add(acc.values, values, out=acc.values)
+    return SparseOperator(b.domain, a.codomain, sums.values(), a.q)
 
 
 def add(*terms: tuple[object, SparseOperator]) -> SparseOperator:

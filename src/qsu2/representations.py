@@ -142,9 +142,11 @@ def check_relations(ops) -> RelationReport:
     adjoints.  Every relation of ``RELATIONS`` is split into its terms by
     ``_TERM`` and evaluated at the operators' q (exact integers at q = 0) on
     the interior columns, the basis vectors of shell <= cap - 2: each
-    distinct word is composed once (``compose`` with their boolean mask; I is
-    one zero-shift term, 1 on those columns alone) and dropped after its last
-    reader in ``_EVALUATION_ORDER``; each relation is summed by one ``add``.
+    distinct word is composed once (``compose`` with their boolean mask) and
+    dropped after its last reader in ``_EVALUATION_ORDER``; the identity I,
+    one zero-shift term, 1 on those columns alone, is formed anew for each
+    relation that reads it and dropped after it, never held across another
+    relation; each relation is summed by one ``add``.
     Every other column of a relation operator is empty.  The report holds, in
     table order, the largest column norm per relation, its witness point and
     its name: the text of the terms it kept, the relation itself unless q = 0.
@@ -182,7 +184,7 @@ def check_relations(ops) -> RelationReport:
                 words[word] = form(word)
         # one relation operator is alive at a time: reduced, then dropped
         worst, j = worst_column(add(*((w, words[word]) for w, _, word in terms)))
-        for word in [word for word in words if last[word] == i]:
+        for word in [word for word in words if word == "I" or last[word] == i]:
             del words[word]
         name = "".join(text for _, text, _ in terms).removeprefix("+")
         rows[i] = RelationResidual(name, worst**0.5, None if j is None else basis.point_of(j))

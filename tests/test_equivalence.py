@@ -49,6 +49,7 @@ from qsu2.lattice import (
     full_shell,
     gamma_basis,
     is_valid_gamma,
+    pi_basis,
     points_below,
 )
 from qsu2.operator_core import (
@@ -794,6 +795,21 @@ def test_tail_norms_peak_memory_at_the_largest_cap():
         tracemalloc.stop()
     # measured: 17.3 MB with cold lattice caches, 14.6 MB warm
     assert peak < 19e6
+
+
+def test_verify_q0_peak_memory_at_cap_40():
+    # compose sums each pair's product into its shift's term as it is formed
+    # and check_relations holds no identity across relations: measured 4.46 MB
+    # (5.94 MB with a list of every pair's piece and I held across relations)
+    for basis in (gamma_basis, pi_basis, full_basis):
+        basis(40)
+    tracemalloc.start()
+    try:
+        verify_q0_equivalence(40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.0e6
 
 
 @pytest.mark.parametrize(

@@ -4,16 +4,20 @@ program under which at least one item of that kind fails at a small cap.
 Each row runs its command twice through ``cli.main``: unchanged, where
 every item passes, and under its mutation (one ``monkeypatch`` of one
 formula or one value), where an item of each named kind fails.  A kind
-with no row here has no known mutation that makes it fail.
+with no row here has no known mutation that makes it fail; REPORTED lists
+those kinds, and every kind of item the command matrix produces has a row
+or is listed there.
 """
 
 import json
+import re
 from fnmatch import fnmatchcase
 
 import pytest
 
 from qsu2 import coefficients, equivalence, representations
 from qsu2.cli import main
+from test_command_matrix import MATRIX
 
 
 def _flip_one_u_sign(monkeypatch):
@@ -36,15 +40,16 @@ def _a_plus_takes_a_minus_values(monkeypatch):
                         lambda basis, q: (a_plus(basis, q)[0], a_minus(basis, q)[1]))
 
 
-def _scale_a_plus(factor):
+def _scale_term(name, factor):
+    """The values of one Clebsch-Gordan term, times factor."""
     def mutate(monkeypatch):
-        a_plus = coefficients.a_plus
+        term = getattr(coefficients, name)
 
         def scaled(basis, q):
-            step, values = a_plus(basis, q)
+            step, values = term(basis, q)
             return step, values * factor
 
-        monkeypatch.setattr(coefficients, "a_plus", scaled)
+        monkeypatch.setattr(coefficients, name, scaled)
     return mutate
 
 
@@ -55,10 +60,12 @@ def _scale_r2(monkeypatch):
                         lambda q, cap, name: clean(q, cap, name) * (51 if name == "R2" else 1))
 
 
-def _scale_irrep_g(monkeypatch):
-    """The g table the irreducibles read, times 1 + 1e-6."""
-    clean = representations.g_table
-    monkeypatch.setattr(representations, "g_table", lambda q, kmax: clean(q, kmax) * (1 + 1e-6))
+def _scale_pi_g(factor):
+    """The g table that pi and its irreducible fibres read, times factor."""
+    def mutate(monkeypatch):
+        clean = representations.g_table
+        monkeypatch.setattr(representations, "g_table", lambda q, kmax: clean(q, kmax) * factor)
+    return mutate
 
 
 # id: (mutation, argv, item name patterns, each of which must name a failing item)
@@ -68,13 +75,26 @@ MUTATIONS = {
                              ["intertwine/alpha", "relations/lambda0/*"]),
     "a-plus-as-a-minus": (_a_plus_takes_a_minus_values,
                           ["verify-relations", "--q", "0.5", "--cap", "8"], ["lambda/*"]),
-    "a-plus-1e-6-relations": (_scale_a_plus(1 + 1e-6),
+    "a-plus-1e-6-relations": (_scale_term("a_plus", 1 + 1e-6),
                               ["verify-relations", "--q", "0.5", "--cap", "8"], ["lambda/*"]),
-    "a-plus-1e-6-equivalence": (_scale_a_plus(1 + 1e-6),
+    "a-plus-1e-6-equivalence": (_scale_term("a_plus", 1 + 1e-6),
                                 ["verify-equivalence", "--q", "0.5", "--cap", "8"], ["alpha"]),
+    "b-plus-1e-6-equivalence": (_scale_term("b_plus", 1 + 1e-6),
+                                ["verify-equivalence", "--q", "0.5", "--cap", "8"], ["beta"]),
     "r2-times-51": (_scale_r2, ["verify-equivalence", "--q", "0.5", "--cap", "8"], ["alpha"]),
-    "irrep-g-1e-6": (_scale_irrep_g, ["irrep", "--q", "0.5", "--dim", "16"], ["a*a+b*b-I"]),
+    "pi-g-1e-6": (_scale_pi_g(1 + 1e-6), ["verify-relations", "--q", "0.5", "--cap", "8"],
+                  ["pi/*"]),
+    "pi-g-doubled-q0": (_scale_pi_g(2), ["verify-q0", "--cap", "8"], ["relations/pi0/*"]),
+    "irrep-g-1e-6": (_scale_pi_g(1 + 1e-6), ["irrep", "--q", "0.5", "--dim", "16"], ["a*a+b*b-I"]),
 }
+
+# (command, kind) of the items that are reported, not certified: no known
+# mutation makes them fail (ROADMAP item 13)
+REPORTED = [("estimates", "k=*"), ("decay", "shell=*"), ("decay", "normalized_constant"),
+            ("decay", "fitted_ratio"), ("tails", "m=*")]
+
+# the name of a relation row: a sum of terms, such as ``a*a+b*b-I`` or ``ab``
+_RELATION = re.compile(f"(?:{representations._TERM.pattern})+")
 
 
 def _items(capsys, argv) -> tuple[int, list]:
@@ -93,3 +113,40 @@ def test_mutation_fails_its_item_kind(monkeypatch, capsys, row):
     for kind in kinds:
         failed = [item["name"] for item in items if fnmatchcase(item["name"], kind) and not item["pass"]]
         assert failed, kind
+
+
+def _kind(name: str) -> str:
+    """The kind of an item name: the rows of one relation report are one
+    kind (``pi/*``; ``*`` for the irrep's unprefixed rows), a numbered item
+    is its stem's (``m=*``, ``k=*``), and any other name is its own kind."""
+    head, slash, tail = name.rpartition("/")
+    if _RELATION.fullmatch(tail):
+        return head + slash + "*"
+    stem, equals, _ = name.partition("=")
+    return stem + equals + "*" if equals else name
+
+
+def test_every_item_kind_has_a_mutation_or_is_reported(capsys):
+    # every kind of item the command matrix produces, in JSON, has an item
+    # that a MUTATIONS row of its command fails, or is listed as reported
+    uncovered = set()
+    for argv in [["verify-q0", "--cap", "8"]] + [argv for argv, _ in MATRIX.values()]:
+        argv = [arg for arg in argv if arg not in ("--format", "csv")]
+        command = argv[0]
+        patterns = [kind for _, row_argv, kinds in MUTATIONS.values() if row_argv[0] == command
+                    for kind in kinds]
+        kinds: dict[str, list] = {}
+        for item in _items(capsys, argv)[1]:
+            kinds.setdefault(_kind(item["name"]), []).append(item["name"])
+        uncovered |= {(command, kind) for kind, names in kinds.items()
+                      if (command, kind) not in REPORTED
+                      and not any(fnmatchcase(name, p) for name in names for p in patterns)}
+    assert sorted(uncovered) == []
+
+
+def test_item_kinds():
+    assert [_kind(name) for name in (
+        "lambda/a*a+b*b-I", "relations/pi0/ab", "aa*+q^2bb*-I", "b*b-bb*", "intertwine/alpha",
+        "alpha", "m=3", "k=2:|1-1/g|", "shell=0", "fitted_ratio")] == [
+        "lambda/*", "relations/pi0/*", "*", "*", "intertwine/alpha",
+        "alpha", "m=*", "k=*", "shell=*", "fitted_ratio"]

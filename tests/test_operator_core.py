@@ -1,6 +1,7 @@
 """Sparse operator algebra against dense numpy oracles."""
 
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -171,6 +172,80 @@ def test_compose_columns_keep_the_full_product_bits(mode):
             # an operator left with no term has its mode's own dtype
             assert part.dtype == (full.dtype if part.terms else np.int64 if a.q == 0 else np.float64)
             assert entry_bits(part) == [e for e in entry_bits(full) if kept[e[1]]]
+
+
+def reference_compose(a, b, columns):
+    """compose with every pair's piece held in a list: a's terms padded with
+    an entry-less end at rank -1, each (b term, a term) product one piece,
+    then the pieces of each shift summed one at a time, a new array a step."""
+    a_ends = [(np.append(t.targets, -1), np.append(t.values, 0)) for t in a.terms]
+    pieces = []
+    for tb in b.terms:
+        mid = np.where(columns, tb.targets, -1)
+        for ta, (targets, values) in zip(a.terms, a_ends):
+            targets = targets[mid]
+            pieces.append(Term(tuple(x + y for x, y in zip(ta.shift, tb.shift)), targets,
+                               np.where(targets >= 0, values[mid] * tb.values, 0)))
+    sums: dict = {}
+    for p in pieces:
+        q = sums.get(p.shift)
+        sums[p.shift] = p if q is None else Term(
+            p.shift, np.maximum(q.targets, p.targets), q.values + p.values)
+    return SparseOperator(b.domain, a.codomain, list(sums.values()), a.q)
+
+
+def _term_bytes(op) -> list:
+    """Shift, target bytes, value dtype and value bytes of every term, in term order."""
+    return [(t.shift, t.targets.tobytes(), t.values.dtype, t.values.tobytes()) for t in op.terms]
+
+
+def _planted(op, rng):
+    """A copy of a float operator with inf, -inf, NaN and -0.0 on some of its
+    entries, and inf at a column one of its terms leaves empty (target -1)."""
+    terms = []
+    for t in op.terms:
+        values = t.values.copy()
+        kept = np.flatnonzero(t.targets >= 0)
+        marks = [np.inf, -np.inf, np.nan, -0.0][:kept.size]
+        values[rng.choice(kept, len(marks), replace=False)] = marks
+        empty = np.flatnonzero(t.targets < 0)
+        if empty.size:
+            values[empty[0]] = np.inf
+        terms.append(Term(t.shift, t.targets, values))
+    return SparseOperator(op.domain, op.codomain, terms, op.q)
+
+
+@pytest.mark.parametrize("mode", ["float", "complex", "exact", "mixed", "planted"])
+def test_compose_matches_the_piece_list_sum(mode):
+    # each pair's product is summed into its shift's term as it is formed:
+    # the same shifts, targets, values and dtypes in the same term order as
+    # the piece list gives, the same floating-point warnings, and the
+    # operands' arrays unwritten.  The irrep pair is real alpha by complex
+    # beta; inf and NaN make every inf * 0 and inf - inf show.
+    rng = np.random.default_rng(29)
+    pairs = _compose_pairs()
+    irrep = build_irrep(-0.45, complex(0.6, 0.8), 9)
+    pairs["mixed"] = [irrep, irrep[::-1], (adjoint(irrep[1]), irrep[0])]
+    pairs["planted"] = [(_planted(a, rng), _planted(b, rng))
+                        for a, b in pairs["float"] + pairs["complex"] + pairs["mixed"]]
+    nans = 0
+    for a, b in pairs[mode]:
+        n, cap = len(b.domain), b.domain.cap
+        operands = [_term_bytes(a), _term_bytes(b)]
+        for kept in (np.ones(n, dtype=bool), b.domain.shells <= cap - 2, rng.random(n) < 0.4,
+                     np.zeros(n, dtype=bool)):
+            with warnings.catch_warnings(record=True) as want:
+                warnings.simplefilter("always")
+                expected = reference_compose(a, b, kept)
+            with warnings.catch_warnings(record=True) as got:
+                warnings.simplefilter("always")
+                formed = compose(a, b, kept)
+            assert formed.dtype == expected.dtype
+            assert _term_bytes(formed) == _term_bytes(expected)
+            assert sorted(str(w.message) for w in got) == sorted(str(w.message) for w in want)
+            assert [_term_bytes(a), _term_bytes(b)] == operands
+            nans += sum(int(np.isnan(t.values).sum()) for t in formed.terms)
+    assert (nans > 0) == (mode == "planted")
 
 
 def test_compose_leaves_no_entry_where_a_factor_has_none():

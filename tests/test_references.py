@@ -13,7 +13,8 @@ opening ``--out`` in ``cli.main``: anything else a command raises is a fault,
 not a usage error, and propagates.
 Only operator_core and equivalence, whose ``tail_norms`` reads the band of an
 operator from its terms, read an attribute named ``terms``.  Index arithmetic
-never divides to halve: it shifts (``>> 1``) and masks (``& 1``)."""
+never divides to halve: it shifts (``>> 1``) and masks (``& 1``).  No module
+calls ``np.append``, which copies its operand whole."""
 
 import ast
 from pathlib import Path
@@ -400,6 +401,38 @@ def test_a_division_halving_is_caught(tmp_path):
         "    return i, j, a, b, c, d, 'n % 2', (k % 2 == 0)\n", encoding="utf-8")
     assert division_halvings(package) == [
         "mod:5 divmod", "mod:6 divmod", "mod:7 // 2", "mod:8 % 2", "mod:10 % 2"]
+
+
+def numpy_appends(package: Path = PACKAGE) -> list[str]:
+    """module:line of every ``np.append`` or ``numpy.append`` in the package."""
+    return [f"{path.stem}:{line} np.append"
+            for path in sorted(package.glob("*.py"))
+            for line in sorted(node.lineno for node in ast.walk(_tree(path))
+                               if isinstance(node, ast.Attribute) and node.attr == "append"
+                               and isinstance(node.value, ast.Name)
+                               and node.value.id in ("np", "numpy"))]
+
+
+def test_no_numpy_append():
+    # np.append copies its operand whole; a list's append is not np.append
+    assert numpy_appends() == []
+
+
+def test_a_numpy_append_is_caught(tmp_path):
+    # both module names, nested and uncalled too; not a list's or an
+    # attribute's append, or the words in a string or a comment
+    package = tmp_path / "qsu2"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "import numpy\n"
+        "import numpy as np\n\n\n"
+        "def f(x, out, pieces):\n"
+        "    y = np.append(x, -1)\n"
+        "    pieces.append(y)  # not np.append\n"
+        "    out.values.append(0)\n"
+        "    grow = numpy.append\n"
+        "    return grow(np.append(x, 0), 1), 'np.append(x, 0)'\n", encoding="utf-8")
+    assert numpy_appends(package) == ["mod:6 np.append", "mod:9 np.append", "mod:10 np.append"]
 
 
 def test_a_private_function_only_tests_call_is_caught(tmp_path):

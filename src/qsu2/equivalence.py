@@ -12,8 +12,9 @@ the GNS generators exactly onto I (x) pi_0.  For q != 0 the differences
 decompose into diagonal coefficient operators (R1, R2 for alpha, T1, T2
 for beta) times coordinate shifts.  The diagnostics here measure the
 decays that place D_a in (Toeplitz) (x) (compacts of the (s, t) factor)
-along s and t (r does not decay); a tails report checks only that no tail
-norm exceeds the one before it by more than TAIL_SLACK, not a geometric rate.
+along s and t (r does not decay).  Tail norms are read as a running
+maximum over nested chain suffixes, so they never rise; a tails report
+checks that, to TAIL_SLACK, and not a geometric rate.
 """
 
 from __future__ import annotations
@@ -287,24 +288,25 @@ def tail_norms(d: SparseOperator) -> list[tuple[int, float]]:
     superdiagonals: superdiagonal o holds sum_j b[i, j + o] b[i + o, j].
 
     Along a chain s + |t| rises by one per slot, so the suffixes tail m
-    reads cover exactly the columns with s + |t| >= m, and its norm is at
-    least floor[m], the largest column 2-norm among them: one maximum per
-    tail over the columns grouped by s + |t|, then a running maximum from
-    the last tail down.  Each suffix is bounded above in O(width) by hi,
-    the Schur test sqrt(max col abs-sum) * sqrt(max row abs-sum), two
-    roots so nothing underflows.  The row abs-sums are built one term at
-    a time: after term j, row slot i + j sums columns i..i + j, the edge
-    row of the suffix from i, and the rows past the edge are whole.
-    Suffix (c, k) is read only by the tail s + |t| of the column at slot
-    k, and a whole chain (k = 0) also by every smaller tail, so the
-    largest hi and norm per tail are O(points) maxima over the columns
-    grouped by s + |t|.
-    A suffix is solved unless hi * (1 + 1e-10) < floor[m] for its tail m
-    (floor does not grow with m, so for a whole chain the tail of its
-    first column decides; a NaN keeps it, so LAPACK still refuses a NaN).
-    The chain attaining the floor is always solved, and a skipped suffix
-    lies below it by far more than solver and summation error, so each
-    maximum is the value an unpruned solve gives.
+    reads cover exactly the columns with s + |t| >= m.  A suffix's Gram
+    is the trailing principal block of the Gram of the suffix one slot
+    shallower, so by Cauchy interlacing its norm is no larger, and the
+    norm of tail m is the largest norm of the suffixes from the columns
+    with s + |t| >= m.  by_tail takes that maximum of any per-column
+    quantity: one maximum per tail over the columns grouped by s + |t|,
+    then a running maximum from the last tail down, so no tail exceeds
+    the one before it.  It reads the norms, the floors (floor[m], the
+    largest column 2-norm of tail m, bounds its norm below) and the
+    largest hi, where each suffix is bounded above in O(width) by the
+    Schur test sqrt(max col abs-sum) * sqrt(max row abs-sum), two roots
+    so nothing underflows.  The row abs-sums are built one term at a
+    time: after term j, row slot i + j sums columns i..i + j, the edge
+    row of the suffix from i, and the rows past the edge are complete.
+    A suffix is solved unless hi * (1 + 1e-10) < floor[m] for its tail m,
+    the least floor of the tails that read it (a NaN keeps it, so LAPACK
+    still refuses a NaN).  The chain attaining the floor is always solved,
+    and a skipped suffix lies below it by far more than solver and
+    summation error, so each maximum is the value an unpruned solve gives.
 
     The surviving suffixes, stably sorted by width, are read with one
     gather into flat[j, first + i] = b[i, j], one suffix after another,
@@ -346,32 +348,29 @@ def tail_norms(d: SparseOperator) -> list[tuple[int, float]]:
     tail = s + abs(t)
     order = np.argsort(tail, kind="stable")
     starts = np.searchsorted(tail[order], np.arange(cap + 1))  # every tail holds (0, m, 0)
-    column_norm = np.hypot.reduce(abs(v), axis=0)
-    floor = np.maximum.accumulate(np.maximum.reduceat(column_norm[order], starts)[::-1])[::-1]
-    del v, column_norm  # each array of the band stage goes after its last reader
+
+    def by_tail(x):  # x per column -> max over the columns with s + |t| >= m, for each tail m
+        return np.maximum.accumulate(np.maximum.reduceat(x[order], starts)[::-1])[::-1]
+
+    floor = by_tail(np.hypot.reduce(abs(v), axis=0))
+    del v  # each array of the band stage goes after its last reader
     a = np.abs(band)
 
     def from_k(x):  # x[c, k] -> max over i >= k of x[c, i]
         return np.maximum.accumulate(x[:, ::-1], axis=1)[:, ::-1]
 
     row_sum = np.zeros((n, width + diags - 1))  # abs-sum of every row slot, one term at a time
+    rows = np.zeros((n, width))
     for j in range(diags):  # then row slot i + j sums columns i..i + j: an edge row of suffix i
         row_sum[:, j:j + width] += a[j]
-        rows = np.maximum(rows, row_sum[:, j:j + width], out=rows) if j else a[0].copy()
-    np.maximum(rows, from_k(row_sum[:, diags - 1:]), out=rows)  # and the whole rows past the edge
+        np.maximum(rows, row_sum[:, j:j + width], out=rows)
+    np.maximum(rows, from_k(row_sum[:, diags - 1:]), out=rows)  # and the complete rows past the edge
     del row_sum
     hi = np.sqrt(from_k(a.sum(axis=0)))
     del a
     hi *= np.sqrt(rows)
     del rows
     hi = hi[chain, slot]  # of the suffix from each column on
-    whole = slot == 0
-
-    def per_tail(x):  # x per suffix -> max over the suffixes each tail reads
-        own = np.maximum.reduceat(x[order], starts)
-        head = np.maximum.reduceat(np.where(whole, x, 0.0)[order], starts)
-        return np.maximum(own, np.maximum.accumulate(head[::-1])[::-1])
-
     slack = 1 + 1e-10
     solve = np.flatnonzero(~(hi * slack < floor[tail]))
     widths = length[solve] - slot[solve]
@@ -399,8 +398,8 @@ def tail_norms(d: SparseOperator) -> list[tuple[int, float]]:
             gram[:, o::w + 1][:, :w - o] = sup[o][at:at + count * w].reshape(count, w)[:, :w - o]
         top = np.linalg.eigvalsh(gram.reshape(count, w, w), UPLO="U")[:, -1]
         norm[solve[lo:up]] = np.ldexp(np.sqrt(top), e[lo:up])
-    value = per_tail(norm)
-    bad = ~((floor <= value * slack) & (value <= per_tail(hi) * slack))
+    value = by_tail(norm)
+    bad = ~((floor <= value * slack) & (value <= by_tail(hi) * slack))
     if bad.any():
         raise AssertionError(f"tail {int(np.argmax(bad))} norm leaves its bracket [lo, hi]")
     return list(enumerate(value.tolist()))

@@ -653,15 +653,15 @@ def scaled_gram_norms(blocks, k):
     return np.ldexp(np.sqrt(np.linalg.eigvalsh(gram, UPLO="U")[:, -1]), e)
 
 
-def unpruned_tail_norms(d):
-    """Tail norms with every chain suffix solved, the reference for the pruned solve.
+def unpruned_suffix_norms(d):
+    """The norm of every chain suffix of d, each one solved: per chain, the
+    s + |t| of its head and the norms of its suffixes from column 0, 1, ... on.
 
     The columns of d with fixed (t, r - s) form a chain ordered by s; with
     the shifts' ds in low..high and k = high - low + 1, the chain is the
     dense (L + k - 1) x L matrix M with row s' at slot s' - s_head - low,
     and its suffix from column c is M[c:, c:].  Every suffix of width w goes
-    through one batched scaled Gram solve, as tail_norms solves its blocks,
-    and tail m takes the largest norm over the chains' columns s + |t| >= m.
+    through one batched scaled Gram solve, as tail_norms solves its blocks.
     """
     ds = [shift[1] for shift in term_shifts(d)] or [0]
     low, k = min(ds), max(ds) - min(ds) + 1
@@ -674,27 +674,46 @@ def unpruned_tail_norms(d):
     for i, j, v in entries(d):
         h = head[j]
         mats[h][s[i] - s[h] - low, s[j] - s[h]] = v
-    suffix = {h: [0.0] * (m.shape[1] + 1) for h, m in mats.items()}  # [c]: norm from column c on
+    suffix = {h: [0.0] * m.shape[1] for h, m in mats.items()}  # [c]: norm from column c on
     for w in range(1, max(m.shape[1] for m in mats.values()) + 1):
         heads = [h for h, m in mats.items() if m.shape[1] >= w]
         values = scaled_gram_norms(np.stack([mats[h][-w - k + 1:, -w:] for h in heads]), k)
         for h, value in zip(heads, values.tolist()):
-            suffix[h][-w - 1] = value
-    # tail m reads a chain from column m - (|t| + s_min) on, and all of it for m <= |t| + s_min
+            suffix[h][-w] = value
+    return [(abs(t[h]) + s[h], vals) for h, vals in suffix.items()]
+
+
+def unpruned_tail_norms(d):
+    """Tail norms with every chain suffix solved, the reference for the pruned
+    solve: tail m takes the largest norm of the suffixes it reads, a chain
+    from column m - (|t| + s_head) on, and all of it for m <= |t| + s_head."""
     cap = d.domain.cap
     norms, whole = [0.0] * (cap + 1), [0.0] * (cap + 2)
-    for h, vals in suffix.items():
-        base = abs(t[h]) + s[h]
+    for base, vals in unpruned_suffix_norms(d):
         whole[base] = max(whole[base], vals[0])
-        for c, value in enumerate(vals[1:-1], 1):
+        for c, value in enumerate(vals[1:], 1):
             norms[base + c] = max(norms[base + c], value)
     for m in range(cap, -1, -1):
         whole[m] = max(whole[m], whole[m + 1])
     return [(m, max(norms[m], whole[m])) for m in range(cap + 1)]
 
 
+def running_max_tail_norms(d):
+    """Tail norms with every chain suffix solved, read as tail_norms reads
+    them: tail m takes the largest norm of a suffix from a column with
+    s + |t| >= m, its own columns' and every later tail's."""
+    cap = d.domain.cap
+    at = [0.0] * (cap + 2)
+    for base, vals in unpruned_suffix_norms(d):
+        for c, value in enumerate(vals):
+            at[base + c] = max(at[base + c], value)
+    for m in range(cap, -1, -1):
+        at[m] = max(at[m], at[m + 1])
+    return list(enumerate(at[:-1]))
+
+
 @pytest.mark.parametrize("gen", ["alpha", "beta"])
-@pytest.mark.parametrize("q", [0.5, -0.45, 0.9, 0.999, 0.1, -1e-3, -3e-7, 1e-150])
+@pytest.mark.parametrize("q", [0.5, -0.45, 0.9, 0.999, 0.1, -1e-3, -3e-7, 1e-150, 0.999999, -0.95])
 def test_tail_norms_equal_the_unpruned_solve(q, gen):
     for cap in [*range(13), 36]:
         d = difference(q, cap, gen)
@@ -725,6 +744,33 @@ def test_wider_band_tail_norms_equal_the_unpruned_solve(q, gen):
     for cap in [*range(13), 36]:
         d = widened(q, cap, gen)
         assert tail_norms(d) == unpruned_tail_norms(d), cap
+
+
+def test_tail_norms_never_rise():
+    # column scalings spread nested suffix norms over 16 decades or zero
+    # chain heads, where a suffix can round above the one it is nested in;
+    # the whole-chain reading of such norms let some tails rise by an ulp
+    rng = np.random.default_rng(20261020)
+    checked = 0
+    for q in (0.5, -0.45, 0.9):
+        for cap in (6, 8, 12, 18):
+            for gen in ("alpha", "beta"):
+                d = difference(q, cap, gen)
+                s = d.domain.coords[1]
+                n = len(s)
+                for _ in range(4):
+                    for factors in (10.0 ** rng.uniform(-8, 8, n),
+                                    rng.uniform(2, 8) ** s,
+                                    np.where(rng.random(n) < 0.3, 0.0, 10.0 ** rng.uniform(-8, 8, n))):
+                        op = product(d, diagonal(d.domain, factors, q))  # column j times factors[j]
+                        norms = tail_norms(op)  # no bracket AssertionError
+                        values = [v for _, v in norms]
+                        assert all(b <= a for a, b in zip(values, values[1:])), (q, cap, gen)
+                        assert norms == running_max_tail_norms(op), (q, cap, gen)
+                        for v, (_, ref) in zip(values, unpruned_tail_norms(op)):
+                            assert ref <= v <= ref + 4 * np.spacing(ref), (q, cap, gen)
+                        checked += 1
+    assert checked == 288
 
 
 @pytest.mark.parametrize("gen", ["alpha", "beta"])

@@ -93,9 +93,9 @@ def cmd_estimates(args) -> VerificationReport:
     1/(1 + g) < 1 and g(1)/(g(1 + g)) < 1 hold for any g table with
     0 < g(1) <= g(k) <= 1, so every item passes by construction."""
     rep = coefficients.verify_g_estimates(args.q, args.kmax)
-    items = [item for row in rep.rows for item in (
-        ReportItem(f"k={row.k}:|1-g|", row.lhs1, row.bound1, row.pass1, None, row.k),
-        ReportItem(f"k={row.k}:|1-1/g|", row.lhs2, row.bound2, row.pass2, None, row.k))]
+    items = [item for k, lhs1, bound1, lhs2, bound2, pass1, pass2 in zip(*(a.tolist() for a in rep[1:]))
+             for item in (ReportItem(f"k={k}:|1-g|", lhs1, bound1, pass1, None, k),
+                          ReportItem(f"k={k}:|1-1/g|", lhs2, bound2, pass2, None, k))]
     return _report(args, items, c=rep.c)
 
 

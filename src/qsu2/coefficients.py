@@ -140,19 +140,17 @@ def b_minus(basis, q: float):
         / (gt[n2] * gt[n2 + 1])), power=lambda a, b: a)
 
 
-class GEstimateRow(NamedTuple):
-    k: int
-    lhs1: float  # |1 - g(k)|
-    bound1: float  # q^(2k)
-    lhs2: float  # |1 - 1/g(k)|
-    bound2: float  # c * q^(2k)
-    pass1: bool
-    pass2: bool
-
-
 class GEstimateReport(NamedTuple):
+    """The estimates at k = 1..kmax, one array entry per k."""
+
     c: float
-    rows: tuple[GEstimateRow, ...]
+    k: np.ndarray
+    lhs1: np.ndarray  # |1 - g(k)|
+    bound1: np.ndarray  # q^(2k)
+    lhs2: np.ndarray  # |1 - 1/g(k)|
+    bound2: np.ndarray  # c * q^(2k)
+    pass1: np.ndarray
+    pass2: np.ndarray
 
 
 def verify_g_estimates(q: float, kmax: int) -> GEstimateReport:
@@ -175,13 +173,8 @@ def verify_g_estimates(q: float, kmax: int) -> GEstimateReport:
         raise ValueError("kmax must be at least 1")
     g1 = g(1, q)
     c = 1.0 / g1
-    rows = []
-    for k in range(1, kmax + 1):
-        gk = g(k, q)
-        bound = q ** (2 * k)
-        lhs1 = bound / (1.0 + gk)
-        lhs2 = bound / (gk * (1.0 + gk))
-        pass1 = 1.0 / (1.0 + gk) < 1.0
-        pass2 = g1 / (gk * (1.0 + gk)) < 1.0
-        rows.append(GEstimateRow(k, lhs1, bound, lhs2, c * bound, pass1, pass2))
-    return GEstimateReport(c, tuple(rows))
+    gk = g_table(q, kmax)[1:]
+    bound = power_table(q, 2 * kmax)[2::2]  # q ** (2 * k)
+    return GEstimateReport(c, np.arange(1, kmax + 1), bound / (1.0 + gk), bound,
+                           bound / (gk * (1.0 + gk)), c * bound,
+                           1.0 / (1.0 + gk) < 1.0, g1 / (gk * (1.0 + gk)) < 1.0)

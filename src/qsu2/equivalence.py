@@ -175,7 +175,7 @@ def closed_form(q: float, cap: int, gen: str) -> SparseOperator:
     negated = [tuple(-x for x in d) for d in shifts]
 
     def at_column(shifts, values):
-        return build_from_rule(basis, basis, lambda *p: list(zip(shifts, values)), q)
+        return build_from_rule(basis, basis, list(zip(shifts, values)), q)
 
     if gen == "alpha":
         return add((1.0, at_column(shifts[:1], [diagonal_values(q, cap, "R1")])),

@@ -10,9 +10,10 @@ of the crystal limit (entries in {-1, 0, +1}), else float64 or complex128.
 Targets outside the truncation are dropped; with shell truncation this
 happens alike on both sides of every identity, so interior columns are exact.
 
-Operators are built from rules: ``rule(*domain.coords)`` returns terms
+Operators are built from rules: a rule is the list of its terms
 ``(shift, values)``, a coordinate delta (a tuple, one entry per
-coordinate) and one scalar per domain point.  A rule names each shift
+coordinate) and an array of one value per domain point, evaluated by the
+builder on the coordinates of its own basis.  A rule names each shift
 once, and each rule term is one term of the operator.
 
 Determinism: plain numpy arithmetic.  Terms of one shift are summed one
@@ -26,7 +27,7 @@ fails whatever reads it.  Comparisons are one subtraction,
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -138,23 +139,26 @@ def _summed(pieces) -> list[Term]:
     return list(out.values())
 
 
-def build_from_rule(domain: Basis, codomain: Basis, rule: Callable, q: float) -> SparseOperator:
+def build_from_rule(domain: Basis, codomain: Basis, rule: list, q: float) -> SparseOperator:
     """Matrix whose column at p holds each rule term's value at p + shift.
 
-    A rule names each shift at most once (else ValueError naming it).
-    Zero values are not stored; every other target must satisfy the
-    codomain lattice invariants (else ValueError naming it and its
-    column), and valid targets outside the cap are silently dropped.
+    ``rule`` is the list of terms ``(shift, values)``, values an array of
+    one entry per domain point; any other shape, a scalar among them, is a
+    ValueError naming the shift.  A rule names each shift at most once
+    (else ValueError naming it).  Zero values are not stored; every other
+    target must satisfy the codomain lattice invariants (else ValueError
+    naming it and its column), and valid targets outside the cap are
+    silently dropped.
     """
     n = len(domain)
     terms, seen = [], set()
-    for shift, values in rule(*domain.coords):
+    for shift, values in rule:
         if shift in seen:
             raise ValueError(f"rule names the shift {shift!r} twice")
         seen.add(shift)
         values = _entry_values(values, q == 0)
-        if values.shape != (n,):  # a scalar rule value: the same entry at every point
-            values = np.broadcast_to(values, (n,))
+        if values.shape != (n,):
+            raise ValueError(f"rule term {shift!r} holds values of shape {values.shape}, not ({n},)")
         emit = np.flatnonzero(values != 0)
         target = tuple(c[emit] + d for c, d in zip(domain.coords, shift, strict=True))
         bad = ~codomain.valid(*target)

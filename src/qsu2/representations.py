@@ -36,10 +36,11 @@ UNIT_CIRCLE_TOL = 1e-12  # largest ||z| - 1| of an irreducible's parameter z
 GENERATORS = ("alpha", "beta")  # the builders' generators; a* and b* are their adjoints
 
 
-def _section(basis, rule, q: float) -> SparseOperator:
-    """A generator's section from a coefficient rule: exact integers at
-    q = 0, where the coefficients take crystal values in {-1, 0, +1}."""
-    return build_from_rule(basis, basis, rule, q if q == 0.0 else float_mode(q))
+def _mode(q: float) -> float:
+    """The mode a section is built in, checked before any term is
+    evaluated: q itself at q = 0, the exact mode, where the coefficients
+    take crystal values in {-1, 0, +1}, else ``float_mode(q)``."""
+    return q if q == 0.0 else float_mode(q)
 
 
 def build_lambda(q: float, cap: int, gen: str) -> SparseOperator:
@@ -48,40 +49,40 @@ def build_lambda(q: float, cap: int, gen: str) -> SparseOperator:
     terms = {"alpha": (cf.a_plus, cf.a_minus), "beta": (cf.b_plus, cf.b_minus)}
     if gen not in terms:
         raise ValueError(f"unknown generator {gen!r}: choose alpha or beta")
-    basis = gamma_basis(cap)
-    return _section(basis, lambda *_: [term(basis, q) for term in terms[gen]], q)
+    basis, mode = gamma_basis(cap), _mode(q)
+    return build_from_rule(basis, basis, [term(basis, q) for term in terms[gen]], mode)
 
 
-def _pi_rule(q: float, gen: str):
-    """Action of pi_q(gen) on the basis vectors (s, t) of l2(N x Z)."""
+def _pi_rule(q: float, gen: str, s: np.ndarray) -> list:
+    """The terms ``(shift, values)`` of pi_q(gen) on l2(N x Z) at the
+    points s: shifts (ds, dt), values read from s alone, since pi_q reads
+    no t."""
     if gen == "alpha":
-        return lambda s, t: [((-1, 0), g_table(q, int(s.max()))[s])]  # g(0) = 0
+        return [((-1, 0), g_table(q, int(s.max()))[s])]  # g(0) = 0
     if gen == "beta":
-        return lambda s, t: [((0, -1), power_table(q, int(s.max()))[s])]
+        return [((0, -1), power_table(q, int(s.max()))[s])]
     raise ValueError(f"unknown generator {gen!r}: choose alpha or beta")
 
 
 def build_pi(q: float, cap: int, gen: str) -> SparseOperator:
     """Direct-integral generator section on the shell-capped l2(N x Z);
     exact at q = 0."""
-    return _section(pi_basis(cap), _pi_rule(q, gen), q)
+    basis, mode = pi_basis(cap), _mode(q)
+    return build_from_rule(basis, basis, _pi_rule(q, gen, basis.coords[0]), mode)
 
 
 def build_ipi(q: float, cap: int, gen: str) -> SparseOperator:
-    """I (x) pi_q on the shell-capped full lattice: the pi_q rule on (s, t)
-    for every r; exact at q = 0."""
-    pi_rule = _pi_rule(q, gen)
-
-    def rule(r, s, t):
-        return [((0, *shift), v) for shift, v in pi_rule(s, t)]
-
-    return _section(full_basis(cap), rule, q)
+    """I (x) pi_q on the shell-capped full lattice: the pi_q terms at every
+    point's s, their shifts lifted by (0, ds, dt); exact at q = 0."""
+    basis, mode = full_basis(cap), _mode(q)
+    lifted = [((0, *shift), v) for shift, v in _pi_rule(q, gen, basis.coords[1])]
+    return build_from_rule(basis, basis, lifted, mode)
 
 
 def build_irrep(q: float, z: complex, dim: int) -> tuple[SparseOperator, SparseOperator]:
     """The infinite-dimensional irreducible indexed by z on the unit circle:
-    the fibre at z of pi_q, whose rule reads no t.  e_k is pi_q's s, and a
-    rule term shifting t by dt takes the phase z**-dt, so alpha acts as the
+    the fibre at z of pi_q, whose terms read no t.  e_k is pi_q's s, and a
+    term shifting t by dt takes the phase z**-dt, so alpha acts as the
     weighted down-shift e_k -> g(k) e_{k-1}, beta as e_k -> z q^k e_k.
     A z within UNIT_CIRCLE_TOL of the circle is replaced by z / |z|, on it.
     """
@@ -91,9 +92,9 @@ def build_irrep(q: float, z: complex, dim: int) -> tuple[SparseOperator, SparseO
     if dim < 1:
         raise ValueError("irreducible section needs dim >= 1")
     basis, z = nat_basis(dim), complex(z) / abs(z)
-    return tuple(build_from_rule(basis, basis, lambda s: [
-        ((ds,), v if dt == 0 else z ** -dt * v) for (ds, dt), v in _pi_rule(q, gen)(s, None)], q)
-        for gen in GENERATORS)
+    return tuple(build_from_rule(basis, basis, [((ds,), v if dt == 0 else z ** -dt * v)
+                                                for (ds, dt), v in _pi_rule(q, gen, basis.coords[0])], q)
+                 for gen in GENERATORS)
 
 
 def coproduct_images(q: float, cap: int) -> tuple[SparseOperator, SparseOperator]:

@@ -49,7 +49,7 @@ def term_shifts(op) -> list:
 def diagonal(basis, values, mode):
     """Diagonal operator with entry values[k] at the basis point of rank k:
     one rule term of zero shift."""
-    return build_from_rule(basis, basis, lambda *p: [((0,) * len(p), values)], mode)
+    return build_from_rule(basis, basis, [((0,) * len(basis.coords), values)], mode)
 
 
 def nan_on_middle_entry(d):
@@ -58,7 +58,7 @@ def nan_on_middle_entry(d):
     found = entries(d)
     i, j, _ = found[len(found) // 2]
     shift = tuple(x - y for x, y in zip(d.codomain.point_of(i), d.domain.point_of(j)))
-    nan = build_from_rule(d.domain, d.codomain, lambda *p: [(
+    nan = build_from_rule(d.domain, d.codomain, [(
         shift, np.where(np.arange(len(d.domain)) == j, np.nan, 0.0))], d.q)
     return nan, (i, j)
 

@@ -105,8 +105,8 @@ def test_criterion_5_g_estimates(capsys):
         ok = True
         for q in (0.5, 0.9):
             rep = verify_g_estimates(q, 500)
-            ok = ok and all(r.pass1 and r.pass2 for r in rep.rows)
-            ok = ok and all(r.lhs1 < r.bound1 and r.lhs2 < r.bound2 for r in rep.rows)
+            ok = ok and len(rep.k) == 500 and bool(rep.pass1.all() and rep.pass2.all())
+            ok = ok and bool((rep.lhs1 < rep.bound1).all() and (rep.lhs2 < rep.bound2).all())
     with capsys.disabled():
         _report(5, ok, "g-estimates hold for k = 1..500 at q in {0.5, 0.9}", t.seconds)
 

@@ -190,21 +190,22 @@ def test_mode_constructors():
 
 def test_g_estimates_frozen_rows():
     rep = cf.verify_g_estimates(0.5, 2)
-    assert all(r.pass1 and r.pass2 for r in rep.rows)
+    assert rep.k.tolist() == [1, 2]
+    assert rep.pass1.all() and rep.pass2.all()
     assert rep.c == pytest.approx(1.1547005383792517, abs=1e-15)
-    r1, r2 = rep.rows
-    assert r1.lhs1 == pytest.approx(0.1339745962155614, abs=1e-12)
-    assert r1.bound1 == 0.25
-    assert r1.lhs2 == pytest.approx(0.1547005383792515, abs=1e-12)
-    assert r1.bound2 == pytest.approx(0.2886751345948129, abs=1e-12)
-    assert r2.lhs1 == pytest.approx(0.0317541634481457, abs=1e-12)
-    assert r2.bound1 == 0.0625
+    assert rep.lhs1[0] == pytest.approx(0.1339745962155614, abs=1e-12)
+    assert rep.bound1[0] == 0.25
+    assert rep.lhs2[0] == pytest.approx(0.1547005383792515, abs=1e-12)
+    assert rep.bound2[0] == pytest.approx(0.2886751345948129, abs=1e-12)
+    assert rep.lhs1[1] == pytest.approx(0.0317541634481457, abs=1e-12)
+    assert rep.bound1[1] == 0.0625
 
 
 def test_g_estimates_pass_deep():
     # at q = 0.4, q^(2k) underflows to 0 from k = 407 on
     for q in (0.4, 0.5, 0.9):
-        assert all(r.pass1 and r.pass2 for r in cf.verify_g_estimates(q, 500).rows)
+        rep = cf.verify_g_estimates(q, 500)
+        assert len(rep.k) == 500 and rep.pass1.all() and rep.pass2.all()
 
 
 def test_g_estimates_reject_q_zero():

@@ -269,11 +269,9 @@ def test_q0_regression_guard_displayed_beta_form(monkeypatch):
     # intertwining, witnessed at the apex.
     cap = 4
     basis = gamma_basis(cap)
-
-    def displayed_rule(n2, i2, j2):
-        return [((1, -1, 1), (i2 == -n2) * 1),
-                ((-1, -1, 1), ((j2 == -n2) & (i2 != -n2)) * -1)]
-
+    n2, i2, j2 = basis.coords
+    displayed_rule = [((1, -1, 1), (i2 == -n2) * 1),
+                      ((-1, -1, 1), ((j2 == -n2) & (i2 != -n2)) * -1)]
     wrong_beta = build_from_rule(basis, basis, displayed_rule, 0.0)
     calls = []
 
@@ -490,11 +488,11 @@ def assembled_closed_form(q, cap, gen):
     """D_gen as products of diagonal and shift operators, summed by add."""
     basis = full_basis(cap)
     mode = float_mode(q)
+    r, s, _ = basis.coords
 
     def shift(dr, ds, dt):
-        def rule(r, s, t):
-            return [((dr, ds, dt), ((r + dr >= 0) & (s + ds >= 0)) * 1.0)]
-        return build_from_rule(basis, basis, rule, mode)
+        return build_from_rule(basis, basis, [((dr, ds, dt), ((r + dr >= 0) & (s + ds >= 0)) * 1.0)],
+                               mode)
 
     def diag(values):
         return diagonal(basis, values, mode)
@@ -606,7 +604,8 @@ def widened(q, cap, gen):
     q^(s + |t|) / (r + j + 1) for its j-th shift wherever the target lies
     on the lattice."""
     d = difference(q, cap, gen)
-    extra = build_from_rule(d.domain, d.codomain, lambda r, s, t: [
+    r, s, t = d.domain.coords
+    extra = build_from_rule(d.domain, d.codomain, [
         ((dr, ds, dt), np.where((r + dr >= 0) & (s + ds >= 0), q ** (s + abs(t)) / (r + j + 1), 0.0))
         for j, (dr, ds, dt) in enumerate(WIDER_SHIFTS[gen])], d.q)
     return add((1, d), (1, extra))
@@ -868,7 +867,7 @@ def test_tail_norms_refuse_rows_outside_the_chains(monkeypatch, column, row):
     def linked(q, cap, gen):
         d = difference(q, cap, gen)
         at = np.arange(len(d.domain)) == d.domain.rank(*column)
-        extra = build_from_rule(d.domain, d.codomain, lambda r, s, t: [(shift, 0.125 * at)], d.q)
+        extra = build_from_rule(d.domain, d.codomain, [(shift, 0.125 * at)], d.q)
         assert entries(extra) == [(d.codomain.rank(*row), d.domain.rank(*column), 0.125)]
         return add((1, d), (1, extra))
 

@@ -41,24 +41,24 @@ def random_shifts(rng, basis_dom, basis_cod, n_terms=3):
     terms = []
     for d in (rng.permutation(7)[:n_terms] - 3).tolist():
         terms.append(((d,), np.where(k + d >= 0, rng.normal(size=n) * (rng.random(n) < 0.6), 0)))
-    return build_from_rule(basis_dom, basis_cod, lambda k: terms, MODE)
+    return build_from_rule(basis_dom, basis_cod, terms, MODE)
 
 
 def shift_down(basis):
     """S on l2(N): e_k -> e_{k-1}."""
-    return build_from_rule(basis, basis, lambda k: [((-1,), (k >= 1) * 1.0)], MODE)
+    return build_from_rule(basis, basis, [((-1,), (basis.coords[0] >= 1) * 1.0)], MODE)
 
 
 def test_build_identity_from_rule():
     basis = full_basis(2)
-    eye = build_from_rule(basis, basis, lambda r, s, t: [((0, 0, 0), 1.0)], MODE)
+    eye = build_from_rule(basis, basis, [((0, 0, 0), np.ones(len(basis)))], MODE)
     assert eye.shape == (14, 14)
     assert np.array_equal(to_dense(eye), np.eye(14))
 
 
 def test_shift_rule_edge_column_empty():
     basis = pi_basis(3)
-    op = build_from_rule(basis, basis, lambda s, t: [((-1, 0), (s >= 1) * 1.0)], MODE)
+    op = build_from_rule(basis, basis, [((-1, 0), (basis.coords[0] >= 1) * 1.0)], MODE)
     for j, p in enumerate(basis_points(basis)):
         if p.s == 0:
             assert column(op, j) == []
@@ -67,10 +67,10 @@ def test_shift_rule_edge_column_empty():
 def test_rule_invalid_target_errors():
     basis = pi_basis(2)
     with pytest.raises(ValueError, match=r"rule produced invalid index: PiIndex\(s=-1, t=0\)"):
-        build_from_rule(basis, basis, lambda s, t: [((-1, 0), 1.0)], MODE)
+        build_from_rule(basis, basis, [((-1, 0), np.ones(len(basis)))], MODE)
     for shift in ((-1,), (-1, 0, 0)):  # one entry per coordinate, no more, no less
         with pytest.raises(ValueError):
-            build_from_rule(basis, basis, lambda s, t: [(shift, 1.0)], MODE)
+            build_from_rule(basis, basis, [(shift, np.ones(len(basis)))], MODE)
 
 
 def test_rule_refuses_nonzero_values_off_the_lattice_alone():
@@ -78,16 +78,28 @@ def test_rule_refuses_nonzero_values_off_the_lattice_alone():
     # a nonzero value there raises and names the target and its column,
     # a zero value there is not stored and not checked
     basis = pi_basis(2)
+    s, t = basis.coords
     with pytest.raises(ValueError, match=re.escape(
             "rule produced invalid index: PiIndex(s=-1, t=1) from PiIndex(s=0, t=1)")):
-        build_from_rule(basis, basis, lambda s, t: [((-1, 0), (t == 1) * 1.0)], MODE)
-    op = build_from_rule(basis, basis, lambda s, t: [((-1, 0), (s >= 1) * 1.0)], MODE)
+        build_from_rule(basis, basis, [((-1, 0), (t == 1) * 1.0)], MODE)
+    op = build_from_rule(basis, basis, [((-1, 0), (s >= 1) * 1.0)], MODE)
     assert [j for _, j, _ in entries(op)] == np.flatnonzero(basis.coords[0] >= 1).tolist()
+
+
+def test_rule_refuses_values_not_one_per_domain_point():
+    # a Python float, a 0-d array and an array one entry short are not
+    # broadcast: each is refused, in both modes, naming its term's shift
+    basis = nat_basis(3)
+    for mode in (MODE, 0.0):
+        for shift, values in (((1,), 1.0), ((-1,), np.array(2.0)), ((2,), np.ones(2))):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"rule term {shift!r} holds values of shape {np.shape(values)}, not (3,)")):
+                build_from_rule(basis, basis, [((0,), np.ones(3)), (shift, values)], mode)
 
 
 def test_out_of_cap_targets_dropped():
     basis = nat_basis(4)
-    up = build_from_rule(basis, basis, lambda k: [((1,), 1.0)], MODE)
+    up = build_from_rule(basis, basis, [((1,), np.ones(4))], MODE)
     assert column(up, 3) == []  # boundary-truncation convention
     assert to_dense(up)[3, 2] == 1.0
 
@@ -96,10 +108,11 @@ def test_rule_refuses_a_repeated_shift_and_drops_zeros():
     basis = nat_basis(3)
     # a rule names each shift once, even where the second holds only zeros
     with pytest.raises(ValueError, match=re.escape("rule names the shift (0,) twice")):
-        build_from_rule(basis, basis, lambda k: [((0,), 1.0), ((1,), 1.0), ((0,), 0.0)], MODE)
+        build_from_rule(basis, basis, [((0,), np.ones(3)), ((1,), np.ones(3)),
+                                       ((0,), np.zeros(3))], MODE)
     # the three terms put 0.5 * k in row 0: shift -j, nonzero at column j alone
-    op = build_from_rule(basis, basis, lambda k: [((-j,), 0.5 * k * (k == j)) for j in range(3)],
-                         MODE)
+    k = basis.coords[0]
+    op = build_from_rule(basis, basis, [((-j,), 0.5 * k * (k == j)) for j in range(3)], MODE)
     assert [column(op, j) for j in range(3)] == [[], [(0, 0.5)], [(0, 1.0)]]
 
 
@@ -252,7 +265,7 @@ def test_compose_leaves_no_entry_where_a_factor_has_none():
     # b's NaN in column 2 meets no entry of a (its shift leaves the
     # truncation there), and column 1 is not formed: neither holds an entry
     basis = nat_basis(3)
-    up = build_from_rule(basis, basis, lambda k: [((1,), 1.0)], MODE)
+    up = build_from_rule(basis, basis, [((1,), np.ones(3))], MODE)
     b = diagonal(basis, [1.0, np.nan, np.nan], MODE)
     assert entries(compose(up, b, [True, False, True])) == [(1, 0, 1.0)]
 
@@ -296,11 +309,11 @@ def test_shift_relations_on_nat_sections():
 
 def test_column_max_abs():
     basis = full_basis(3)
-    zero = build_from_rule(basis, basis, lambda *p: [], MODE)
+    zero = build_from_rule(basis, basis, [], MODE)
     assert column_max_abs(zero).tolist() == [0.0] * len(basis)
     assert column_max_abs(eye(basis)).tolist() == [1.0] * len(basis)
-    two = build_from_rule(nat_basis(3), nat_basis(3), lambda k: [((0,), [1.0, -3.0, 0.0]),
-                                                              ((-1,), [0.0, 2.0, -0.5])], MODE)
+    two = build_from_rule(nat_basis(3), nat_basis(3), [((0,), [1.0, -3.0, 0.0]),
+                                                       ((-1,), [0.0, 2.0, -0.5])], MODE)
     assert column_max_abs(two).tolist() == [1.0, 3.0, 0.5]
 
 
@@ -316,12 +329,12 @@ def test_max_entry_difference_witness():
 def test_max_entry_difference_tie_goes_to_first_in_rank_order():
     # equal deviations: the witness is the first in (column, row) rank order
     basis = nat_basis(10)
-    zero = build_from_rule(basis, basis, lambda *p: [], MODE)
+    zero = build_from_rule(basis, basis, [], MODE)
     at = np.eye(10)  # at[j]: 1 in column j alone
-    a = build_from_rule(basis, basis, lambda k: [((9,), at[0]), ((2,), -at[0])], MODE)
+    a = build_from_rule(basis, basis, [((9,), at[0]), ((2,), -at[0])], MODE)
     everywhere = np.ones(10, dtype=bool)
     assert max_entry_difference(a, zero, everywhere) == (1.0, (2, 0))
-    b = build_from_rule(basis, basis, lambda k: [((2,), 2.0 * at[3]), ((-6,), -2.0 * at[7])], MODE)
+    b = build_from_rule(basis, basis, [((2,), 2.0 * at[3]), ((-6,), -2.0 * at[7])], MODE)
     assert max_entry_difference(b, zero, everywhere) == (2.0, (5, 3))
     assert max_entry_difference(b, zero, columns=np.isin(np.arange(10), [7, 3])) == (2.0, (5, 3))
     assert max_entry_difference(b, zero, columns=np.arange(10) == 7) == (2.0, (1, 7))
@@ -335,34 +348,34 @@ def test_worst_column_sums_in_term_order():
     # back to 1 twice)
     basis = nat_basis(3)
     small = 5 * 2.0**-29
-    op = build_from_rule(basis, basis, lambda k: [((2,), [small, 0, 0]), ((1,), [small, 0, 0]),
-                                                  ((0,), [1.0, 0, 0])], MODE)
+    op = build_from_rule(basis, basis, [((2,), [small, 0, 0]), ((1,), [small, 0, 0]),
+                                        ((0,), [1.0, 0, 0])], MODE)
     assert worst_column(op) == (1 + 2**-52, 0)
 
 
 def test_worst_column_empty_nan_ties_and_exact():
     basis = nat_basis(4)
     for q in (MODE, 0.0):  # no term at all
-        assert worst_column(build_from_rule(basis, basis, lambda k: [], q)) == (0.0, None)
+        assert worst_column(build_from_rule(basis, basis, [], q)) == (0.0, None)
     # equal norms 9 + 16 and 16 + 9: the first column in rank order wins
-    tie = build_from_rule(basis, basis, lambda k: [((0,), [0, 3.0, 0, 4.0]),
-                                                   ((-1,), [0, 4.0, 0, 3.0])], MODE)
+    tie = build_from_rule(basis, basis, [((0,), [0, 3.0, 0, 4.0]),
+                                         ((-1,), [0, 4.0, 0, 3.0])], MODE)
     assert worst_column(tie) == (25.0, 1)
     # the first NaN column wins over the larger finite column of an earlier term
-    nan = build_from_rule(basis, basis, lambda k: [((0,), [9.0, 0, 0, 0]),
-                                                   ((-1,), [0, 0, np.nan, np.nan])], MODE)
+    nan = build_from_rule(basis, basis, [((0,), [9.0, 0, 0, 0]),
+                                         ((-1,), [0, 0, np.nan, np.nan])], MODE)
     worst, j = worst_column(nan)
     assert np.isnan(worst) and j == 2
-    exact = build_from_rule(basis, basis, lambda k: [((0,), [0, 2, 0, 0]),
-                                                     ((-1,), [0, -1, 0, 0])], 0.0)
+    exact = build_from_rule(basis, basis, [((0,), [0, 2, 0, 0]),
+                                           ((-1,), [0, -1, 0, 0])], 0.0)
     worst, j = worst_column(exact)
     assert (worst, j) == (5, 1) and type(worst) is int
     # the bound is the largest |entry| squared times the number of terms
-    below = build_from_rule(basis, basis, lambda k: [((0,), [2**31 - 1, 0, 0, 0])], 0.0)
+    below = build_from_rule(basis, basis, [((0,), [2**31 - 1, 0, 0, 0])], 0.0)
     assert worst_column(below) == ((2**31 - 1) ** 2, 0)
-    at_limit = build_from_rule(basis, basis, lambda k: [((0,), [2**31, 0, 0, 0])], 0.0)
-    two_terms = build_from_rule(basis, basis, lambda k: [((0,), [2**31 - 1, 0, 0, 0]),
-                                                         ((1,), [1, 0, 0, 0])], 0.0)
+    at_limit = build_from_rule(basis, basis, [((0,), [2**31, 0, 0, 0])], 0.0)
+    two_terms = build_from_rule(basis, basis, [((0,), [2**31 - 1, 0, 0, 0]),
+                                               ((1,), [1, 0, 0, 0])], 0.0)
     for op in (at_limit, two_terms):
         with pytest.raises(OverflowError, match="exact column norm could overflow int64"):
             worst_column(op)
@@ -386,7 +399,7 @@ def test_constructor_canonicalises_entries():
     # rule terms (column, row, value) (2, 1, 0.0), (0, 2, 2.0), (0, 0, 3.0),
     # (1, 1, 0.0): the zeros are not stored
     basis = nat_basis(3)
-    op = build_from_rule(basis, basis, lambda k: [
+    op = build_from_rule(basis, basis, [
         ((-1,), [0, 0, 0.0]), ((2,), [2.0, 0, 0]), ((0,), [3.0, 0.0, 0])], MODE)
     assert entries(op) == [(0, 0, 3.0), (2, 0, 2.0)]
     assert op.nnz == 2 and op.dtype == np.float64
@@ -403,11 +416,12 @@ def test_dropped_terms_take_no_part_in_the_dtype():
     assert op.dtype == np.float64 and [t.shift for t in op.terms] == [(0,)]
     assert op.terms[0].values.dtype == np.float64
     # so does a rule term whose one value targets e_3, outside the truncation
-    dropped = build_from_rule(basis, basis, lambda k: [
+    k = basis.coords[0]
+    dropped = build_from_rule(basis, basis, [
         ((0,), np.ones(3)), ((1,), np.where(k == 2, 1j, 0))], MODE)
     assert dropped.dtype == np.float64 and entries(dropped) == entries(op)
     # a kept complex term makes sums and tensors with a real operator complex
-    c = build_from_rule(basis, basis, lambda k: [((1,), np.where(k < 2, 1j, 0))], MODE)
+    c = build_from_rule(basis, basis, [((1,), np.where(k < 2, 1j, 0))], MODE)
     wide = nat_basis(9)
     for mixed, dense in ((add((1, op), (1, c)), to_dense(op) + to_dense(c)),
                          (tensor(op, c, wide, wide), np.kron(to_dense(op), to_dense(c))),
@@ -423,7 +437,7 @@ def test_repeated_positions_sum_in_occurrence_order():
     basis = nat_basis(2)
 
     def down(v):
-        return build_from_rule(basis, basis, lambda k: [((-1,), [0, v])], MODE)
+        return build_from_rule(basis, basis, [((-1,), [0, v])], MODE)
 
     lost = add(*((1, down(v)) for v in (1.0, 1e16, -1e16)))
     assert lost.nnz == 0 and column(lost, 0) == column(lost, 1) == []
@@ -435,15 +449,15 @@ def test_exact_mode_refuses_int64_overflow():
     basis = nat_basis(2)
 
     def at_row_0(*values):  # rule terms: column j's value lands in row 0, shift -j
-        return build_from_rule(basis, basis, lambda k: [((-j,), [0] * j + [v] + [0] * (1 - j))
-                                                         for j, v in enumerate(values)], 0.0)
+        return build_from_rule(basis, basis, [((-j,), [0] * j + [v] + [0] * (1 - j))
+                                              for j, v in enumerate(values)], 0.0)
 
     one = nat_basis(1)
     for value, match in ((2**63, "got 9223372036854775808"), (2**70, "got 1180591620717411303424"),
                          (1.5, "got 1.5"), (np.nan, "got nan"), (np.inf, "got inf"),
                          (2.0**63, "got 9.2"), (Fraction(3, 2), re.escape("got Fraction(3, 2)"))):
         with pytest.raises(ValueError, match="exact-mode entries must be int64 integers, " + match):
-            build_from_rule(one, one, lambda k: [((0,), value)], 0.0)
+            build_from_rule(one, one, [((0,), [value])], 0.0)
     big = at_row_0(2**31, 2**31)
     with pytest.raises(OverflowError, match="compose"):
         product(big, big)
@@ -463,8 +477,8 @@ def test_n_term_add_matches_nested_adds_bitwise(kind):
     scale = {"float": 0.1, "complex": 0.1 + 0.05j, "exact": 1}[kind]
 
     def op(diag, below=(0, 0, 0, 0)):  # a diagonal, and the shift e_j -> e_{j+1}
-        return build_from_rule(basis, basis, lambda k: [((0,), [v * scale for v in diag]),
-                                                        ((1,), [v * scale for v in below])], mode)
+        return build_from_rule(basis, basis, [((0,), [v * scale for v in diag]),
+                                              ((1,), [v * scale for v in below])], mode)
 
     # column 0 cancels to exactly 0 after two terms, column 2 sums three
     # terms, and column 3 holds a NaN term (outside the exact mode)
@@ -518,7 +532,7 @@ def operators(draw, kind, lattice, n_dom, n_cod):
     terms = [(shift, np.where(cod.valid(*(c + d for c, d in zip(dom.coords, shift))), values, 0))
              for shift, values in drawn]
     mode = 0.0 if kind == "exact" else MODE
-    op = build_from_rule(dom, cod, lambda *p: terms, mode)
+    op = build_from_rule(dom, cod, terms, mode)
     dense = np.zeros((len(cod), n), dtype=complex if kind == "complex" else float)
     for shift, values in terms:
         for j in range(n):

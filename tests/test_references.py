@@ -14,7 +14,9 @@ not a usage error, and propagates.
 Only operator_core and equivalence, whose ``tail_norms`` reads the band of an
 operator from its terms, read an attribute named ``terms``.  Index arithmetic
 never divides to halve: it shifts (``>> 1``) and masks (``& 1``).  No module
-calls ``np.append``, which copies its operand whole."""
+calls ``np.append``, which copies its operand whole, or ``np.broadcast_to``:
+a rule term holds one value per domain point, and no scalar stands in for
+them."""
 
 import ast
 from pathlib import Path
@@ -403,19 +405,19 @@ def test_a_division_halving_is_caught(tmp_path):
         "mod:5 divmod", "mod:6 divmod", "mod:7 // 2", "mod:8 % 2", "mod:10 % 2"]
 
 
-def numpy_appends(package: Path = PACKAGE) -> list[str]:
-    """module:line of every ``np.append`` or ``numpy.append`` in the package."""
-    return [f"{path.stem}:{line} np.append"
+def numpy_uses(name: str, package: Path = PACKAGE) -> list[str]:
+    """module:line of every ``np.<name>`` or ``numpy.<name>`` in the package."""
+    return [f"{path.stem}:{line} np.{name}"
             for path in sorted(package.glob("*.py"))
             for line in sorted(node.lineno for node in ast.walk(_tree(path))
-                               if isinstance(node, ast.Attribute) and node.attr == "append"
+                               if isinstance(node, ast.Attribute) and node.attr == name
                                and isinstance(node.value, ast.Name)
                                and node.value.id in ("np", "numpy"))]
 
 
 def test_no_numpy_append():
     # np.append copies its operand whole; a list's append is not np.append
-    assert numpy_appends() == []
+    assert numpy_uses("append") == []
 
 
 def test_a_numpy_append_is_caught(tmp_path):
@@ -432,7 +434,31 @@ def test_a_numpy_append_is_caught(tmp_path):
         "    out.values.append(0)\n"
         "    grow = numpy.append\n"
         "    return grow(np.append(x, 0), 1), 'np.append(x, 0)'\n", encoding="utf-8")
-    assert numpy_appends(package) == ["mod:6 np.append", "mod:9 np.append", "mod:10 np.append"]
+    assert numpy_uses("append", package) == ["mod:6 np.append", "mod:9 np.append",
+                                             "mod:10 np.append"]
+
+
+def test_no_numpy_broadcast_to():
+    # a rule term holds one value per domain point; build_from_rule refuses a scalar
+    assert numpy_uses("broadcast_to") == []
+
+
+def test_a_numpy_broadcast_to_is_caught(tmp_path):
+    # both module names, uncalled too; not another object's broadcast_to,
+    # np.broadcast_arrays, or the words in a string or a comment
+    package = tmp_path / "qsu2"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "import numpy\n"
+        "import numpy as np\n\n\n"
+        "def f(values, n, view):\n"
+        "    if values.shape != (n,):  # not np.broadcast_to\n"
+        "        values = np.broadcast_to(values, (n,))\n"
+        "    spread = numpy.broadcast_to\n"
+        "    view.broadcast_to(n)\n"
+        "    return np.broadcast_arrays(values, spread(0, (n,))), 'np.broadcast_to(1, (n,))'\n",
+        encoding="utf-8")
+    assert numpy_uses("broadcast_to", package) == ["mod:7 np.broadcast_to", "mod:8 np.broadcast_to"]
 
 
 def test_a_private_function_only_tests_call_is_caught(tmp_path):

@@ -23,7 +23,7 @@ from qsu2.operator_core import (
 from qsu2.equivalence import closed_form, difference, tail_norms, unitary_u
 from qsu2.representations import (
     GENERATORS,
-    _section,
+    _mode,
     build_ipi,
     build_irrep,
     build_lambda,
@@ -69,8 +69,10 @@ def test_lambda_boundary_column_only_lowering_term():
 def test_lambda_q_zero_selects_exact_mode():
     for gen in GENERATORS:
         assert build_lambda(0.0, 4, gen).q == 0
-    with pytest.raises(ValueError, match=r"\|q\| < 1"):
-        build_lambda(1.0, 4, "alpha")
+    for build in (build_lambda, build_pi, build_ipi):
+        for q in (1.0, 1.5, -1.0, math.nan):  # refused before any term is evaluated
+            with pytest.raises(ValueError, match=r"\|q\| < 1"):
+                build(q, 4, "alpha")
 
 
 def test_every_operator_carries_its_q():
@@ -103,10 +105,11 @@ def test_every_operator_carries_its_q():
 
 def test_crystal_section_refuses_non_integer_values():
     basis = gamma_basis(2)
+    n2 = basis.coords[0]
     for value in (0.5, np.nan, np.inf):
         with pytest.raises(ValueError, match=f"exact-mode entries must be int64 integers, got {value!r}"):
-            _section(basis, lambda n2, i2, j2: [((0, 0, 0), np.where(n2 == 1, value, 0.0))], 0.0)
-    op = _section(basis, lambda n2, i2, j2: [((0, 0, 0), -1.0 * (n2 == 1))], 0.0)
+            build_from_rule(basis, basis, [((0, 0, 0), np.where(n2 == 1, value, 0.0))], _mode(0.0))
+    op = build_from_rule(basis, basis, [((0, 0, 0), -1.0 * (n2 == 1))], _mode(0.0))
     assert op.q == 0 and op.dtype == np.int64
     assert [(v.dtype, v.item()) for _, _, v in entries(op)] == [(np.int64, -1)] * 4
 
@@ -257,7 +260,7 @@ def test_relations_report_nan_residual():
     basis = beta.domain
     j = int(basis.rank(*PiIndex(1, 0)))
     # NaN plus the entry of column j, on beta's one shift (s, t) -> (s, t - 1)
-    nan = build_from_rule(basis, basis, lambda s, t: [((0, -1), np.where(
+    nan = build_from_rule(basis, basis, [((0, -1), np.where(
         np.arange(len(basis)) == j, math.nan, 0.0))], beta.q)
     assert [(i, k) for i, k, _ in entries(nan)] == [(i, k) for i, k, _ in entries(beta) if k == j]
     ops["beta"] = add((1, beta), (1, nan))

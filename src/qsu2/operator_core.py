@@ -5,8 +5,11 @@ shift (the coordinate delta from a column's point to its row's), the
 codomain rank of every domain point moved by it (-1 outside the
 truncation) and a value at every domain point (0 where the target is -1).
 Terms have distinct shifts, so they never share a position.  An operator
-carries the q it was built at: values are int64 at q == 0, the exact mode
-of the crystal limit (entries in {-1, 0, +1}), else float64 or complex128.
+carries the q it was built at.  At q == 0, the exact mode of the crystal
+limit (entries in {-1, 0, +1}), values are integers of the least signed
+type holding the operator's entry bound (int8 up to 127, then int16, int32,
+int64), and every exact product or sum is formed in the type its own bound
+needs, so none can wrap; else values are float64 or complex128.
 Targets outside the truncation are dropped; with shell truncation this
 happens alike on both sides of every identity, so interior columns are exact.
 
@@ -37,16 +40,25 @@ from .lattice import Basis
 EXACT_LIMIT = 2**62
 
 
+def _exact_dtype(bound: int) -> np.dtype:
+    """The least signed integer type whose maximum is at least ``bound``
+    (int64 for any larger bound, which the overflow guards refuse)."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 def _entry_values(vals, exact: bool) -> np.ndarray:
-    """Entries as int64 (exact mode), float64 or complex128.  The exact
-    mode takes int arrays and integral finite float arrays below 2**63 in
-    magnitude; any other value, or an array of any other kind, is a
-    ValueError naming the first refused value."""
+    """Entries as float64 or complex128, or in the exact mode as signed
+    integers: int arrays as they are, integral finite float arrays below
+    2**63 in magnitude as int64; there, any other value, or an array of any
+    other kind, is a ValueError naming the first refused value."""
     arr = np.asarray(vals)
     if not exact:
         return arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64, copy=False)
     if arr.dtype.kind == "i":
-        return arr.astype(np.int64, copy=False)
+        return arr
     refused = np.ones(arr.shape, dtype=bool)
     if arr.dtype.kind == "f":  # NaN and inf fail the magnitude test
         refused = ~((abs(arr) < 2**63) & (arr == np.trunc(arr)))
@@ -56,9 +68,12 @@ def _entry_values(vals, exact: bool) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _check_exact_bound(bound: int, what: str) -> None:
+def _guarded_dtype(bound: int, what: str) -> np.dtype:
+    """The dtype an exact result with entries up to ``bound`` is formed in;
+    OverflowError from EXACT_LIMIT on."""
     if bound >= EXACT_LIMIT:
         raise OverflowError(f"exact {what} could overflow int64: entry bound {bound} >= 2**62")
+    return _exact_dtype(bound)
 
 
 class Term(NamedTuple):
@@ -76,8 +91,9 @@ class SparseOperator:
     they share, so a dropped term takes no part in it.  In the exact mode
     ``bound`` is the largest |entry| as a Python int (0 with no terms),
     read from each kept term's largest and least value, the two reductions
-    that also tell a zero term; the overflow guards read it.  It is None
-    in the float modes."""
+    that also tell a zero term; the overflow guards read it, and ``dtype``
+    is the least signed integer type holding it.  It is None in the float
+    modes."""
 
     __slots__ = ("domain", "codomain", "q", "dtype", "terms", "bound")
 
@@ -97,7 +113,8 @@ class SparseOperator:
             elif values.any():
                 kept.append((shift, targets, values))
         self.bound = bound if exact else None
-        self.dtype = np.result_type(np.int64 if exact else np.float64, *(v for *_, v in kept))
+        self.dtype = (_exact_dtype(bound) if exact
+                      else np.result_type(np.float64, *(v for *_, v in kept)))
         self.terms = tuple(Term(shift, targets, values.astype(self.dtype, copy=False))
                            for shift, targets, values in kept)
 
@@ -189,19 +206,20 @@ def compose(a: SparseOperator, b: SparseOperator, columns) -> SparseOperator:
     formed, with the bits ``_summed`` gives; the operands' arrays are
     never written.  Column j of a @ b reads only column j of b, so a kept
     column holds the same bits as in the full product, which an all-True
-    mask forms.
+    mask forms.  Exact products and sums are formed in the dtype of the
+    product's entry bound.
     """
     if not a.domain.same_points(b.codomain):
         raise ValueError("dimension mismatch in compose")
     _check_modes(a, b, "compose")
-    if a.q == 0:  # a column of b holds at most one entry per term
-        _check_exact_bound(a.bound * b.bound * len(b.terms), "compose")
-    columns = np.asarray(columns)
-    if columns.dtype != bool or columns.shape != (len(b.domain),):
-        raise ValueError("columns must be a boolean mask over the domain")
     # numpy multiplies float by complex as complex, so casting a's gathered
     # factor first gives the same bits and lets the product overwrite it
     dtype = np.result_type(a.dtype, b.dtype)
+    if a.q == 0:  # a column of b holds at most one entry per term
+        dtype = _guarded_dtype(a.bound * b.bound * len(b.terms), "compose")
+    columns = np.asarray(columns)
+    if columns.dtype != bool or columns.shape != (len(b.domain),):
+        raise ValueError("columns must be a boolean mask over the domain")
     sums: dict = {}
     for tb in b.terms:
         mid = np.where(columns, tb.targets, -1)
@@ -225,7 +243,8 @@ def add(*terms: tuple[object, SparseOperator]) -> SparseOperator:
     shift by shift in term order; nested two-term sums give the same bits,
     since 0 + s == s for every nonzero s.  A single term of weight 1 is
     returned as it is, and the values of any term of weight 1 are taken as
-    they are (1 * x == x bit for bit)."""
+    they are (1 * x == x bit for bit).  In the exact mode every value is
+    first cast to the dtype of the sum's entry bound."""
     (w, first), *rest = terms
     if not rest and w == 1:
         return first
@@ -233,11 +252,13 @@ def add(*terms: tuple[object, SparseOperator]) -> SparseOperator:
         if not (first.domain.same_points(op.domain) and first.codomain.same_points(op.codomain)):
             raise ValueError("dimension mismatch in add")
         _check_modes(first, op, "add")
-    if first.q == 0:
-        _check_exact_bound(sum(abs(w) * op.bound for w, op in terms), "add")
+    exact = first.q == 0
+    if exact:
+        dtype = _guarded_dtype(sum(abs(w) * op.bound for w, op in terms), "add")
+    widened = ((w, t, t.values.astype(dtype, copy=False) if exact else t.values)
+               for w, op in terms for t in op.terms)
     return SparseOperator(first.domain, first.codomain, _summed(
-        t if w == 1 else t._replace(values=w * t.values) for w, op in terms for t in op.terms),
-        first.q)
+        t._replace(values=v if w == 1 else w * v) for w, t, v in widened), first.q)
 
 
 def adjoint(a: SparseOperator) -> SparseOperator:
@@ -293,15 +314,17 @@ def tensor(a: SparseOperator, b: SparseOperator, domain: Basis, codomain: Basis)
     nb_cod = len(b.codomain)
     if len(domain) != len(a.domain) * len(b.domain) or len(codomain) != len(a.codomain) * nb_cod:
         raise ValueError("dimension mismatch in tensor")
+    dtype = np.result_type(a.dtype, b.dtype)
     if a.q == 0:
-        _check_exact_bound(a.bound * b.bound, "tensor")
+        dtype = _guarded_dtype(a.bound * b.bound, "tensor")
     terms = []
     for ta in a.terms:
         for tb in b.terms:
             inside = (ta.targets[:, None] >= 0) & (tb.targets >= 0)
+            product = np.multiply(ta.values[:, None], tb.values, dtype=dtype)
             terms.append(Term(ta.shift + tb.shift,
                               np.where(inside, ta.targets[:, None] * nb_cod + tb.targets, -1).ravel(),
-                              np.where(inside, ta.values[:, None] * tb.values, 0).ravel()))
+                              np.where(inside, product, 0).ravel()))
     return SparseOperator(domain, codomain, terms, a.q)
 
 
@@ -316,12 +339,13 @@ def column_max_abs(op: SparseOperator) -> np.ndarray:
 def worst_column(op: SparseOperator) -> tuple[object, int | None]:
     """Largest squared column norm, |v| * |v| summed over each column in
     term order, and the first column in rank order attaining it; a NaN
-    column wins.  (0.0, None) when every column is zero."""
-    if op.q == 0:
-        _check_exact_bound(op.bound ** 2 * len(op.terms), "column norm")
+    column wins.  (0.0, None) when every column is zero.  Exact norms are
+    summed in the dtype of their bound."""
     norms = np.abs(np.zeros(len(op.domain), dtype=op.dtype))
+    if op.q == 0:
+        norms = norms.astype(_guarded_dtype(op.bound ** 2 * len(op.terms), "column norm"))
     for t in op.terms:
-        v = np.abs(t.values)
+        v = np.abs(t.values).astype(norms.dtype, copy=False)
         norms += v * v
     j = int(np.argmax(norms))  # the first NaN, else the first maximum
     return (0.0, None) if norms[j] == 0 else (norms[j].item(), j)

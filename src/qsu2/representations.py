@@ -166,7 +166,7 @@ def check_relations(ops) -> RelationReport:
     inside = basis.shells <= cap - _MARGIN
 
     def form(word):
-        if word == "I":  # int64: the exact mode refuses bools
+        if word == "I":  # ints, which the exact mode narrows to int8; it refuses bools
             return SparseOperator(basis, basis, [Term((0,) * len(basis.coords), np.where(
                 inside, np.arange(len(basis)), -1), inside.astype(np.int64))], q)
         x, y = re.findall(r"[ab]\*?", word)

@@ -22,6 +22,21 @@ def entries(op) -> list:
     return sorted(found, key=lambda e: (e[1], e[0]))
 
 
+def least_int_dtype(bound: int) -> np.dtype:
+    """The least signed integer type whose maximum is at least ``bound`` (read
+    from np.iinfo): the dtype of an exact operator whose entry bound it is."""
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if bound <= np.iinfo(t).max)
+
+
+def int_dense(op) -> np.ndarray:
+    """Dense matrix of an exact operator with Python-int entries (dtype object)."""
+    out = np.zeros(op.shape, dtype=object)
+    for i, j, v in entries(op):
+        out[i, j] = int(v)
+    return out
+
+
 def entry_bits(op) -> list:
     """The entries with each value as its dtype and bytes, for bitwise comparisons."""
     return [(i, j, v.dtype, v.tobytes()) for i, j, v in entries(op)]

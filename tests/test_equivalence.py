@@ -20,6 +20,7 @@ from support import (
     diagonal,
     entries,
     entry_bits,
+    least_int_dtype,
     nan_on_middle_entry,
     product,
     sheet_of,
@@ -136,7 +137,7 @@ def test_unitary_roundtrip_and_shells_cap40():
     found = entries(u)
     rows = np.array([i for i, _, _ in found])
     vals = np.array([v for _, _, v in found])
-    assert u.q == 0 and vals.dtype == np.int64
+    assert u.q == 0 and vals.dtype == least_int_dtype(u.bound)
     assert [j for _, j, _ in found] == list(range(len(u.domain)))
     # bijection onto the capped lattice
     assert np.array_equal(np.sort(rows), np.arange(len(u.codomain)))
@@ -843,9 +844,11 @@ def test_tail_norms_peak_memory_at_the_largest_cap():
 
 
 def test_verify_q0_peak_memory_at_cap_40():
+    # exact values are held in the least integer type their bound allows,
     # compose sums each pair's product into its shift's term as it is formed
-    # and check_relations holds no identity across relations: measured 4.46 MB
-    # (5.94 MB with a list of every pair's piece and I held across relations)
+    # and check_relations holds no identity across relations: measured 2.81 MB
+    # (4.46 MB with int64 values; 5.94 MB with, besides, a list of every
+    # pair's piece and I held across relations)
     for basis in (gamma_basis, pi_basis, full_basis):
         basis(40)
     tracemalloc.start()
@@ -854,7 +857,7 @@ def test_verify_q0_peak_memory_at_cap_40():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5.0e6
+    assert peak < 3.5e6
 
 
 @pytest.mark.parametrize(

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import basis_points, column, diagonal, entries, entry_bits, product, to_dense
+from support import (basis_points, column, diagonal, entries, entry_bits, int_dense, least_int_dtype,
+                     product, to_dense)
 from qsu2.coefficients import float_mode
-from qsu2.lattice import full_basis, nat_basis, pi_basis
+from qsu2.equivalence import unitary_u
+from qsu2.lattice import full_basis, gamma_basis, nat_basis, pi_basis
 from qsu2.operator_core import (
     SparseOperator,
     Term,
@@ -20,6 +22,7 @@ from qsu2.operator_core import (
     build_from_rule,
     column_max_abs,
     compose,
+    conjugate,
     max_entry_difference,
     tensor,
     worst_column,
@@ -182,8 +185,10 @@ def test_compose_columns_keep_the_full_product_bits(mode):
         for kept in (np.ones(n, dtype=bool), b.domain.shells <= cap - 2, third,
                      np.arange(n) == n - 1, np.zeros(n, dtype=bool)):
             part = compose(a, b, kept)
-            # an operator left with no term has its mode's own dtype
-            assert part.dtype == (full.dtype if part.terms else np.int64 if a.q == 0 else np.float64)
+            # an exact dtype is the least signed type holding the bound; a float
+            # operator left with no term has its mode's own dtype
+            assert part.dtype == (least_int_dtype(part.bound) if a.q == 0
+                                  else full.dtype if part.terms else np.float64)
             assert entry_bits(part) == [e for e in entry_bits(full) if kept[e[1]]]
 
 
@@ -505,12 +510,15 @@ def test_n_term_add_overflow_guard_sums_every_term():
 
 
 # Dyadic entries keep every product and sum exact, so the dense oracle is
-# compared for equality in all three modes.
+# compared for equality in all three modes; the exact oracle holds Python
+# ints, and exact entries reach either side of every integer type's maximum.
 _DYADIC = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5])
+_EDGES = [127, 128, 32767, 32768, 2**31 - 1, 2**31, 2**61]
 _SCALARS = {
     "float": _DYADIC,
     "complex": st.builds(complex, _DYADIC, _DYADIC),
-    "exact": st.integers(min_value=-3, max_value=3),
+    "exact": st.one_of(st.integers(min_value=-3, max_value=3),
+                       st.sampled_from(_EDGES + [-m for m in _EDGES])),
 }
 
 
@@ -533,23 +541,40 @@ def operators(draw, kind, lattice, n_dom, n_cod):
              for shift, values in drawn]
     mode = 0.0 if kind == "exact" else MODE
     op = build_from_rule(dom, cod, terms, mode)
-    dense = np.zeros((len(cod), n), dtype=complex if kind == "complex" else float)
+    dense = np.zeros((len(cod), n), dtype={"float": float, "complex": complex, "exact": object}[kind])
     for shift, values in terms:
         for j in range(n):
             target = tuple(int(c[j]) + d for c, d in zip(dom.coords, shift))
             if cod.valid(*target) and cod.rank(*target) >= 0:
-                dense[cod.rank(*target), j] += values[j]
+                dense[cod.rank(*target), j] += values[j].item()
     return op, dense
 
 
 def check_canonical(op):
-    """Distinct positions in (column, row) rank order, no zero, int64 when exact."""
+    """Distinct positions in (column, row) rank order, no zero, and when exact
+    the least signed integer type holding the entry bound."""
     found = entries(op)
     positions = [(j, i) for i, j, _ in found]
     assert positions == sorted(set(positions))
     assert all(v != 0 for _, _, v in found)
     if op.q == 0:
-        assert op.dtype == np.int64 and all(v.dtype == np.int64 for _, _, v in found)
+        assert op.bound == max((abs(int(v)) for *_, v in found), default=0)
+        assert op.dtype == least_int_dtype(op.bound) and all(v.dtype == op.dtype for *_, v in found)
+
+
+def formed_or_refused(form, dense, bound=0):
+    """The operator ``form()`` after checking it is canonical and equals its
+    dense oracle (Python ints when exact); None when ``bound``, the exact
+    entry bound its guard reads, reaches 2**62 and so ``form()`` must raise."""
+    if bound >= 2**62:
+        with pytest.raises(OverflowError, match="could overflow int64"):
+            form()
+        return None
+    op = form()
+    check_canonical(op)
+    assert np.array_equal(int_dense(op) if op.q == 0 else to_dense(op), dense)
+    assert all(dense[i, j] == v for i, j, v in entries(op))
+    return op
 
 
 @settings(max_examples=60, deadline=None)
@@ -559,12 +584,74 @@ def test_algebra_against_dense_property(data, kind, lattice, n1, n2, n3):
     a, da = data.draw(operators(kind, lattice, n2, n3))
     b, db = data.draw(operators(kind, lattice, n1, n2))
     c, dc = data.draw(operators(kind, lattice, n2, n3))
-    w = 2 if kind == "exact" else -1.5
+    exact = kind == "exact"
+    w = 2 if exact else -1.5
     size = len(a.domain), len(a.codomain), len(b.domain)
-    for op, dense in ((a, da), (product(a, b), da @ db), (add((w, a), (1, c)), w * da + dc),
-                      (adjoint(a), da.conj().T),
-                      (tensor(a, b, nat_basis(size[0] * size[2]), nat_basis(size[1] * size[0])),
-                       np.kron(da, db))):
-        check_canonical(op)
-        assert np.array_equal(to_dense(op), dense)
-        assert all(dense[i, j] == v for i, j, v in entries(op))
+    # each result, its dense oracle and, in the exact mode, the entry bound its guard reads
+    for form, dense, bound in (
+            (lambda: a, da, 0),
+            (lambda: product(a, b), da @ db, exact and a.bound * b.bound * len(b.terms)),
+            (lambda: add((w, a), (1, c)), w * da + dc, exact and abs(w) * a.bound + c.bound),
+            (lambda: adjoint(a), da.conj().T, 0),
+            (lambda: tensor(a, b, nat_basis(size[0] * size[2]), nat_basis(size[1] * size[0])),
+             np.kron(da, db), exact and a.bound * b.bound)):
+        formed_or_refused(form, dense, bound)
+
+
+@pytest.mark.parametrize("m", _EDGES)
+def test_exact_results_never_wrap(m):
+    # entries of magnitude m, on either side of an integer type's maximum,
+    # beside +-1: every result equals its Python-int oracle in the least
+    # signed type holding its bound, or its guard refuses it
+    basis = nat_basis(3)
+    x = build_from_rule(basis, basis, [((0,), [m, m, -1]), ((-1,), [0, m, -m])], 0.0)
+    neg = build_from_rule(basis, basis, [((0,), [-m, -m, 1]), ((-1,), [0, -m, m])], 0.0)
+    one = diagonal(basis, [1, -1, 1], 0.0)
+    dx, dneg, done = int_dense(x), int_dense(neg), int_dense(one)
+    assert x.bound == m and x.dtype == least_int_dtype(m)
+    # column 1 of x @ x sums m * m twice: 2 m**2, the guard's bound
+    assert (dx @ dx)[0, 1] == 2 * m * m
+    wide = nat_basis(9)
+    for form, dense, bound in (
+            (lambda: product(x, x), dx @ dx, 2 * m * m),
+            (lambda: product(x, one), dx @ done, m),
+            (lambda: product(one, x), done @ dx, 2 * m),
+            (lambda: add((1, x), (1, x)), 2 * dx, 2 * m),
+            (lambda: add((1, x), (-1, neg)), dx - dneg, 2 * m),
+            (lambda: add((-1, x), (-1, x), (1, one)), done - 2 * dx, 2 * m + 1),
+            (lambda: add((1000, x)), 1000 * dx, 1000 * m),
+            (lambda: tensor(x, x, wide, wide), np.kron(dx, dx), m * m),
+            (lambda: tensor(one, x, wide, wide), np.kron(done, dx), m),
+            (lambda: adjoint(x), dx.T, 0)):
+        formed_or_refused(form, dense, bound)
+    # 1000 times an int8 operand: numpy alone refuses the Python int 1000 as an int8
+    small = diagonal(basis, [127, -127, 1], 0.0)
+    assert small.dtype == np.int8
+    assert formed_or_refused(lambda: add((1000, small)), 1000 * int_dense(small)).dtype == np.int32
+    # conjugation by U: the signed permutation moves the entries, exactly
+    g = gamma_basis(2)
+    at = np.arange(len(g))
+    up = g.valid(*(c + 1 for c in g.coords))  # the shift (1, 1, 1) stays on the lattice
+    xg = build_from_rule(g, g, [((0, 0, 0), np.choose(at % 3, [m, -m, 1])),
+                                ((1, 1, 1), np.where(up, np.choose(at % 2, [-m, m]), 0))], 0.0)
+    u = unitary_u(2)
+    du = int_dense(u)
+    conj = formed_or_refused(lambda: conjugate(xg, u), du @ int_dense(xg) @ du.T)
+    assert conj.dtype == xg.dtype == least_int_dtype(m)
+    # column norms: |v| * |v| summed over each column, 2 m**2 in column 1
+    norms = (dx * dx).sum(axis=0).tolist()
+    if 2 * m * m >= 2**62:
+        with pytest.raises(OverflowError, match="exact column norm could overflow int64"):
+            worst_column(x)
+    else:
+        worst, j = worst_column(x)
+        assert (worst, j) == (max(norms), norms.index(max(norms))) == (2 * m * m, 1)
+        assert type(worst) is int
+    top = column_max_abs(x)
+    assert top.dtype == x.dtype and top.tolist() == np.abs(dx).max(axis=0).tolist() == [m, m, m]
+    # x - neg = 2 x: the largest entry 2 m, first in (column, row) order at (0, 0)
+    if 2 * m >= 2**62:
+        with pytest.raises(OverflowError, match="exact add could overflow int64"):
+            max_entry_difference(x, neg, np.ones(3, dtype=bool))
+    else:
+        assert max_entry_difference(x, neg, np.ones(3, dtype=bool)) == (2 * m, (0, 0))

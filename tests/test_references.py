@@ -16,7 +16,9 @@ operator from its terms, read an attribute named ``terms``.  Index arithmetic
 never divides to halve: it shifts (``>> 1``) and masks (``& 1``).  No module
 calls ``np.append``, which copies its operand whole, or ``np.broadcast_to``:
 a rule term holds one value per domain point, and no scalar stands in for
-them."""
+them.  The narrow integer types (``int8``, ``int16``, ``int32``) and
+``iinfo`` are named only in operator_core's one dtype helper, so the exact
+mode's dtype follows from its entry bound in one place."""
 
 import ast
 from pathlib import Path
@@ -459,6 +461,57 @@ def test_a_numpy_broadcast_to_is_caught(tmp_path):
         "    return np.broadcast_arrays(values, spread(0, (n,))), 'np.broadcast_to(1, (n,))'\n",
         encoding="utf-8")
     assert numpy_uses("broadcast_to", package) == ["mod:7 np.broadcast_to", "mod:8 np.broadcast_to"]
+
+
+# the one function that may name the narrow integer types: (module, function)
+DTYPE_HELPER = ("operator_core", "_exact_dtype")
+NARROW_INTEGER_NAMES = {"int8", "int16", "int32", "iinfo"}
+
+
+def narrow_integer_names(package: Path = PACKAGE) -> list[str]:
+    """module:line name of every name or attribute int8, int16, int32 or
+    iinfo in the package outside DTYPE_HELPER, a module-level function."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = _tree(path)
+        helper = {id(node) for top in tree.body
+                  if isinstance(top, ast.FunctionDef) and (path.stem, top.name) == DTYPE_HELPER
+                  for node in ast.walk(top)}
+        names = [(node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+                 for node in ast.walk(tree) if id(node) not in helper
+                 and (isinstance(node, ast.Name) and node.id in NARROW_INTEGER_NAMES
+                      or isinstance(node, ast.Attribute) and node.attr in NARROW_INTEGER_NAMES)]
+        found += [f"{path.stem}:{line} {name}" for line, name in sorted(names, key=lambda n: n[0])]
+    return found
+
+
+def test_narrow_integer_types_only_in_the_dtype_helper():
+    # an exact operator's dtype follows from its bound in one place
+    assert narrow_integer_names() == []
+
+
+def test_a_narrow_integer_name_is_caught(tmp_path):
+    # both module names, bare imported names and uncalled ones, and the
+    # helper's own name anywhere but at operator_core's top level; not the
+    # helper itself, np.int64, or the words in a string or a comment
+    package = tmp_path / "qsu2"
+    package.mkdir()
+    (package / "operator_core.py").write_text(
+        "import numpy as np\n\n\n"
+        "def _exact_dtype(bound):\n"
+        "    for dtype in (np.int8, np.int16, np.int32):\n"
+        "        if bound <= np.iinfo(dtype).max:\n"
+        "            return dtype\n"
+        "    return np.int64\n\n\n"
+        "def f(v):\n"
+        "    return v.astype(np.int16), 'np.int8'  # not np.int32\n", encoding="utf-8")
+    (package / "mod.py").write_text(
+        "import numpy\n"
+        "from numpy import iinfo\n\n\n"
+        "def _exact_dtype(bound):\n"
+        "    return numpy.int32 if bound < iinfo(numpy.int32).max else numpy.int64\n", encoding="utf-8")
+    assert narrow_integer_names(package) == [
+        "mod:6 int32", "mod:6 iinfo", "mod:6 int32", "operator_core:12 int16"]
 
 
 def test_a_private_function_only_tests_call_is_caught(tmp_path):

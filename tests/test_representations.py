@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import crystal_oracle as oracle
-from support import basis_points, column, diagonal, entries, entry_bits, product, to_dense
+from support import (basis_points, column, diagonal, entries, entry_bits, least_int_dtype, product,
+                     to_dense)
 from qsu2.coefficients import float_mode, g
 from qsu2.lattice import FullIndex, GammaIndex, PiIndex, gamma_basis, nat_basis
 from qsu2 import representations
@@ -76,7 +77,8 @@ def test_lambda_q_zero_selects_exact_mode():
 
 
 def test_every_operator_carries_its_q():
-    """An operator's q is the q it was built at; it is int64 exactly when q == 0."""
+    """An operator's q is the q it was built at; its values are integers
+    exactly when q == 0, of the least signed type holding its bound."""
     u = unitary_u(3)
     built = [(0.0, u)]
     for q in (0.0, 0.5, -0.45):
@@ -93,14 +95,17 @@ def test_every_operator_carries_its_q():
     # an exact operator whose largest |entry| is a negative entry
     built.append((0.0, diagonal(nat_basis(3), [1, -2**61, 2**60], 0.0)))
     for q, op in built:
-        assert op.q == q and (op.dtype == np.int64) == (q == 0), (q, op)
+        assert op.q == q and (op.dtype.kind == "i") == (q == 0), (q, op)
         # the exact mode keeps its largest |entry| as a Python int, the float modes none
         if q == 0:
             want = max((abs(int(v)) for *_, v in entries(op)), default=0)
             assert type(op.bound) is int and op.bound == want, (op, op.bound, want)
+            assert op.dtype == least_int_dtype(op.bound), (op, op.dtype)
+            assert all(v.dtype == op.dtype for *_, v in entries(op)), op
         else:
             assert op.bound is None, op
-    assert built[-1][1].bound == 2**61
+    assert built[-1][1].bound == 2**61 and built[-1][1].dtype == np.int64
+    assert all(op.dtype == np.int8 for q, op in built[:-1] if q == 0)
 
 
 def test_crystal_section_refuses_non_integer_values():
@@ -110,8 +115,8 @@ def test_crystal_section_refuses_non_integer_values():
         with pytest.raises(ValueError, match=f"exact-mode entries must be int64 integers, got {value!r}"):
             build_from_rule(basis, basis, [((0, 0, 0), np.where(n2 == 1, value, 0.0))], _mode(0.0))
     op = build_from_rule(basis, basis, [((0, 0, 0), -1.0 * (n2 == 1))], _mode(0.0))
-    assert op.q == 0 and op.dtype == np.int64
-    assert [(v.dtype, v.item()) for _, _, v in entries(op)] == [(np.int64, -1)] * 4
+    assert op.q == 0 and op.dtype == least_int_dtype(op.bound)
+    assert [(v.dtype, v.item()) for _, _, v in entries(op)] == [(least_int_dtype(1), -1)] * 4
 
 
 def test_lambda_shell_grading():

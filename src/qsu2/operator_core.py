@@ -19,13 +19,15 @@ coordinate) and an array of one value per domain point, evaluated by the
 builder on the coordinates of its own basis.  A rule names each shift
 once, and each rule term is one term of the operator.
 
-Determinism: plain numpy arithmetic.  Terms of one shift are summed one
-at a time in the order the product lists them: pairs of factors b-major
-in ``compose``, (w, op) terms in argument order in ``add``; column sums
-run in term order too.  Ties between equal maxima go to the first in
-(column, row) rank order, and NaN wins every maximum, so a NaN entry
-fails whatever reads it.  Comparisons are one subtraction,
-``add((1, a), (-1, b))``, followed by a reduction.
+Determinism: plain numpy arithmetic.  Only the constructor sums pieces:
+those of one shift one at a time in the order they reach it, pairs of
+factors b-major from ``compose``, (w, op) terms in argument order from
+``add``; column sums run in term order too.  It may write into, and then
+owns, every writable array it is handed, and every term array it keeps
+is read-only, so an operator's arrays are never written.  Ties between
+equal maxima go to the first in (column, row) rank order, and NaN wins
+every maximum, so a NaN entry fails whatever reads it.  Comparisons are
+one subtraction, ``add((1, a), (-1, b))``, followed by a reduction.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ def _exact_dtype(bound: int) -> np.dtype:
 def _entry_values(vals, exact: bool) -> np.ndarray:
     """Entries as float64 or complex128, or in the exact mode as signed
     integers: int arrays as they are, integral finite float arrays below
-    2**63 in magnitude as int64; there, any other value, or an array of any
-    other kind, is a ValueError naming the first refused value."""
+    2**63 in magnitude in the least type holding them; there, any other
+    value or kind of array is a ValueError naming the first refused value."""
     arr = np.asarray(vals)
     if not exact:
         return arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64, copy=False)
@@ -65,7 +67,7 @@ def _entry_values(vals, exact: bool) -> np.ndarray:
     if refused.any():
         raise ValueError("exact-mode entries must be int64 integers, "
                          f"got {arr[refused].tolist()[0]!r}")
-    return arr.astype(np.int64)
+    return arr.astype(_exact_dtype(int(abs(arr).max(initial=0))))
 
 
 def _guarded_dtype(bound: int, what: str) -> np.dtype:
@@ -74,6 +76,13 @@ def _guarded_dtype(bound: int, what: str) -> np.dtype:
     if bound >= EXACT_LIMIT:
         raise OverflowError(f"exact {what} could overflow int64: entry bound {bound} >= 2**62")
     return _exact_dtype(bound)
+
+
+def _plus(ufunc, acc: np.ndarray, piece: np.ndarray) -> np.ndarray:
+    """ufunc(acc, piece), into acc if it is writable and of the result's dtype
+    (the same bits either way); callers hand exact pieces in a dtype holding their sum."""
+    inplace = acc.flags.writeable and acc.dtype == np.result_type(acc, piece)
+    return ufunc(acc, piece, out=acc if inplace else None)
 
 
 class Term(NamedTuple):
@@ -86,37 +95,40 @@ class Term(NamedTuple):
 
 class SparseOperator:
     """Finite matrix between truncated basis spaces: ``terms`` holds one
-    ``Term`` per shift, all values of one ``dtype``; the constructor drops
-    the terms whose values are all zero and casts the rest to the dtype
-    they share, so a dropped term takes no part in it.  In the exact mode
-    ``bound`` is the largest |entry| as a Python int (0 with no terms),
-    read from each kept term's largest and least value, the two reductions
-    that also tell a zero term; the overflow guards read it, and ``dtype``
-    is the least signed integer type holding it.  It is None in the float
-    modes."""
+    ``Term`` per shift, all values of one ``dtype``.  The constructor sums
+    the pieces ``(shift, targets, values)`` of each shift in the order
+    given (``_plus``), drops the terms whose values are all zero, casts
+    the rest to the dtype they share, so a dropped term takes no part in
+    it, and marks every kept array read-only.  In the exact mode ``bound``
+    is the largest |entry| as a Python int (0 with no terms), read from
+    each kept term's largest and least value, the two reductions that also
+    tell a zero term; the overflow guards read it, and ``dtype`` is the
+    least signed integer type holding it.  It is None in the float modes."""
 
     __slots__ = ("domain", "codomain", "q", "dtype", "terms", "bound")
 
-    def __init__(self, domain: Basis, codomain: Basis, terms, q: float):
+    def __init__(self, domain: Basis, codomain: Basis, pieces, q: float):
         self.domain, self.codomain, self.q = domain, codomain, q
-        exact = q == 0
-        kept, bound = [], 0
-        for shift, targets, values in terms:
+        exact, n = q == 0, len(domain)
+        summed: dict = {}
+        for shift, targets, values in pieces:
             values = _entry_values(values, exact)
-            if targets.shape != (len(domain),) or values.shape != (len(domain),):
+            if targets.shape != (n,) or values.shape != (n,):
                 raise ValueError("term arrays must hold one entry per domain point")
-            if exact:
-                top = max(int(values.max()), -int(values.min()))
-                if top:
-                    kept.append((shift, targets, values))
-                    bound = max(bound, top)
-            elif values.any():
-                kept.append((shift, targets, values))
-        self.bound = bound if exact else None
-        self.dtype = (_exact_dtype(bound) if exact
+            if (acc := summed.get(shift)) is not None:
+                targets, values = _plus(np.maximum, acc[0], targets), _plus(np.add, acc[1], values)
+            summed[shift] = targets, values
+        # per term, its largest |entry| in the exact mode, else whether it is nonzero
+        tops = {shift: max(int(v.max()), -int(v.min())) if exact else v.any()
+                for shift, (_, v) in summed.items()}
+        kept = [(shift, *summed[shift]) for shift, top in tops.items() if top]
+        self.bound = max(tops.values(), default=0) if exact else None
+        self.dtype = (_exact_dtype(self.bound) if exact
                       else np.result_type(np.float64, *(v for *_, v in kept)))
         self.terms = tuple(Term(shift, targets, values.astype(self.dtype, copy=False))
                            for shift, targets, values in kept)
+        for t in self.terms:
+            t.targets.flags.writeable = t.values.flags.writeable = False
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -144,16 +156,6 @@ def _term(shift, n: int, cols: np.ndarray, rows: np.ndarray, vals: np.ndarray) -
     values = np.zeros(n, dtype=vals.dtype)
     values[cols] = vals
     return Term(shift, targets, values)
-
-
-def _summed(pieces) -> list[Term]:
-    """One term per shift, its pieces summed one at a time in the order given."""
-    out: dict = {}
-    for p in pieces:
-        q = out.get(p.shift)
-        out[p.shift] = p if q is None else Term(
-            p.shift, np.maximum(q.targets, p.targets), q.values + p.values)
-    return list(out.values())
 
 
 def build_from_rule(domain: Basis, codomain: Basis, rule: list, q: float) -> SparseOperator:
@@ -201,13 +203,12 @@ def compose(a: SparseOperator, b: SparseOperator, columns) -> SparseOperator:
 
     ``columns`` is a boolean mask over the domain points; only the
     columns it marks are formed and every other column is empty.  Each
-    pair of a b term and an a term is one gather from a's own arrays and
-    one multiply, summed in place into its shift's term as soon as it is
-    formed, with the bits ``_summed`` gives; the operands' arrays are
-    never written.  Column j of a @ b reads only column j of b, so a kept
-    column holds the same bits as in the full product, which an all-True
-    mask forms.  Exact products and sums are formed in the dtype of the
-    product's entry bound.
+    pair of a b term and an a term, b-major, is one piece: a gather from
+    a's own arrays and one multiply, handed to the constructor as soon as
+    it is formed, which sums it into its shift's term.  Column j of a @ b
+    reads only column j of b, so a kept column holds the same bits as in
+    the full product, which an all-True mask forms.  Exact products and
+    sums are formed in the dtype of the product's entry bound.
     """
     if not a.domain.same_points(b.codomain):
         raise ValueError("dimension mismatch in compose")
@@ -220,31 +221,29 @@ def compose(a: SparseOperator, b: SparseOperator, columns) -> SparseOperator:
     columns = np.asarray(columns)
     if columns.dtype != bool or columns.shape != (len(b.domain),):
         raise ValueError("columns must be a boolean mask over the domain")
-    sums: dict = {}
-    for tb in b.terms:
-        mid = np.where(columns, tb.targets, -1)
-        off = mid < 0  # outside b's truncation or columns: no entry, and a's factor reads 0
-        for ta in a.terms:
-            targets, values = ta.targets[mid], ta.values[mid].astype(dtype, copy=False)
-            targets[off], values[off] = -1, 0
-            np.multiply(values, tb.values, out=values)
-            values[targets < 0] = 0
-            shift = tuple(x + y for x, y in zip(ta.shift, tb.shift))
-            if (acc := sums.get(shift)) is None:
-                sums[shift] = Term(shift, targets, values)
-            else:
-                np.maximum(acc.targets, targets, out=acc.targets)
-                np.add(acc.values, values, out=acc.values)
-    return SparseOperator(b.domain, a.codomain, sums.values(), a.q)
+
+    def pieces():
+        for tb in b.terms:
+            mid = np.where(columns, tb.targets, -1)
+            off = mid < 0  # outside b's truncation or columns: no entry, and a's factor reads 0
+            for ta in a.terms:
+                targets, values = ta.targets[mid], ta.values[mid].astype(dtype, copy=False)
+                targets[off], values[off] = -1, 0
+                np.multiply(values, tb.values, out=values)
+                values[targets < 0] = 0
+                yield Term(tuple(x + y for x, y in zip(ta.shift, tb.shift)), targets, values)
+
+    return SparseOperator(b.domain, a.codomain, pieces(), a.q)
 
 
 def add(*terms: tuple[object, SparseOperator]) -> SparseOperator:
-    """Weighted sum w_1 * op_1 + ... + w_n * op_n of (w, op) terms, summed
-    shift by shift in term order; nested two-term sums give the same bits,
-    since 0 + s == s for every nonzero s.  A single term of weight 1 is
-    returned as it is, and the values of any term of weight 1 are taken as
-    they are (1 * x == x bit for bit).  In the exact mode every value is
-    first cast to the dtype of the sum's entry bound."""
+    """Weighted sum w_1 * op_1 + ... + w_n * op_n of (w, op) terms: every
+    weighted term is a piece for the constructor, which sums them shift by
+    shift in term order; nested two-term sums give the same bits, since
+    0 + s == s for every nonzero s.  A single term of weight 1 is returned
+    as it is, and the values of any term of weight 1 are borrowed as they
+    are (1 * x == x bit for bit).  In the exact mode every value is first
+    cast to the dtype of the sum's entry bound."""
     (w, first), *rest = terms
     if not rest and w == 1:
         return first
@@ -257,7 +256,7 @@ def add(*terms: tuple[object, SparseOperator]) -> SparseOperator:
         dtype = _guarded_dtype(sum(abs(w) * op.bound for w, op in terms), "add")
     widened = ((w, t, t.values.astype(dtype, copy=False) if exact else t.values)
                for w, op in terms for t in op.terms)
-    return SparseOperator(first.domain, first.codomain, _summed(
+    return SparseOperator(first.domain, first.codomain, (
         t._replace(values=v if w == 1 else w * v) for w, t, v in widened), first.q)
 
 
@@ -276,14 +275,14 @@ def conjugate(op: SparseOperator, u: SparseOperator) -> SparseOperator:
     """U op U* for a signed permutation U, one term from op's basis onto
     another lattice: entry (k, j) of op moves to (perm[k], perm[j]) with
     sign[k] * sign[j], its shift the offset of perm[k] from perm[j] in
-    U's codomain coordinates.  The offsets of one term of op vary by
-    column, so its entries are split by offset, in order of first
-    occurrence.  Each entry's offset is one integer, the difference of
-    its row's and column's places in mixed radix with 2 * span + 1 per
-    coordinate (span = max - min over the codomain): every coordinate
-    delta is a digit in [-span, span], so equal integers mean equal
-    offsets.  A piece's shift is read from the coordinates of its first
-    entry."""
+    U's codomain coordinates.  The entries of one term of op are split
+    into pieces by offset, in order of first occurrence, and the
+    constructor sums the pieces of one shift in term order.  Each entry's
+    offset is one integer, the difference of its row's and column's
+    places in mixed radix with 2 * span + 1 per coordinate (span = max -
+    min over the codomain): every coordinate delta is a digit in
+    [-span, span], so equal integers mean equal offsets.  A piece's shift
+    is read from the coordinates of its first entry."""
     if not op.domain.same_points(u.domain):
         raise ValueError("cap mismatch between operator and unitary")
     _, perm, sign = u.terms[0]
@@ -304,7 +303,7 @@ def conjugate(op: SparseOperator, u: SparseOperator) -> SparseOperator:
             pieces.append(_term(shift, len(u.codomain), cols[same], rows[same], vals[same]))
             rest = ~same
             cols, rows, vals, offset = cols[rest], rows[rest], vals[rest], offset[rest]
-    return SparseOperator(u.codomain, u.codomain, _summed(pieces), op.q)
+    return SparseOperator(u.codomain, u.codomain, pieces, op.q)
 
 
 def tensor(a: SparseOperator, b: SparseOperator, domain: Basis, codomain: Basis) -> SparseOperator:

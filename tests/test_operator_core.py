@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from support import (basis_points, column, diagonal, entries, entry_bits, int_dense, least_int_dtype,
                      product, to_dense)
+from qsu2 import operator_core
 from qsu2.coefficients import float_mode
-from qsu2.equivalence import unitary_u
-from qsu2.lattice import full_basis, gamma_basis, nat_basis, pi_basis
+from qsu2.equivalence import closed_form, difference, unitary_u
+from qsu2.lattice import full_basis, gamma_basis, nat_basis, pi_basis, pi_tensor_basis
 from qsu2.operator_core import (
     SparseOperator,
     Term,
@@ -27,7 +28,7 @@ from qsu2.operator_core import (
     tensor,
     worst_column,
 )
-from qsu2.representations import build_irrep, build_lambda
+from qsu2.representations import build_ipi, build_irrep, build_lambda, build_pi
 
 MODE = float_mode(0.5)
 
@@ -448,6 +449,130 @@ def test_repeated_positions_sum_in_occurrence_order():
     assert lost.nnz == 0 and column(lost, 0) == column(lost, 1) == []
     kept = add(*((1, down(v)) for v in (1e16, -1e16, 1.0)))
     assert column(kept, 1) == [(0, 1.0)]
+
+
+def _summed(pieces) -> list[Term]:
+    """One term per shift, its pieces summed one at a time in the order
+    given, a new array at each step: the constructor's sum, out of place."""
+    out: dict = {}
+    for p in pieces:
+        q = out.get(p.shift)
+        out[p.shift] = p if q is None else Term(
+            p.shift, np.maximum(q.targets, p.targets), q.values + p.values)
+    return list(out.values())
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _sum_cases():
+    """(q, pieces, whether the sum of shift (0,) runs in its first piece) per case."""
+    rng = np.random.default_rng(35)
+    n = 7
+    rows = [np.where(rng.random(n) < 0.7, rng.permutation(n), -1) for _ in range(4)]
+    vals = [np.where(r >= 0, rng.normal(size=n), 0.0) for r in rows]
+    inplace = [Term((0,), r.copy(), v.copy()) for r, v in zip(rows[:3], vals[:3])]
+    frozen = [Term((0,), *_read_only(rows[0].copy(), vals[0].copy())),
+              Term((0,), rows[1].copy(), vals[1].copy()), Term((1,), rows[3].copy(), vals[3].copy()),
+              Term((0,), rows[2].copy(), vals[2].copy())]
+    mixed = [Term((0,), rows[0].copy(), vals[0].copy()),
+             Term((0,), rows[1].copy(), vals[1] * (1 + 1j)), Term((0,), rows[2].copy(), vals[2].copy())]
+    # summed: NaN from inf - inf, NaN, -0.0, 0.0, inf, 0.0, 0.0
+    marks = [[np.inf, np.nan, -0.0, 1.0, np.inf, -0.0, 0.0],
+             [-np.inf, 1.0, -0.0, -1.0, np.inf, 0.0, -0.0], [1.0, 1.0, -0.0, -0.0, 1.0, -0.0, -0.0]]
+    planted = [Term((0,), np.arange(n), np.array(m)) for m in marks]
+    exact = [Term((0,), rows[0].copy(), np.sign(vals[0]).astype(np.int8)),
+             Term((0,), rows[1].copy(), (200 * np.sign(vals[1])).astype(np.int16)),
+             Term((0,), rows[2].copy(), np.sign(vals[2]).astype(np.int8))]
+    return {"in-place": (MODE, inplace, True), "read-only-first": (MODE, frozen, False),
+            "float-then-complex": (MODE, mixed, False), "planted": (MODE, planted, True),
+            "exact-widening": (0.0, exact, False)}
+
+
+@pytest.mark.parametrize("case", list(_sum_cases()))
+def test_constructor_sum_matches_the_out_of_place_sum(case):
+    # the pieces of one shift are summed one at a time in the order given,
+    # into the first piece only when it is writable and already of the
+    # sum's dtype: the same shifts, targets, dtypes, value bytes and
+    # warnings as a new array at each step, and no read-only array written
+    q, pieces, inplace = _sum_cases()[case]
+    basis = nat_basis(len(pieces[0].targets))
+    handed = [a for p in pieces for a in p[1:]]
+    frozen = [(a, a.tobytes()) for a in handed if not a.flags.writeable]
+    floats = [(a, a.tobytes()) for a in handed if a.dtype.kind == "f"]
+    copies = [Term(p.shift, p.targets.copy(), p.values.copy()) for p in pieces]
+    targets_inplace = pieces[0].targets.flags.writeable
+    with warnings.catch_warnings(record=True) as want:
+        warnings.simplefilter("always")
+        expected = SparseOperator(basis, basis, _summed(copies), q)
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        formed = SparseOperator(basis, basis, pieces, q)
+    assert formed.dtype == expected.dtype and formed.bound == expected.bound
+    assert _term_bytes(formed) == _term_bytes(expected)
+    assert sorted(str(w.message) for w in got) == sorted(str(w.message) for w in want)
+    assert all(a.tobytes() == b for a, b in frozen)
+    # the float pieces of a complex sum are never written
+    if case == "float-then-complex":
+        assert all(a.tobytes() == b for a, b in floats)
+    term = next(t for t in formed.terms if t.shift == (0,))
+    assert np.shares_memory(term.values, pieces[0].values) == inplace
+    assert np.shares_memory(term.targets, pieces[0].targets) == targets_inplace
+    if case == "planted":
+        assert np.isnan(term.values).sum() == 2 and np.signbit(term.values[2])
+        assert term.values[4] == np.inf
+
+
+def _formed_operators():
+    """name -> operator, from every builder and every operation."""
+    a, b = build_lambda(0.5, 4, "alpha"), build_lambda(0.5, 4, "beta")
+    p0 = build_pi(0.0, 3, "alpha")
+    ops = {f"{build.__name__}/{q}/{gen}": build(q, 4, gen) for build in (build_lambda, build_pi, build_ipi)
+           for q in (0.0, 0.5) for gen in ("alpha", "beta")}
+    ops |= dict(zip(("irrep/alpha", "irrep/beta"), build_irrep(0.5, complex(0.6, 0.8), 6)))
+    ops |= {"unitary_u": unitary_u(4), "compose": compose(a, b, np.ones(len(b.domain), dtype=bool)),
+            "add": add((1, a), (-0.5, b), (1, adjoint(b))), "add/exact": add((1, p0), (1, p0)),
+            "adjoint": adjoint(a), "conjugate": conjugate(a, unitary_u(4)),
+            "conjugate/exact": conjugate(build_lambda(0.0, 4, "beta"), unitary_u(4)),
+            "tensor": tensor(p0, adjoint(p0), pi_tensor_basis(3), pi_tensor_basis(3)),
+            "difference": difference(0.5, 4, "beta"), "closed_form": closed_form(0.5, 4, "alpha")}
+    return ops
+
+
+def test_every_operator_holds_read_only_arrays():
+    # numpy enforces that term arrays are never written after construction
+    for name, op in _formed_operators().items():
+        assert op.terms, name
+        for t in op.terms:
+            for arr in (t.targets, t.values):
+                assert not arr.flags.writeable, name
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = arr[0]
+
+
+@pytest.mark.parametrize("value", [-1.0, 127.0, -128.0, 1000.0, 2.0**40])
+def test_exact_rule_values_are_copied_in_the_least_type(monkeypatch, value):
+    # an integral float rule array is cast to the least signed type of its
+    # largest magnitude, so each term is formed narrow, not at int64
+    formed = []
+    term = operator_core._term
+
+    def spy(shift, n, cols, rows, vals):
+        formed.append(vals.dtype)
+        return term(shift, n, cols, rows, vals)
+
+    monkeypatch.setattr(operator_core, "_term", spy)
+    basis = nat_basis(3)
+    op = build_from_rule(basis, basis, [((0,), np.array([0.0, value, 1.0]))], 0.0)
+    assert formed == [least_int_dtype(abs(int(value)))] and op.bound == abs(int(value))
+    formed.clear()
+    for build in (build_lambda, build_pi, build_ipi):
+        for gen in ("alpha", "beta"):
+            build(0.0, 6, gen)
+    assert set(formed) == {np.dtype(np.int8)}
 
 
 def test_exact_mode_refuses_int64_overflow():

@@ -18,7 +18,10 @@ calls ``np.append``, which copies its operand whole, or ``np.broadcast_to``:
 a rule term holds one value per domain point, and no scalar stands in for
 them.  The narrow integer types (``int8``, ``int16``, ``int32``) and
 ``iinfo`` are named only in operator_core's one dtype helper, so the exact
-mode's dtype follows from its entry bound in one place."""
+mode's dtype follows from its entry bound in one place.  An array's write
+flag (``writeable``, ``setflags``) is named only in operator_core, whose
+constructor marks every term array read-only: no other module makes an
+operator array writable, or relies on writing into one."""
 
 import ast
 from pathlib import Path
@@ -570,3 +573,51 @@ def test_a_test_only_method_is_caught(tmp_path):
         "def use(op):\n    dense = op.rows\n    return dense\n", encoding="utf-8")
     assert unread_members(package, tmp_path / "none", exempt=set()) == ["mod.Op.dense"]
     assert unread_members(package, tmp_path / "none", exempt={"mod.Op.dense"}) == []
+
+
+# the one module that may name an array's write flag
+WRITE_FLAG_MODULE = "operator_core"
+
+
+def write_flag_names(package: Path = PACKAGE) -> list[str]:
+    """module:line name of every name, attribute or keyword ``writeable`` or
+    ``setflags``, and every string ``writeable`` in any case, outside
+    WRITE_FLAG_MODULE."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == WRITE_FLAG_MODULE:
+            continue
+        hits = set()
+        for node in ast.walk(_tree(path)):
+            names = {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "arg", None)}
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value.lower())
+            hits |= {(node.lineno, name) for name in names & {"writeable", "setflags"}}
+        found += [f"{path.stem}:{line} {name}" for line, name in sorted(hits)]
+    return found
+
+
+def test_only_operator_core_names_the_write_flag():
+    # term arrays are read-only from construction on, and stay so
+    assert write_flag_names() == []
+
+
+def test_a_write_flag_name_is_caught(tmp_path):
+    # the attribute, a setflags call, the keyword of as_strided and the
+    # flag's string key, nested too; not operator_core itself, a property
+    # of another spelling, or the words in a string or a comment
+    package = tmp_path / "qsu2"
+    package.mkdir()
+    (package / "operator_core.py").write_text(
+        "def freeze(t):\n    t.values.flags.writeable = False\n", encoding="utf-8")
+    (package / "mod.py").write_text(
+        "from numpy.lib.stride_tricks import as_strided\n\n\n"
+        "def f(op, x):\n"
+        "    op.terms[0].values.flags.writeable = True\n"
+        "    if x.size:\n"
+        "        x.setflags(write=True)\n"
+        "    y = as_strided(x, writeable=True)\n"
+        "    x.flags['WRITEABLE'] = True  # not writeable\n"
+        "    return y, x.flags.owndata, 'not writeable'\n", encoding="utf-8")
+    assert write_flag_names(package) == [
+        "mod:5 writeable", "mod:7 setflags", "mod:8 writeable", "mod:9 writeable"]
